@@ -41,6 +41,7 @@ from .errors import (
     DegenerateReduction,
     EmptyPlan,
     FieldTooSmall,
+    GridOverflow,
     HypothesisViolated,
     IdenticallyZero,
     PolynomialParseError,
@@ -99,6 +100,7 @@ __all__ = [
     "EmptyPlan",
     "ExtensionField",
     "FieldTooSmall",
+    "GridOverflow",
     "HypothesisViolated",
     "IdenticallyZero",
     "IntBivariatePoly",

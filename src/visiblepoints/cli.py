@@ -42,17 +42,19 @@ EXIT_DEGENERATE = 4
 EXIT_BOX = 5
 
 
+#: formats of the record-emitting commands; the others print table or json
+_RECORD_FORMATS = ("table", "csv", "json")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
 
-def _add_common(sub, poly=True, out=True):
-    if poly:
-        sub.add_argument("-f", "--poly", required=True, help="polynomial, e.g. \"V^2 - U^3 - U - 1\"")
-    if out:
-        sub.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        sub.add_argument("--out", default=None, help="output path (default stdout)")
+def _add_common(sub, formats=("table", "json")):
+    sub.add_argument("-f", "--poly", required=True, help="polynomial, e.g. \"V^2 - U^3 - U - 1\"")
+    sub.add_argument("--format", choices=formats, default="table")
+    sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def build_parser() -> _Parser:
@@ -83,12 +85,12 @@ def build_parser() -> _Parser:
     b.add_argument("-p", type=int, required=True)
 
     z = sp.add_parser("zeros", help="exact integer zeros of f in the box")
-    _add_common(z)
+    _add_common(z, _RECORD_FORMATS)
     z.add_argument("-X", type=float, required=True)
     z.add_argument("-Y", type=float, required=True)
 
     ea = sp.add_parser("exp-a", help="discrepancy summed over all levels a for one prime")
-    _add_common(ea)
+    _add_common(ea, _RECORD_FORMATS)
     ea.add_argument("-p", type=int, required=True)
     ea.add_argument("-X", type=float, required=True)
     ea.add_argument("-Y", type=float, required=True)
@@ -97,7 +99,7 @@ def build_parser() -> _Parser:
     ea.add_argument("--workers", type=int, default=1)
 
     ep = sp.add_parser("exp-p", help="discrepancy summed over primes in [T/2, T] at level 0")
-    _add_common(ep)
+    _add_common(ep, _RECORD_FORMATS)
     ep.add_argument("-T", type=float, required=True)
     ep.add_argument("-X", type=float, required=True)
     ep.add_argument("-Y", type=float, required=True)
@@ -105,7 +107,7 @@ def build_parser() -> _Parser:
 
     sw = sp.add_parser("sweep", help="run a series of sweeps, or replay a CSV")
     sw.add_argument("-f", "--poly", required=False, default=None)
-    sw.add_argument("--format", choices=("table", "csv", "json"), default="csv")
+    sw.add_argument("--format", choices=_RECORD_FORMATS, default="csv")
     sw.add_argument("--out", default=None)
     sw.add_argument("--mode", choices=("levels", "primes"), default=None)
     sw.add_argument("--grid", default=None,
@@ -140,26 +142,34 @@ def _emit(text: str, path: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _emit_payload(args, payload: dict, table: str) -> None:
+    _emit(json.dumps(payload, indent=2) if args.format == "json" else table, args.out)
+
+
+def _records_table(records) -> str:
+    lines = []
+    for r in records:
+        key = f"p={r.p}" if r.kind == "levels" else f"T={r.T} a={r.a}"
+        lines.append(
+            f"[{r.kind}] f={r.f_text} {key} X={r.X} (floor {int(r.X)}) "
+            f"Y={r.Y} (floor {int(r.Y)})"
+        )
+        lines.append(
+            f"  sum_abs_dev={r.sum_abs_dev!r} bound={r.bound_value!r} "
+            f"ratio={r.ratio!r} nontrivial_box={r.box_nontrivial}"
+        )
+        if r.skipped_primes:
+            lines.append("  skipped primes: " + ", ".join(map(str, r.skipped_primes)))
+    return "\n".join(lines) + "\n"
+
+
 def _emit_records(records, fmt: str, path: str | None) -> None:
     if fmt == "csv":
         _emit(output.records_to_csv(records), path)
     elif fmt == "json":
         _emit(output.records_to_json(records), path)
     else:
-        lines = []
-        for r in records:
-            key = f"p={r.p}" if r.kind == "levels" else f"T={r.T} a={r.a}"
-            lines.append(
-                f"[{r.kind}] f={r.f_text} {key} X={r.X} (floor {int(r.X)}) "
-                f"Y={r.Y} (floor {int(r.Y)})"
-            )
-            lines.append(
-                f"  sum_abs_dev={r.sum_abs_dev!r} bound={r.bound_value!r} "
-                f"ratio={r.ratio!r} nontrivial_box={r.box_nontrivial}"
-            )
-            if r.skipped_primes:
-                lines.append("  skipped primes: " + ", ".join(map(str, r.skipped_primes)))
-        _emit("\n".join(lines) + "\n", path)
+        _emit(_records_table(records), path)
 
 
 def _cmd_count(args) -> int:
@@ -173,16 +183,11 @@ def _cmd_count(args) -> int:
         "count": n, "main_term": box.X * box.Y / args.p,
         "in_theorem_scope": spec.in_theorem_scope,
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    elif args.format == "csv":
-        raise UsageError("csv format applies to zeros/exp-a/exp-p/sweep")
-    else:
-        _emit(
-            f"count = {n} (X*Y/p = {payload['main_term']!r}) on "
-            f"[1,{box.nx}]x[1,{box.ny}], degree-in-scope={spec.in_theorem_scope}",
-            args.out,
-        )
+    _emit_payload(
+        args, payload,
+        f"count = {n} (X*Y/p = {payload['main_term']!r}) on "
+        f"[1,{box.nx}]x[1,{box.ny}], degree-in-scope={spec.in_theorem_scope}",
+    )
     return 0
 
 
@@ -202,55 +207,39 @@ def _cmd_visible(args) -> int:
         "f": spec.f.text(), "p": args.p, "a": spec.a, "X": args.X, "Y": args.Y,
         "visible_direct": direct, "visible_mobius": mobius, "expected": expected,
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    elif args.format == "csv":
-        raise UsageError("csv format applies to zeros/exp-a/exp-p/sweep")
-    else:
-        _emit(f"direct={direct} mobius={mobius} expected={expected:.4f}", args.out)
+    _emit_payload(args, payload, f"direct={direct} mobius={mobius} expected={expected:.4f}")
     return 0
 
 
 def _cmd_irred(args) -> int:
     _check_prime(args.p)
-    fmod = reduce_mod(parse_poly(args.poly), args.p)
-    verdict = factor.is_absolutely_irreducible(fmod)
+    f = parse_poly(args.poly)
+    verdict = factor.is_absolutely_irreducible(reduce_mod(f, args.p))
     payload = {
-        "f": parse_poly(args.poly).text(), "p": args.p,
+        "f": f.text(), "p": args.p,
         "irreducible_over_base": verdict.irreducible_over_base,
         "absolutely_irreducible": verdict.absolutely_irreducible,
         "witness": verdict.witness,
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    elif args.format == "csv":
-        raise UsageError("csv format applies to zeros/exp-a/exp-p/sweep")
-    else:
-        wtxt = ""
-        if isinstance(verdict.witness, int):
-            wtxt = f", witness e={verdict.witness}"
-        elif verdict.witness:
-            wtxt = f", witness factor: {verdict.witness}"
-        _emit(
-            f"irreducible_over_base={str(verdict.irreducible_over_base).lower()}, "
-            f"absolutely_irreducible={str(verdict.absolutely_irreducible).lower()}"
-            + wtxt,
-            args.out,
-        )
+    wtxt = ""
+    if isinstance(verdict.witness, int):
+        wtxt = f", witness e={verdict.witness}"
+    elif verdict.witness:
+        wtxt = f", witness factor: {verdict.witness}"
+    _emit_payload(
+        args, payload,
+        f"irreducible_over_base={str(verdict.irreducible_over_base).lower()}, "
+        f"absolutely_irreducible={str(verdict.absolutely_irreducible).lower()}" + wtxt,
+    )
     return 0
 
 
 def _cmd_badset(args) -> int:
     _check_prime(args.p)
-    bad = sorted(factor.bad_level_values(parse_poly(args.poly), args.p))
-    payload = {"f": parse_poly(args.poly).text(), "p": args.p,
-               "bad_levels": bad, "size": len(bad)}
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    elif args.format == "csv":
-        raise UsageError("csv format applies to zeros/exp-a/exp-p/sweep")
-    else:
-        _emit(f"bad levels ({len(bad)}): {bad}", args.out)
+    f = parse_poly(args.poly)
+    bad = sorted(factor.bad_level_values(f, args.p))
+    payload = {"f": f.text(), "p": args.p, "bad_levels": bad, "size": len(bad)}
+    _emit_payload(args, payload, f"bad levels ({len(bad)}): {bad}")
     return 0
 
 
@@ -270,14 +259,14 @@ def _cmd_zeros(args) -> int:
 def _cmd_exp_a(args) -> int:
     _check_prime(args.p)
     box = _check_box(args.X, args.Y, args.p)
+    deltas = tuple(args.delta) if args.delta else DEFAULT_DELTAS
+    experiments.check_deltas(deltas)
     f = parse_poly(args.poly)
     record = experiments.level_sweep(f, args.p, box, workers=args.workers)
+    profiles = experiments.sweep_profiles(record, deltas)
     if args.format == "csv":
         _emit_records([record], "csv", args.out)
-        return 0
-    deltas = tuple(args.delta) if args.delta else DEFAULT_DELTAS
-    profiles = experiments.concentration_profiles(f, args.p, box, deltas)
-    if args.format == "json":
+    elif args.format == "json":
         doc = json.loads(output.records_to_json([record]))
         doc["concentration"] = [
             {"delta": pr.delta, "fraction_within": pr.fraction_within}
@@ -285,9 +274,9 @@ def _cmd_exp_a(args) -> int:
         ]
         _emit(json.dumps(doc, indent=2), args.out)
     else:
-        _emit_records([record], "table", None)
-        for pr in profiles:
-            print(f"  within {pr.delta:>5}: fraction {pr.fraction_within!r}")
+        _emit(_records_table([record]) + "".join(
+            f"  within {pr.delta:>5}: fraction {pr.fraction_within!r}\n" for pr in profiles
+        ), args.out)
     return 0
 
 

@@ -6,11 +6,12 @@ the level-curve points, and Moebius inclusion-exclusion over the counts
 M(d) of points whose coordinate gcd is divisible by d.  They must agree
 exactly on every input; the test suite enforces this.
 
-Grid evaluation is vectorized with numpy in int64: coordinates are first
-reduced mod p, per-monomial power tables are combined by outer products,
-and coefficients stay below p, so no intermediate exceeds 2^63 for any p
-handled here.  The gcd filter uses the raw integer coordinates, never the
-residues.
+Every grid count sums integer results over row blocks of BLOCK_POINTS =
+2^18 points (max(1, 2^18 // ny) rows), so it holds max(2^18, ny) points per
+worker.  A single-level count takes gcds only of the points on the level.
+Evaluation is numpy int64 on residues: exact for p <= MAX_GRID_PRIME =
+isqrt(2^63 - 1), GridOverflow above (the row strategy has no such limit).
+The gcd filter uses the raw integer coordinates, never the residues.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime, mobius_sieve
-from .errors import DegenerateReduction
+from .errors import GridOverflow
 from .fields import PrimeField, univariate_roots
 from .poly import IntBivariatePoly, ModBivariatePoly, reduce_mod
 
@@ -31,6 +32,12 @@ from .poly import IntBivariatePoly, ModBivariatePoly, reduce_mod
 COPRIME_DENSITY = 6.0 / (math.pi * math.pi)
 
 _ROW_STRATEGY_MAX_DEGV = 4
+
+#: points evaluated per block of a grid sweep
+BLOCK_POINTS = 1 << 18
+
+#: largest p for which a product of two residues fits in int64
+MAX_GRID_PRIME = math.isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -85,8 +92,14 @@ class LevelCurveSpec:
         return f"LevelCurveSpec(f={self.f.text()!r}, p={self.p}, a={self.a})"
 
 
-def _coord_arrays(n: int) -> np.ndarray:
-    return np.arange(1, n + 1, dtype=np.int64)
+def parallel_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], in order, spread over ``workers``
+    threads when there is more than one; the only place a pool is made."""
+    workers = min(max(1, int(workers)), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _power_table(coords: np.ndarray, max_exp: int, p: int) -> list[np.ndarray]:
@@ -101,26 +114,41 @@ def _power_table(coords: np.ndarray, max_exp: int, p: int) -> list[np.ndarray]:
 def _values_grid(fmod: ModBivariatePoly, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """f(x, y) mod p for the integer coordinate grid xs x ys."""
     p = fmod.p
+    if p > MAX_GRID_PRIME:
+        raise GridOverflow(f"p = {p} > {MAX_GRID_PRIME}: int64 grid evaluation would overflow")
     pu = _power_table(xs, fmod.deg_u if fmod.terms else 0, p)
     pv = _power_table(ys, fmod.deg_v if fmod.terms else 0, p)
     acc = np.zeros((len(xs), len(ys)), dtype=np.int64)
     for (i, j), c in sorted(fmod.terms.items()):
-        # every factor is < p, so the products stay below p^2 < 2^63
+        # every factor is < p <= MAX_GRID_PRIME, so the products fit in int64
         term = pu[i][:, None] * pv[j][None, :] % p
         acc += term * c % p
         acc %= p
     return acc
 
 
+def _sweep(fmod: ModBivariatePoly, nx: int, ny: int, reduce_block, workers: int = 1):
+    """Sum of reduce_block(xs, ys, values) over the row blocks of the grid
+    [1, nx] x [1, ny]; the sum is integer, so it does not depend on the
+    block order or the worker count."""
+    rows = max(1, BLOCK_POINTS // ny)
+    ys = np.arange(1, ny + 1, dtype=np.int64)
+
+    def block(lo: int):
+        xs = np.arange(lo + 1, min(lo + rows, nx) + 1, dtype=np.int64)
+        return reduce_block(xs, ys, _values_grid(fmod, xs, ys))
+
+    return sum(parallel_map(block, range(0, nx, rows), workers))
+
+
 def _count_grid(fmod: ModBivariatePoly, a: int, nx: int, ny: int, coprime_only: bool) -> int:
-    if nx <= 0 or ny <= 0:
-        return 0
-    xs, ys = _coord_arrays(nx), _coord_arrays(ny)
-    vals = _values_grid(fmod, xs, ys)
-    mask = vals == a
-    if coprime_only:
-        mask &= np.gcd.outer(xs, ys) == 1
-    return int(np.count_nonzero(mask))
+    def hits(xs, ys, vals):
+        if not coprime_only:
+            return int(np.count_nonzero(vals == a))
+        i, j = np.nonzero(vals == a)
+        return int(np.count_nonzero(np.gcd(xs[i], ys[j]) == 1))
+
+    return _sweep(fmod, nx, ny, hits)
 
 
 def _count_rows(spec: LevelCurveSpec, nx: int, ny: int) -> int:
@@ -132,16 +160,10 @@ def _count_rows(spec: LevelCurveSpec, nx: int, ny: int) -> int:
     """
     p = spec.p
     K = PrimeField(p)
+    level = spec.fmod.subtract_const(spec.a)
     total = 0
     for x in range(1, nx + 1):
-        g = spec.fmod.specialize_u(x)
-        if g:
-            g = list(g)
-            g[0] = (g[0] - spec.a) % p
-            while g and g[-1] == 0:
-                g.pop()
-        else:
-            g = [(-spec.a) % p] if spec.a else []
+        g = level.specialize_u(x)
         if not g:
             total += ny  # the whole row satisfies the congruence
             continue
@@ -200,9 +222,7 @@ def count_visible_mobius(spec: LevelCurveSpec, box: CountBox) -> int:
     d up to min(X, Y), where the sum truncates exactly because M(d)
     vanishes beyond that.  Must equal count_visible_direct on every input."""
     box.validate_for(spec.p)
-    dmax = min(box.nx, box.ny)
-    if dmax < 1:
-        return 0
+    dmax = min(box.nx, box.ny)  # >= 1, as CountBox sides are
     mu = mobius_sieve(dmax)
     total = 0
     for d in range(1, dmax + 1):
@@ -235,36 +255,22 @@ class VisibleHistogram:
         return int(self.visible_counts.sum())
 
 
-def _histogram_chunk(fmod, xs, ys, p):
-    vals = _values_grid(fmod, xs, ys)
-    cop = np.gcd.outer(xs, ys) == 1
-    level = np.bincount(vals.ravel(), minlength=p)
-    visible = np.bincount(vals[cop], minlength=p)
-    return level, visible
-
-
 def visible_histogram(
     f: IntBivariatePoly, p: int, box: CountBox, workers: int = 1
 ) -> VisibleHistogram:
     """One sweep over the grid accumulating both per-level counts.
 
-    Rows may be processed in chunks by several workers; the accumulation
-    is integer-only, so the result is identical for any worker count.
+    Row blocks may be spread over several workers; the accumulation is
+    integer-only, so the result is identical for any worker count.
     """
     fmod = reduce_mod(f, p)  # propagates DegenerateReduction
     box.validate_for(p)
-    nx, ny = box.nx, box.ny
-    xs, ys = _coord_arrays(nx), _coord_arrays(ny)
-    workers = max(1, int(workers))
-    chunks = np.array_split(xs, min(workers, len(xs))) if nx else []
-    level = np.zeros(p, dtype=np.int64)
-    visible = np.zeros(p, dtype=np.int64)
-    if workers == 1 or len(chunks) <= 1:
-        results = [_histogram_chunk(fmod, c, ys, p) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _histogram_chunk(fmod, c, ys, p), chunks))
-    for lev, vis in results:
-        level += lev
-        visible += vis
+
+    def bincounts(xs, ys, vals):
+        coprime = np.gcd.outer(xs, ys) == 1
+        return np.stack(
+            (np.bincount(vals.ravel(), minlength=p), np.bincount(vals[coprime], minlength=p))
+        )
+
+    level, visible = _sweep(fmod, box.nx, box.ny, bincounts, workers)
     return VisibleHistogram(p=p, box=box, level_counts=level, visible_counts=visible)

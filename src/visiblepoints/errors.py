@@ -34,6 +34,10 @@ class BoxTooLarge(VisiblePointsError, ValueError):
     """A prime-averaged sweep was requested with T < 2*max(X, Y)."""
 
 
+class GridOverflow(VisiblePointsError, ValueError):
+    """The prime is too large for exact int64 grid evaluation."""
+
+
 class EmptyPlan(VisiblePointsError, ValueError):
     """A sweep series was invoked with no plan entries."""
 

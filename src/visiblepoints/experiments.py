@@ -20,7 +20,6 @@ bit-for-bit across runs and worker counts.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .arith import primes_in_range
@@ -30,6 +29,7 @@ from .counting import (
     count_level_points,
     count_visible_direct,
     expected_visible,
+    parallel_map,
     visible_histogram,
 )
 from .errors import BoxTooLarge, DegenerateReduction, EmptyPlan, HypothesisViolated
@@ -49,7 +49,8 @@ class DiscrepancyRecord:
     quotient.  ``box_nontrivial`` records whether X*Y >= (p or T)^(3/2),
     the regime where the averaged statements carry content; it is an
     annotation, never a pass/fail.  ``per_prime`` keeps the individual
-    (p, N) terms of a prime sweep for inspection; it is not serialized.
+    (p, N) terms of a prime sweep and ``visible_counts`` the p per-level
+    counts N_a of a level sweep; neither is serialized or compared.
     """
 
     kind: str  # "levels" or "primes"
@@ -67,6 +68,7 @@ class DiscrepancyRecord:
     per_prime: tuple[tuple[int, int], ...] = field(
         default=(), compare=False, repr=False
     )
+    visible_counts: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -149,10 +151,9 @@ def level_sweep(
     histogram sweep supplies all p visible counts.
     """
     _require_admissible(f, p)
-    box.validate_for(p)
-    hist = visible_histogram(f, p, box, workers=workers)
+    counts = visible_histogram(f, p, box, workers=workers).visible_counts.tolist()
     main = expected_visible(box, p)
-    sum_abs_dev = math.fsum(abs(int(c) - main) for c in hist.visible_counts)
+    sum_abs_dev = math.fsum(abs(c - main) for c in counts)
     bound = math.sqrt(box.X) * math.sqrt(box.Y) * p**0.75 * math.log(p)
     return DiscrepancyRecord(
         kind="levels",
@@ -166,6 +167,7 @@ def level_sweep(
         bound_value=bound,
         ratio=sum_abs_dev / bound,
         box_nontrivial=box.X * box.Y >= p**1.5,
+        visible_counts=tuple(counts),
     )
 
 
@@ -193,12 +195,7 @@ def prime_sweep(
     if T < 2 * max(box.X, box.Y):
         raise BoxTooLarge(f"T = {T} < 2*max(X, Y) = {2 * max(box.X, box.Y)}")
     primes = primes_in_range(math.ceil(T / 2), math.floor(T))
-    workers = max(1, int(workers))
-    if workers == 1 or len(primes) <= 1:
-        results = [_prime_term(f, p, box) for p in primes]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: _prime_term(f, p, box), primes))
+    results = parallel_map(lambda p: _prime_term(f, p, box), primes, workers)
     skipped = tuple(p for p, n in results if n is None)
     kept = [(p, n) for p, n in results if n is not None]
     sum_abs_dev = math.fsum(abs(n - expected_visible(box, p)) for p, n in kept)
@@ -227,7 +224,6 @@ def count_deviation(spec: LevelCurveSpec, box: CountBox) -> CountDeviation:
     Requires f - a absolutely irreducible of degree > 1 mod p.
     """
     _require_admissible(spec.f, spec.p, spec.a)
-    box.validate_for(spec.p)
     count = count_level_points(spec, box)
     main = box.X * box.Y / spec.p
     abs_dev = abs(count - main)
@@ -237,6 +233,28 @@ def count_deviation(spec: LevelCurveSpec, box: CountBox) -> CountDeviation:
         abs_dev=abs_dev,
         normalized=abs_dev / (math.sqrt(spec.p) * math.log(spec.p) ** 2),
     )
+
+
+def check_deltas(deltas) -> None:
+    """Raise ValueError unless every concentration threshold lies in (0, 1)."""
+    for d in deltas:
+        if not 0 < d < 1:
+            raise ValueError("every delta must lie in (0, 1)")
+
+
+def sweep_profiles(record: DiscrepancyRecord, deltas) -> list[ConcentrationProfile]:
+    """Profiles at several thresholds from the per-level visible counts a
+    ``level_sweep`` record keeps; no further sweep is run."""
+    check_deltas(deltas)
+    if not record.visible_counts:
+        raise ValueError("record carries no per-level counts (not from level_sweep)")
+    p, counts = record.p, record.visible_counts
+    main = expected_visible(CountBox(record.X, record.Y), p)
+    return [
+        ConcentrationProfile(p=p, X=record.X, Y=record.Y, delta=d, fraction_within=sum(
+            1 for c in counts if abs(c - main) <= d * main) / p)
+        for d in deltas
+    ]
 
 
 def concentration_profile(
@@ -252,20 +270,7 @@ def concentration_profile(
     not this fraction directly; it reaches the fraction only through
     Markov's inequality, 1 - fraction_within <= sum_abs_dev / (p*delta*m).
     """
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    _require_admissible(f, p)
-    box.validate_for(p)
-    hist = visible_histogram(f, p, box, workers=workers)
-    return _profile_from_counts(hist.visible_counts, f, p, box, delta)
-
-
-def _profile_from_counts(counts, f, p, box, delta) -> ConcentrationProfile:
-    main = expected_visible(box, p)
-    within = sum(1 for c in counts if abs(int(c) - main) <= delta * main)
-    return ConcentrationProfile(
-        p=p, X=float(box.X), Y=float(box.Y), delta=delta, fraction_within=within / p
-    )
+    return concentration_profiles(f, p, box, (delta,), workers)[0]
 
 
 def concentration_profiles(
@@ -275,16 +280,9 @@ def concentration_profiles(
     deltas: tuple[float, ...] = DEFAULT_DELTAS,
     workers: int = 1,
 ) -> list[ConcentrationProfile]:
-    """Profiles at several thresholds from a single histogram sweep."""
-    for d in deltas:
-        if not 0 < d < 1:
-            raise ValueError("every delta must lie in (0, 1)")
-    _require_admissible(f, p)
-    box.validate_for(p)
-    hist = visible_histogram(f, p, box, workers=workers)
-    return [
-        _profile_from_counts(hist.visible_counts, f, p, box, d) for d in deltas
-    ]
+    """Profiles at several thresholds from a single ``level_sweep``."""
+    check_deltas(deltas)
+    return sweep_profiles(level_sweep(f, p, box, workers=workers), deltas)
 
 
 def integer_zero_set(f: IntBivariatePoly, box: CountBox) -> ZeroSetReport:

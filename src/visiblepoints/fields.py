@@ -114,10 +114,6 @@ def u_sub(K, a: list, b: list) -> list:
     return _trim(K, out)
 
 
-def u_neg(K, a: list) -> list:
-    return [K.neg(x) for x in a]
-
-
 def u_scale(K, a: list, s) -> list:
     if s == K.zero:
         return []

@@ -32,6 +32,18 @@ def count_visible_brute(terms, p, a, X, Y):
     return total
 
 
+def histogram_brute(terms, p, X, Y):
+    """Per-level point counts and visible counts over the box, one pass."""
+    level, visible = [0] * p, [0] * p
+    for x in range(1, math.floor(X) + 1):
+        for y in range(1, math.floor(Y) + 1):
+            v = eval_mod(terms, x, y, p)
+            level[v] += 1
+            if math.gcd(x, y) == 1:
+                visible[v] += 1
+    return level, visible
+
+
 def count_divisible_brute(terms, p, a, X, Y, d):
     """Points of the level curve whose coordinate gcd is divisible by d."""
     a %= p

@@ -86,6 +86,31 @@ def test_exp_a_csv_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exp_a_table_goes_to_out(tmp_path, capsys):
+    out = tmp_path / "a.txt"
+    assert main(["exp-a", "-f", "V^2-U^3-U-1", "-p", "31", "-X", "31", "-Y", "31",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("[levels] f=") and "p=31" in lines[0]
+    assert lines[1].startswith("  sum_abs_dev=")
+    assert [ln.split(":")[0] for ln in lines[2:]] == [
+        "  within   0.1", "  within  0.25", "  within   0.5"]
+
+
+def test_exp_a_rejects_bad_delta_in_every_format(capsys):
+    for fmt in ("table", "json", "csv"):
+        assert main(["exp-a", "-f", "V^2-U^3-U-1", "-p", "31", "-X", "31", "-Y", "31",
+                     "--delta", "0", "--format", fmt]) == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_grid_overflow_exits_2(capsys):
+    assert main(["count", "-f", "U - V^2", "-p", str(10**10 + 19), "-a", "0",
+                 "-X", "1", "-Y", "5", "--strategy", "grid"]) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
 def test_sweep_from_csv_replay(tmp_path, capsys):
     src = tmp_path / "src.csv"
     rep = tmp_path / "rep.csv"

@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from visiblepoints.counting import (
+    BLOCK_POINTS,
     CountBox,
     LevelCurveSpec,
     count_divisible,
@@ -13,13 +15,14 @@ from visiblepoints.counting import (
     expected_visible,
     visible_histogram,
 )
-from visiblepoints.errors import DegenerateReduction
+from visiblepoints.errors import DegenerateReduction, GridOverflow
 from visiblepoints.poly import IntBivariatePoly, parse_poly
 
 from oracles import (
     count_divisible_brute,
     count_level_brute,
     count_visible_brute,
+    histogram_brute,
     primes_brute,
 )
 
@@ -187,6 +190,56 @@ def test_histogram_worker_invariance():
     h4 = visible_histogram(ELLIPTIC, 101, box, workers=4)
     assert (h1.level_counts == h4.level_counts).all()
     assert (h1.visible_counts == h4.visible_counts).all()
+
+
+def test_blocked_sweep_with_partial_last_block():
+    # 1009 x 700 is three row blocks of 374, 374 and 261 rows
+    p, box = 1009, CountBox(1009, 700)
+    rows = BLOCK_POINTS // box.ny
+    assert box.nx > 2 * rows and box.nx % rows
+    level, visible = histogram_brute(ELLIPTIC.terms, p, box.X, box.Y)
+    for workers in (1, 2):
+        h = visible_histogram(ELLIPTIC, p, box, workers=workers)
+        assert h.level_counts.tolist() == level
+        assert h.visible_counts.tolist() == visible
+    for a in range(0, p, 97):
+        spec = LevelCurveSpec(ELLIPTIC, p, a)
+        assert count_level_points(spec, box, "grid") == level[a]
+        assert count_visible_direct(spec, box) == visible[a]
+
+
+def _histogram_peak(p):
+    tracemalloc.start()
+    try:
+        visible_histogram(ELLIPTIC, p, CountBox(p, p), workers=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_histogram_memory_does_not_grow_with_the_box():
+    # the full box has 4x the points at p = 2003; the block bound is fixed
+    small, large = _histogram_peak(1009), _histogram_peak(2003)
+    assert large < 1.5 * small, (small, large)
+
+
+def test_grid_route_refuses_primes_that_overflow_int64():
+    # p^2 > 2^63: int64 residue products would wrap and miss the one point
+    # (1, 150000) on U - V^2 = 1 - 150000^2; the row route has no such limit
+    p = 10**10 + 19
+    f = parse_poly("U - V^2")
+    spec = LevelCurveSpec(f, p, 1 - 150000**2)
+    box = CountBox(1, 200000)
+    for count in (
+        lambda: count_level_points(spec, box, "grid"),
+        lambda: count_level_points(spec, box),
+        lambda: count_visible_direct(spec, box),
+        lambda: count_visible_mobius(spec, box),
+    ):
+        with pytest.raises(GridOverflow):
+            count()
+    assert count_level_points(spec, box, "rows") == 1
+    assert count_level_brute(f.terms, p, spec.a, 1, 200000) == 1
 
 
 def test_box_validation():
