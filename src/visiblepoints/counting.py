@@ -9,9 +9,13 @@ exactly on every input; the test suite enforces this.
 Every grid count sums integer results over row blocks of BLOCK_POINTS =
 2^18 points (max(1, 2^18 // ny) rows), so it holds max(2^18, ny) points per
 worker.  A single-level count takes gcds only of the points on the level.
-Evaluation is numpy int64 on residues: exact for p <= MAX_GRID_PRIME =
-isqrt(2^63 - 1), GridOverflow above (the row strategy has no such limit).
-The gcd filter uses the raw integer coordinates, never the residues.
+Evaluation is ModBivariatePoly.evaluate in poly: Horner in U gives each
+row's coefficients c_j(x), and Horner in V over them gives the block.  In
+numpy int64 every step acc * x + c has all three values below p, so its
+largest value is p(p - 1) < 2^63 for p <= MAX_GRID_PRIME = isqrt(2^63 - 1);
+above that prime grid routes raise GridOverflow (the row strategy, which
+uses the same kernel on Python ints, has no such limit).  The gcd filter
+uses the raw integer coordinates, never the residues.
 """
 
 from __future__ import annotations
@@ -102,41 +106,19 @@ def parallel_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _power_table(coords: np.ndarray, max_exp: int, p: int) -> list[np.ndarray]:
-    """[coords^e mod p for e = 0..max_exp], each an int64 array."""
-    table = [np.ones_like(coords)]
-    base = coords % p
-    for _ in range(max_exp):
-        table.append(table[-1] * base % p)
-    return table
-
-
-def _values_grid(fmod: ModBivariatePoly, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """f(x, y) mod p for the integer coordinate grid xs x ys."""
-    p = fmod.p
-    if p > MAX_GRID_PRIME:
-        raise GridOverflow(f"p = {p} > {MAX_GRID_PRIME}: int64 grid evaluation would overflow")
-    pu = _power_table(xs, fmod.deg_u if fmod.terms else 0, p)
-    pv = _power_table(ys, fmod.deg_v if fmod.terms else 0, p)
-    acc = np.zeros((len(xs), len(ys)), dtype=np.int64)
-    for (i, j), c in sorted(fmod.terms.items()):
-        # every factor is < p <= MAX_GRID_PRIME, so the products fit in int64
-        term = pu[i][:, None] * pv[j][None, :] % p
-        acc += term * c % p
-        acc %= p
-    return acc
-
-
 def _sweep(fmod: ModBivariatePoly, nx: int, ny: int, reduce_block, workers: int = 1):
     """Sum of reduce_block(xs, ys, values) over the row blocks of the grid
     [1, nx] x [1, ny]; the sum is integer, so it does not depend on the
     block order or the worker count."""
+    p = fmod.p
+    if p > MAX_GRID_PRIME:
+        raise GridOverflow(f"p = {p} > {MAX_GRID_PRIME}: int64 grid evaluation would overflow")
     rows = max(1, BLOCK_POINTS // ny)
     ys = np.arange(1, ny + 1, dtype=np.int64)
 
     def block(lo: int):
         xs = np.arange(lo + 1, min(lo + rows, nx) + 1, dtype=np.int64)
-        return reduce_block(xs, ys, _values_grid(fmod, xs, ys))
+        return reduce_block(xs, ys, fmod.evaluate(xs[:, None], ys[None, :]))
 
     return sum(parallel_map(block, range(0, nx, rows), workers))
 
@@ -179,14 +161,16 @@ def count_level_points(spec: LevelCurveSpec, box: CountBox, strategy: str = "aut
 
     ``strategy`` is "grid" (evaluate everywhere), "rows" (univariate roots
     per row), or "auto" (rows when the full column range is in the box and
-    the V-degree is small).  Both strategies agree exactly.
+    the V-degree is small, or when p is too large for the grid).  Both
+    strategies agree exactly.
     """
     box.validate_for(spec.p)
     nx, ny = box.nx, box.ny
     if strategy == "auto":
         strategy = (
             "rows"
-            if ny == spec.p and 1 <= spec.fmod.deg_v <= _ROW_STRATEGY_MAX_DEGV
+            if spec.p > MAX_GRID_PRIME
+            or (ny == spec.p and 1 <= spec.fmod.deg_v <= _ROW_STRATEGY_MAX_DEGV)
             else "grid"
         )
     if strategy == "grid":

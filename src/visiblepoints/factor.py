@@ -50,6 +50,7 @@ from .fields import (
     u_scale,
     u_shift,
     u_sub,
+    u_trim,
 )
 from .poly import IntBivariatePoly, ModBivariatePoly, reduce_mod
 
@@ -89,8 +90,7 @@ def _from_terms(K, terms: dict) -> list:
             e.append(K.zero)
         e[i] = c
     for e in bp:
-        while e and e[-1] == K.zero:
-            e.pop()
+        u_trim(K, e)
     return _b_trim(bp)
 
 
@@ -124,16 +124,11 @@ def _b_mul(K, a: list, b: list, trunc: int | None = None) -> list:
             if y:
                 prod = u_mul(K, x, y)
                 if trunc is not None:
-                    prod = prod[:trunc]
-                    while prod and prod[-1] == K.zero:
-                        prod.pop()
+                    prod = u_trim(K, prod[:trunc])
                 out[i + j] = u_add(K, out[i + j], prod)
     if trunc is not None:
         for idx, e in enumerate(out):
-            e = e[:trunc]
-            while e and e[-1] == K.zero:
-                e.pop()
-            out[idx] = e
+            out[idx] = u_trim(K, e[:trunc])
     return _b_trim(out)
 
 
@@ -142,17 +137,11 @@ def _b_scale_upoly(K, bp: list, s: list) -> list:
 
 
 def _b_eval_u(K, bp: list, u0) -> list:
-    out = [u_eval(K, e, u0) for e in bp]
-    while out and out[-1] == K.zero:
-        out.pop()
-    return out
+    return u_trim(K, [u_eval(K, e, u0) for e in bp])
 
 
 def _b_layer(K, bp: list, t: int) -> list:
-    out = [e[t] if t < len(e) else K.zero for e in bp]
-    while out and out[-1] == K.zero:
-        out.pop()
-    return out
+    return u_trim(K, [e[t] if t < len(e) else K.zero for e in bp])
 
 
 def _b_deriv_v(K, bp: list) -> list:
@@ -277,10 +266,7 @@ def _layers_to_bp(K, layers: list) -> list:
     m = max(len(layer) for layer in layers)
     bp = []
     for j in range(m):
-        e = [layer[j] if j < len(layer) else K.zero for layer in layers]
-        while e and e[-1] == K.zero:
-            e.pop()
-        bp.append(e)
+        bp.append(u_trim(K, [layer[j] if j < len(layer) else K.zero for layer in layers]))
     return _b_trim(bp)
 
 
@@ -319,10 +305,7 @@ def _exhaustive_reducible(K, F: list) -> tuple[bool, list | None]:
             cand: list = []
             pos = 0
             for _ in range(r):
-                coeffs = [K.element_at(c) for c in combo[pos : pos + delta + 1]]
-                while coeffs and coeffs[-1] == K.zero:
-                    coeffs.pop()
-                cand.append(coeffs)
+                cand.append(u_trim(K, [K.element_at(c) for c in combo[pos : pos + delta + 1]]))
                 pos += delta + 1
             cand.append([K.one])
             _, rem = _b_divmod_monic_v(K, F, cand)
@@ -374,8 +357,7 @@ def _reducible_over(K, terms: dict) -> tuple[bool, list | None, bool]:
             swapped = True  # report the factor in the U variable
         else:
             up = [terms.get((0, j), K.zero) for j in range(deg_v + 1)]
-        while up and up[-1] == K.zero:
-            up.pop()
+        up = u_trim(K, up)
         if u_is_irreducible(K, up):
             return False, None, swapped
         fac = _univariate_factor_any(K, up)

@@ -84,7 +84,7 @@ class PrimeField:
 # univariate polynomial helpers (generic over the field object)
 
 
-def _trim(K, c: list) -> list:
+def u_trim(K, c: list) -> list:
     while c and c[-1] == K.zero:
         c.pop()
     return c
@@ -101,7 +101,7 @@ def u_add(K, a: list, b: list) -> list:
         x = a[i] if i < len(a) else K.zero
         y = b[i] if i < len(b) else K.zero
         out.append(K.add(x, y))
-    return _trim(K, out)
+    return u_trim(K, out)
 
 
 def u_sub(K, a: list, b: list) -> list:
@@ -111,13 +111,13 @@ def u_sub(K, a: list, b: list) -> list:
         x = a[i] if i < len(a) else K.zero
         y = b[i] if i < len(b) else K.zero
         out.append(K.sub(x, y))
-    return _trim(K, out)
+    return u_trim(K, out)
 
 
 def u_scale(K, a: list, s) -> list:
     if s == K.zero:
         return []
-    return _trim(K, [K.mul(x, s) for x in a])
+    return u_trim(K, [K.mul(x, s) for x in a])
 
 
 def u_mul(K, a: list, b: list) -> list:
@@ -129,7 +129,7 @@ def u_mul(K, a: list, b: list) -> list:
             continue
         for j, y in enumerate(b):
             out[i + j] = K.add(out[i + j], K.mul(x, y))
-    return _trim(K, out)
+    return u_trim(K, out)
 
 
 def u_divmod(K, a: list, b: list) -> tuple[list, list]:
@@ -139,7 +139,7 @@ def u_divmod(K, a: list, b: list) -> tuple[list, list]:
     a = list(a)
     db, da = len(b) - 1, len(a) - 1
     if da < db:
-        return [], _trim(K, a)
+        return [], u_trim(K, a)
     inv_lead = K.inv(b[-1])
     q = [K.zero] * (da - db + 1)
     for k in range(da - db, -1, -1):
@@ -148,7 +148,7 @@ def u_divmod(K, a: list, b: list) -> tuple[list, list]:
             q[k] = coef
             for j in range(db + 1):
                 a[j + k] = K.sub(a[j + k], K.mul(coef, b[j]))
-    return _trim(K, q), _trim(K, a[:db])
+    return u_trim(K, q), u_trim(K, a[:db])
 
 
 def u_mod(K, a: list, b: list) -> list:
@@ -197,7 +197,7 @@ def u_deriv(K, a: list) -> list:
     out = []
     for i in range(1, len(a)):
         out.append(K.mul(a[i], K.from_int(i % p)))
-    return _trim(K, out)
+    return u_trim(K, out)
 
 
 def u_pow_mod(K, base: list, e: int, mod: list) -> list:
@@ -221,7 +221,7 @@ def u_shift(K, a: list, c) -> list:
             new[i] = K.add(new[i], K.mul(v, c))
         new[0] = K.add(new[0], coef)
         out = new
-    return _trim(K, out)
+    return u_trim(K, out)
 
 
 def u_is_irreducible(K, g: list) -> bool:
@@ -359,7 +359,7 @@ class ExtensionField:
     def inv(self, a):
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        g, s, _ = u_ext_gcd(self.base, _trim(self.base, list(a)), list(self.modulus))
+        g, s, _ = u_ext_gcd(self.base, u_trim(self.base, list(a)), list(self.modulus))
         if u_deg(g) != 0:
             raise ZeroDivisionError("element not invertible")
         return tuple(s[i] if i < len(s) else 0 for i in range(self.k))
@@ -443,7 +443,7 @@ def univariate_roots(g: list, field) -> set:
     treat that case as 'every value satisfies the congruence'.
     """
     K = field
-    g = _trim(K, list(g))
+    g = u_trim(K, list(g))
     if not g:
         raise IdenticallyZero("root search on the zero polynomial")
     if u_deg(g) == 0:
@@ -491,7 +491,7 @@ def _equal_degree_split(K, g: list, e: int, rng: random.Random, out: list) -> No
     q = K.size
     exp = (q**e - 1) // 2
     while True:
-        a = _trim(K, [K.element_at(rng.randrange(q)) for _ in range(d)])
+        a = u_trim(K, [K.element_at(rng.randrange(q)) for _ in range(d)])
         if u_deg(a) < 1:
             continue
         h = u_sub(K, u_pow_mod(K, a, exp, g), [K.one])

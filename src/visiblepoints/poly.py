@@ -210,20 +210,44 @@ class ModBivariatePoly:
     def is_constant(self) -> bool:
         return self.degree <= 0
 
-    def evaluate(self, x: int, y: int) -> int:
-        """f(x, y) mod p."""
+    def _row_coefficients(self, x):
+        """[c_0(x), ..., c_m(x)] with f(x, V) = sum of c_j(x) * V^j mod p, by
+        Horner in U for each V-power; the only place f is evaluated mod p.
+
+        x is an int or an int64 array, and every c_j(x) has the shape of x.
+        x is reduced first, so each step acc * x + c combines values below p
+        and stays below p^2: exact in int64 for p <= isqrt(2^63 - 1).
+        """
+        p, terms, deg_u = self.p, self.terms, self.deg_u
+        x = x % p
+        out = []
+        for j in range(max(self.deg_v, 0) + 1):
+            acc = x * 0
+            for i in range(deg_u, -1, -1):
+                acc = (acc * x + terms.get((i, j), 0)) % p
+            out.append(acc)
+        return out
+
+    def evaluate(self, x, y):
+        """f(x, y) mod p, by Horner in V over the row coefficients at x.
+
+        x and y are ints or int64 arrays (exact for p <= isqrt(2^63 - 1));
+        arrays broadcast, and the result has their full broadcast shape even
+        when f is constant.
+        """
         p = self.p
-        return sum(c * pow(x, i, p) * pow(y, j, p) for (i, j), c in self.terms.items()) % p
+        y = y % p
+        acc = 0
+        for c in reversed(self._row_coefficients(x)):
+            acc = (acc * y + c) % p
+        return acc
 
     def specialize_u(self, x: int) -> list[int]:
         """Coefficients (ascending in V) of the univariate V -> f(x, V) over F_p.
 
         A zero polynomial comes back as []; callers must handle it.
         """
-        p = self.p
-        out = [0] * (self.deg_v + 1) if self.terms else []
-        for (i, j), c in self.terms.items():
-            out[j] = (out[j] + c * pow(x, i, p)) % p
+        out = self._row_coefficients(x)
         while out and out[-1] == 0:
             out.pop()
         return out

@@ -225,19 +225,20 @@ def test_histogram_memory_does_not_grow_with_the_box():
 
 def test_grid_route_refuses_primes_that_overflow_int64():
     # p^2 > 2^63: int64 residue products would wrap and miss the one point
-    # (1, 150000) on U - V^2 = 1 - 150000^2; the row route has no such limit
+    # (1, 150000) on U - V^2 = 1 - 150000^2; the row route has no such limit,
+    # so "auto" takes it
     p = 10**10 + 19
     f = parse_poly("U - V^2")
     spec = LevelCurveSpec(f, p, 1 - 150000**2)
     box = CountBox(1, 200000)
     for count in (
         lambda: count_level_points(spec, box, "grid"),
-        lambda: count_level_points(spec, box),
         lambda: count_visible_direct(spec, box),
         lambda: count_visible_mobius(spec, box),
     ):
         with pytest.raises(GridOverflow):
             count()
+    assert count_level_points(spec, box) == 1
     assert count_level_points(spec, box, "rows") == 1
     assert count_level_brute(f.terms, p, spec.a, 1, 200000) == 1
 

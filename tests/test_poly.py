@@ -1,9 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
+from visiblepoints.arith import is_prime
+from visiblepoints.counting import MAX_GRID_PRIME
 from visiblepoints.errors import DegenerateReduction, PolynomialParseError
 from visiblepoints.poly import IntBivariatePoly, parse_poly, reduce_mod, specialize_u
+
+from oracles import eval_mod
 
 
 def test_parse_basic_forms():
@@ -110,6 +115,31 @@ def test_specialization_consistency():
                         horner = (horner * y + c) % p
                     assert horner == direct
 
+
+def test_evaluation_exact_at_the_largest_grid_prime():
+    # Horner steps reach p(p - 1) here, just under 2^63; p must act as 0
+    p = 3037000493
+    assert is_prime(p) and not any(is_prime(q) for q in range(p + 1, MAX_GRID_PRIME + 1))
+    coords = [1, 2, p - 2, p - 1, p]
+    xs = np.array(coords, dtype=np.int64)[:, None]
+    ys = np.array(coords, dtype=np.int64)[None, :]
+    rng = random.Random(41)
+    polys = [parse_poly("U^2 + 1"), parse_poly("V^3 + 2")]
+    for _ in range(6):
+        polys.append(IntBivariatePoly(
+            {(rng.randint(0, 4), rng.randint(0, 4)): rng.randrange(-p, p) for _ in range(5)}
+        ))
+    for f in polys:
+        fm = reduce_mod(f, p)
+        grid = fm.evaluate(xs, ys)
+        assert grid.shape == (5, 5) and grid.dtype == np.int64
+        for a, x in enumerate(coords):
+            for b, y in enumerate(coords):
+                want = eval_mod(f.terms, x, y, p)
+                assert grid[a, b] == fm.evaluate(x, y) == want, (f, x, y)
+        # at d = p every argument scales to 0 and f collapses to a constant
+        const = fm.scale_args(0).evaluate(xs, ys)
+        assert const.shape == (5, 5) and (const == eval_mod(f.terms, 0, 0, p)).all()
 
 def test_integer_evaluation_exact():
     f = parse_poly("V^2 - U^3")
