@@ -3,6 +3,13 @@
 The reducibility engine decides whether f(U, V) factors into two
 nonconstant polynomials over a given finite field K.  Strategy, in order:
 
+0. (absolute verdict only) Gao's Newton-polygon certificate: when f is
+   divisible by neither U nor V and the convex hull of its exponents is a
+   triangle whose edge vectors have coprime coordinates, that triangle is
+   integrally indecomposable, so f is absolutely irreducible over every
+   field (S. Gao, Absolute irreducibility of polynomials via Newton
+   polytopes, J. Algebra 237, 2001).  The certificate only ever says yes;
+   every other input goes to the exact engine below;
 1. degree-1 and single-variable inputs are settled directly;
 2. a nonconstant gcd of the V-coefficients (the content in K[U]) is a
    factor;
@@ -28,6 +35,7 @@ yields a factorization over F_{p^l} for any prime l | e.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -472,6 +480,47 @@ def is_irreducible_bivariate(fmod: ModBivariatePoly, field) -> bool:
     return not red
 
 
+def _cross(o, a, b) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull_vertices(points) -> list:
+    """Vertices of the convex hull of distinct lattice points (Andrew's
+    monotone chain); points inside an edge are not vertices."""
+    pts = sorted(points)
+    if len(pts) <= 2:
+        return pts
+
+    def chain(seq):
+        out: list = []
+        for q in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], q) <= 0:
+                out.pop()
+            out.append(q)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts))
+
+
+def _gao_certificate(terms) -> bool:
+    """True when Gao's criterion proves the polynomial with these exponents
+    absolutely irreducible; False means undecided, not reducible.
+
+    A Newton-polygon triangle with vertices v0, v1, v2 and
+    gcd(v1 - v0, v2 - v0) = 1 is integrally indecomposable, so any
+    factorization has a monomial factor; a term free of U and a term free
+    of V rule that out (``U*V^2 + U^4 + U`` has such a triangle but the
+    factor U).
+    """
+    if all(i for i, _ in terms) or all(j for _, j in terms):
+        return False
+    hull = _hull_vertices(terms)
+    if len(hull) != 3:
+        return False
+    (a, b), (c, d), (e, g) = hull
+    return math.gcd(c - a, d - b, e - a, g - b) == 1
+
+
 @lru_cache(maxsize=128)
 def _extension_field(p: int, ell: int) -> ExtensionField:
     return ExtensionField(p, ell)
@@ -480,14 +529,15 @@ def _extension_field(p: int, ell: int) -> ExtensionField:
 def is_absolutely_irreducible(fmod: ModBivariatePoly) -> IrreducibilityVerdict:
     """Exact absolute-irreducibility verdict for f over F_p.
 
-    Tests irreducibility over F_p and over F_{p^l} for every prime l
-    dividing the total degree; that set of extensions is decisive because
-    conjugate absolutely irreducible factors come in groups of size
-    dividing the degree.
+    Gao's Newton-polygon certificate runs first and settles f at once when
+    it applies.  Otherwise the exact engine tests irreducibility over F_p
+    and over F_{p^l} for every prime l dividing the total degree; that set
+    of extensions is decisive because conjugate absolutely irreducible
+    factors come in groups of size dividing the degree.
     """
     if fmod.is_constant():
         raise ConstantPolynomial("verdict on a constant polynomial")
-    if fmod.degree == 1:
+    if fmod.degree == 1 or _gao_certificate(fmod.terms):
         return IrreducibilityVerdict(True, True)
     p = fmod.p
     base = PrimeField(p)

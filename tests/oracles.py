@@ -4,6 +4,7 @@ Everything here is deliberately naive pure-Python enumeration, sharing no
 code with the library paths under test.
 """
 
+import itertools
 import math
 
 
@@ -79,3 +80,23 @@ def primes_brute(lo, hi):
         if all(n % d for d in range(2, math.isqrt(n) + 1)):
             out.append(n)
     return out
+
+
+def first_rootless_monic(p, k):
+    """First monic degree-k polynomial over F_p with no root in F_p,
+    coefficients ascending, in lexicographic order with the constant
+    coefficient varying fastest, then the x coefficient, and so on.
+
+    For k in (2, 3) having no root is the same as being irreducible.
+    """
+    for head in itertools.product(range(p), repeat=k - 1):  # (c_{k-1}, ..., c_1)
+        middle = list(reversed(head))
+        # the values of x^k + c_{k-1} x^{k-1} + ... + c_1 x over F_p
+        values = {
+            (x**k + sum(c * x ** (i + 1) for i, c in enumerate(middle))) % p
+            for x in range(p)
+        }
+        for c0 in range(p):
+            if -c0 % p not in values:
+                return [c0, *middle, 1]
+    raise AssertionError("no rootless monic polynomial found")

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from visiblepoints import factor
 from visiblepoints.counting import (
     COPRIME_DENSITY,
     CountBox,
@@ -106,6 +107,20 @@ def test_prime_sweep_skips_and_logs():
     rec = prime_sweep(parse_poly("U*V - 2"), 4, CountBox(2, 2))
     assert rec.skipped_primes == (2,)
     assert [p for p, _ in rec.per_prime] == [3]
+
+
+def test_prime_sweep_through_the_exact_engine(monkeypatch):
+    # V^3 - U^3 - 1 has a Newton triangle with edge gcd 3, so no verdict is
+    # certified; mod 3 it is (V - U - 1)^3, and 5 = 2 (mod 3) needs F_{5^3}
+    f = parse_poly("V^3 - U^3 - 1")
+    built = []
+    extension_field = factor._extension_field
+    monkeypatch.setattr(factor, "_extension_field",
+                        lambda p, ell: built.append((p, ell)) or extension_field(p, ell))
+    rec = prime_sweep(f, 6, CountBox(3, 3))
+    assert rec.skipped_primes == (3,)
+    assert rec.per_prime == ((5, count_visible_brute(f.terms, 5, 0, 3, 3)),)
+    assert built == [(5, 3)]
 
 
 def test_count_deviation_examples():

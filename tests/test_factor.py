@@ -2,14 +2,19 @@ import random
 
 import pytest
 
-from visiblepoints.errors import ConstantPolynomial
+from visiblepoints import factor
+from visiblepoints.arith import factorize
+from visiblepoints.errors import ConstantPolynomial, FieldTooSmall
 from visiblepoints.factor import (
+    _embed_terms,
+    _gao_certificate,
+    _reducible_over,
     bad_level_values,
     is_absolutely_irreducible,
     is_irreducible_bivariate,
 )
 from visiblepoints.fields import ExtensionField, PrimeField
-from visiblepoints.poly import IntBivariatePoly, parse_poly, reduce_mod
+from visiblepoints.poly import IntBivariatePoly, ModBivariatePoly, parse_poly, reduce_mod
 
 from oracles import primes_brute
 
@@ -154,3 +159,68 @@ def test_univariate_in_one_variable_inputs():
     v = is_absolutely_irreducible(_mod("U^2 + 1", 7))
     assert v.irreducible_over_base and not v.absolutely_irreducible
     assert v.witness == 2
+
+
+def test_gao_certificate_is_confirmed_by_the_exact_engine():
+    # whatever the certificate accepts is irreducible over F_p and over
+    # F_{p^l} for each prime l dividing the degree
+    rng = random.Random(2001)
+    accepted = 0
+    for _ in range(1500):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        # degree 4 over F_2 or F_3 sends the engine to its exhaustive
+        # fallback, seconds per polynomial
+        d = rng.randint(2, 4 if p >= 5 else 3)
+        monomials = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+        support = rng.sample(monomials, rng.randint(2, 5))
+        fm = ModBivariatePoly(p, {m: rng.randrange(1, p) for m in support})
+        if fm.degree < 2 or not _gao_certificate(fm.terms):
+            continue
+        accepted += 1
+        fields = [PrimeField(p)] + [ExtensionField(p, ell) for ell, _ in factorize(fm.degree)]
+        for K in fields:
+            try:
+                red, _, _ = _reducible_over(K, _embed_terms(fm, K))
+            except FieldTooSmall:
+                continue
+            assert not red, (fm, K)
+    assert accepted >= 300
+
+
+def test_gao_certificate_refusals_fall_through():
+    # a coprime triangle, but U divides it: the monomial factor is real
+    fm = _mod("U*V^2 + U^4 + U", 7)
+    assert not _gao_certificate(fm.terms)
+    v = is_absolutely_irreducible(fm)
+    assert not v.irreducible_over_base and not v.absolutely_irreducible
+    # a segment: the exact engine finds V - U
+    fm = _mod("V^3 - U^3", 7)
+    assert not _gao_certificate(fm.terms)
+    v = is_absolutely_irreducible(fm)
+    assert not v.irreducible_over_base and not v.absolutely_irreducible
+    # a triangle with edge gcd 3: the exact engine decides
+    assert not _gao_certificate(_mod("V^3 - U^3 - 1", 7).terms)
+    assert is_absolutely_irreducible(_mod("V^3 - U^3 - 1", 7)).absolutely_irreducible
+    assert not is_absolutely_irreducible(_mod("V^3 - U^3 - 1", 3)).irreducible_over_base
+
+
+def test_gao_certificate_on_every_level_of_the_fixture():
+    for p in (2, 3, 5, 7, 101, 1009):
+        fm = _mod("V^2 - U^3 - U - 1", p)
+        assert all(_gao_certificate(fm.subtract_const(a).terms) for a in range(p)), p
+        # at a = -1 the constant vanishes: V^2 - U^3 - U, hull (1,0), (3,0), (0,2)
+        level = fm.subtract_const(-1)
+        assert (0, 0) not in level.terms
+        assert is_absolutely_irreducible(level) == factor.IrreducibilityVerdict(True, True)
+
+
+def test_certified_verdict_equals_the_exact_verdict(monkeypatch):
+    polys = [_mod("V^2 - U^3 - U - 1", p).subtract_const(a)
+             for p, a in ((5, 4), (7, 0), (11, 3), (13, 12), (101, 100))]
+    polys += [_mod("V^3 - U^2 - U", 7), _mod("U^2 + V^3 + U*V + 1", 5)]
+    assert all(_gao_certificate(fm.terms) for fm in polys)
+    certified = [is_absolutely_irreducible(fm) for fm in polys]
+    monkeypatch.setattr(factor, "_gao_certificate", lambda terms: False)
+    exact = [is_absolutely_irreducible(fm) for fm in polys]
+    assert certified == exact
+    assert all(v.witness is None for v in exact)

@@ -17,6 +17,8 @@ from visiblepoints.fields import (
     univariate_roots,
 )
 
+from oracles import first_rootless_monic, primes_brute
+
 
 def test_find_irreducible_examples():
     assert find_irreducible_poly(5, 1) == [0, 1]  # V itself
@@ -33,6 +35,14 @@ def test_find_irreducible_has_no_roots():
             for c in reversed(g):
                 acc = (acc * x + c) % p
             assert acc != 0
+
+
+def test_find_irreducible_matches_the_naive_scan():
+    # every p = 2 (mod 3) below 600 takes the skip over the x^3 + c block,
+    # as does p = 2 for x^2 + c
+    for p in primes_brute(2, 599):
+        for k in (2, 3):
+            assert find_irreducible_poly(p, k) == first_rootless_monic(p, k), (p, k)
 
 
 def test_univariate_roots_examples():
