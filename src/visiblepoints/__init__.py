@@ -30,6 +30,7 @@ from .counting import (
     VisibleHistogram,
     count_divisible,
     count_level_points,
+    count_visible_by_prime,
     count_visible_direct,
     count_visible_mobius,
     expected_visible,
@@ -44,6 +45,7 @@ from .errors import (
     GridOverflow,
     HypothesisViolated,
     IdenticallyZero,
+    NonFiniteParameter,
     PolynomialParseError,
     UsageError,
     VisiblePointsError,
@@ -108,6 +110,7 @@ __all__ = [
     "LevelCurveSpec",
     "MobiusTable",
     "ModBivariatePoly",
+    "NonFiniteParameter",
     "PolynomialParseError",
     "PrimeField",
     "SweepFailure",
@@ -122,6 +125,7 @@ __all__ = [
     "count_deviation",
     "count_divisible",
     "count_level_points",
+    "count_visible_by_prime",
     "count_visible_direct",
     "count_visible_mobius",
     "divisor_count",

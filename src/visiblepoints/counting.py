@@ -6,16 +6,28 @@ the level-curve points, and Moebius inclusion-exclusion over the counts
 M(d) of points whose coordinate gcd is divisible by d.  They must agree
 exactly on every input; the test suite enforces this.
 
-Every grid count sums integer results over row blocks of BLOCK_POINTS =
-2^18 points (max(1, 2^18 // ny) rows), so it holds max(2^18, ny) points per
-worker.  A single-level count takes gcds only of the points on the level.
-Evaluation is ModBivariatePoly.evaluate in poly: Horner in U gives each
-row's coefficients c_j(x), and Horner in V over them gives the block.  In
-numpy int64 every step acc * x + c has all three values below p, so its
-largest value is p(p - 1) < 2^63 for p <= MAX_GRID_PRIME = isqrt(2^63 - 1);
-above that prime grid routes raise GridOverflow (the row strategy, which
-uses the same kernel on Python ints, has no such limit).  The gcd filter
-uses the raw integer coordinates, never the residues.
+Every grid count is one ``_sweep``: it hands each row block of BLOCK_POINTS
+= 2^18 points (max(1, 2^18 // ny) rows) to a block evaluator and a reducer,
+and sums the integer block results, so it holds max(2^18, ny) points per
+worker and its result does not depend on the worker count.  Evaluation is
+the one Horner kernel of poly (Horner in U for each row's coefficients
+c_j(x), then Horner in V), with or without the reduction mod p:
+
+* The grid routes pass ``ModBivariatePoly.evaluate``.  In numpy int64 every
+  step acc * x + c has all three values below p, so its largest value is
+  p(p - 1) < 2^63 for p <= MAX_GRID_PRIME = isqrt(2^63 - 1); above that
+  prime they raise GridOverflow (the row strategy, which uses the same
+  kernel on Python ints, has no such limit).
+* ``count_visible_by_prime`` passes ``IntBivariatePoly.evaluate``: f over Z,
+  once per block for every prime at once.  Each partial Horner value is
+  bounded by B = sum |c_ij| * X^i * Y^j, so it runs only when B < 2^63
+  (checked in Python ints) and raises GridOverflow otherwise.
+
+The visible (gcd = 1) mask of a block is sieved: start from all True and,
+for each prime q up to min(ny, largest x), clear the rows x = 0 (mod q) at
+the columns y = q, 2q, ...  A single-level count takes gcds only of the
+points on the level.  The gcd filter uses the raw integer coordinates,
+never the residues.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_prime, mobius_sieve
+from .arith import _prime_flags, is_prime, mobius_sieve
 from .errors import GridOverflow
 from .fields import PrimeField, univariate_roots
 from .poly import IntBivariatePoly, ModBivariatePoly, reduce_mod
@@ -106,31 +118,57 @@ def parallel_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _sweep(fmod: ModBivariatePoly, nx: int, ny: int, reduce_block, workers: int = 1):
-    """Sum of reduce_block(xs, ys, values) over the row blocks of the grid
-    [1, nx] x [1, ny]; the sum is integer, so it does not depend on the
-    block order or the worker count."""
-    p = fmod.p
-    if p > MAX_GRID_PRIME:
-        raise GridOverflow(f"p = {p} > {MAX_GRID_PRIME}: int64 grid evaluation would overflow")
+def _sweep(evaluate, nx: int, ny: int, reduce_block, workers: int = 1):
+    """Sum of reduce_block(xs, ys, evaluate(xs, ys)) over the row blocks of
+    the grid [1, nx] x [1, ny], with xs a column and ys a row of int64; the
+    sum is integer, so it does not depend on the block order or the worker
+    count."""
     rows = max(1, BLOCK_POINTS // ny)
     ys = np.arange(1, ny + 1, dtype=np.int64)
 
     def block(lo: int):
         xs = np.arange(lo + 1, min(lo + rows, nx) + 1, dtype=np.int64)
-        return reduce_block(xs, ys, fmod.evaluate(xs[:, None], ys[None, :]))
+        return reduce_block(xs, ys, evaluate(xs[:, None], ys[None, :]))
 
     return sum(parallel_map(block, range(0, nx, rows), workers))
 
 
+def _check_grid_prime(p: int) -> None:
+    if p > MAX_GRID_PRIME:
+        raise GridOverflow(f"p = {p} > {MAX_GRID_PRIME}: int64 grid evaluation would overflow")
+
+
+def _sieve_primes(limit: int) -> list[int]:
+    """The primes up to limit, ascending; the sieve of the coprime mask."""
+    return np.flatnonzero(_prime_flags(limit)).tolist()
+
+
+def _coprime_mask(xs: np.ndarray, ys: np.ndarray, primes: list[int]) -> np.ndarray:
+    """gcd(x, y) == 1 over the block xs x ys, for consecutive xs and ys =
+    1..ny; ``primes`` must hold every prime up to min(ny, xs[-1]).
+
+    Row r holds x = xs[0] + r, so the rows divisible by q start at
+    (-xs[0]) mod q, and column q - 1 holds y = q.
+    """
+    mask = np.ones((len(xs), len(ys)), dtype=bool)
+    x0, top = int(xs[0]), min(int(xs[-1]), len(ys))
+    for q in primes:
+        if q > top:
+            break
+        mask[-x0 % q :: q, q - 1 :: q] = False
+    return mask
+
+
 def _count_grid(fmod: ModBivariatePoly, a: int, nx: int, ny: int, coprime_only: bool) -> int:
+    _check_grid_prime(fmod.p)
+
     def hits(xs, ys, vals):
         if not coprime_only:
             return int(np.count_nonzero(vals == a))
         i, j = np.nonzero(vals == a)
         return int(np.count_nonzero(np.gcd(xs[i], ys[j]) == 1))
 
-    return _sweep(fmod, nx, ny, hits)
+    return _sweep(fmod.evaluate, nx, ny, hits)
 
 
 def _count_rows(spec: LevelCurveSpec, nx: int, ny: int) -> int:
@@ -249,12 +287,64 @@ def visible_histogram(
     """
     fmod = reduce_mod(f, p)  # propagates DegenerateReduction
     box.validate_for(p)
+    _check_grid_prime(p)
+    primes = _sieve_primes(min(box.nx, box.ny))
 
     def bincounts(xs, ys, vals):
-        coprime = np.gcd.outer(xs, ys) == 1
+        coprime = _coprime_mask(xs, ys, primes)
         return np.stack(
             (np.bincount(vals.ravel(), minlength=p), np.bincount(vals[coprime], minlength=p))
         )
 
-    level, visible = _sweep(fmod, box.nx, box.ny, bincounts, workers)
+    level, visible = _sweep(fmod.evaluate, box.nx, box.ny, bincounts, workers)
     return VisibleHistogram(p=p, box=box, level_counts=level, visible_counts=visible)
+
+
+def _fits_int64(f: IntBivariatePoly, box: CountBox) -> bool:
+    """True when B = sum |c_ij| * X^i * Y^j over the floored box is below
+    2^63, so f evaluates over Z in int64 without overflow at every point.
+
+    B is exact in Python ints, but a term whose bit length is at least 63
+    is rejected before its powers are formed, so a huge exponent costs
+    nothing: c * X^i * Y^j has at least (bits(c) - 1) + i * (bits(X) - 1)
+    + j * (bits(Y) - 1) + 1 bits.
+    """
+    nx, ny = box.nx, box.ny
+    bx, by = nx.bit_length() - 1, ny.bit_length() - 1
+    total = 0
+    for (i, j), c in f.terms.items():
+        c = abs(c)
+        if c.bit_length() - 1 + i * bx + j * by >= 63:
+            return False
+        total += c * nx**i * ny**j
+        if total >= 1 << 63:
+            return False
+    return True
+
+
+def count_visible_by_prime(
+    f: IntBivariatePoly, primes: list[int], box: CountBox, a: int = 0, workers: int = 1
+) -> list[int]:
+    """Visible points of f(x, y) = a (mod p) in the box, for each p in primes.
+
+    One sweep evaluates f over Z in int64 and sieves the coprime mask once
+    per row block, then counts v % p == a % p over the visible values for
+    every prime (numpy's % with a positive divisor is a floor mod, as
+    Python's).  Raises GridOverflow unless ``_fits_int64(f, box)``.  No
+    admissibility check is made: f may degenerate modulo some p.
+    """
+    if not _fits_int64(f, box):
+        raise GridOverflow(f"sum of |c_ij| X^i Y^j >= 2^63: {f.text()} overflows int64 on the box")
+    if not primes:
+        return []
+    if max(primes) >= 1 << 63:
+        raise GridOverflow(f"p = {max(primes)} does not fit in int64")
+    box.validate_for(min(primes))
+    sieve = _sieve_primes(min(box.nx, box.ny))
+    levels = [(p, a % p) for p in primes]
+
+    def counts(xs, ys, vals):
+        visible = vals[_coprime_mask(xs, ys, sieve)]
+        return np.array([np.count_nonzero(visible % p == r) for p, r in levels], dtype=np.int64)
+
+    return _sweep(f.evaluate, box.nx, box.ny, counts, workers).tolist()

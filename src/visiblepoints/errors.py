@@ -38,6 +38,10 @@ class GridOverflow(VisiblePointsError, ValueError):
     """The prime is too large for exact int64 grid evaluation."""
 
 
+class NonFiniteParameter(VisiblePointsError, ValueError):
+    """A real-valued parameter such as the prime bound T is infinite or NaN."""
+
+
 class EmptyPlan(VisiblePointsError, ValueError):
     """A sweep series was invoked with no plan entries."""
 

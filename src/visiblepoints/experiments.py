@@ -27,12 +27,20 @@ from .counting import (
     CountBox,
     LevelCurveSpec,
     count_level_points,
+    count_visible_by_prime,
     count_visible_direct,
     expected_visible,
     parallel_map,
     visible_histogram,
 )
-from .errors import BoxTooLarge, DegenerateReduction, EmptyPlan, HypothesisViolated
+from .errors import (
+    BoxTooLarge,
+    DegenerateReduction,
+    EmptyPlan,
+    GridOverflow,
+    HypothesisViolated,
+    NonFiniteParameter,
+)
 from .factor import is_absolutely_irreducible
 from .poly import IntBivariatePoly, reduce_mod
 
@@ -171,13 +179,12 @@ def level_sweep(
     )
 
 
-def _prime_term(f: IntBivariatePoly, p: int, box: CountBox) -> tuple[int, int | None]:
+def _admissible_at(f: IntBivariatePoly, p: int) -> bool:
     try:
         _require_admissible(f, p)
     except (HypothesisViolated, DegenerateReduction):
-        return p, None
-    n = count_visible_direct(LevelCurveSpec(f, p, 0), box)
-    return p, n
+        return False
+    return True
 
 
 def prime_sweep(
@@ -186,19 +193,31 @@ def prime_sweep(
     """Sum over primes p in [T/2, T] of |N_p - (6/pi^2) X Y / p| at the
     fixed level a = 0.
 
-    Needs T >= 2*max(X, Y) so the box fits under every prime in range;
-    primes where f degenerates or loses absolute irreducibility are
-    skipped and listed in the record.
+    Needs a finite T >= 2*max(X, Y), so the box fits under every prime in
+    range; primes where f degenerates or loses absolute irreducibility are
+    skipped and listed in the record.  The verdicts run per prime.  The
+    kept primes' counts N_p come from one sweep over the box that
+    evaluates f over Z when B = sum |c_ij| X^i Y^j < 2^63, and otherwise
+    from one count modulo each prime, the only exact route there.
     """
+    if not math.isfinite(T):
+        raise NonFiniteParameter(f"T = {T} is not finite")
     if T < 4:
         raise ValueError("T must be >= 4")
     if T < 2 * max(box.X, box.Y):
         raise BoxTooLarge(f"T = {T} < 2*max(X, Y) = {2 * max(box.X, box.Y)}")
     primes = primes_in_range(math.ceil(T / 2), math.floor(T))
-    results = parallel_map(lambda p: _prime_term(f, p, box), primes, workers)
-    skipped = tuple(p for p, n in results if n is None)
-    kept = [(p, n) for p, n in results if n is not None]
-    sum_abs_dev = math.fsum(abs(n - expected_visible(box, p)) for p, n in kept)
+    admissible = parallel_map(lambda p: _admissible_at(f, p), primes, workers)
+    skipped = tuple(p for p, ok in zip(primes, admissible) if not ok)
+    kept = [p for p, ok in zip(primes, admissible) if ok]
+    try:
+        counts = count_visible_by_prime(f, kept, box, 0, workers)
+    except GridOverflow:  # B >= 2^63
+        counts = parallel_map(
+            lambda p: count_visible_direct(LevelCurveSpec(f, p, 0), box), kept, workers
+        )
+    per_prime = tuple(zip(kept, counts))
+    sum_abs_dev = math.fsum(abs(n - expected_visible(box, p)) for p, n in per_prime)
     bound = math.sqrt(box.X) * math.sqrt(box.Y) * T**0.75
     return DiscrepancyRecord(
         kind="primes",
@@ -213,7 +232,7 @@ def prime_sweep(
         ratio=sum_abs_dev / bound,
         skipped_primes=skipped,
         box_nontrivial=box.X * box.Y >= T**1.5,
-        per_prime=tuple(kept),
+        per_prime=per_prime,
     )
 
 

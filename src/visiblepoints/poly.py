@@ -120,9 +120,14 @@ class IntBivariatePoly:
     def is_constant(self) -> bool:
         return self.degree <= 0
 
-    def evaluate(self, u: int, v: int) -> int:
-        """Exact integer value f(u, v); unbounded precision."""
-        return sum(c * u**i * v**j for (i, j), c in self.terms.items())
+    def evaluate(self, x, y):
+        """f(x, y) over Z, by the Horner kernel of :func:`_horner` unreduced.
+
+        Exact for Python ints.  For int64 arrays it is exact when
+        sum |c_ij| * X^i * Y^j < 2^63 over the range of x and y, as that
+        sum bounds every partial Horner value.
+        """
+        return _horner(self.terms, x, y)
 
     def specialize_u_int(self, u: int) -> list[int]:
         """Exact integer coefficients of V -> f(u, V), ascending in V."""
@@ -210,24 +215,6 @@ class ModBivariatePoly:
     def is_constant(self) -> bool:
         return self.degree <= 0
 
-    def _row_coefficients(self, x):
-        """[c_0(x), ..., c_m(x)] with f(x, V) = sum of c_j(x) * V^j mod p, by
-        Horner in U for each V-power; the only place f is evaluated mod p.
-
-        x is an int or an int64 array, and every c_j(x) has the shape of x.
-        x is reduced first, so each step acc * x + c combines values below p
-        and stays below p^2: exact in int64 for p <= isqrt(2^63 - 1).
-        """
-        p, terms, deg_u = self.p, self.terms, self.deg_u
-        x = x % p
-        out = []
-        for j in range(max(self.deg_v, 0) + 1):
-            acc = x * 0
-            for i in range(deg_u, -1, -1):
-                acc = (acc * x + terms.get((i, j), 0)) % p
-            out.append(acc)
-        return out
-
     def evaluate(self, x, y):
         """f(x, y) mod p, by Horner in V over the row coefficients at x.
 
@@ -235,19 +222,14 @@ class ModBivariatePoly:
         arrays broadcast, and the result has their full broadcast shape even
         when f is constant.
         """
-        p = self.p
-        y = y % p
-        acc = 0
-        for c in reversed(self._row_coefficients(x)):
-            acc = (acc * y + c) % p
-        return acc
+        return _horner(self.terms, x, y, self.p)
 
     def specialize_u(self, x: int) -> list[int]:
         """Coefficients (ascending in V) of the univariate V -> f(x, V) over F_p.
 
         A zero polynomial comes back as []; callers must handle it.
         """
-        out = self._row_coefficients(x)
+        out = _horner_rows(self.terms, x, self.p)
         while out and out[-1] == 0:
             out.pop()
         return out
@@ -280,6 +262,44 @@ class ModBivariatePoly:
 
     def __repr__(self) -> str:
         return f"ModBivariatePoly(p={self.p}, {self.to_int_poly().text()!r})"
+
+
+def _horner_rows(terms: dict[tuple[int, int], int], x, p: int | None = None) -> list:
+    """[c_0(x), ..., c_m(x)] with f(x, V) = sum of c_j(x) * V^j, by Horner in
+    U for each V-power; reduced mod p when p is given.  With :func:`_horner`
+    it is the only code that evaluates a polynomial at a point.
+
+    x is an int or an int64 array, and every c_j(x) has the shape of x.
+    Modulo p, x is reduced first, so each step acc * x + c combines values
+    below p and stays below p^2: exact in int64 for p <= isqrt(2^63 - 1).
+    """
+    deg_u = max((i for i, _ in terms), default=-1)
+    deg_v = max((j for _, j in terms), default=-1)
+    if p is not None:
+        x = x % p
+    out = []
+    for j in range(max(deg_v, 0) + 1):
+        acc = x * 0
+        for i in range(deg_u, -1, -1):
+            acc = acc * x + terms.get((i, j), 0)
+            if p is not None:
+                acc = acc % p
+        out.append(acc)
+    return out
+
+
+def _horner(terms: dict[tuple[int, int], int], x, y, p: int | None = None):
+    """f(x, y), reduced mod p when p is given, by Horner in V over
+    :func:`_horner_rows`.  Array arguments broadcast, and the result has
+    their full broadcast shape even when f has no V term."""
+    if p is not None:
+        y = y % p
+    acc = 0
+    for c in reversed(_horner_rows(terms, x, p)):
+        acc = acc * y + c
+        if p is not None:
+            acc = acc % p
+    return acc
 
 
 def reduce_mod(f: IntBivariatePoly, p: int) -> ModBivariatePoly:

@@ -48,6 +48,14 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_exp_p_non_finite_T_is_a_usage_error(capsys):
+    for T in ("inf", "nan"):
+        assert main(["exp-p", "-f", "V^2 - U^3 - U - 1", "-T", T, "-X", "5", "-Y", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"T = {T} is not finite" in captured.err
+
+
 def test_hypothesis_violated_exit_3(capsys):
     code = main(["exp-a", "-f", "U*V", "-p", "5", "-X", "5", "-Y", "5"])
     assert code == 3

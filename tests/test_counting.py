@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from visiblepoints.counting import (
@@ -14,6 +15,8 @@ from visiblepoints.counting import (
     count_visible_mobius,
     expected_visible,
     visible_histogram,
+    _coprime_mask,
+    _sieve_primes,
 )
 from visiblepoints.errors import DegenerateReduction, GridOverflow
 from visiblepoints.poly import IntBivariatePoly, parse_poly
@@ -206,6 +209,49 @@ def test_blocked_sweep_with_partial_last_block():
         spec = LevelCurveSpec(ELLIPTIC, p, a)
         assert count_level_points(spec, box, "grid") == level[a]
         assert count_visible_direct(spec, box) == visible[a]
+
+
+def _assert_mask_is_gcd(lo, hi, ny, primes=None):
+    xs = np.arange(lo, hi + 1, dtype=np.int64)
+    ys = np.arange(1, ny + 1, dtype=np.int64)
+    if primes is None:
+        primes = primes_brute(2, min(ny, hi))
+    mask = _coprime_mask(xs, ys, primes)
+    assert (mask == (np.gcd.outer(xs, ys) == 1)).all(), (lo, hi, ny)
+
+
+def test_coprime_mask_matches_gcd():
+    # blocks starting at x = 1, and blocks holding x = 30030 = 2*3*5*7*11*13
+    for lo, hi, ny in ((1, 1, 1), (1, 1, 50), (1, 64, 97), (1, 300, 300),
+                       (30030, 30030, 400), (30001, 30100, 700), (30029, 30031, 30030)):
+        _assert_mask_is_gcd(lo, hi, ny)
+    # thin boxes: ny <= 3 and nx = p
+    for ny in (1, 2, 3):
+        _assert_mask_is_gcd(1, 1009, ny)
+    # wide boxes: nx <= 3
+    for nx in (1, 2, 3):
+        _assert_mask_is_gcd(1, nx, 4001)
+    assert _sieve_primes(1) == [] and _sieve_primes(30) == primes_brute(2, 30)
+
+
+def test_coprime_mask_over_the_blocks_of_a_sweep():
+    # 1009 x 700 is three row blocks of 374, 374 and 261 rows, with the
+    # primes sieved once for the whole box as a sweep does
+    nx, ny = 1009, 700
+    rows = BLOCK_POINTS // ny
+    primes = _sieve_primes(min(nx, ny))
+    starts = list(range(0, nx, rows))
+    assert len(starts) == 3 and nx - starts[-1] < rows
+    for lo in starts:
+        _assert_mask_is_gcd(lo + 1, min(lo + rows, nx), ny, primes)
+
+
+def test_full_box_histogram_matches_brute_force():
+    for p in (127, 257):
+        level, visible = histogram_brute(ELLIPTIC.terms, p, p, p)
+        h = visible_histogram(ELLIPTIC, p, CountBox(p, p))
+        assert h.level_counts.tolist() == level
+        assert h.visible_counts.tolist() == visible
 
 
 def _histogram_peak(p):

@@ -1,15 +1,28 @@
+import json
 import math
+import random
 
 import pytest
 
-from visiblepoints import factor
+from visiblepoints import experiments, factor
+from visiblepoints.arith import primes_in_range
+from visiblepoints.cli import main
 from visiblepoints.counting import (
     COPRIME_DENSITY,
     CountBox,
     LevelCurveSpec,
+    _fits_int64,
+    count_visible_by_prime,
+    count_visible_direct,
     expected_visible,
 )
-from visiblepoints.errors import BoxTooLarge, EmptyPlan, HypothesisViolated
+from visiblepoints.errors import (
+    BoxTooLarge,
+    EmptyPlan,
+    GridOverflow,
+    HypothesisViolated,
+    NonFiniteParameter,
+)
 from visiblepoints.experiments import (
     DiscrepancyRecord,
     SweepFailure,
@@ -22,7 +35,7 @@ from visiblepoints.experiments import (
     prime_sweep,
     run_sweep_series,
 )
-from visiblepoints.poly import parse_poly
+from visiblepoints.poly import IntBivariatePoly, parse_poly
 
 from oracles import count_visible_brute, primes_brute
 
@@ -102,6 +115,113 @@ def test_prime_sweep_worker_invariance():
     assert records[0].sum_abs_dev == records[1].sum_abs_dev == records[2].sum_abs_dev
 
 
+def _random_poly(rng, box):
+    """Random coefficients in [-60, 60], negative ones included, and U- and
+    V-degrees up to 3 each, kept to B < 2^63 on the box."""
+    while True:
+        terms = {(i, j): rng.randint(-60, 60)
+                 for i in range(4) for j in range(4) if rng.random() < 0.4}
+        f = IntBivariatePoly(terms)
+        if f.degree >= 2 and any(c < 0 for c in f.terms.values()) and _fits_int64(f, box):
+            return f
+
+
+def _per_prime_route(f, primes, box, a=0):
+    return [count_visible_direct(LevelCurveSpec(f, p, a), box) for p in primes]
+
+
+def test_prime_sweep_matches_the_per_prime_route_randomized():
+    # the box and primes of the CLI sweep at the smoke scale, through prime_sweep
+    rng = random.Random(606)
+    box = CountBox(20, 20)
+    for _ in range(6):
+        f = _random_poly(rng, box)
+        rec = prime_sweep(f, 60, box)
+        kept = [p for p, _ in rec.per_prime]
+        assert sorted(kept + list(rec.skipped_primes)) == primes_brute(30, 60)
+        assert [n for _, n in rec.per_prime] == _per_prime_route(f, kept, box)
+
+
+def test_counts_by_prime_match_the_per_prime_route_at_full_scale():
+    # the box and primes of the CLI sweep, at level 0 and at other levels
+    rng = random.Random(6)
+    box = CountBox(500, 500)
+    primes = primes_in_range(500, 1000)
+    for a in (0, 7, -3):
+        f = _random_poly(rng, box)
+        assert count_visible_by_prime(f, primes, box, a, workers=2) == _per_prime_route(
+            f, primes, box, a)
+
+
+def test_counts_by_prime_match_brute_force():
+    rng = random.Random(17)
+    box = CountBox(13, 11.5)
+    primes = primes_brute(13, 41)
+    for a in (0, 5, -2):
+        f = _random_poly(rng, box)
+        want = [count_visible_brute(f.terms, p, a, box.X, box.Y) for p in primes]
+        assert count_visible_by_prime(f, primes, box, a) == want
+    assert count_visible_by_prime(ELLIPTIC, [], box) == []
+
+
+# B = 7*8^20 + 8^3 + |c| on the box 8 x 8, with 8^20 = 2^60
+BELOW_2_63 = IntBivariatePoly({(20, 0): 7, (0, 3): 1, (0, 0): -(2**60 - 513)})
+AT_2_63 = IntBivariatePoly({(20, 0): 7, (0, 3): 1, (0, 0): -(2**60 - 512)})
+
+
+def test_prime_sweep_routes_on_either_side_of_2_63(monkeypatch):
+    box = CountBox(8, 8)
+    assert _fits_int64(BELOW_2_63, box) and not _fits_int64(AT_2_63, box)
+    with pytest.raises(GridOverflow):
+        count_visible_by_prime(AT_2_63, [11, 13], box)
+    direct = []
+    monkeypatch.setattr(experiments, "count_visible_direct",
+                        lambda spec, b: direct.append(spec.p) or count_visible_direct(spec, b))
+    for f, per_prime_calls in ((BELOW_2_63, []), (AT_2_63, [11, 13])):
+        direct.clear()
+        rec = prime_sweep(f, 16, box)
+        assert direct == per_prime_calls
+        assert rec.skipped_primes == ()
+        assert rec.per_prime == tuple(
+            (p, count_visible_brute(f.terms, p, 0, 8, 8)) for p in (11, 13))
+
+
+def test_bound_check_rejects_huge_exponents_early():
+    assert not _fits_int64(parse_poly("U^100000000000 + V"), CountBox(2, 2))
+    assert _fits_int64(parse_poly("U^100000000000 + V"), CountBox(1, 2))
+    assert not _fits_int64(IntBivariatePoly({(0, 0): 2**63}), CountBox(1, 1))
+    assert _fits_int64(IntBivariatePoly({(0, 0): -(2**63 - 1)}), CountBox(1, 1))
+
+
+def _exp_p_bodies(capsys, args):
+    out = {}
+    for fmt in ("csv", "json"):
+        for w in ("1", "2", "3"):
+            assert main(["exp-p", *args, "--format", fmt, "--workers", w]) == 0
+            text = capsys.readouterr().out
+            if fmt == "csv":
+                text = "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))
+            else:
+                json.loads(text)
+            out[fmt, w] = text
+    return out
+
+
+def test_exp_p_bodies_do_not_depend_on_workers(capsys):
+    # 600 x 600 is two row blocks; V^3 - U^3 - 1 skips 3 and has B < 2^63
+    for args in (["-f", "V^2 - U^3 - U - 1", "-T", "1200", "-X", "600", "-Y", "600"],
+                 ["-f", "V^3 - U^3 - 1", "-T", "6", "-X", "3", "-Y", "3"]):
+        bodies = _exp_p_bodies(capsys, args)
+        for fmt in ("csv", "json"):
+            assert bodies[fmt, "1"] == bodies[fmt, "2"] == bodies[fmt, "3"]
+
+
+def test_prime_sweep_rejects_non_finite_T():
+    for T in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NonFiniteParameter, match="T = "):
+            prime_sweep(ELLIPTIC, T, CountBox(5, 5))
+
+
 def test_prime_sweep_skips_and_logs():
     # U*V - 2 degenerates to U*V mod 2; every prime in [2, 4] except 3 fails
     rec = prime_sweep(parse_poly("U*V - 2"), 4, CountBox(2, 2))
@@ -117,9 +237,12 @@ def test_prime_sweep_through_the_exact_engine(monkeypatch):
     extension_field = factor._extension_field
     monkeypatch.setattr(factor, "_extension_field",
                         lambda p, ell: built.append((p, ell)) or extension_field(p, ell))
-    rec = prime_sweep(f, 6, CountBox(3, 3))
+    box = CountBox(3, 3)
+    rec = prime_sweep(f, 6, box)
     assert rec.skipped_primes == (3,)
-    assert rec.per_prime == ((5, count_visible_brute(f.terms, 5, 0, 3, 3)),)
+    n5 = count_visible_brute(f.terms, 5, 0, 3, 3)
+    assert rec.per_prime == ((5, n5),)
+    assert rec.sum_abs_dev == abs(n5 - expected_visible(box, 5))  # 3 left out
     assert built == [(5, 3)]
 
 
