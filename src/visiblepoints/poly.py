@@ -267,7 +267,7 @@ class ModBivariatePoly:
 def _horner_rows(terms: dict[tuple[int, int], int], x, p: int | None = None) -> list:
     """[c_0(x), ..., c_m(x)] with f(x, V) = sum of c_j(x) * V^j, by Horner in
     U for each V-power; reduced mod p when p is given.  With :func:`_horner`
-    it is the only code that evaluates a polynomial at a point.
+    it is the only code that evaluates f mod p.
 
     x is an int or an int64 array, and every c_j(x) has the shape of x.
     Modulo p, x is reduced first, so each step acc * x + c combines values

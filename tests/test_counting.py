@@ -9,14 +9,14 @@ from visiblepoints.counting import (
     BLOCK_POINTS,
     CountBox,
     LevelCurveSpec,
+    _coprime_mask,
+    _sieve_primes,
     count_divisible,
     count_level_points,
     count_visible_direct,
     count_visible_mobius,
     expected_visible,
     visible_histogram,
-    _coprime_mask,
-    _sieve_primes,
 )
 from visiblepoints.errors import DegenerateReduction, GridOverflow
 from visiblepoints.poly import IntBivariatePoly, parse_poly
