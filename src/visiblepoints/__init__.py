@@ -41,7 +41,6 @@ from .errors import (
     ConstantPolynomial,
     DegenerateReduction,
     EmptyPlan,
-    FieldTooSmall,
     GridOverflow,
     HypothesisViolated,
     IdenticallyZero,
@@ -101,7 +100,6 @@ __all__ = [
     "DiscrepancyRecord",
     "EmptyPlan",
     "ExtensionField",
-    "FieldTooSmall",
     "GridOverflow",
     "HypothesisViolated",
     "IdenticallyZero",

@@ -121,15 +121,14 @@ def build_parser() -> _Parser:
     return ap
 
 
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise UsageError(f"p = {p} is not prime")
+def _check_prime(args) -> None:
+    if not is_prime(args.p):
+        raise UsageError(f"p = {args.p} is not prime")
 
 
-def _check_box(X: float, Y: float, p: int) -> CountBox:
-    if not (1 <= X <= p and 1 <= Y <= p):
-        raise UsageError(f"box {X} x {Y} violates 1 <= X, Y <= p = {p}")
-    return CountBox(X, Y)
+def _check_box(args) -> None:
+    if not (1 <= args.X <= args.p and 1 <= args.Y <= args.p):
+        raise UsageError(f"box {args.X} x {args.Y} violates 1 <= X, Y <= p = {args.p}")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -173,8 +172,7 @@ def _emit_records(records, fmt: str, path: str | None) -> None:
 
 
 def _cmd_count(args) -> int:
-    _check_prime(args.p)
-    box = _check_box(args.X, args.Y, args.p)
+    box = CountBox(args.X, args.Y)
     spec = LevelCurveSpec(parse_poly(args.poly), args.p, args.a)
     n = count_level_points(spec, box, strategy=args.strategy)
     payload = {
@@ -192,8 +190,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_visible(args) -> int:
-    _check_prime(args.p)
-    box = _check_box(args.X, args.Y, args.p)
+    box = CountBox(args.X, args.Y)
     spec = LevelCurveSpec(parse_poly(args.poly), args.p, args.a)
     direct = count_visible_direct(spec, box)
     mobius = count_visible_mobius(spec, box)
@@ -212,7 +209,6 @@ def _cmd_visible(args) -> int:
 
 
 def _cmd_irred(args) -> int:
-    _check_prime(args.p)
     f = parse_poly(args.poly)
     verdict = factor.is_absolutely_irreducible(reduce_mod(f, args.p))
     payload = {
@@ -235,7 +231,6 @@ def _cmd_irred(args) -> int:
 
 
 def _cmd_badset(args) -> int:
-    _check_prime(args.p)
     f = parse_poly(args.poly)
     bad = sorted(factor.bad_level_values(f, args.p))
     payload = {"f": f.text(), "p": args.p, "bad_levels": bad, "size": len(bad)}
@@ -257,8 +252,7 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_exp_a(args) -> int:
-    _check_prime(args.p)
-    box = _check_box(args.X, args.Y, args.p)
+    box = CountBox(args.X, args.Y)
     deltas = tuple(args.delta) if args.delta else DEFAULT_DELTAS
     experiments.check_deltas(deltas)
     f = parse_poly(args.poly)
@@ -327,15 +321,16 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+#: subcommand -> (handler, checks that main runs on the arguments first)
 _HANDLERS = {
-    "count": _cmd_count,
-    "visible": _cmd_visible,
-    "irred": _cmd_irred,
-    "badset": _cmd_badset,
-    "zeros": _cmd_zeros,
-    "exp-a": _cmd_exp_a,
-    "exp-p": _cmd_exp_p,
-    "sweep": _cmd_sweep,
+    "count": (_cmd_count, _check_prime, _check_box),
+    "visible": (_cmd_visible, _check_prime, _check_box),
+    "irred": (_cmd_irred, _check_prime),
+    "badset": (_cmd_badset, _check_prime),
+    "zeros": (_cmd_zeros,),
+    "exp-a": (_cmd_exp_a, _check_prime, _check_box),
+    "exp-p": (_cmd_exp_p,),
+    "sweep": (_cmd_sweep,),
 }
 
 
@@ -343,7 +338,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        handler, *checks = _HANDLERS[args.command]
+        for check in checks:
+            check(args)
+        return handler(args)
     except (UsageError, PolynomialParseError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

@@ -46,11 +46,6 @@ class EmptyPlan(VisiblePointsError, ValueError):
     """A sweep series was invoked with no plan entries."""
 
 
-class FieldTooSmall(VisiblePointsError, RuntimeError):
-    """The base field is too small for the factor-search strategy and the
-    exhaustive fallback would exceed its work budget."""
-
-
 class UsageError(VisiblePointsError, ValueError):
     """Invalid command-line arguments (bad flag combinations, non-prime p,
     box out of range)."""

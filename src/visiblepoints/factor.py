@@ -19,11 +19,21 @@ nonconstant polynomials over a given finite field K.  Strategy, in order:
 4. a nontrivial gcd with the V-derivative (computed by a fraction-free
    pseudo-remainder sequence) exhibits a repeated factor;
 5. otherwise the squarefree monic polynomial is specialized at a point
-   u0 with squarefree image, its univariate image is factored, the
-   factors are Hensel-lifted U-adically to precision exceeding every
-   possible factor's U-degree, and all subset products are tested by
-   exact trial division.  A factor found this way is genuine; if no
-   subset divides, the polynomial is irreducible over K.
+   u0 with squarefree image, its univariate image is factored by
+   Cantor-Zassenhaus (``fields.factor_squarefree``), the factors are
+   Hensel-lifted U-adically to precision exceeding every possible
+   factor's U-degree, and all subset products are tested by exact trial
+   division.  A factor found this way is genuine; if no subset divides,
+   the polynomial is irreducible over K.  At most B - 1 points u0 fail,
+   B = (2m - 1)*deg_U + 1 for V-degree m, as each is a root of the
+   discriminant;
+6. when K has too few elements to hold such a point, the verdict is that
+   over L = F_{|K|^k} for the least k >= 2 with gcd(k, n) = 1 and
+   |K|^k > B, n the total degree.  An f irreducible over K with e | n
+   conjugate absolute factors has gcd(e, k) = 1 factor over L, and a
+   reducible f stays reducible, so the verdicts agree; B depends only on
+   the degrees, so L always has the point.  A factor over L need not lie
+   in K[U, V], so none is reported.
 
 Absolute irreducibility reduces to irreducibility over F_p and over
 F_{p^l} for every prime l dividing the total degree n: a base-irreducible
@@ -34,13 +44,12 @@ yields a factorization over F_{p^l} for any prime l | e.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factorize
-from .errors import ConstantPolynomial, FieldTooSmall
+from .errors import ConstantPolynomial
 from .fields import (
     ExtensionField,
     PrimeField,
@@ -61,9 +70,6 @@ from .fields import (
     u_trim,
 )
 from .poly import IntBivariatePoly, ModBivariatePoly, reduce_mod
-
-_EXHAUSTIVE_BUDGET = 2_000_000  # candidate cap for the tiny-field fallback
-
 
 # ---------------------------------------------------------------------------
 # bivariate polynomials as lists over the V-degree of U-polynomials
@@ -297,31 +303,6 @@ def _hensel_factors(K, F: list, phis: list, kappa: int) -> list:
 # the reducibility engine
 
 
-def _exhaustive_reducible(K, F: list) -> tuple[bool, list | None]:
-    """Last-resort factor search over a tiny field: enumerate monic-in-V
-    candidates with bounded coefficient degrees and trial divide."""
-    m = _b_degv(F)
-    delta = _b_degu(F)
-    for r in range(1, m // 2 + 1):
-        ncoef = r * (delta + 1)
-        if K.size**ncoef > _EXHAUSTIVE_BUDGET:
-            raise FieldTooSmall(
-                f"field of size {K.size} too small for specialization and "
-                f"candidate count {K.size}^{ncoef} exceeds the search budget"
-            )
-        for combo in itertools.product(range(K.size), repeat=ncoef):
-            cand: list = []
-            pos = 0
-            for _ in range(r):
-                cand.append(u_trim(K, [K.element_at(c) for c in combo[pos : pos + delta + 1]]))
-                pos += delta + 1
-            cand.append([K.one])
-            _, rem = _b_divmod_monic_v(K, F, cand)
-            if _b_is_zero(rem):
-                return True, cand
-    return False, None
-
-
 def _univariate_factor_any(K, g: list) -> list | None:
     """Some nontrivial monic factor of a univariate g with deg >= 2 known
     reducible, or None when only inseparable structure is present."""
@@ -344,14 +325,16 @@ def _unmonicize(K, g: list, lam: list | None) -> list:
     return _b_primitive_part(K, _b_trim(out))
 
 
-def _reducible_over(K, terms: dict) -> tuple[bool, list | None, bool]:
-    """Decide reducibility of the polynomial given by terms over K.
+def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
+    """Decide reducibility over K of the polynomial whose terms have F_p
+    coefficients given as ints, p the characteristic of K.
 
     Returns (reducible, factor-or-None, swapped); the factor, when present,
     is a genuine nonconstant proper factor in the engine's U/V orientation,
     with swapped=True meaning the variables were exchanged first.
     """
     char = K.characteristic
+    terms = {ij: K.from_int(c) for ij, c in f_terms.items()}
     n = max(i + j for i, j in terms)
     if n == 1:
         return False, None, False
@@ -414,8 +397,13 @@ def _reducible_over(K, terms: dict) -> tuple[bool, list | None, bool]:
     if u0 is None:
         if K.size > bound:
             raise AssertionError("squarefree polynomial with no squarefree fiber")
-        red, fac = _exhaustive_reducible(K, F)
-        return red, (_unmonicize(K, fac, lam) if fac else None), swapped
+        # K is too small to hold a fiber: decide over L = F_{|K|^k} instead,
+        # with k coprime to n, where f is reducible exactly when it is over K
+        k = 2
+        while math.gcd(k, n) != 1 or K.size**k <= bound:
+            k += 1
+        L = _extension_field(char, getattr(K, "k", 1) * k)
+        return _reducible_over(L, f_terms)[0], None, False
 
     ft = _b_shift_u(K, F, u0)
     f0 = _b_layer(K, ft, 0)
@@ -461,10 +449,6 @@ class IrreducibilityVerdict:
     witness: int | str | None = None
 
 
-def _embed_terms(fmod: ModBivariatePoly, K) -> dict:
-    return {ij: K.from_int(c) for ij, c in fmod.terms.items()}
-
-
 def _factor_text(K, bp: list, swap: bool) -> str:
     # only used with a prime base field, where elements are plain ints
     terms = _b_to_terms(bp, K, swap)
@@ -476,7 +460,7 @@ def is_irreducible_bivariate(fmod: ModBivariatePoly, field) -> bool:
     over the given (prime or extension) field."""
     if fmod.is_constant():
         raise ConstantPolynomial("irreducibility of a constant polynomial")
-    red, _, _ = _reducible_over(field, _embed_terms(fmod, field))
+    red, _, _ = _reducible_over(field, fmod.terms)
     return not red
 
 
@@ -541,13 +525,12 @@ def is_absolutely_irreducible(fmod: ModBivariatePoly) -> IrreducibilityVerdict:
         return IrreducibilityVerdict(True, True)
     p = fmod.p
     base = PrimeField(p)
-    red, fac, swapped = _reducible_over(base, _embed_terms(fmod, base))
+    red, fac, swapped = _reducible_over(base, fmod.terms)
     if red:
         witness = _factor_text(base, fac, swapped) if fac else None
         return IrreducibilityVerdict(False, False, witness)
     for ell in sorted({q for q, _ in factorize(fmod.degree)}):
-        ext = _extension_field(p, ell)
-        red, _, _ = _reducible_over(ext, _embed_terms(fmod, ext))
+        red, _, _ = _reducible_over(_extension_field(p, ell), fmod.terms)
         if red:
             return IrreducibilityVerdict(True, False, ell)
     return IrreducibilityVerdict(True, True)

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import partial
 
 from .arith import factorize, is_prime
 from .errors import IdenticallyZero
-
-_BRUTE_FORCE_ROOT_LIMIT = 512  # enumerate the whole field below this size
-_TINY_FACTOR_LIMIT = 9  # enumeration-based univariate factoring threshold
 
 
 class PrimeField:
@@ -416,40 +414,71 @@ class ExtensionField:
 # roots and factorization
 
 
-def _roots_brute(K, g: list) -> set:
-    out = set()
-    for i in range(K.size):
-        x = K.element_at(i)
-        if u_eval(K, g, x) == K.zero:
-            out.add(x)
-    return out
+def _split_test(K, a: list, e: int, g: list) -> list:
+    """a^((q^e - 1)/2) - 1 for odd q = |K|, or the trace
+    a + a^2 + ... + a^(2^(ke - 1)) for q = 2^k, modulo g.
+
+    When g is a product of distinct monic irreducibles of degree e, its gcd
+    with g is the product of the factors modulo which a is a nonzero square
+    (odd q) or has trace 0 (q = 2^k).
+    """
+    q = K.size
+    if q % 2:
+        return u_sub(K, u_pow_mod(K, a, (q**e - 1) // 2, g), [K.one])
+    t = acc = u_mod(K, a, g)
+    for _ in range((q.bit_length() - 1) * e - 1):
+        t = u_mod(K, u_mul(K, t, t), g)
+        acc = u_add(K, acc, t)
+    return acc
 
 
-def _split_all_linear(K, s: list, out: set) -> None:
-    """Extract the roots of s, a monic product of distinct linear factors,
-    by deterministic quadratic-character splitting (odd field size)."""
-    d = u_deg(s)
-    if d <= 0:
+def _equal_degree_split(K, g: list, e: int, candidates, out: list) -> None:
+    """Cantor-Zassenhaus splitting of monic squarefree g whose irreducible
+    factors all have degree e; appends the factors to out.
+
+    ``candidates(d)`` yields the polynomials a of degree below d = deg g
+    tried in turn, afresh for each polynomial split; the first a whose
+    :func:`_split_test` has a proper gcd with g splits it.  Every finite
+    field is covered: the quadratic character for odd size, the trace for
+    size 2^k (D. Cantor and H. Zassenhaus, Math. Comp. 36, 1981).
+    """
+    d = u_deg(g)
+    if d == e:
+        out.append(g)
         return
-    if d == 1:
-        out.add(K.neg(s[0]))
-        return
-    half = (K.size - 1) // 2
-    idx = 0
-    while True:
-        c = K.element_at(idx)
-        idx += 1
-        h = u_sub(K, u_pow_mod(K, [c, K.one], half, s), [K.one])
-        t = u_gcd(K, h, s)
-        dt = u_deg(t)
-        if 0 < dt < d:
-            _split_all_linear(K, t, out)
-            _split_all_linear(K, u_divmod(K, s, t)[0], out)
+    for a in candidates(d):
+        t = u_gcd(K, _split_test(K, a, e, g), g)
+        if 0 < u_deg(t) < d:
+            _equal_degree_split(K, t, e, candidates, out)
+            _equal_degree_split(K, u_divmod(K, g, t)[0], e, candidates, out)
             return
+    raise AssertionError("no candidate splits the polynomial")
+
+
+def _linear_candidates(K, d: int):
+    """x + c for odd |K| and c*x for |K| = 2^k, c in ``element_at`` order;
+    d >= 2 plays no part."""
+    odd = K.size % 2
+    for idx in range(K.size):
+        c = K.element_at(idx)
+        yield [c, K.one] if odd else [K.zero, c]
+
+
+def _random_candidates(K, rng: random.Random, d: int):
+    """Endless polynomials of degree below d with coefficients drawn by rng."""
+    while True:
+        yield [K.element_at(rng.randrange(K.size)) for _ in range(d)]
 
 
 def univariate_roots(g: list, field) -> set:
     """All roots of g in the field, each listed once.
+
+    The product s of the distinct linear factors, gcd(x^q - x, g), is split
+    by :func:`_equal_degree_split` with the candidates x + c for odd q and
+    c*x for q = 2^k, c in ``element_at`` order.  Both end within q
+    candidates: for odd q the squares are invariant under no nonzero
+    translation, so some c separates any two roots; for q = 2^k the trace is
+    a nonzero linear functional, so Tr(c*(r - r')) = 1 for some c.
 
     Raises IdenticallyZero for the zero polynomial; row-by-row callers
     treat that case as 'every value satisfies the congruence'.
@@ -458,61 +487,14 @@ def univariate_roots(g: list, field) -> set:
     g = u_trim(K, list(g))
     if not g:
         raise IdenticallyZero("root search on the zero polynomial")
-    if u_deg(g) == 0:
-        return set()
-    if K.size <= _BRUTE_FORCE_ROOT_LIMIT or K.characteristic == 2:
-        return _roots_brute(K, g)
     g = u_monic(K, g)
     x = [K.zero, K.one]
-    w = u_sub(K, u_pow_mod(K, x, K.size, g), x)
-    s = u_gcd(K, w, g)
-    out: set = set()
-    _split_all_linear(K, s, out)
-    return out
-
-
-def _factor_tiny(K, g: list) -> list[list]:
-    """Factor monic g over a tiny field by trial division over all monic
-    candidates in the deterministic order."""
-    factors = []
-    g = u_monic(K, g)
-    d = 1
-    while u_deg(g) > 0 and d <= u_deg(g) // 2:
-        found = False
-        for cand in _monic_polys(K, d):
-            q, r = u_divmod(K, g, cand)
-            if not r:
-                factors.append(cand)
-                g = q
-                found = True
-                break
-        if not found:
-            d += 1
-    if u_deg(g) > 0:
-        factors.append(g)
-    return factors
-
-
-def _equal_degree_split(K, g: list, e: int, rng: random.Random, out: list) -> None:
-    """Cantor-Zassenhaus splitting of monic squarefree g whose irreducible
-    factors all have degree e; needs odd field size."""
-    d = u_deg(g)
-    if d == e:
-        out.append(g)
-        return
-    q = K.size
-    exp = (q**e - 1) // 2
-    while True:
-        a = u_trim(K, [K.element_at(rng.randrange(q)) for _ in range(d)])
-        if u_deg(a) < 1:
-            continue
-        h = u_sub(K, u_pow_mod(K, a, exp, g), [K.one])
-        t = u_gcd(K, h, g)
-        dt = u_deg(t)
-        if 0 < dt < d:
-            _equal_degree_split(K, t, e, rng, out)
-            _equal_degree_split(K, u_divmod(K, g, t)[0], e, rng, out)
-            return
+    s = u_gcd(K, u_sub(K, u_pow_mod(K, x, K.size, g), x), g)
+    if u_deg(s) < 1:
+        return set()
+    linear: list = []
+    _equal_degree_split(K, s, 1, partial(_linear_candidates, K), linear)
+    return {K.neg(h[0]) for h in linear}
 
 
 def _elt_key(c):
@@ -521,30 +503,28 @@ def _elt_key(c):
 
 def factor_squarefree(K, g: list) -> list[list]:
     """Factor a monic squarefree univariate polynomial into monic
-    irreducibles, in a deterministic order."""
+    irreducibles, in a deterministic order: distinct-degree factoring, then
+    :func:`_equal_degree_split` with seeded random candidates."""
     g = u_monic(K, g)
     if u_deg(g) <= 1:
         return [g] if u_deg(g) == 1 else []
-    if K.size <= _TINY_FACTOR_LIMIT or K.characteristic == 2:
-        factors = _factor_tiny(K, g)
-    else:
-        factors = []
-        q = K.size
-        x = [K.zero, K.one]
-        h = list(x)
-        rem = g
-        e = 0
-        while u_deg(rem) > 0:
-            e += 1
-            if 2 * e > u_deg(rem):
-                factors.append(rem)
-                break
-            h = u_pow_mod(K, h, q, rem)
-            t = u_gcd(K, u_sub(K, h, x), rem)
-            if u_deg(t) > 0:
-                rng = random.Random(0xC0FFEE + e)
-                _equal_degree_split(K, t, e, rng, factors)
-                rem = u_divmod(K, rem, t)[0]
-                if u_deg(rem) > 0:
-                    h = u_mod(K, h, rem)
+    factors: list = []
+    q = K.size
+    x = [K.zero, K.one]
+    h = list(x)
+    rem = g
+    e = 0
+    while u_deg(rem) > 0:
+        e += 1
+        if 2 * e > u_deg(rem):
+            factors.append(rem)
+            break
+        h = u_pow_mod(K, h, q, rem)
+        t = u_gcd(K, u_sub(K, h, x), rem)
+        if u_deg(t) > 0:
+            rng = random.Random(0xC0FFEE + e)
+            _equal_degree_split(K, t, e, partial(_random_candidates, K, rng), factors)
+            rem = u_divmod(K, rem, t)[0]
+            if u_deg(rem) > 0:
+                h = u_mod(K, h, rem)
     return sorted(factors, key=lambda f: (len(f), [_elt_key(c) for c in f]))

@@ -229,7 +229,10 @@ class ModBivariatePoly:
 
         A zero polynomial comes back as []; callers must handle it.
         """
-        out = _horner_rows(self.terms, x, self.p)
+        rows = _horner_rows(self.terms, x, self.p)
+        out = [0] * (max(rows, default=-1) + 1)
+        for j, c in rows.items():
+            out[j] = c
         while out and out[-1] == 0:
             out.pop()
         return out
@@ -264,42 +267,62 @@ class ModBivariatePoly:
         return f"ModBivariatePoly(p={self.p}, {self.to_int_poly().text()!r})"
 
 
-def _horner_rows(terms: dict[tuple[int, int], int], x, p: int | None = None) -> list:
-    """[c_0(x), ..., c_m(x)] with f(x, V) = sum of c_j(x) * V^j, by Horner in
-    U for each V-power; reduced mod p when p is given.  With :func:`_horner`
-    it is the only code that evaluates f mod p.
-
-    x is an int or an int64 array, and every c_j(x) has the shape of x.
-    Modulo p, x is reduced first, so each step acc * x + c combines values
-    below p and stays below p^2: exact in int64 for p <= isqrt(2^63 - 1).
-    """
-    deg_u = max((i for i, _ in terms), default=-1)
-    deg_v = max((j for _, j in terms), default=-1)
-    if p is not None:
-        x = x % p
-    out = []
-    for j in range(max(deg_v, 0) + 1):
-        acc = x * 0
-        for i in range(deg_u, -1, -1):
-            acc = acc * x + terms.get((i, j), 0)
+def _mul_pow(acc, x, e: int, p: int | None):
+    """acc * x^e by square-and-multiply, reduced mod p after each product
+    when p is given.  For x >= 1 no intermediate exceeds max(acc * x^e, x^e),
+    and modulo p none exceeds (p - 1)^2."""
+    while e:
+        if e & 1:
+            acc = acc * x
             if p is not None:
                 acc = acc % p
-        out.append(acc)
-    return out
+        e >>= 1
+        if e:
+            x = x * x
+            if p is not None:
+                x = x % p
+    return acc
+
+
+def _horner_sparse(pairs, x, p: int | None = None):
+    """sum of c * x^e over (e, c) in pairs, e strictly descending, by Horner
+    over the gaps between exponents (:func:`_mul_pow`); reduced mod p when p
+    is given.  The result has the broadcast shape of x and the c."""
+    acc, prev = x * 0, pairs[0][0] if pairs else 0
+    for e, c in pairs:
+        acc = _mul_pow(acc, x, prev - e, p) + c
+        if p is not None:
+            acc = acc % p
+        prev = e
+    return _mul_pow(acc, x, prev, p)
+
+
+def _horner_rows(terms: dict[tuple[int, int], int], x, p: int | None = None) -> dict:
+    """{j: c_j(x)} over the V-powers j of f, descending, with f(x, V) = sum
+    of c_j(x) * V^j, by :func:`_horner_sparse` in U; reduced mod p when p is
+    given.  With :func:`_horner` it is the only code that evaluates f.
+
+    x is an int or an int64 array, and every c_j(x) has the shape of x.
+    Modulo p, x is reduced first, so every product combines values below p:
+    exact in int64 for p <= isqrt(2^63 - 1).  The work per row grows with
+    the number of terms and the log of the exponent gaps, not the degree.
+    """
+    if p is not None:
+        x = x % p
+    rows: dict = {}
+    for (i, j), c in sorted(terms.items(), key=lambda t: t[0][::-1], reverse=True):
+        rows.setdefault(j, []).append((i, c))
+    return {j: _horner_sparse(row, x, p) for j, row in rows.items()}
 
 
 def _horner(terms: dict[tuple[int, int], int], x, y, p: int | None = None):
-    """f(x, y), reduced mod p when p is given, by Horner in V over
-    :func:`_horner_rows`.  Array arguments broadcast, and the result has
-    their full broadcast shape even when f has no V term."""
+    """f(x, y), reduced mod p when p is given, by :func:`_horner_sparse` in
+    V over :func:`_horner_rows`.  Array arguments broadcast, and the result
+    has their full broadcast shape even when f has no V term."""
     if p is not None:
         y = y % p
-    acc = 0
-    for c in reversed(_horner_rows(terms, x, p)):
-        acc = acc * y + c
-        if p is not None:
-            acc = acc % p
-    return acc
+    rows = _horner_rows(terms, x, p) or {0: x * 0}
+    return _horner_sparse(list(rows.items()), y, p)
 
 
 def reduce_mod(f: IntBivariatePoly, p: int) -> ModBivariatePoly:

@@ -144,3 +144,25 @@ def test_sweep_grid(tmp_path, capsys):
 def test_sweep_requires_plan_or_csv(capsys):
     assert main(["sweep", "--format", "csv"]) == 2
     capsys.readouterr()
+
+
+def test_hostile_inputs_end_without_a_traceback(capsys):
+    # tiny fields, a huge exponent, a non-finite T and a non-prime p: each is
+    # answered or refused with a documented exit code
+    E = "V^2 - U^3 - U - 1"
+    for argv in (
+        ["irred", "-f", "U^5*V^5 + U + V + 1", "-p", "2"],
+        ["badset", "-f", "U^5*V^5 + U + V + 1", "-p", "2"],
+        ["badset", "-f", "V^3 - U^3", "-p", "3"],
+        ["badset", "-f", E, "-p", "2"],
+        ["count", "-f", "U^99999999 + V", "-p", "7", "-a", "0", "-X", "7", "-Y", "7"],
+        ["exp-p", "-f", E, "-T", "nan", "-X", "5", "-Y", "5"],
+        ["irred", "-f", E, "-p", "9"],
+    ):
+        assert main(argv) in (0, 2, 3, 4, 5), argv
+        assert "Traceback" not in capsys.readouterr().err, argv
+    assert main(["irred", "-f", "U^5*V^5 + U + V + 1", "-p", "2"]) == 0
+    assert "absolutely_irreducible=true" in capsys.readouterr().out
+    assert main(["count", "-f", "U^99999999 + V", "-p", "7", "-a", "0",
+                 "-X", "7", "-Y", "7"]) == 0
+    assert "count = 7" in capsys.readouterr().out

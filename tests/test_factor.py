@@ -4,9 +4,8 @@ import pytest
 
 from visiblepoints import factor
 from visiblepoints.arith import factorize
-from visiblepoints.errors import ConstantPolynomial, FieldTooSmall
+from visiblepoints.errors import ConstantPolynomial
 from visiblepoints.factor import (
-    _embed_terms,
     _gao_certificate,
     _reducible_over,
     bad_level_values,
@@ -95,7 +94,8 @@ def test_bad_level_values_cubic_excludes_zero():
 
 def test_random_products_detected_reducible():
     rng = random.Random(97)
-    fields = [PrimeField(5), PrimeField(7), PrimeField(13), PrimeField(101),
+    fields = [PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(13),
+              PrimeField(101), ExtensionField(2, 2), ExtensionField(2, 3), ExtensionField(3, 2),
               ExtensionField(5, 2), ExtensionField(7, 2)]
 
     def rand_nonconst(max_deg, p):
@@ -168,9 +168,7 @@ def test_gao_certificate_is_confirmed_by_the_exact_engine():
     accepted = 0
     for _ in range(1500):
         p = rng.choice((2, 3, 5, 7, 11, 13))
-        # degree 4 over F_2 or F_3 sends the engine to its exhaustive
-        # fallback, seconds per polynomial
-        d = rng.randint(2, 4 if p >= 5 else 3)
+        d = rng.randint(2, 4)
         monomials = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
         support = rng.sample(monomials, rng.randint(2, 5))
         fm = ModBivariatePoly(p, {m: rng.randrange(1, p) for m in support})
@@ -179,10 +177,7 @@ def test_gao_certificate_is_confirmed_by_the_exact_engine():
         accepted += 1
         fields = [PrimeField(p)] + [ExtensionField(p, ell) for ell, _ in factorize(fm.degree)]
         for K in fields:
-            try:
-                red, _, _ = _reducible_over(K, _embed_terms(fm, K))
-            except FieldTooSmall:
-                continue
+            red, _, _ = _reducible_over(K, fm.terms)
             assert not red, (fm, K)
     assert accepted >= 300
 
@@ -224,3 +219,34 @@ def test_certified_verdict_equals_the_exact_verdict(monkeypatch):
     exact = [is_absolutely_irreducible(fm) for fm in polys]
     assert certified == exact
     assert all(v.witness is None for v in exact)
+
+
+# Inputs with no squarefree fiber over F_p, so the engine decides them over an
+# extension F_{p^k} with k coprime to the degree.  The verdicts were recorded
+# with the exhaustive factor search that route replaced; the witness factors
+# it found are no longer reported, since a factor over F_{p^k} need not lie
+# in F_p[U, V].  The last two are norms from F_{p^2}, irreducible over F_p:
+# the least k by field size alone would be 4, over which they split.
+EXTENSION_ROUTE_VERDICTS = [
+    (3, "2*U^3*V^2 + U^2*V^3 + 2*V^5 + 2*U^4 + V^4 + U^2", True, True, None),
+    (5, "4*U*V^3 + 3*U^2*V + 3*U*V^2 + V^3 + 4*U*V + 3*V^2 + V", False, False, None),
+    (2, "U^4 + U^2*V^2 + V^4 + U^3 + V^3 + U + V + 1", False, False, None),
+    (3, "2*U^3*V + 2*U^2*V^2 + 2*U^3 + U^2*V + 2*V^3 + U^2 + 2*V^2 + 2*V", False, False, None),
+    (5, "2*U^4 + 2*U^2*V^2 + U*V^3 + 3*U^3 + 4*U*V^2 + V^3 + 3*U^2 + 3*V^2", False, False, None),
+    (2, "U^4 + U^3 + U^2*V + U^2 + U*V + V^2", True, False, 2),
+    (3, "U^4 + V^4 + 2*U^2*V + V^3 + 2*V^2", True, False, 2),
+]
+
+
+def test_extension_route_matches_the_recorded_verdicts():
+    for p, text, base, absolute, witness in EXTENSION_ROUTE_VERDICTS:
+        v = is_absolutely_irreducible(_mod(text, p))
+        assert (v.irreducible_over_base, v.absolutely_irreducible, v.witness) == (
+            base, absolute, witness), (p, text)
+    # the exhaustive search gave up on these.  U^4 - V^2*(V^2 + 1) over F_5
+    # is absolutely irreducible by Capelli, as V^2*(V^2 + 1) is no square.
+    # The Newton polygon of U^5*V^5 + U + V + 1 has the primitive edges
+    # (1, 0), (4, 5), (-5, -4), (0, -1), no proper subset of which sums to
+    # zero, so it is integrally indecomposable (Gao, J. Algebra 237, 2001)
+    assert is_absolutely_irreducible(_mod("U^4 + 4*V^4 + 4*V^2", 5)).absolutely_irreducible
+    assert is_absolutely_irreducible(_mod("U^5*V^5 + U + V + 1", 2)).absolutely_irreducible

@@ -71,6 +71,28 @@ def test_univariate_roots_match_enumeration_large_prime():
         assert found == expected
 
 
+SMALL_FIELDS = [PrimeField(2), PrimeField(3), ExtensionField(2, 2), PrimeField(5), PrimeField(7),
+                ExtensionField(2, 3), ExtensionField(3, 2), PrimeField(11), PrimeField(13),
+                ExtensionField(2, 4)]
+
+
+def test_univariate_roots_match_enumeration_small_fields():
+    # odd sizes split with (x + c)^((q-1)/2) - 1, sizes 2^k with Tr(c*x);
+    # products of linear factors give many roots, random polynomials few
+    rng = random.Random(2)
+    for K in SMALL_FIELDS:
+        elements = [K.element_at(i) for i in range(K.size)]
+        for _ in range(30):
+            if rng.random() < 0.5:
+                g = [K.element_at(rng.randrange(1, K.size))]
+                for _ in range(rng.randint(1, 6)):
+                    g = u_mul(K, g, [K.neg(rng.choice(elements)), K.one])
+            else:
+                g = [rng.choice(elements) for _ in range(rng.randint(2, 7))] + [K.one]
+            expected = {x for x in elements if u_eval(K, g, x) == K.zero}
+            assert univariate_roots(g, K) == expected, (K, g)
+
+
 def test_extension_field_basics():
     F49 = ExtensionField(7, 2)
     assert F49.size == 49 and F49.modulus == (1, 0, 1)
@@ -139,10 +161,10 @@ def _irreducible_pool(K, max_deg):
 
 def test_factor_squarefree_reconstructs_product():
     rng = random.Random(17)
-    for K in (PrimeField(101), PrimeField(13), ExtensionField(7, 2), PrimeField(2)):
-        pool = _irreducible_pool(K, 2)
+    for K in [PrimeField(101), ExtensionField(7, 2)] + SMALL_FIELDS:
+        pool = _irreducible_pool(K, 3 if K.size <= 8 else 2)
         for _ in range(15):
-            parts = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+            parts = rng.sample(pool, rng.randint(1, min(4, len(pool))))
             g = [K.one]
             for part in parts:
                 g = u_mul(K, g, part)

@@ -155,3 +155,29 @@ def test_subtract_const_and_scale_args():
     scaled = fm.scale_args(2)
     assert scaled.terms == {(1, 1): 4}
     assert scaled.evaluate(1, 1) == fm.evaluate(2, 2)
+
+
+def test_sparse_exponents_match_the_oracle():
+    # Horner steps over exponent gaps by square-and-multiply, so huge
+    # exponents cost their bit length, not one step per power
+    rng = random.Random(8)
+    for p in (2, 7, 101, 3037000493):
+        for _ in range(8):
+            terms = {(rng.choice((0, 1, 5, 10**6, 10**8 + 7)), rng.choice((0, 2, 10**5))):
+                     rng.randint(-p, p) for _ in range(rng.randint(1, 4))}
+            f = IntBivariatePoly(terms)
+            try:
+                fm = reduce_mod(f, p)
+            except DegenerateReduction:
+                continue
+            coords = [rng.randrange(2 * p) for _ in range(4)]
+            grid = fm.evaluate(np.array(coords, dtype=np.int64)[:, None],
+                               np.array(coords, dtype=np.int64)[None, :])
+            for a, x in enumerate(coords):
+                row = [(j, c) for j, c in enumerate(fm.specialize_u(x)) if c]
+                for b, y in enumerate(coords):
+                    want = eval_mod(f.terms, x, y, p)
+                    assert grid[a, b] == fm.evaluate(x, y) == want, (f, p, x, y)
+                    assert sum(c * pow(y, j, p) for j, c in row) % p == want
+    f = parse_poly("U^100000 + 3*U^99998*V^2 - V")
+    assert f.evaluate(2, 3) == 2**100000 + 27 * 2**99998 - 3
