@@ -177,10 +177,18 @@ def _count_rows(spec: LevelCurveSpec, nx: int, ny: int) -> int:
 
     Lift convention: residue r in [1, p-1] is the lattice row value r, and
     residue 0 corresponds to y = p, in range only when ny = p.
+
+    Each V-exponent e >= 1 is first folded to 1 + (e - 1) mod (p - 1),
+    which changes no value on F_p (y^p = y, and 0^e = 0 for e >= 1), so a
+    row has degree below p however large the exponents are.
     """
     p = spec.p
     K = PrimeField(p)
-    level = spec.fmod.subtract_const(spec.a)
+    folded: dict = {}
+    for (i, j), c in spec.fmod.subtract_const(spec.a).terms.items():
+        key = (i, 1 + (j - 1) % (p - 1) if j else 0)
+        folded[key] = folded.get(key, 0) + c
+    level = ModBivariatePoly(p, folded)
     total = 0
     for x in range(1, nx + 1):
         g = level.specialize_u(x)

@@ -17,7 +17,8 @@ nonconstant polynomials over a given finite field K.  Strategy, in order:
    V-leading coefficient and rescaling V, an irreducibility-preserving
    change over the rational function field K(U));
 4. a nontrivial gcd with the V-derivative (computed by a fraction-free
-   pseudo-remainder sequence) exhibits a repeated factor;
+   pseudo-remainder sequence) exhibits a repeated factor, and a zero
+   V^0-coefficient the factor V;
 5. otherwise the squarefree monic polynomial is specialized at a point
    u0 with squarefree image, its univariate image is factored by
    Cantor-Zassenhaus (``fields.factor_squarefree``), the factors are
@@ -40,6 +41,25 @@ F_{p^l} for every prime l dividing the total degree n: a base-irreducible
 polynomial that splits over the algebraic closure does so into e > 1
 conjugate factors of equal degree with e | n, and grouping conjugates
 yields a factorization over F_{p^l} for any prime l | e.
+
+The bad levels of f, the a for which f - a is not absolutely irreducible,
+get that verdict only at candidate levels (``bad_level_values``).  The
+support of f - a is the same at every level but a = f(0, 0), so when Gao's
+certificate accepts it, f(0, 0) is the one candidate.  Otherwise: when
+f - a splits over the algebraic closure, its projective closure (degree
+d >= 2) is singular, as two components meet by Bezout and a repeated one
+is singular along itself, in every characteristic.  The points at infinity
+depend only on the top two homogeneous parts f_d and f_(d-1), and one gcd
+tests them for every a.  With none singular, a bad a is a critical value:
+f - a, f_U and f_V vanish together, so a is a root in F_p of
+D(l) = Res_U(Res_V(f - l, f_V), Res_V(f_U, f_V)).  The resultants are
+Sylvester determinants with formal V-degrees, interpolated from U-degree
+bounds d(d - 1) and (d - 1)^2 and the l-degree bound (m - 1)k, k the degree
+of Res_V(f_U, f_V) and m = deg_V f.  All p levels get the verdict when
+d < 2, p <= d(d - 1) + 1, a point at infinity is singular, F_p has fewer
+than (m - 1)k + 1 elements, or either resultant vanishes identically.  For
+fixed degree the bad set has a size bounded independently of p (Y. Stein,
+Israel J. Math. 68, 1989).
 """
 
 from __future__ import annotations
@@ -68,6 +88,7 @@ from .fields import (
     u_shift,
     u_sub,
     u_trim,
+    univariate_roots,
 )
 from .poly import IntBivariatePoly, ModBivariatePoly, reduce_mod
 
@@ -383,6 +404,10 @@ def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
     g = _gcd_v_primitive(K, F, d_f)
     if _b_degv(g) >= 1:
         return True, _unmonicize(K, g, lam), swapped
+    if not bp[0]:
+        # V divides f and m >= 2: the factor, scaled as the subset search
+        # below finds it first, is reported also when K has no fiber for it
+        return True, _unmonicize(K, [[], [K.one]], lam), swapped
 
     # find u0 with a squarefree specialization; at most (2m-1)*deg_U(F)
     # points can fail, so scanning one more settles it for large fields
@@ -536,16 +561,174 @@ def is_absolutely_irreducible(fmod: ModBivariatePoly) -> IrreducibilityVerdict:
     return IrreducibilityVerdict(True, True)
 
 
+# ---------------------------------------------------------------------------
+# bad levels
+
+
+def _det_mod(rows: list, p: int) -> int:
+    """Determinant modulo p of a square matrix of ints, by elimination."""
+    a = [list(r) for r in rows]
+    det = 1
+    for c in range(len(a)):
+        piv = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        inv = pow(a[c][c], p - 2, p)
+        for r in range(c + 1, len(a)):
+            t = a[r][c] * inv % p
+            if t:
+                a[r][c:] = [(x - t * y) % p for x, y in zip(a[r][c:], a[c][c:])]
+    return det % p
+
+
+def _sylvester_res(a: list, da: int, b: list, db: int, p: int) -> int:
+    """Res(a, b) modulo p with the formal degrees da and db: the Sylvester
+    determinant with a's and b's coefficients padded to those degrees.
+
+    It vanishes whenever a and b share a root in the algebraic closure, even
+    when both leading coefficients are zero, and it is a polynomial in the
+    coefficients, so it commutes with specializing them.
+    """
+    n = da + db
+    ra = [a[i] % p if i < len(a) else 0 for i in range(da, -1, -1)]
+    rb = [b[i] % p if i < len(b) else 0 for i in range(db, -1, -1)]
+    rows = [[0] * k + ra + [0] * (n - k - da - 1) for k in range(db)]
+    rows += [[0] * k + rb + [0] * (n - k - db - 1) for k in range(da)]
+    return _det_mod(rows, p)
+
+
+def _interpolate(K, values: list) -> list:
+    """The polynomial of degree below len(values) taking values[x] at
+    x = 0, 1, ..., by Lagrange over K (len(values) <= |K|)."""
+    master = [K.one]
+    for x in range(len(values)):
+        master = u_mul(K, master, [K.neg(K.from_int(x)), K.one])
+    out: list = []
+    for x, y in enumerate(values):
+        if y:
+            basis = u_divmod(K, master, [K.neg(K.from_int(x)), K.one])[0]
+            out = u_add(K, out, u_scale(K, basis, K.mul(y, K.inv(u_eval(K, basis, x)))))
+    return out
+
+
+def _singular_at_infinity(fm: ModBivariatePoly) -> bool:
+    """True when the projective closure of f - a has a singular point on
+    the line at infinity, for any (every) level a; needs deg f >= 2.
+
+    With f_d and f_(d-1) the top two homogeneous parts, (u : v : 0) is
+    singular when f_d, its two partials and f_(d-1) vanish there.  The
+    chart v = 1 is one gcd of those four polynomials in u; the point
+    (1 : 0 : 0) is read off the coefficients of U^d, U^(d-1)*V and U^(d-1).
+    """
+    K, d = PrimeField(fm.p), fm.degree
+
+    def chart(weight: int, part: int) -> list:
+        out = [K.zero] * (d + 1)
+        for (i, j), c in fm.terms.items():
+            if i + j == part:
+                out[i] = K.from_int(c * (j if weight else 1))
+        return u_trim(K, out)
+
+    top = chart(0, d)
+    g = top
+    for q in (u_deriv(K, top), chart(1, d), chart(0, d - 1)):
+        g = u_gcd(K, g, q)
+    if u_deg(g) >= 1:
+        return True
+    return not any(fm.terms.get(ij) for ij in ((d, 0), (d - 1, 1), (d - 1, 0)))
+
+
+def _critical_levels(fm: ModBivariatePoly) -> list[int] | None:
+    """The candidate levels of :func:`bad_level_values`, or None when every
+    level must be tried: f(0, 0) alone when Gao's certificate accepts the
+    support of f plus a constant term, else the roots in F_p of
+    D(l) = Res_U(G, h).
+
+    h(U) = Res_V(f_U, f_V) and G(U, l) = Res_V(f - l, f_V) are taken with
+    the formal V-degrees m and m - 1 (m = deg_V f), so each is a polynomial
+    in the coefficients and is interpolated from its values at u = 0, 1, ...:
+    h from (d - 1)^2 + 1 points, trimmed to its degree k, and G(U, l) from
+    d(d - 1) + 1 points, its U-degree bound, which is also its formal degree
+    in D.  D has l-degree at most (m - 1)k and comes from as many points
+    l, plus one.
+    """
+    p, d, m = fm.p, fm.degree, fm.deg_v
+    if _gao_certificate(set(fm.terms) | {(0, 0)}):
+        # the support of f - a, and so the certificate, is the same at every
+        # level but a = f(0, 0)
+        return [fm.terms.get((0, 0), 0)]
+    # p > d(d - 1) + 1 leaves room for the points and rules out f_V = 0 with
+    # m >= 1, which needs a V-exponent >= p; m = 0 puts a singular point at
+    # (0 : 1 : 0)
+    if d < 2 or p <= d * (d - 1) + 1 or _singular_at_infinity(fm):
+        return None
+    K = PrimeField(p)
+    bp = _from_terms(K, fm.terms)
+    fu, fv = _b_trim([u_deriv(K, e) for e in bp]), _b_deriv_v(K, bp)
+    h = _interpolate(K, [
+        _sylvester_res(_b_eval_u(K, fu, u), m, _b_eval_u(K, fv, u), m - 1, p)
+        for u in range((d - 1) ** 2 + 1)
+    ])
+    k = u_deg(h)
+    if k < 0 or (m - 1) * k + 1 > p:
+        return None
+    big = d * (d - 1)
+    fibers = [(_b_eval_u(K, bp, u), _b_eval_u(K, fv, u)) for u in range(big + 1)]
+    dvals = []
+    for lam in range((m - 1) * k + 1):
+        g = _interpolate(K, [
+            _sylvester_res(u_sub(K, fx, [lam]), m, fy, m - 1, p) for fx, fy in fibers
+        ])
+        dvals.append(_sylvester_res(g, big, h, k, p))
+    D = _interpolate(K, dvals)
+    if not D:
+        return None
+    return sorted(univariate_roots(D, K))
+
+
 def bad_level_values(f: IntBivariatePoly, p: int) -> set[int]:
     """The residues a for which f - a is not absolutely irreducible mod p.
 
-    Computed by running the verdict for every level; the size of this set
-    stays bounded independently of p for fixed degree.
+    Every candidate level gets the exact verdict of
+    :func:`is_absolutely_irreducible`; the candidates come from the
+    critical values of f (:func:`_critical_levels`) where that argument
+    applies, and are all p levels otherwise.  First, as Gao's certificate
+    depends only on the support, which is the same at every level but
+    a = f(0, 0), its acceptance of that support leaves f(0, 0) the one
+    candidate at any degree.
+
+    Why the critical values suffice: let C_a be the projective closure of
+    f - a, of degree d >= 2.  If f - a is not absolutely irreducible, C_a
+    is reducible over the algebraic closure and so singular: two components
+    meet (Bezout), and a repeated component is singular along itself; this
+    holds in every characteristic.  The points of C_a at infinity and
+    their singularity depend only on f_d and f_(d-1), so one test decides
+    them for every a (:func:`_singular_at_infinity`).  When none is
+    singular, a bad a has an affine singular point (u0, v0), a common zero
+    of f - a, f_U and f_V.  Then h(u0) = 0 for h(U) = Res_V(f_U, f_V), of
+    U-degree k <= (d - 1)^2, and G(u0, a) = 0 for G(U, l) = Res_V(f - l,
+    f_V), of U-degree <= d(d - 1), so a is a root of D(l) = Res_U(G, h), of
+    l-degree <= (m - 1)k with m = deg_V f.  A superset is enough, as each
+    candidate still gets the exact verdict.
+
+    All p levels are tried where the argument or its arithmetic does not
+    apply: d < 2; p <= d(d - 1) + 1, which bounds the loop by
+    d(d - 1) + 1 verdicts and covers f_V = 0 mod p (that needs a
+    V-exponent >= p); a singular point at infinity, which m = 0 puts at
+    (0 : 1 : 0); p < (m - 1)k + 1, too few points to interpolate D; and
+    h = 0 or D = 0, as for compositions P(g), where every level is bad.
+    The bad set has a size bounded independently of p for fixed degree
+    (Y. Stein, Israel J. Math. 68, 1989).
     """
     fm = reduce_mod(f, p)
-    bad = set()
-    for a in range(p):
-        verdict = is_absolutely_irreducible(fm.subtract_const(a))
-        if not verdict.absolutely_irreducible:
-            bad.add(a)
-    return bad
+    levels = _critical_levels(fm)
+    if levels is None:
+        levels = range(p)
+    return {
+        a for a in levels
+        if not is_absolutely_irreducible(fm.subtract_const(a)).absolutely_irreducible
+    }

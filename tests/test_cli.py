@@ -39,6 +39,18 @@ def test_badset_output(capsys):
     assert doc["bad_levels"] == [0] and doc["size"] == 1
 
 
+def test_irred_reports_the_v_factor_over_a_tiny_field(capsys):
+    assert main(["irred", "-f", "U^2*V + V^3 + U*V + V^2", "-p", "2"]) == 0
+    assert capsys.readouterr().out.strip().endswith("witness factor: V")
+
+
+def test_badset_at_a_large_prime_runs_only_the_candidates(capsys):
+    # one verdict per level would take hours here; the critical values of
+    # V^3 - U^3 leave the one candidate 0
+    assert main(["badset", "-f", "V^3 - U^3", "-p", "1000003"]) == 0
+    assert capsys.readouterr().out.strip().endswith("[0]")
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["visible", "-f", "U*V", "-p", "6", "-a", "1", "-X", "5", "-Y", "5"]) == 2
     assert main(["visible", "-f", "3U", "-p", "5", "-a", "1", "-X", "5", "-Y", "5"]) == 2

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,22 @@ def test_strategies_agree_randomized():
         assert grid == rows
     with pytest.raises(ValueError):
         count_level_points(LevelCurveSpec(UV, 5, 1), CountBox(5, 5), "bogus")
+
+
+def test_rows_fold_huge_v_exponents():
+    # y^p = y on F_p, so the row search folds each V-exponent below p rather
+    # than build a row as long as the exponent; V^7 - V folds to the zero row
+    cases = [(text, p, a) for text in ("V^100000 + U", "V^99999999 + U",
+                                       "3*V^99999999 + V^6 + U^2*V^13")
+             for p, a in ((2, 1), (7, 0), (7, 3), (11, 5))]
+    for text, p, a in cases + [("V^7 - V", 7, 0), ("V^7 - V + U", 7, 2)]:
+        f = parse_poly(text)
+        spec, box = LevelCurveSpec(f, p, a), CountBox(p, p)
+        t0 = time.perf_counter()
+        rows = count_level_points(spec, box, "rows")
+        assert time.perf_counter() - t0 < 5, (text, p)
+        assert rows == count_level_points(spec, box, "grid"), (text, p, a)
+        assert rows == count_level_brute(f.terms, p, a, p, p), (text, p, a)
 
 
 def test_counts_match_brute_force_randomized():

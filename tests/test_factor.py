@@ -225,11 +225,13 @@ def test_certified_verdict_equals_the_exact_verdict(monkeypatch):
 # extension F_{p^k} with k coprime to the degree.  The verdicts were recorded
 # with the exhaustive factor search that route replaced; the witness factors
 # it found are no longer reported, since a factor over F_{p^k} need not lie
-# in F_p[U, V].  The last two are norms from F_{p^2}, irreducible over F_p:
+# in F_p[U, V], except a multiple of V, which is caught before the fiber
+# search (4*V for the second, as recorded).  The last two are norms from
+# F_{p^2}, irreducible over F_p:
 # the least k by field size alone would be 4, over which they split.
 EXTENSION_ROUTE_VERDICTS = [
     (3, "2*U^3*V^2 + U^2*V^3 + 2*V^5 + 2*U^4 + V^4 + U^2", True, True, None),
-    (5, "4*U*V^3 + 3*U^2*V + 3*U*V^2 + V^3 + 4*U*V + 3*V^2 + V", False, False, None),
+    (5, "4*U*V^3 + 3*U^2*V + 3*U*V^2 + V^3 + 4*U*V + 3*V^2 + V", False, False, "4*V"),
     (2, "U^4 + U^2*V^2 + V^4 + U^3 + V^3 + U + V + 1", False, False, None),
     (3, "2*U^3*V + 2*U^2*V^2 + 2*U^3 + U^2*V + 2*V^3 + U^2 + 2*V^2 + 2*V", False, False, None),
     (5, "2*U^4 + 2*U^2*V^2 + U*V^3 + 3*U^3 + 4*U*V^2 + V^3 + 3*U^2 + 3*V^2", False, False, None),
@@ -250,3 +252,99 @@ def test_extension_route_matches_the_recorded_verdicts():
     # zero, so it is integrally indecomposable (Gao, J. Algebra 237, 2001)
     assert is_absolutely_irreducible(_mod("U^4 + 4*V^4 + 4*V^2", 5)).absolutely_irreducible
     assert is_absolutely_irreducible(_mod("U^5*V^5 + U + V + 1", 2)).absolutely_irreducible
+
+
+def test_v_factor_is_reported_without_a_squarefree_fiber():
+    # F_2 holds no squarefree fiber, so the verdict moves to an extension;
+    # the factor V is still found and reported
+    v = is_absolutely_irreducible(_mod("U^2*V + V^3 + U*V + V^2", 2))
+    assert (v.irreducible_over_base, v.absolutely_irreducible, v.witness) == (False, False, "V")
+
+
+def _loop_bad_levels(fm):
+    return {a for a in range(fm.p)
+            if not is_absolutely_irreducible(fm.subtract_const(a)).absolutely_irreducible}
+
+
+def _random_level_fixture(rng):
+    def dense(deg):
+        return {(i, j): rng.randint(-5, 5) for i in range(deg + 1) for j in range(deg + 1 - i)}
+
+    if rng.random() < 0.5:
+        return IntBivariatePoly(dense(rng.randint(2, 4)))
+    g, h = dense(rng.randint(1, 2)), dense(rng.randint(1, 2))
+    prod = {(0, 0): rng.randint(-5, 5)}
+    for (i1, j1), c1 in g.items():
+        for (i2, j2), c2 in h.items():
+            prod[(i1 + i2, j1 + j2)] = prod.get((i1 + i2, j1 + j2), 0) + c1 * c2
+    return IntBivariatePoly(prod)
+
+
+def test_bad_levels_equal_the_loop_on_random_inputs():
+    # the fallback threshold d(d - 1) + 1 is 3, 7 and 13 for d = 2, 3, 4
+    rng = random.Random(1989)
+    filtered = 0
+    for _ in range(24):
+        p = rng.choice((5, 7, 11, 13, 29))
+        f = _random_level_fixture(rng)
+        fm = reduce_mod(f, p)
+        cands = factor._critical_levels(fm)
+        loop = _loop_bad_levels(fm)
+        if cands is not None:
+            filtered += 1
+            assert loop <= set(cands), (f, p)
+        assert bad_level_values(f, p) == loop, (f, p)
+    assert filtered >= 8
+
+
+# one input for each reason the critical-value filter does not apply
+FALLBACK_FIXTURES = [
+    ("2*U^2*V^2 - 3*U*V - 2*V^2", 17),      # singular at (1 : 0 : 0) and (0 : 1 : 0)
+    ("U^3 + U", 17),                        # no V: singular at (0 : 1 : 0)
+    ("V^3 - U^3 + U", 3),                   # f_V = 0 mod p, below the threshold as p | d
+    ("U^2 + 2*U*V^2 + V^4 + U + V^2", 17),  # (U + V^2)^2 + U + V^2: h = 0
+    ("U*V", 17),                            # D = 0: the leading V-coefficient U divides h
+    ("V^3 - U^3", 7),                       # p <= d(d - 1) + 1
+]
+
+
+def test_bad_levels_fall_back_to_the_loop(monkeypatch):
+    for text, p in FALLBACK_FIXTURES:
+        f = parse_poly(text)
+        fm = reduce_mod(f, p)
+        assert factor._critical_levels(fm) is None, text
+        assert bad_level_values(f, p) == _loop_bad_levels(fm), text
+    assert bad_level_values(parse_poly("U^2 + 2*U*V^2 + V^4 + U + V^2"), 17) == set(range(17))
+    assert factor._singular_at_infinity(_mod("U^3 + U", 17))
+    # the test at infinity is needed: level 1 of this quartic is reducible
+    # with no affine singular point, so the resultants alone miss it
+    fm = _mod("2*U^2*V^2 - 3*U*V - 2*V^2", 17)
+    assert factor._singular_at_infinity(fm)
+    assert bad_level_values(parse_poly("2*U^2*V^2 - 3*U*V - 2*V^2"), 17) == {0, 1}
+    monkeypatch.setattr(factor, "_singular_at_infinity", lambda fm: False)
+    assert 1 not in factor._critical_levels(fm)
+
+
+def test_bad_levels_recorded_sets():
+    for text, p, cands, bad in (
+        ("V^3 - U^3", 97, [0], {0}),
+        ("V^3 - U^3", 307, [0], {0}),
+        ("V^4 - U^4 + U*V", 101, [0, 24, 77], {24, 77}),
+        ("V^2 - U^3 - U - 1", 307, [306], set()),  # certified but at a = f(0, 0)
+        ("V^100 + U^3 + U*V", 1000003, [0], set()),
+    ):
+        assert factor._critical_levels(_mod(text, p)) == cands, (text, p)
+        assert bad_level_values(parse_poly(text), p) == bad, (text, p)
+
+
+def test_bad_levels_run_the_verdict_only_at_candidates(monkeypatch):
+    calls = []
+    verdict = factor.is_absolutely_irreducible
+
+    def counted(fm):
+        calls.append(fm)
+        return verdict(fm)
+
+    monkeypatch.setattr(factor, "is_absolutely_irreducible", counted)
+    assert bad_level_values(parse_poly("V^3 - U^3"), 97) == {0}
+    assert len(calls) <= 2
