@@ -162,13 +162,23 @@ def _records_table(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_records(records, fmt: str, path: str | None) -> None:
-    if fmt == "csv":
-        _emit(output.records_to_csv(records), path)
-    elif fmt == "json":
-        _emit(output.records_to_json(records), path)
-    else:
-        _emit(_records_table(records), path)
+def _zero_sets_table(reports) -> str:
+    return "\n".join(
+        f"{len(r.points)} integer zeros: " + " ".join(f"({u},{v})" for u, v in r.points)
+        for r in reports
+    )
+
+
+def _emit_items(kind: str, items, fmt: str, path: str | None) -> None:
+    """Write discrepancy records or zero sets (``kind`` as
+    ``output.read_csv`` names them) in the format fmt."""
+    writers = {
+        "records": {"csv": output.records_to_csv, "json": output.records_to_json,
+                    "table": _records_table},
+        "zero_sets": {"csv": output.zero_reports_to_csv, "json": output.zero_reports_to_json,
+                      "table": _zero_sets_table},
+    }
+    _emit(writers[kind][fmt](items), path)
 
 
 def _cmd_count(args) -> int:
@@ -241,13 +251,7 @@ def _cmd_badset(args) -> int:
 def _cmd_zeros(args) -> int:
     f = parse_poly(args.poly)
     report = experiments.integer_zero_set(f, CountBox(args.X, args.Y))
-    if args.format == "csv":
-        _emit(output.zero_reports_to_csv([report]), args.out)
-    elif args.format == "json":
-        _emit(output.zero_reports_to_json([report]), args.out)
-    else:
-        pts = " ".join(f"({u},{v})" for u, v in report.points)
-        _emit(f"{len(report.points)} integer zeros: {pts}", args.out)
+    _emit_items("zero_sets", [report], args.format, args.out)
     return 0
 
 
@@ -259,7 +263,7 @@ def _cmd_exp_a(args) -> int:
     record = experiments.level_sweep(f, args.p, box, workers=args.workers)
     profiles = experiments.sweep_profiles(record, deltas)
     if args.format == "csv":
-        _emit_records([record], "csv", args.out)
+        _emit_items("records", [record], "csv", args.out)
     elif args.format == "json":
         doc = json.loads(output.records_to_json([record]))
         doc["concentration"] = [
@@ -277,7 +281,7 @@ def _cmd_exp_a(args) -> int:
 def _cmd_exp_p(args) -> int:
     f = parse_poly(args.poly)
     record = experiments.prime_sweep(f, args.T, CountBox(args.X, args.Y), workers=args.workers)
-    _emit_records([record], args.format, args.out)
+    _emit_items("records", [record], args.format, args.out)
     return 0
 
 
@@ -285,13 +289,7 @@ def _cmd_sweep(args) -> int:
     if args.from_csv:
         with open(args.from_csv) as fh:
             kind, items = output.read_csv(fh.read())
-        if kind == "records":
-            _emit_records(items, args.format, args.out)
-        else:
-            if args.format == "json":
-                _emit(output.zero_reports_to_json(items), args.out)
-            else:
-                _emit(output.zero_reports_to_csv(items), args.out)
+        _emit_items(kind, items, args.format, args.out)
         return 0
     if not (args.poly and args.mode and args.grid):
         raise UsageError("sweep needs either --from-csv or -f/--mode/--grid")
@@ -317,7 +315,7 @@ def _cmd_sweep(args) -> int:
     failures = [r for r in results if isinstance(r, experiments.SweepFailure)]
     for fail in failures:
         sys.stderr.write(f"sweep point {fail.point} failed: {fail.message}\n")
-    _emit_records(records, args.format, args.out)
+    _emit_items("records", records, args.format, args.out)
     return 0
 
 

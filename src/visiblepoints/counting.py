@@ -6,40 +6,45 @@ the level-curve points, and Moebius inclusion-exclusion over the counts
 M(d) of points whose coordinate gcd is divisible by d.  They must agree
 exactly on every input; the test suite enforces this.
 
-Every grid count is one ``_sweep``: it hands each row block of BLOCK_POINTS
-= 2^18 points (max(1, 2^18 // ny) rows) to a block evaluator and a reducer,
-and sums the integer block results, so it holds max(2^18, ny) points per
-worker and its result does not depend on the worker count.  Evaluation is
-the one Horner kernel of poly (Horner in U for each row's coefficients
-c_j(x), then Horner in V), with or without the reduction mod p:
+Every walk over the box is one ``_sweep``.  It cuts the box into tiles of
+at most BLOCK_POINTS = 2^18 points (max(1, 2^18 // ny) rows, or a segment
+of one row when ny > 2^18), made lazily in row-major order, and yields each
+tile's reduced result in order through ``parallel_map``; callers sum them
+(counts, histograms) or concatenate them (zero sets) as they arrive.  So
+memory stays bounded however large the box is, and integer sums and
+in-order concatenation do not depend on the worker count.
 
-* The grid routes pass ``ModBivariatePoly.evaluate``.  In numpy int64 every
-  step acc * x + c has all three values below p, so its largest value is
-  p(p - 1) < 2^63 for p <= MAX_GRID_PRIME = isqrt(2^63 - 1); above that
-  prime they raise GridOverflow (the row strategy, which uses the same
-  kernel on Python ints, has no such limit).
-* ``count_visible_by_prime`` passes ``IntBivariatePoly.evaluate``: f over Z,
-  once per block for every prime at once.  Each partial Horner value is
-  bounded by B = sum |c_ij| * X^i * Y^j, so it runs only when B < 2^63
-  (checked in Python ints) and raises GridOverflow otherwise.
+Evaluation is the one Horner kernel of poly, with or without the reduction
+mod p, in an element type the caller picks from a bound it knows: int64
+when every value fits, else Python ints (numpy object arrays).  Modulo p
+each Horner step stays below p(p - 1), which fits for p <= MAX_GRID_PRIME
+= isqrt(2^63 - 1); over Z each partial value is at most B = sum |c_ij| *
+X^i * Y^j, which fits when ``_fits_int64``.  So grid, direct, Moebius and
+M(d) counts are exact at every prime.  Three routes keep their own choice:
+``visible_histogram`` refuses p > MAX_GRID_PRIME (GridOverflow), as it
+needs p bins per tile; "auto" in ``count_level_points`` takes rows there,
+O(X) root searches instead of O(XY) evaluations; ``count_visible_by_prime``
+refuses B >= 2^63, where ``prime_sweep`` counts modulo each prime, faster
+than one sweep over Z in Python ints.
 
-The visible (gcd = 1) mask of a block is sieved: start from all True and,
-for each prime q up to min(ny, largest x), clear the rows x = 0 (mod q) at
-the columns y = q, 2q, ...  A single-level count takes gcds only of the
-points on the level.  The gcd filter uses the raw integer coordinates,
+The visible (gcd = 1) mask of a tile is sieved: start from all True and,
+for each prime q up to min(largest x, largest y), clear the points whose
+x and y are both divisible by q.  A single-level count takes gcds only of
+the points on the level.  The gcd filter uses the raw integer coordinates,
 never the residues.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import _prime_flags, is_prime, mobius_sieve
-from .errors import GridOverflow
+from .errors import GridOverflow, NonFiniteParameter
 from .fields import PrimeField, univariate_roots
 from .poly import IntBivariatePoly, ModBivariatePoly, reduce_mod
 
@@ -49,7 +54,7 @@ COPRIME_DENSITY = 6.0 / (math.pi * math.pi)
 
 _ROW_STRATEGY_MAX_DEGV = 4
 
-#: points evaluated per block of a grid sweep
+#: most points in one tile of a sweep
 BLOCK_POINTS = 1 << 18
 
 #: largest p for which a product of two residues fits in int64
@@ -65,6 +70,9 @@ class CountBox:
     Y: float
 
     def __post_init__(self):
+        for side, value in (("X", self.X), ("Y", self.Y)):
+            if not -math.inf < value < math.inf:  # no float() of a huge int
+                raise NonFiniteParameter(f"{side} = {value} is not finite")
         if self.X < 1 or self.Y < 1:
             raise ValueError("box sides must be >= 1")
 
@@ -108,34 +116,41 @@ class LevelCurveSpec:
         return f"LevelCurveSpec(f={self.f.text()!r}, p={self.p}, a={self.a})"
 
 
-def parallel_map(fn, items, workers: int) -> list:
-    """[fn(item) for item in items], in order, spread over ``workers``
-    threads when there is more than one; the only place a pool is made."""
+def parallel_map(fn, items, workers: int):
+    """fn(item) for item in items, yielded in order; spread over ``workers``
+    threads when there is more than one, with at most 2 * workers items
+    submitted and not yet yielded.  ``items`` needs a length and may be lazy,
+    as a range is.  The only place a pool is made."""
     workers = min(max(1, int(workers)), len(items))
     if workers <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        pending: deque = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        yield from (future.result() for future in pending)
 
 
-def _sweep(evaluate, nx: int, ny: int, reduce_block, workers: int = 1):
-    """Sum of reduce_block(xs, ys, evaluate(xs, ys)) over the row blocks of
-    the grid [1, nx] x [1, ny], with xs a column and ys a row of int64; the
-    sum is integer, so it does not depend on the block order or the worker
-    count."""
-    rows = max(1, BLOCK_POINTS // ny)
-    ys = np.arange(1, ny + 1, dtype=np.int64)
+def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, int64: bool = True):
+    """reduce_tile(xs, ys, evaluate(xs, ys)) for each tile of the grid
+    [1, nx] x [1, ny], yielded in row-major order.  xs and ys are int64
+    ranges; the evaluator gets them as a column and a row, of int64 when
+    ``int64`` and of Python ints otherwise."""
+    rows, cols = max(1, BLOCK_POINTS // ny), min(ny, BLOCK_POINTS)
+    per_band = -(-ny // cols)  # tiles side by side in one band of rows
+    dtype = np.int64 if int64 else object
 
-    def block(lo: int):
-        xs = np.arange(lo + 1, min(lo + rows, nx) + 1, dtype=np.int64)
-        return reduce_block(xs, ys, evaluate(xs[:, None], ys[None, :]))
+    def tile(k: int):
+        x0, y0 = k // per_band * rows, k % per_band * cols
+        xs = np.arange(x0 + 1, min(x0 + rows, nx) + 1, dtype=np.int64)
+        ys = np.arange(y0 + 1, min(y0 + cols, ny) + 1, dtype=np.int64)
+        u, v = (r.astype(dtype, copy=False) for r in (xs[:, None], ys[None, :]))
+        return reduce_tile(xs, ys, evaluate(u, v))
 
-    return sum(parallel_map(block, range(0, nx, rows), workers))
-
-
-def _check_grid_prime(p: int) -> None:
-    if p > MAX_GRID_PRIME:
-        raise GridOverflow(f"p = {p} > {MAX_GRID_PRIME}: int64 grid evaluation would overflow")
+    return parallel_map(tile, range(-(-nx // rows) * per_band), workers)
 
 
 def _sieve_primes(limit: int) -> list[int]:
@@ -144,31 +159,29 @@ def _sieve_primes(limit: int) -> list[int]:
 
 
 def _coprime_mask(xs: np.ndarray, ys: np.ndarray, primes: list[int]) -> np.ndarray:
-    """gcd(x, y) == 1 over the block xs x ys, for consecutive xs and ys =
-    1..ny; ``primes`` must hold every prime up to min(ny, xs[-1]).
+    """gcd(x, y) == 1 over the tile xs x ys of consecutive ints; ``primes``
+    must hold every prime up to min(xs[-1], ys[-1]).
 
     Row r holds x = xs[0] + r, so the rows divisible by q start at
-    (-xs[0]) mod q, and column q - 1 holds y = q.
+    (-xs[0]) mod q, and likewise the columns at (-ys[0]) mod q.
     """
     mask = np.ones((len(xs), len(ys)), dtype=bool)
-    x0, top = int(xs[0]), min(int(xs[-1]), len(ys))
+    x0, y0, top = int(xs[0]), int(ys[0]), min(int(xs[-1]), int(ys[-1]))
     for q in primes:
         if q > top:
             break
-        mask[-x0 % q :: q, q - 1 :: q] = False
+        mask[-x0 % q :: q, -y0 % q :: q] = False
     return mask
 
 
 def _count_grid(fmod: ModBivariatePoly, a: int, nx: int, ny: int, coprime_only: bool) -> int:
-    _check_grid_prime(fmod.p)
-
     def hits(xs, ys, vals):
         if not coprime_only:
             return int(np.count_nonzero(vals == a))
         i, j = np.nonzero(vals == a)
         return int(np.count_nonzero(np.gcd(xs[i], ys[j]) == 1))
 
-    return _sweep(fmod.evaluate, nx, ny, hits)
+    return sum(_sweep(fmod.evaluate, nx, ny, hits, int64=fmod.p <= MAX_GRID_PRIME))
 
 
 def _count_rows(spec: LevelCurveSpec, nx: int, ny: int) -> int:
@@ -207,8 +220,8 @@ def count_level_points(spec: LevelCurveSpec, box: CountBox, strategy: str = "aut
 
     ``strategy`` is "grid" (evaluate everywhere), "rows" (univariate roots
     per row), or "auto" (rows when the full column range is in the box and
-    the V-degree is small, or when p is too large for the grid).  Both
-    strategies agree exactly.
+    the V-degree is small, or when p > MAX_GRID_PRIME, where the grid would
+    evaluate every point in Python ints).  Both strategies agree exactly.
     """
     box.validate_for(spec.p)
     nx, ny = box.nx, box.ny
@@ -290,12 +303,14 @@ def visible_histogram(
 ) -> VisibleHistogram:
     """One sweep over the grid accumulating both per-level counts.
 
-    Row blocks may be spread over several workers; the accumulation is
-    integer-only, so the result is identical for any worker count.
+    Tiles may be spread over several workers; their bincounts are summed as
+    they arrive, so the result is identical for any worker count and at
+    most 2 * workers tiles' bincounts are held at once.
     """
     fmod = reduce_mod(f, p)  # propagates DegenerateReduction
     box.validate_for(p)
-    _check_grid_prime(p)
+    if p > MAX_GRID_PRIME:
+        raise GridOverflow(f"p = {p} > {MAX_GRID_PRIME}: a histogram needs p bins per tile")
     primes = _sieve_primes(min(box.nx, box.ny))
 
     def bincounts(xs, ys, vals):
@@ -304,7 +319,7 @@ def visible_histogram(
             (np.bincount(vals.ravel(), minlength=p), np.bincount(vals[coprime], minlength=p))
         )
 
-    level, visible = _sweep(fmod.evaluate, box.nx, box.ny, bincounts, workers)
+    level, visible = sum(_sweep(fmod.evaluate, box.nx, box.ny, bincounts, workers))
     return VisibleHistogram(p=p, box=box, level_counts=level, visible_counts=visible)
 
 
@@ -336,7 +351,7 @@ def count_visible_by_prime(
     """Visible points of f(x, y) = a (mod p) in the box, for each p in primes.
 
     One sweep evaluates f over Z in int64 and sieves the coprime mask once
-    per row block, then counts v % p == a % p over the visible values for
+    per tile, then counts v % p == a % p over the visible values for
     every prime (numpy's % with a positive divisor is a floor mod, as
     Python's).  Raises GridOverflow unless ``_fits_int64(f, box)``.  No
     admissibility check is made: f may degenerate modulo some p.
@@ -355,4 +370,4 @@ def count_visible_by_prime(
         visible = vals[_coprime_mask(xs, ys, sieve)]
         return np.array([np.count_nonzero(visible % p == r) for p, r in levels], dtype=np.int64)
 
-    return _sweep(f.evaluate, box.nx, box.ny, counts, workers).tolist()
+    return sum(_sweep(f.evaluate, box.nx, box.ny, counts, workers)).tolist()

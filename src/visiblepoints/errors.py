@@ -35,11 +35,11 @@ class BoxTooLarge(VisiblePointsError, ValueError):
 
 
 class GridOverflow(VisiblePointsError, ValueError):
-    """The prime is too large for exact int64 grid evaluation."""
+    """A sweep that needs int64 values or p bins per tile is out of range."""
 
 
 class NonFiniteParameter(VisiblePointsError, ValueError):
-    """A real-valued parameter such as the prime bound T is infinite or NaN."""
+    """A real-valued parameter (the prime bound T, a box side) is not finite."""
 
 
 class EmptyPlan(VisiblePointsError, ValueError):

@@ -26,6 +26,8 @@ from .arith import primes_in_range
 from .counting import (
     CountBox,
     LevelCurveSpec,
+    _fits_int64,
+    _sweep,
     count_level_points,
     count_visible_by_prime,
     count_visible_direct,
@@ -207,15 +209,15 @@ def prime_sweep(
     if T < 2 * max(box.X, box.Y):
         raise BoxTooLarge(f"T = {T} < 2*max(X, Y) = {2 * max(box.X, box.Y)}")
     primes = primes_in_range(math.ceil(T / 2), math.floor(T))
-    admissible = parallel_map(lambda p: _admissible_at(f, p), primes, workers)
+    admissible = list(parallel_map(lambda p: _admissible_at(f, p), primes, workers))
     skipped = tuple(p for p, ok in zip(primes, admissible) if not ok)
     kept = [p for p, ok in zip(primes, admissible) if ok]
     try:
         counts = count_visible_by_prime(f, kept, box, 0, workers)
     except GridOverflow:  # B >= 2^63
-        counts = parallel_map(
+        counts = list(parallel_map(
             lambda p: count_visible_direct(LevelCurveSpec(f, p, 0), box), kept, workers
-        )
+        ))
     per_prime = tuple(zip(kept, counts))
     sum_abs_dev = math.fsum(abs(n - expected_visible(box, p)) for p, n in per_prime)
     bound = math.sqrt(box.X) * math.sqrt(box.Y) * T**0.75
@@ -305,28 +307,24 @@ def concentration_profiles(
 
 
 def integer_zero_set(f: IntBivariatePoly, box: CountBox) -> ZeroSetReport:
-    """All integer points (u, v) in the box with f(u, v) = 0 exactly.
+    """All integer points (u, v) in the box with f(u, v) = 0 exactly, in
+    row-major order.
 
-    Evaluation is unbounded-precision integer arithmetic, specialized row
-    by row; a row where f vanishes identically contributes every v.
+    One sweep evaluates f over Z at every point of the box: in int64 when
+    ``_fits_int64(f, box)``, so no value can overflow, and in Python ints
+    otherwise.  A row where f vanishes identically contributes every v.
     """
     if f.is_zero():
         raise ValueError("zero set of the zero polynomial is the whole box")
-    nx, ny = box.nx, box.ny
-    points: list[tuple[int, int]] = []
-    for u in range(1, nx + 1):
-        row = f.specialize_u_int(u)
-        if not row:
-            points.extend((u, v) for v in range(1, ny + 1))
-            continue
-        for v in range(1, ny + 1):
-            acc = 0
-            for c in reversed(row):
-                acc = acc * v + c
-            if acc == 0:
-                points.append((u, v))
+
+    def zeros(xs, ys, vals):
+        i, j = (vals == 0).nonzero()
+        return zip(xs[i].tolist(), ys[j].tolist())
+
+    tiles = _sweep(f.evaluate, box.nx, box.ny, zeros, int64=_fits_int64(f, box))
     return ZeroSetReport(
-        f_text=f.text(), X=float(box.X), Y=float(box.Y), points=tuple(points)
+        f_text=f.text(), X=float(box.X), Y=float(box.Y),
+        points=tuple(pt for tile in tiles for pt in tile),
     )
 
 

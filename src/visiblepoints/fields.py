@@ -11,7 +11,6 @@ runs and platforms.
 
 from __future__ import annotations
 
-import itertools
 import random
 from functools import partial
 
@@ -239,12 +238,12 @@ def u_is_irreducible(K, g: list) -> bool:
     return not u_mod(K, h, g)
 
 
-def _monic_polys(K, deg: int):
-    """All monic degree-deg polynomials over K, lexicographic in the
-    coefficient vector with the constant coefficient varying fastest."""
-    size = K.size
-    for idxs in itertools.product(range(size), repeat=deg):
-        yield [K.element_at(i) for i in reversed(idxs)] + [K.one]
+def _monic_polys(K, deg: int, start: int = 0):
+    """The monic degree-deg polynomials over K from the start-th on, in
+    lexicographic order with the constant coefficient varying fastest: the
+    n-th has the base-|K| digits of n as coefficients, made one at a time."""
+    for n in range(start, K.size**deg):
+        yield [K.element_at(n // K.size**i % K.size) for i in range(deg)] + [K.one]
 
 
 def find_irreducible_over(K, k: int) -> list:
@@ -262,10 +261,8 @@ def find_irreducible_over(K, k: int) -> list:
     if k == 1:
         return [K.zero, K.one]
     q = K.size
-    cands = _monic_polys(K, k)
-    if any((q - 1) % r for r, _ in factorize(k)) or (k % 4 == 0 and q % 4 != 1):
-        cands = itertools.islice(cands, q, None)
-    for cand in cands:
+    skip = any((q - 1) % r for r, _ in factorize(k)) or (k % 4 == 0 and q % 4 != 1)
+    for cand in _monic_polys(K, k, q if skip else 0):
         if u_is_irreducible(K, cand):
             return cand
     raise AssertionError("unreachable: irreducibles exist in every degree")

@@ -106,37 +106,18 @@ class IntBivariatePoly:
     def __setattr__(self, *_):
         raise AttributeError("IntBivariatePoly is immutable")
 
-    @property
-    def deg_u(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
-
-    @property
-    def deg_v(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return self.degree <= 0
 
     def evaluate(self, x, y):
         """f(x, y) over Z, by the Horner kernel of :func:`_horner` unreduced.
 
-        Exact for Python ints.  For int64 arrays it is exact when
+        x and y are ints or arrays, which broadcast.  Exact for Python ints
+        and object arrays of them.  For int64 arrays it is exact when
         sum |c_ij| * X^i * Y^j < 2^63 over the range of x and y, as that
         sum bounds every partial Horner value.
         """
         return _horner(self.terms, x, y)
-
-    def specialize_u_int(self, u: int) -> list[int]:
-        """Exact integer coefficients of V -> f(u, V), ascending in V."""
-        out = [0] * (self.deg_v + 1) if self.terms else []
-        for (i, j), c in self.terms.items():
-            out[j] += c * u**i
-        while out and out[-1] == 0:
-            out.pop()
-        return out
 
     def text(self) -> str:
         """Canonical text form (terms sorted by total degree, then U-degree)."""
@@ -218,9 +199,10 @@ class ModBivariatePoly:
     def evaluate(self, x, y):
         """f(x, y) mod p, by Horner in V over the row coefficients at x.
 
-        x and y are ints or int64 arrays (exact for p <= isqrt(2^63 - 1));
-        arrays broadcast, and the result has their full broadcast shape even
-        when f is constant.
+        x and y are ints, int64 arrays (exact for p <= isqrt(2^63 - 1)) or
+        object arrays of Python ints (exact for every p); arrays broadcast,
+        and the result has their full broadcast shape even when f is
+        constant.
         """
         return _horner(self.terms, x, y, self.p)
 

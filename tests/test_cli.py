@@ -125,10 +125,21 @@ def test_exp_a_rejects_bad_delta_in_every_format(capsys):
         assert capsys.readouterr().out == ""
 
 
-def test_grid_overflow_exits_2(capsys):
+def test_grid_count_above_the_int64_prime_is_exact(capsys):
+    # p^2 > 2^63: the grid runs on Python ints and finds the one point (1, 1)
     assert main(["count", "-f", "U - V^2", "-p", str(10**10 + 19), "-a", "0",
-                 "-X", "1", "-Y", "5", "--strategy", "grid"]) == 2
-    assert "overflow" in capsys.readouterr().err
+                 "-X", "1", "-Y", "5", "--strategy", "grid"]) == 0
+    assert capsys.readouterr().out.startswith("count = 1 ")
+
+
+def test_visible_is_exact_above_the_int64_prime(capsys):
+    # (1, 2) is the one point of V^2 - U^3 = 3 in the box; the histogram of
+    # exp-a needs p bins per tile and still refuses this prime
+    p = str(10**10 + 19)
+    assert main(["visible", "-f", "V^2 - U^3", "-p", p, "-a", "3", "-X", "3", "-Y", "3"]) == 0
+    assert capsys.readouterr().out.startswith("direct=1 mobius=1 ")
+    assert main(["exp-a", "-f", "V^2 - U^3", "-p", p, "-X", "3", "-Y", "3"]) == 2
+    assert "bins" in capsys.readouterr().err
 
 
 def test_sweep_from_csv_replay(tmp_path, capsys):
@@ -140,6 +151,34 @@ def test_sweep_from_csv_replay(tmp_path, capsys):
                  "--out", str(rep)]) == 0
     assert _bodies(src) == _bodies(rep)
     capsys.readouterr()
+
+
+def test_zero_set_replay_honours_every_format(tmp_path, capsys):
+    src = tmp_path / "z.csv"
+    args = ["zeros", "-f", "U - V", "-X", "3", "-Y", "3"]
+    assert main(args + ["--format", "csv", "--out", str(src)]) == 0
+    for fmt in ("table", "json", "csv"):
+        assert main(args + ["--format", fmt]) == 0
+        direct = capsys.readouterr().out
+        assert main(["sweep", "--from-csv", str(src), "--format", fmt]) == 0
+        replay = capsys.readouterr().out
+        if fmt == "csv":
+            direct, replay = ([ln for ln in t.splitlines() if not ln.startswith("#")]
+                              for t in (direct, replay))
+        assert direct == replay, fmt
+    assert main(["sweep", "--from-csv", str(src), "--format", "table"]) == 0
+    assert capsys.readouterr().out == "3 integer zeros: (1,1) (2,2) (3,3)\n"
+
+
+def test_non_finite_box_sides_exit_2(capsys):
+    for argv in (["zeros", "-f", "U - V", "-X", "inf", "-Y", "3"],
+                 ["zeros", "-f", "U - V", "-X", "3", "-Y", "nan"],
+                 ["exp-p", "-f", "V^2 - U^3 - U - 1", "-T", "40", "-X", "inf", "-Y", "5"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        side = "Y" if "nan" in argv else "X"
+        assert f"{side} = {argv[argv.index('-' + side) + 1]} is not finite" in captured.err
 
 
 def test_sweep_grid(tmp_path, capsys):
@@ -159,8 +198,8 @@ def test_sweep_requires_plan_or_csv(capsys):
 
 
 def test_hostile_inputs_end_without_a_traceback(capsys):
-    # tiny fields, a huge exponent, a non-finite T and a non-prime p: each is
-    # answered or refused with a documented exit code
+    # tiny fields, a huge exponent, a non-finite T or box side and a non-prime
+    # p: each is answered or refused with a documented exit code
     E = "V^2 - U^3 - U - 1"
     for argv in (
         ["irred", "-f", "U^5*V^5 + U + V + 1", "-p", "2"],
@@ -170,6 +209,8 @@ def test_hostile_inputs_end_without_a_traceback(capsys):
         ["count", "-f", "U^99999999 + V", "-p", "7", "-a", "0", "-X", "7", "-Y", "7"],
         ["exp-p", "-f", E, "-T", "nan", "-X", "5", "-Y", "5"],
         ["irred", "-f", E, "-p", "9"],
+        ["zeros", "-f", "U - V", "-X", "inf", "-Y", "3"],
+        ["zeros", "-f", "U - V", "-X", "nan", "-Y", "3"],
     ):
         assert main(argv) in (0, 2, 3, 4, 5), argv
         assert "Traceback" not in capsys.readouterr().err, argv

@@ -14,18 +14,20 @@ from visiblepoints.counting import (
     _sieve_primes,
     count_divisible,
     count_level_points,
+    count_visible_by_prime,
     count_visible_direct,
     count_visible_mobius,
     expected_visible,
     visible_histogram,
 )
-from visiblepoints.errors import DegenerateReduction, GridOverflow
+from visiblepoints.errors import DegenerateReduction, NonFiniteParameter
 from visiblepoints.poly import IntBivariatePoly, parse_poly
 
 from oracles import (
     count_divisible_brute,
     count_level_brute,
     count_visible_brute,
+    eval_mod,
     histogram_brute,
     primes_brute,
 )
@@ -271,13 +273,17 @@ def test_full_box_histogram_matches_brute_force():
         assert h.visible_counts.tolist() == visible
 
 
-def _histogram_peak(p):
+def _peak(call):
     tracemalloc.start()
     try:
-        visible_histogram(ELLIPTIC, p, CountBox(p, p), workers=1)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _histogram_peak(p):
+    return _peak(lambda: visible_histogram(ELLIPTIC, p, CountBox(p, p), workers=1))
 
 
 def test_histogram_memory_does_not_grow_with_the_box():
@@ -286,24 +292,110 @@ def test_histogram_memory_does_not_grow_with_the_box():
     assert large < 1.5 * small, (small, large)
 
 
-def test_grid_route_refuses_primes_that_overflow_int64():
+def test_grid_routes_are_exact_above_the_int64_prime():
     # p^2 > 2^63: int64 residue products would wrap and miss the one point
-    # (1, 150000) on U - V^2 = 1 - 150000^2; the row route has no such limit,
-    # so "auto" takes it
+    # (1, 150000) on U - V^2 = 1 - 150000^2; every route finds it, the grid
+    # ones on Python ints
     p = 10**10 + 19
     f = parse_poly("U - V^2")
     spec = LevelCurveSpec(f, p, 1 - 150000**2)
     box = CountBox(1, 200000)
-    for count in (
-        lambda: count_level_points(spec, box, "grid"),
-        lambda: count_visible_direct(spec, box),
-        lambda: count_visible_mobius(spec, box),
-    ):
-        with pytest.raises(GridOverflow):
-            count()
+    assert count_level_points(spec, box, "grid") == 1
+    assert count_visible_direct(spec, box) == count_visible_mobius(spec, box) == 1
     assert count_level_points(spec, box) == 1
     assert count_level_points(spec, box, "rows") == 1
     assert count_level_brute(f.terms, p, spec.a, 1, 200000) == 1
+
+
+#: primes on both sides of MAX_GRID_PRIME = 3037000499 and above 2^32
+LARGE_PRIMES = (2**31 - 1, 3037000507, 10**10 + 19, 2**61 - 1)
+
+
+def test_counts_match_the_oracles_at_large_primes():
+    # random coefficients below p make every Horner step wrap; the levels
+    # are values f takes in the box, so the counts are not all zero
+    rng = random.Random(23)
+    box = CountBox(12, 9.5)
+    for p in LARGE_PRIMES:
+        for _ in range(3):
+            terms = {(rng.randint(0, 4), rng.randint(0, 3)): rng.randrange(-p, p)
+                     for _ in range(4)}
+            terms[(1, 1)] = 1
+            f = IntBivariatePoly(terms)
+            for a in {0, *(eval_mod(f.terms, rng.randint(1, 12), rng.randint(1, 9), p)
+                           for _ in range(2))}:
+                spec = LevelCurveSpec(f, p, a)
+                want = count_visible_brute(f.terms, p, a, box.X, box.Y)
+                assert count_level_points(spec, box, "grid") == count_level_brute(
+                    f.terms, p, a, box.X, box.Y), (p, f, a)
+                assert count_visible_direct(spec, box) == want, (p, f, a)
+                assert count_visible_mobius(spec, box) == want, (p, f, a)
+                assert count_divisible(spec, box, 2) == count_divisible_brute(
+                    f.terms, p, a, box.X, box.Y, 2), (p, f, a)
+
+
+#: a box wider than one tile: each row is cut into two segments
+WIDE_NY = BLOCK_POINTS + 4321
+WIDE_PRIMES = (266477, 266479)
+
+
+def _wide_reference(nx, p):
+    """Level and visible histograms of E on [1, nx] x [1, WIDE_NY] mod p, by
+    plain int64 arithmetic and np.gcd (every value is below 2^37)."""
+    ys = np.arange(1, WIDE_NY + 1, dtype=np.int64)
+    level, visible = np.zeros(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
+    for x in range(1, nx + 1):
+        vals = (ys * ys - x**3 - x - 1) % p
+        level += np.bincount(vals, minlength=p)
+        visible += np.bincount(vals[np.gcd(x, ys) == 1], minlength=p)
+    return level, visible
+
+
+def test_sweeps_of_boxes_wider_than_a_tile():
+    nx, p = 3, WIDE_PRIMES[0]
+    box = CountBox(nx, WIDE_NY)
+    level, visible = _wide_reference(nx, p)
+    for workers in (1, 2, 3):
+        h = visible_histogram(ELLIPTIC, p, box, workers=workers)
+        assert (h.level_counts == level).all() and (h.visible_counts == visible).all()
+    levels = [0, 1, int(np.argmax(visible)), p - 1]
+    for a in levels:
+        spec = LevelCurveSpec(ELLIPTIC, p, a)
+        assert count_level_points(spec, box, "grid") == level[a]
+        assert count_visible_direct(spec, box) == count_visible_mobius(spec, box) == visible[a]
+    second = _wide_reference(nx, WIDE_PRIMES[1])[1]
+    for workers in (1, 2, 3):
+        for a in levels:
+            got = count_visible_by_prime(ELLIPTIC, list(WIDE_PRIMES), box, a, workers=workers)
+            assert got == [visible[a], second[a % WIDE_PRIMES[1]]]
+
+
+def test_coprime_mask_on_tiles_that_start_inside_a_row():
+    primes = _sieve_primes(WIDE_NY)
+    for lo, hi, y0, y1 in ((1, 3, BLOCK_POINTS + 1, WIDE_NY), (1, 1, 2, 50),
+                           (30030, 30030, 30030, 30100), (2, 9, 30029, 31000),
+                           (600, 610, 97, 700)):
+        xs = np.arange(lo, hi + 1, dtype=np.int64)
+        ys = np.arange(y0, y1 + 1, dtype=np.int64)
+        mask = _coprime_mask(xs, ys, primes)
+        assert (mask == (np.gcd.outer(xs, ys) == 1)).all(), (lo, hi, y0, y1)
+
+
+def test_histogram_memory_does_not_grow_with_the_tile_count():
+    # 4096 x 64 is one tile and 40960 x 64 ten; each tile's bincounts hold
+    # 2p int64, so keeping them all would take 10x the memory
+    p = 200003
+    one, ten = (_peak(lambda: visible_histogram(ELLIPTIC, p, CountBox(nx, 64)))
+                for nx in (4096, 40960))
+    assert ten < 1.5 * one, (one, ten)
+
+
+def test_grid_memory_does_not_grow_with_the_row_length():
+    # a row of 2^20 points is four tiles, not one block of 2^20
+    spec = LevelCurveSpec(ELLIPTIC, 1048583, 5)
+    short, long = (_peak(lambda: count_level_points(spec, CountBox(2, ny), "grid"))
+                   for ny in (2**18, 2**20))
+    assert long < 1.5 * short, (short, long)
 
 
 def test_box_validation():
@@ -313,6 +405,13 @@ def test_box_validation():
         count_visible_direct(LevelCurveSpec(UV, 5, 1), CountBox(6, 5))
     with pytest.raises(ValueError):
         count_divisible(LevelCurveSpec(UV, 5, 1), CountBox(5, 5), 0)
+
+
+def test_non_finite_box_sides_are_refused():
+    for X, Y, side in ((math.inf, 3, "X"), (3, math.nan, "Y"), (-math.inf, 1, "X")):
+        with pytest.raises(NonFiniteParameter, match=f"{side} = "):
+            CountBox(X, Y)
+    assert CountBox(1, 10**400).ny == 10**400  # a huge int is finite
 
 
 def test_spec_construction_contracts():

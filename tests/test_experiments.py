@@ -321,6 +321,36 @@ def test_integer_zero_set_row_vanishing():
         integer_zero_set(parse_poly("U - U"), CountBox(3, 3))
 
 
+def _zeros_by_loop(f, nx, ny):
+    return tuple((u, v) for u in range(1, nx + 1) for v in range(1, ny + 1)
+                 if sum(c * u**i * v**j for (i, j), c in f.terms.items()) == 0)
+
+
+def test_integer_zero_set_beyond_int64():
+    # B >= 2^63 on every box here, so the sweep runs on Python ints; in int64
+    # 2^64 * (U - 3) would wrap to 0 on every row
+    cases = [
+        (parse_poly("V^40 - U^80"), CountBox(12, 150)),
+        (IntBivariatePoly({(1, 0): 2**64, (0, 0): -3 * 2**64}), CountBox(5, 4)),
+        (parse_poly("V^3 - U^2 - 170141183460469231731687303715884105727*U*V"),
+         CountBox(9, 9)),
+        (IntBivariatePoly({(1, 1): 2**62, (2, 0): -(2**62), (0, 0): 2**62 * 6}),
+         CountBox(20, 20)),
+    ]
+    for f, box in cases:
+        assert not _fits_int64(f, box)
+        z = integer_zero_set(f, box)
+        assert z.points == _zeros_by_loop(f, box.nx, box.ny), f
+    assert integer_zero_set(*cases[1]).points == ((3, 1), (3, 2), (3, 3), (3, 4))
+
+
+def test_integer_zero_set_on_a_box_wider_than_a_tile():
+    # each row of 2 x 300000 is two tiles; the points stay in row-major order
+    f = parse_poly("U*V - 270000")
+    z = integer_zero_set(f, CountBox(2, 300000))
+    assert z.points == ((1, 270000), (2, 135000))
+
+
 def test_run_sweep_series_order_and_isolation():
     f = parse_poly("U*V - 2")  # reducible mod 2 only
     plan = [

@@ -45,6 +45,16 @@ def test_find_irreducible_matches_the_naive_scan():
             assert find_irreducible_poly(p, k) == first_rootless_monic(p, k), (p, k)
 
 
+def test_find_irreducible_in_huge_fields():
+    # the candidates are made one at a time: 10^10 + 19 = 2 (mod 3) skips
+    # the x^3 + c block, and 2^61 - 1 = 1 (mod 3) starts in it
+    for p, middle in ((10**10 + 19, [1, 0]), (2**61 - 1, [0, 0])):
+        K = PrimeField(p)
+        g = find_irreducible_poly(p, 3)
+        assert g[1:] == middle + [1] and univariate_roots(g, K) == set()
+        assert all(univariate_roots([c, *middle, 1], K) for c in range(g[0]))
+
+
 def test_univariate_roots_examples():
     assert univariate_roots([6, 0, 1], PrimeField(7)) == {1, 6}  # V^2 - 1
     assert univariate_roots([2, 0, 1], PrimeField(5)) == set()  # V^2 - 3, nonresidue

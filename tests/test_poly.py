@@ -145,7 +145,10 @@ def test_integer_evaluation_exact():
     f = parse_poly("V^2 - U^3")
     assert f.evaluate(10**6, 10**9) == 10**18 - 10**18
     assert f.evaluate(2, 3) == 9 - 8
-    assert f.specialize_u_int(10) == [-1000, 0, 1]
+    # object arrays of Python ints run the same kernel without overflow
+    xs = np.array([10, 2**40], dtype=object)[:, None]
+    ys = np.array([10**20], dtype=object)[None, :]
+    assert f.evaluate(xs, ys).tolist() == [[10**40 - 1000], [10**40 - 2**120]]
 
 
 def test_subtract_const_and_scale_args():
