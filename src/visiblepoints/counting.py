@@ -23,9 +23,17 @@ X^i * Y^j, which fits when ``_fits_int64``.  So grid, direct, Moebius and
 M(d) counts are exact at every prime.  Three routes keep their own choice:
 ``visible_histogram`` refuses p > MAX_GRID_PRIME (GridOverflow), as it
 needs p bins per tile; "auto" in ``count_level_points`` takes rows there,
-O(X) root searches instead of O(XY) evaluations; ``count_visible_by_prime``
-refuses B >= 2^63, where ``prime_sweep`` counts modulo each prime, faster
-than one sweep over Z in Python ints.
+root finding on O(X) rows instead of O(XY) evaluations;
+``count_visible_by_prime`` refuses B >= 2^63, where ``prime_sweep`` counts
+modulo each prime, faster than one sweep over Z in Python ints.
+
+The row route finds the roots of a whole tile of rows f(x, V) - a at once:
+the rows are grouped by V-degree, and each group goes through one
+vectorised Cantor-Zassenhaus pass on (rows, degree) arrays: V^p by
+square-and-multiply, gcd(g, V^p - V) by pseudo-remainders, and, when the
+box does not hold every y, the split by (V + c)^((p - 1)/2).  Tiles hold at
+most BLOCK_POINTS coefficients of the widest intermediate, and the element
+type follows the sweep's rule, so row counts are exact at every prime too.
 
 The visible (gcd = 1) mask of a tile is sieved: start from all True and,
 for each prime q up to min(largest x, largest y), clear the points whose
@@ -46,7 +54,14 @@ import numpy as np
 from .arith import _prime_flags, is_prime, mobius_sieve
 from .errors import GridOverflow, NonFiniteParameter
 from .fields import PrimeField, univariate_roots
-from .poly import IntBivariatePoly, ModBivariatePoly, reduce_mod
+from .poly import (
+    IntBivariatePoly,
+    ModBivariatePoly,
+    _horner_rows,
+    _horner_sparse,
+    _mul_pow,
+    reduce_mod,
+)
 
 #: density of coprime pairs, the constant in the expected count; computed
 #: once so every consumer shares the identical float
@@ -184,44 +199,206 @@ def _count_grid(fmod: ModBivariatePoly, a: int, nx: int, ny: int, coprime_only: 
     return sum(_sweep(fmod.evaluate, nx, ny, hits, int64=fmod.p <= MAX_GRID_PRIME))
 
 
+def _row_degrees(A: np.ndarray) -> np.ndarray:
+    """Degree of each row of A (coefficients ascending), -1 for a zero row."""
+    nz = A != 0
+    deg = A.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
+    return np.where(nz.any(axis=1), deg, -1)
+
+
+def _monic(A: np.ndarray, lead: np.ndarray, p: int) -> np.ndarray:
+    """The rows of A divided by their nonzero leading coefficients ``lead``,
+    through one vectorised Fermat inverse lead^(p - 2)."""
+    return A * _mul_pow(lead * 0 + 1, lead, p - 2, p)[:, None] % p
+
+
+def _reduce_rows(r: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """The rows of r modulo the monic rows of g, which have width e + 1;
+    r is overwritten and its first e columns are returned."""
+    e = g.shape[1] - 1
+    for t in range(r.shape[1] - 1, e - 1, -1):
+        r[:, t - e : t] = (r[:, t - e : t] - r[:, t : t + 1] * g[:, :e]) % p
+    return r[:, :e]
+
+
+def _mulmod_rows(a: np.ndarray, b: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """a * b modulo the monic rows g, row by row; a and b have width deg g.
+    Each step adds one product below p^2 to a residue, so int64 holds it
+    for p <= MAX_GRID_PRIME."""
+    e = g.shape[1] - 1
+    out = np.zeros((len(a), 2 * e - 1), dtype=a.dtype)
+    for i in range(e):
+        out[:, i : i + e] = (out[:, i : i + e] + a[:, i : i + 1] * b) % p
+    return _reduce_rows(out, g, p)
+
+
+def _pow_linear_rows(c: int, n: int, g: np.ndarray, p: int) -> np.ndarray:
+    """(V + c)^n modulo the monic rows g (deg g >= 1, n >= 1), by
+    square-and-multiply; multiplying by V + c is a shift plus one step."""
+    e = g.shape[1] - 1
+
+    def times_linear(r):
+        wide = np.zeros((len(r), e + 1), dtype=r.dtype)
+        wide[:, 1:] = r
+        wide[:, :e] = (wide[:, :e] + c * r) % p
+        return _reduce_rows(wide, g, p)
+
+    r = np.zeros((len(g), e), dtype=g.dtype)
+    r[:, 0] = 1
+    r = times_linear(r)
+    for bit in bin(n)[3:]:
+        r = _mulmod_rows(r, r, g, p)
+        if bit == "1":
+            r = times_linear(r)
+    return r
+
+
+def _gcd_rows(A: np.ndarray, B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """gcd(A, B) row by row, up to a nonzero scalar, and its degree; A and B
+    have the same width and no row of A is zero.
+
+    Euclid by pseudo-remainders, with no inverses: each step of a row
+    replaces A by lc(B) * A - lc(A) * V^(deg A - deg B) * B, which lowers
+    deg A, and swaps A and B when deg A < deg B.  Every difference lies
+    within +-(p - 1)^2 before it is reduced.
+    """
+    da, db = _row_degrees(A), _row_degrees(B)
+    cols = np.arange(A.shape[1])
+    while True:
+        swap = (da < db)[:, None]
+        A, B = np.where(swap, B, A), np.where(swap, A, B)
+        da, db = np.maximum(da, db), np.minimum(da, db)
+        live = np.flatnonzero(db >= 0)
+        if not len(live):
+            return A, da
+        a, b, at = A[live], B[live], np.arange(len(live))
+        src = cols - (da - db)[live, None]
+        shifted = np.where(src >= 0, np.take_along_axis(b, np.maximum(src, 0), axis=1), 0)
+        lead_a, lead_b = a[at, da[live]][:, None], b[at, db[live]][:, None]
+        A[live] = (lead_b * a - lead_a * shifted) % p
+        da[live] = _row_degrees(A[live])
+
+
+def _split_rows(S: np.ndarray, deg: np.ndarray, p: int) -> list:
+    """The roots in F_p of the rows of S, each a product of distinct linear
+    factors of degree ``deg`` (possibly 0), as a list of arrays.
+
+    Cantor-Zassenhaus with the candidates V + c, c = 0, 1, ..., as
+    ``fields.univariate_roots`` for odd p, one c per round for every piece
+    still of degree >= 2.  With w = (V + c)^((p - 1)/2) mod s, a piece s
+    splits three ways: gcd(s, w - 1) holds the roots r with r + c a
+    nonzero square, gcd(s, w + 1) those with r + c a non-square, and -c
+    itself is a root when s(-c) = 0.  Pieces are grouped by degree and made
+    monic; a linear one gives its root.  Every piece is linear by c = p - 1.
+    """
+    roots: list = []
+    pieces = [(S, deg)]
+    c = 0
+    while pieces:
+        wide = []
+        for P, dP in pieces:
+            for e in np.unique(dP[dP >= 1]).tolist():
+                group = P[dP == e, : e + 1]
+                group = _monic(group, group[:, e], p)
+                if e == 1:
+                    roots.append(-group[:, 0] % p)
+                else:
+                    wide.append(group)
+        pieces = []
+        for P in wide:
+            w, z = _pow_linear_rows(c, (p - 1) // 2, P, p), -c % p
+            at_z = _horner_sparse([(j, P[:, j]) for j in range(P.shape[1] - 1, -1, -1)], z, p)
+            roots.append(np.full(np.count_nonzero(at_z == 0), z, dtype=P.dtype))
+            for sign in (1, -1):
+                w_sign = np.zeros_like(P)
+                w_sign[:, :-1] = w
+                w_sign[:, 0] = (w_sign[:, 0] - sign) % p
+                pieces.append(_gcd_rows(P, w_sign, p))
+        c += 1
+    return roots
+
+
+def _count_row_tile(level: ModBivariatePoly, xs: np.ndarray, ny: int) -> int:
+    """Points of level = 0 in the rows xs, y in [1, ny], by batched roots.
+
+    The rows f(x, V) are grouped by their true V-degree: a zero row counts
+    ny and a constant one 0.  A group of degree e is made monic and its
+    distinct roots are s = gcd(g, V^p - V), with V^p mod g by
+    square-and-multiply.  When ny = p every root lifts into the box, so
+    deg s is the count; otherwise s is split (:func:`_split_rows`) and the
+    roots lifted, residue 0 to y = p.
+    """
+    p = level.p
+    coeffs = np.zeros((len(xs), max(level.deg_v, 0) + 1), dtype=xs.dtype)
+    for j, c in _horner_rows(level.terms, xs, p).items():
+        coeffs[:, j] = c
+    deg = _row_degrees(coeffs)
+    total = ny * int(np.count_nonzero(deg < 0))
+    for e in np.unique(deg[deg >= 1]).tolist():
+        g = coeffs[deg == e, : e + 1]
+        g = _monic(g, g[:, e], p)
+        if e == 1:
+            s, ds = g, np.ones(len(g), dtype=np.int64)
+        else:
+            h = np.zeros_like(g)
+            h[:, :e] = _pow_linear_rows(0, p, g, p)
+            h[:, 1] = (h[:, 1] - 1) % p
+            s, ds = _gcd_rows(g, h, p)
+        if ny == p:
+            total += int(ds.sum())
+        else:
+            total += sum(int(np.count_nonzero((r >= 1) & (r <= ny))) for r in _split_rows(s, ds, p))
+    return total
+
+
 def _count_rows(spec: LevelCurveSpec, nx: int, ny: int) -> int:
-    """Row-by-row count: specialize at each x and pick the roots in V whose
-    canonical lift lands in [1, ny].
+    """Row count: the roots in V of f(x, V) - a whose canonical lift lands
+    in [1, ny], summed over x in [1, nx].
 
     Lift convention: residue r in [1, p-1] is the lattice row value r, and
     residue 0 corresponds to y = p, in range only when ny = p.
 
     Each V-exponent e >= 1 is first folded to 1 + (e - 1) mod (p - 1),
     which changes no value on F_p (y^p = y, and 0^e = 0 for e >= 1), so a
-    row has degree below p however large the exponents are.
+    row has degree k below p however large the exponents are.
+
+    For odd p the rows go through :func:`_count_row_tile` in tiles of x of
+    at most BLOCK_POINTS coefficients of the widest intermediate, 2k - 1
+    per row, made lazily and summed, so memory is flat in nx.  The element
+    type follows :func:`_sweep`: int64 for p <= MAX_GRID_PRIME, Python ints
+    above it.  At p = 2 (at most 2 rows) each row goes to
+    ``univariate_roots``, whose splitter has the trace split of
+    characteristic 2.
     """
     p = spec.p
-    K = PrimeField(p)
     folded: dict = {}
     for (i, j), c in spec.fmod.subtract_const(spec.a).terms.items():
         key = (i, 1 + (j - 1) % (p - 1) if j else 0)
         folded[key] = folded.get(key, 0) + c
     level = ModBivariatePoly(p, folded)
-    total = 0
-    for x in range(1, nx + 1):
-        g = level.specialize_u(x)
-        if not g:
-            total += ny  # the whole row satisfies the congruence
-            continue
-        for r in univariate_roots(g, K):
-            y = r if r != 0 else p
-            if y <= ny:
-                total += 1
-    return total
+    if p == 2:
+        K = PrimeField(p)
+        return sum(
+            sum(1 for r in univariate_roots(g, K) if (r or p) <= ny) if g else ny
+            for g in map(level.specialize_u, range(1, nx + 1))
+        )
+    rows = max(1, BLOCK_POINTS // max(1, 2 * level.deg_v - 1))
+    dtype = np.int64 if p <= MAX_GRID_PRIME else object
+    return sum(
+        _count_row_tile(level, np.arange(x0 + 1, min(x0 + rows, nx) + 1).astype(dtype), ny)
+        for x0 in range(0, nx, rows)
+    )
 
 
 def count_level_points(spec: LevelCurveSpec, box: CountBox, strategy: str = "auto") -> int:
     """Number of points of f(x, y) = a (mod p) in the box (no gcd filter).
 
-    ``strategy`` is "grid" (evaluate everywhere), "rows" (univariate roots
-    per row), or "auto" (rows when the full column range is in the box and
-    the V-degree is small, or when p > MAX_GRID_PRIME, where the grid would
-    evaluate every point in Python ints).  Both strategies agree exactly.
+    ``strategy`` is "grid" (evaluate everywhere), "rows" (the roots in V of
+    each row f(x, V) - a, found a tile of rows at a time by
+    :func:`_count_rows`), or "auto" (rows when the full column range is in
+    the box and the V-degree is small, or when p > MAX_GRID_PRIME, where
+    the grid would evaluate every point in Python ints).  Both strategies
+    agree exactly.
     """
     box.validate_for(spec.p)
     nx, ny = box.nx, box.ny

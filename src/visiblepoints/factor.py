@@ -642,30 +642,21 @@ def _singular_at_infinity(fm: ModBivariatePoly) -> bool:
     return not any(fm.terms.get(ij) for ij in ((d, 0), (d - 1, 1), (d - 1, 0)))
 
 
-def _critical_levels(fm: ModBivariatePoly) -> list[int] | None:
-    """The candidate levels of :func:`bad_level_values`, or None when every
-    level must be tried: f(0, 0) alone when Gao's certificate accepts the
-    support of f plus a constant term, else the roots in F_p of
-    D(l) = Res_U(G, h).
+def _shear(fm: ModBivariatePoly, t: int) -> ModBivariatePoly:
+    """f(U + t*V, V) modulo p: its V^d coefficient is f_d(t, 1), d = deg f."""
+    p, out = fm.p, {}
+    for (i, j), c in fm.terms.items():
+        for r in range(i + 1):
+            key = (r, i - r + j)
+            out[key] = out.get(key, 0) + c * math.comb(i, r) * pow(t, i - r, p)
+    return ModBivariatePoly(p, out)
 
-    h(U) = Res_V(f_U, f_V) and G(U, l) = Res_V(f - l, f_V) are taken with
-    the formal V-degrees m and m - 1 (m = deg_V f), so each is a polynomial
-    in the coefficients and is interpolated from its values at u = 0, 1, ...:
-    h from (d - 1)^2 + 1 points, trimmed to its degree k, and G(U, l) from
-    d(d - 1) + 1 points, its U-degree bound, which is also its formal degree
-    in D.  D has l-degree at most (m - 1)k and comes from as many points
-    l, plus one.
-    """
+
+def _critical_poly(fm: ModBivariatePoly) -> list | None:
+    """D(l) = Res_U(G, h) of :func:`_critical_levels` over F_p: [] when h
+    or D vanishes identically, None when p < (m - 1)k + 1 leaves too few
+    points to interpolate D."""
     p, d, m = fm.p, fm.degree, fm.deg_v
-    if _gao_certificate(set(fm.terms) | {(0, 0)}):
-        # the support of f - a, and so the certificate, is the same at every
-        # level but a = f(0, 0)
-        return [fm.terms.get((0, 0), 0)]
-    # p > d(d - 1) + 1 leaves room for the points and rules out f_V = 0 with
-    # m >= 1, which needs a V-exponent >= p; m = 0 puts a singular point at
-    # (0 : 1 : 0)
-    if d < 2 or p <= d * (d - 1) + 1 or _singular_at_infinity(fm):
-        return None
     K = PrimeField(p)
     bp = _from_terms(K, fm.terms)
     fu, fv = _b_trim([u_deriv(K, e) for e in bp]), _b_deriv_v(K, bp)
@@ -674,7 +665,9 @@ def _critical_levels(fm: ModBivariatePoly) -> list[int] | None:
         for u in range((d - 1) ** 2 + 1)
     ])
     k = u_deg(h)
-    if k < 0 or (m - 1) * k + 1 > p:
+    if k < 0:
+        return []
+    if (m - 1) * k + 1 > p:
         return None
     big = d * (d - 1)
     fibers = [(_b_eval_u(K, bp, u), _b_eval_u(K, fv, u)) for u in range(big + 1)]
@@ -684,10 +677,50 @@ def _critical_levels(fm: ModBivariatePoly) -> list[int] | None:
             _sylvester_res(u_sub(K, fx, [lam]), m, fy, m - 1, p) for fx, fy in fibers
         ])
         dvals.append(_sylvester_res(g, big, h, k, p))
-    D = _interpolate(K, dvals)
+    return _interpolate(K, dvals)
+
+
+def _critical_levels(fm: ModBivariatePoly) -> list[int] | None:
+    """The candidate levels of :func:`bad_level_values`, or None when every
+    level must be tried: f(0, 0) alone when Gao's certificate accepts the
+    support of f plus a constant term, else the roots in F_p of
+    D(l) = Res_U(G, h) (:func:`_critical_poly`).
+
+    h(U) = Res_V(f_U, f_V) and G(U, l) = Res_V(f - l, f_V) are taken with
+    the formal V-degrees m and m - 1 (m = deg_V f), so each is a polynomial
+    in the coefficients and is interpolated from its values at u = 0, 1, ...:
+    h from (d - 1)^2 + 1 points, trimmed to its degree k, and G(U, l) from
+    d(d - 1) + 1 points, its U-degree bound, which is also its formal degree
+    in D.  D has l-degree at most (m - 1)k and comes from as many points
+    l, plus one.
+
+    Where the V-leading coefficients of f and f_V vanish together, the
+    formal resultants vanish too, so h or D can be identically zero for a
+    curve with few critical values, as for U*V.  Then D is taken once more
+    from f(U + tV, V), t the least value in F_p with f_d(t, 1) != 0 (there
+    is one, as f_d(t, 1) is a nonzero polynomial of degree <= d < p): its
+    V-leading coefficient is that nonzero constant.  The shear is an
+    invertible linear map that fixes the line at infinity, so it changes
+    neither which levels are bad nor the singular points at infinity.
+    """
+    p, d = fm.p, fm.degree
+    if _gao_certificate(set(fm.terms) | {(0, 0)}):
+        # the support of f - a, and so the certificate, is the same at every
+        # level but a = f(0, 0)
+        return [fm.terms.get((0, 0), 0)]
+    # p > d(d - 1) + 1 leaves room for the points and rules out f_V = 0 with
+    # m >= 1, which needs a V-exponent >= p; m = 0 puts a singular point at
+    # (0 : 1 : 0)
+    if d < 2 or p <= d * (d - 1) + 1 or _singular_at_infinity(fm):
+        return None
+    D = _critical_poly(fm)
+    if D == []:
+        top = {i: c for (i, j), c in fm.terms.items() if i + j == d}
+        t = next(t for t in range(p) if sum(c * pow(t, i, p) for i, c in top.items()) % p)
+        D = _critical_poly(_shear(fm, t))
     if not D:
         return None
-    return sorted(univariate_roots(D, K))
+    return sorted(univariate_roots(D, PrimeField(p)))
 
 
 def bad_level_values(f: IntBivariatePoly, p: int) -> set[int]:
@@ -720,7 +753,8 @@ def bad_level_values(f: IntBivariatePoly, p: int) -> set[int]:
     d(d - 1) + 1 verdicts and covers f_V = 0 mod p (that needs a
     V-exponent >= p); a singular point at infinity, which m = 0 puts at
     (0 : 1 : 0); p < (m - 1)k + 1, too few points to interpolate D; and
-    h = 0 or D = 0, as for compositions P(g), where every level is bad.
+    h = 0 or D = 0 both for f and for its shear f(U + tV, V), as for
+    compositions P(g), where every level is bad.
     The bad set has a size bounded independently of p for fixed degree
     (Y. Stein, Israel J. Math. 68, 1989).
     """

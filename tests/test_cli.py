@@ -132,6 +132,14 @@ def test_grid_count_above_the_int64_prime_is_exact(capsys):
     assert capsys.readouterr().out.startswith("count = 1 ")
 
 
+def test_row_count_above_the_int64_prime_is_exact(capsys):
+    # the batched row roots run on Python ints there; "auto" takes rows
+    for strategy in ("rows", "auto"):
+        assert main(["count", "-f", "U - V^2", "-p", str(10**10 + 19), "-a", "0",
+                     "-X", "1", "-Y", "5", "--strategy", strategy]) == 0
+        assert capsys.readouterr().out.startswith("count = 1 ")
+
+
 def test_visible_is_exact_above_the_int64_prime(capsys):
     # (1, 2) is the one point of V^2 - U^3 = 3 in the box; the histogram of
     # exp-a needs p bins per tile and still refuses this prime

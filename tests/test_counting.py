@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from visiblepoints import counting
 from visiblepoints.counting import (
     BLOCK_POINTS,
     CountBox,
@@ -21,6 +22,7 @@ from visiblepoints.counting import (
     visible_histogram,
 )
 from visiblepoints.errors import DegenerateReduction, NonFiniteParameter
+from visiblepoints.fields import PrimeField, univariate_roots
 from visiblepoints.poly import IntBivariatePoly, parse_poly
 
 from oracles import (
@@ -138,6 +140,103 @@ def test_rows_fold_huge_v_exponents():
         assert time.perf_counter() - t0 < 5, (text, p)
         assert rows == count_level_points(spec, box, "grid"), (text, p, a)
         assert rows == count_level_brute(f.terms, p, a, p, p), (text, p, a)
+
+
+def _rows_reference(spec, nx, ny):
+    """The row count one row at a time: univariate_roots of f(x, V) - a."""
+    p, level, K = spec.p, spec.fmod.subtract_const(spec.a), PrimeField(spec.p)
+    total = 0
+    for x in range(1, nx + 1):
+        g = level.specialize_u(x)
+        total += sum(1 for r in univariate_roots(g, K) if (r or p) <= ny) if g else ny
+    return total
+
+
+def _random_row_poly(rng, p, r):
+    """A random f with V-degree 1..4 whose row at x = r is zero, constant,
+    or of lower degree: f = (U - r) * P + c, or P with the V-leading
+    coefficient U - r."""
+    k = rng.randint(1, 4)
+    P = {(i, j): rng.randint(-9, 9) for i in range(4) for j in range(k + 1)}
+    kind = rng.randrange(3)
+    if kind == 2:
+        P = {ij: c for ij, c in P.items() if ij[1] < k}
+        P.update({(1, k): 1, (0, k): -r})
+        return IntBivariatePoly(P)
+    P[(0, k)] = P[(0, k)] or 1
+    terms = {}
+    for (i, j), c in P.items():
+        terms[(i + 1, j)] = terms.get((i + 1, j), 0) + c
+        terms[(i, j)] = terms.get((i, j), 0) - r * c
+    terms[(0, 0)] = terms.get((0, 0), 0) + kind * rng.randint(1, 9)
+    return IntBivariatePoly(terms)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, BLOCK_POINTS])
+def test_batched_rows_match_the_per_row_roots(monkeypatch, block):
+    # tiles of one row (block <= 2k - 1), several tiles, and one tile
+    monkeypatch.setattr(counting, "BLOCK_POINTS", block)
+    rng = random.Random(block)
+    degrees = set()
+    for p in (3, 5, 7, 11, 101, 1009):
+        for _ in range(5 if p < 1009 else 2):
+            nx = rng.randint(1, min(p, 60))
+            r = rng.randint(1, nx)
+            f = _random_row_poly(rng, p, r)
+            a = rng.choice((rng.randrange(p), eval_mod(f.terms, r, 1, p)))
+            try:  # at a = f(r, 1) a constant row r is the zero row
+                spec = LevelCurveSpec(f, p, a)
+            except DegenerateReduction:
+                continue
+            for ny in {rng.randint(1, p - 1), p}:
+                rows = count_level_points(spec, CountBox(nx, ny), "rows")
+                assert rows == _rows_reference(spec, nx, ny), (f, p, spec.a, nx, ny)
+                if p <= 101:
+                    assert rows == count_level_brute(f.terms, p, spec.a, nx, ny), (f, p)
+            level = spec.fmod.subtract_const(spec.a)
+            degrees.update(len(level.specialize_u(x)) - 1 for x in range(1, nx + 1))
+    assert degrees >= {-1, 0, 1, 2, 3}  # zero and constant rows among them
+
+
+def test_rows_at_p_2_match_the_brute_force():
+    for text in ("U*V", "V^2 + V + U", "V^3 + U*V + 1", "U*V^2 + U", "V^2 + V"):
+        f = parse_poly(text)
+        for a in (0, 1):
+            for nx, ny in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                spec = LevelCurveSpec(f, 2, a)
+                assert count_level_points(spec, CountBox(nx, ny), "rows") == count_level_brute(
+                    f.terms, 2, a, nx, ny), (text, a, nx, ny)
+
+
+def test_rows_equal_the_grid_at_large_primes():
+    # int64 rows at the largest prime below MAX_GRID_PRIME, Python ints
+    # above it; the levels are values f takes in the box, so counts are not 0
+    rng = random.Random(11)
+    for p in (3037000493, 10**10 + 19):
+        for nx, ny in ((9, 7), (3, 40)):
+            for _ in range(3):
+                terms = {(rng.randint(0, 3), rng.randint(0, 3)): rng.randrange(p) for _ in range(3)}
+                terms[(1, 2)], terms[(0, 3)] = rng.randrange(1, p), 1
+                f = IntBivariatePoly(terms)
+                for a in {eval_mod(f.terms, rng.randint(1, nx), rng.randint(1, ny), p)
+                          for _ in range(2)}:
+                    spec, box = LevelCurveSpec(f, p, a), CountBox(nx, ny)
+                    rows = count_level_points(spec, box, "rows")
+                    assert rows >= 1 and rows == count_level_points(spec, box, "grid"), (p, f, a)
+                    assert rows == _rows_reference(spec, nx, ny), (p, f, a)
+        spec = LevelCurveSpec(ELLIPTIC, p, 5)
+        assert count_level_points(spec, CountBox(40, p), "rows") == _rows_reference(spec, 40, p)
+
+
+def test_row_memory_does_not_grow_with_the_tile_count(monkeypatch):
+    # E has V-degree 2, so a tile holds BLOCK_POINTS // 3 rows; 8 tiles kept
+    # at once would take 4x the memory of 2 (tiles of 2^15 keep it quick)
+    monkeypatch.setattr(counting, "BLOCK_POINTS", 1 << 15)
+    p, rows = 100003, (1 << 15) // 3
+    spec = LevelCurveSpec(ELLIPTIC, p, 7)
+    two, eight = (_peak(lambda: count_level_points(spec, CountBox(n * rows, p), "rows"))
+                  for n in (2, 8))
+    assert eight < 1.5 * two, (two, eight)
 
 
 def test_counts_match_brute_force_randomized():

@@ -297,13 +297,46 @@ def test_bad_levels_equal_the_loop_on_random_inputs():
     assert filtered >= 8
 
 
+def _random_linear_in_v(rng):
+    """A(U) * V + B(U) with deg A in {1, 2}: the V-leading coefficient A
+    vanishes at some u over the algebraic closure."""
+    du = rng.randint(1, 2)
+    terms = {(i, 1): rng.randint(-5, 5) for i in range(du)}
+    terms[(du, 1)] = rng.choice((1, 2, -3))
+    terms.update({(i, 0): rng.randint(-5, 5) for i in range(du + 2)})
+    return IntBivariatePoly(terms)
+
+
+def test_critical_levels_shear_a_vanishing_leading_coefficient():
+    # the formal resultants of U*V vanish with its V-leading coefficient U;
+    # the shear f(U + V, V) = U*V + V^2 has the constant one 1
+    assert factor._critical_levels(_mod("U*V", 101)) == [0]
+    assert factor._shear(_mod("U*V", 101), 1) == _mod("U*V + V^2", 101)
+    # deg A = 2 puts a singular point at (0 : 1 : 0), so the loop runs there
+    rng = random.Random(2007)
+    sheared = 0
+    for _ in range(40):
+        p = rng.choice((31, 37, 41, 43, 47, 53))
+        f = _random_linear_in_v(rng)
+        fm = reduce_mod(f, p)
+        cands = factor._critical_levels(fm)
+        loop = _loop_bad_levels(fm)
+        if factor._critical_poly(fm) == [] and cands is not None:
+            sheared += 1
+        if not factor._singular_at_infinity(fm) and len(loop) < p:
+            assert cands is not None, (f, p)
+        if cands is not None:
+            assert loop <= set(cands), (f, p)
+        assert bad_level_values(f, p) == loop, (f, p)
+    assert sheared >= 15
+
+
 # one input for each reason the critical-value filter does not apply
 FALLBACK_FIXTURES = [
     ("2*U^2*V^2 - 3*U*V - 2*V^2", 17),      # singular at (1 : 0 : 0) and (0 : 1 : 0)
     ("U^3 + U", 17),                        # no V: singular at (0 : 1 : 0)
     ("V^3 - U^3 + U", 3),                   # f_V = 0 mod p, below the threshold as p | d
-    ("U^2 + 2*U*V^2 + V^4 + U + V^2", 17),  # (U + V^2)^2 + U + V^2: h = 0
-    ("U*V", 17),                            # D = 0: the leading V-coefficient U divides h
+    ("U^2 + 2*U*V^2 + V^4 + U + V^2", 17),  # (U + V^2)^2 + U + V^2: h = 0, sheared too
     ("V^3 - U^3", 7),                       # p <= d(d - 1) + 1
 ]
 
@@ -348,3 +381,6 @@ def test_bad_levels_run_the_verdict_only_at_candidates(monkeypatch):
     monkeypatch.setattr(factor, "is_absolutely_irreducible", counted)
     assert bad_level_values(parse_poly("V^3 - U^3"), 97) == {0}
     assert len(calls) <= 2
+    calls.clear()  # the candidates of U*V come from its shear U*V + V^2
+    assert bad_level_values(parse_poly("U*V"), 10007) == {0}
+    assert len(calls) == 1
