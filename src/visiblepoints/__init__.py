@@ -3,7 +3,7 @@ curves of bivariate polynomials modulo primes.
 
 The package provides:
 
-* integer utilities (Moebius sieve, segmented prime sieve, divisor counts);
+* integer utilities (Moebius sieve, segmented prime sieve);
 * exact bivariate polynomials over Z and their reductions mod p;
 * prime and extension fields with univariate root finding and an exact
   absolute-irreducibility test for bivariate polynomials;
@@ -15,11 +15,8 @@ The package provides:
 
 from .arith import (
     MobiusTable,
-    divisor_count,
-    gcd,
     is_prime,
     mobius_sieve,
-    prime_omega,
     primes_in_range,
     zeta2_inverse_partial,
 )
@@ -74,7 +71,6 @@ from .factor import (
 from .fields import (
     ExtensionField,
     PrimeField,
-    find_irreducible_poly,
     univariate_roots,
 )
 from .output import (
@@ -84,7 +80,7 @@ from .output import (
     zero_reports_to_csv,
     zero_reports_to_json,
 )
-from .poly import IntBivariatePoly, ModBivariatePoly, parse_poly, reduce_mod, specialize_u
+from .poly import IntBivariatePoly, ModBivariatePoly, parse_poly, reduce_mod
 
 __version__ = "0.1.0"
 
@@ -126,10 +122,7 @@ __all__ = [
     "count_visible_by_prime",
     "count_visible_direct",
     "count_visible_mobius",
-    "divisor_count",
     "expected_visible",
-    "find_irreducible_poly",
-    "gcd",
     "integer_zero_set",
     "is_absolutely_irreducible",
     "is_irreducible_bivariate",
@@ -137,7 +130,6 @@ __all__ = [
     "level_sweep",
     "mobius_sieve",
     "parse_poly",
-    "prime_omega",
     "prime_sweep",
     "primes_in_range",
     "read_csv",
@@ -145,7 +137,6 @@ __all__ = [
     "records_to_json",
     "reduce_mod",
     "run_sweep_series",
-    "specialize_u",
     "univariate_roots",
     "visible_histogram",
     "zero_reports_to_csv",

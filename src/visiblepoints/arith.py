@@ -1,4 +1,4 @@
-"""Integer utilities: gcd, Moebius sieve, prime enumeration, divisor counts.
+"""Integer utilities: primality, Moebius sieve, prime enumeration, factorization.
 
 Everything here is exact integer arithmetic.  Tables are numpy-backed
 (one signed byte per integer for the Moebius table) so limits up to ~1e7
@@ -15,13 +15,6 @@ import numpy as np
 _SEGMENT_SIZE = 1 << 18  # segment length for the segmented prime sieve
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def gcd(u: int, v: int) -> int:
-    """Greatest common divisor of two positive integers."""
-    if u < 1 or v < 1:
-        raise ValueError("gcd arguments must be positive")
-    return math.gcd(u, v)
 
 
 def is_prime(n: int) -> bool:
@@ -161,12 +154,3 @@ def factorize(k: int) -> list[tuple[int, int]]:
         out.append((k, 1))
     return out
 
-
-def divisor_count(k: int) -> int:
-    """Number of positive divisors of k."""
-    return math.prod(e + 1 for _, e in factorize(k))
-
-
-def prime_omega(k: int) -> int:
-    """Number of distinct prime divisors of k."""
-    return len(factorize(k))

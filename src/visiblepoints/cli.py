@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .arith import is_prime
@@ -339,7 +340,14 @@ def main(argv: list[str] | None = None) -> int:
         handler, *checks = _HANDLERS[args.command]
         for check in checks:
             check(args)
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (e.g. piped into head); point it at
+        # devnull so the flush at interpreter exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, PolynomialParseError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

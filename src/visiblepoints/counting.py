@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import _prime_flags, is_prime, mobius_sieve
+from .arith import _prime_flags, mobius_sieve
 from .errors import GridOverflow, NonFiniteParameter
 from .fields import PrimeField, univariate_roots
 from .poly import (
@@ -111,12 +111,11 @@ class LevelCurveSpec:
     __slots__ = ("f", "p", "a", "fmod")
 
     def __init__(self, f: IntBivariatePoly, p: int, a: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        fmod = reduce_mod(f, p)  # may raise ValueError or DegenerateReduction
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "a", a % p)
-        object.__setattr__(self, "fmod", reduce_mod(f, p))  # may raise DegenerateReduction
+        object.__setattr__(self, "fmod", fmod)
 
     def __setattr__(self, *_):
         raise AttributeError("LevelCurveSpec is immutable")
@@ -467,9 +466,6 @@ class VisibleHistogram:
     box: CountBox
     level_counts: np.ndarray
     visible_counts: np.ndarray
-
-    def total_points(self) -> int:
-        return int(self.level_counts.sum())
 
     def total_visible(self) -> int:
         return int(self.visible_counts.sum())

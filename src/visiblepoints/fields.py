@@ -56,9 +56,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def pow_(self, a, e: int):
-        return pow(a, e, self.p)
-
     def from_int(self, n: int):
         return n % self.p
 
@@ -268,36 +265,21 @@ def find_irreducible_over(K, k: int) -> list:
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
-def find_irreducible_poly(p: int, k: int) -> list[int]:
-    """First monic irreducible degree-k polynomial over F_p, deterministic.
-
-    Coefficients ascending: (p=7, k=2) gives [1, 0, 1], i.e. V^2 + 1.
-    """
-    return find_irreducible_over(PrimeField(p), k)
-
-
 class ExtensionField:
     """F_{p^k} as F_p[x]/(modulus), elements stored as length-k int tuples.
 
-    The modulus is verified irreducible at construction; omitting it picks
-    the first irreducible monic degree-k polynomial in the fixed search
-    order, so field construction is reproducible.
+    The modulus is the first irreducible monic degree-k polynomial in the
+    fixed search order of ``find_irreducible_over``, so field construction
+    is reproducible.
     """
 
     __slots__ = ("p", "k", "modulus", "base", "_red")
 
-    def __init__(self, p: int, k: int, modulus=None):
+    def __init__(self, p: int, k: int):
         base = PrimeField(p)
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if modulus is None:
-            mod = find_irreducible_over(base, k)
-        else:
-            mod = [c % p for c in modulus]
-            if len(mod) != k + 1 or mod[-1] != 1:
-                raise ValueError("modulus must be monic of degree k")
-            if k > 1 and not u_is_irreducible(base, mod):
-                raise ValueError("modulus is not irreducible over F_p")
+        mod = find_irreducible_over(base, k)
         self.p = p
         self.k = k
         self.base = base
@@ -370,15 +352,6 @@ class ExtensionField:
         if u_deg(g) != 0:
             raise ZeroDivisionError("element not invertible")
         return tuple(s[i] if i < len(s) else 0 for i in range(self.k))
-
-    def pow_(self, a, e: int):
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
 
     def from_int(self, n: int):
         return (n % self.p,) + (0,) * (self.k - 1)

@@ -50,24 +50,13 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, list):
+        return ";".join(map(str, value))
     return str(value)
 
 
 def _record_row(r: DiscrepancyRecord) -> list[str]:
-    return [
-        r.kind,
-        r.f_text,
-        _fmt(r.p),
-        _fmt(r.T),
-        _fmt(r.a),
-        _fmt(float(r.X)),
-        _fmt(float(r.Y)),
-        _fmt(r.sum_abs_dev),
-        _fmt(r.bound_value),
-        _fmt(r.ratio),
-        ";".join(str(p) for p in r.skipped_primes),
-        _fmt(r.box_nontrivial),
-    ]
+    return [_fmt(v) for v in _record_dict(r).values()]
 
 
 def _zeroset_row(z: ZeroSetReport) -> list[str]:
@@ -101,6 +90,8 @@ def zero_reports_to_csv(reports: list[ZeroSetReport], timestamp: bool = True) ->
 
 
 def _record_dict(r: DiscrepancyRecord) -> dict:
+    """The record's fields keyed by ``RECORD_COLUMNS``, in column order: the
+    JSON object, and through ``_fmt`` the CSV row."""
     return {
         "kind": r.kind,
         "f": r.f_text,

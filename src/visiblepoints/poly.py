@@ -159,13 +159,11 @@ class ModBivariatePoly:
     """Reduction of an integer bivariate polynomial modulo a prime p.
 
     Coefficients live in [0, p-1]; zero coefficients are not stored.
-    ``int_degree`` is the total degree of the integer preimage, so a drop
-    of total degree under reduction is visible as ``degree < int_degree``.
     """
 
-    __slots__ = ("p", "terms", "degree", "int_degree")
+    __slots__ = ("p", "terms", "degree")
 
-    def __init__(self, p: int, terms: dict[tuple[int, int], int], int_degree: int | None = None):
+    def __init__(self, p: int, terms: dict[tuple[int, int], int]):
         clean = {}
         for (i, j), c in terms.items():
             c %= p
@@ -174,16 +172,9 @@ class ModBivariatePoly:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "degree", max((i + j for i, j in clean), default=-1))
-        object.__setattr__(
-            self, "int_degree", self.degree if int_degree is None else int_degree
-        )
 
     def __setattr__(self, *_):
         raise AttributeError("ModBivariatePoly is immutable")
-
-    @property
-    def degree_dropped(self) -> bool:
-        return self.degree < self.int_degree
 
     @property
     def deg_u(self) -> int:
@@ -223,17 +214,13 @@ class ModBivariatePoly:
         """f - a modulo p."""
         terms = dict(self.terms)
         terms[(0, 0)] = (terms.get((0, 0), 0) - a) % self.p
-        return ModBivariatePoly(self.p, terms, int_degree=self.int_degree)
+        return ModBivariatePoly(self.p, terms)
 
     def scale_args(self, d: int) -> "ModBivariatePoly":
         """The polynomial (U, V) -> f(d*U, d*V) modulo p."""
         p = self.p
         terms = {(i, j): c * pow(d, i + j, p) for (i, j), c in self.terms.items()}
-        return ModBivariatePoly(p, terms, int_degree=self.int_degree)
-
-    def to_int_poly(self) -> IntBivariatePoly:
-        """Lift with coefficients in [0, p-1]."""
-        return IntBivariatePoly(dict(self.terms))
+        return ModBivariatePoly(p, terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -246,7 +233,7 @@ class ModBivariatePoly:
         return hash((self.p, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
-        return f"ModBivariatePoly(p={self.p}, {self.to_int_poly().text()!r})"
+        return f"ModBivariatePoly(p={self.p}, {IntBivariatePoly(self.terms).text()!r})"
 
 
 def _mul_pow(acc, x, e: int, p: int | None):
@@ -315,14 +302,9 @@ def reduce_mod(f: IntBivariatePoly, p: int) -> ModBivariatePoly:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    fm = ModBivariatePoly(p, f.terms, int_degree=f.degree)
+    fm = ModBivariatePoly(p, f.terms)
     if fm.is_constant():
         raise DegenerateReduction(
             f"{f.text()} reduces to a constant modulo {p}"
         )
     return fm
-
-
-def specialize_u(fmod: ModBivariatePoly, x: int) -> list[int]:
-    """Univariate V -> f(x, V) over F_p, coefficients ascending."""
-    return fmod.specialize_u(x)

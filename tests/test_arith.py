@@ -1,27 +1,13 @@
-import math
-
 import pytest
 
 from visiblepoints.arith import (
-    divisor_count,
-    gcd,
     is_prime,
     mobius_sieve,
-    prime_omega,
     primes_in_range,
     zeta2_inverse_partial,
 )
 
 from oracles import mobius_brute, primes_brute
-
-
-def test_gcd_trivials():
-    assert gcd(1, 1) == 1
-    assert gcd(4, 4) == 4
-    assert gcd(2, 3) == 1
-    assert gcd(12, 18) == 6
-    with pytest.raises(ValueError):
-        gcd(0, 5)
 
 
 def test_mobius_small_values():
@@ -112,12 +98,3 @@ def test_zeta2_converges_to_coprime_density():
     reference = float(6 / mpmath.pi**2)
     assert abs(reference - 0.60792710185) < 1e-9
     assert abs(zeta2_inverse_partial(10**6) - reference) < 1e-5
-
-
-def test_divisor_and_omega_counts():
-    assert divisor_count(12) == 6 and prime_omega(12) == 2
-    assert divisor_count(1) == 1 and prime_omega(1) == 0
-    assert divisor_count(97) == 2 and prime_omega(97) == 1
-    # omega(k) stays below a small multiple of log k on a sample
-    for k in range(2, 3000):
-        assert prime_omega(k) <= 2 * math.log(k) + 1

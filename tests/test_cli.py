@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from visiblepoints.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _bodies(path):
@@ -227,3 +233,23 @@ def test_hostile_inputs_end_without_a_traceback(capsys):
     assert main(["count", "-f", "U^99999999 + V", "-p", "7", "-a", "0",
                  "-X", "7", "-Y", "7"]) == 0
     assert "count = 7" in capsys.readouterr().out
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # as in `... | head -c 10`: the reader takes 10 bytes of a 150 kB
+    # document, more than a pipe buffers, and closes its end
+    argv = [sys.executable, "-m", "visiblepoints.cli",
+            "zeros", "-f", "U - V", "-X", "3000", "-Y", "3000", "--format", "json"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    full = subprocess.run(argv, capture_output=True, env=env, timeout=120).stdout
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err, err
+    assert len(head) == 10 and full.startswith(head)

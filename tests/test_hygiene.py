@@ -1,0 +1,58 @@
+"""Guards on the package's names, checked with ast and importlib: the public
+names resolve, the benchmark's traced mode finds every name it rebinds, and
+no module keeps an import it does not use."""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
+
+import visiblepoints
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "visiblepoints"
+
+
+def test_public_names_resolve_once():
+    names = visiblepoints.__all__
+    assert [n for n, k in Counter(names).items() if k > 1] == []
+    assert [n for n in names if not hasattr(visiblepoints, n)] == []
+
+
+def test_traced_benchmark_rebinds_existing_names(monkeypatch):
+    # the traced mode of perfbench/run.py rebinds these names on the
+    # library's modules; a missing one would fail every traced child
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
+    spec.loader.exec_module(tracing)
+    missing = [
+        (mod, attr)
+        for mod, attr, _ in tracing.REBINDINGS
+        if not hasattr(importlib.import_module(f"visiblepoints.{mod}"), attr)
+    ]
+    assert missing == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) > 1
+    assert [u for path in modules for u in _unused_imports(path)] == []
