@@ -14,13 +14,17 @@ tile's reduced result in order through ``parallel_map``; callers sum them
 memory stays bounded however large the box is, and integer sums and
 in-order concatenation do not depend on the worker count.
 
-Evaluation is the one Horner kernel of poly, with or without the reduction
-mod p, in an element type the caller picks from a bound it knows: int64
-when every value fits, else Python ints (numpy object arrays).  Modulo p
-each Horner step stays below p(p - 1), which fits for p <= MAX_GRID_PRIME
-= isqrt(2^63 - 1); over Z each partial value is at most B = sum |c_ij| *
-X^i * Y^j, which fits when ``_fits_int64``.  So grid, direct, Moebius and
-M(d) counts are exact at every prime.  Three routes keep their own choice:
+Evaluation is the one kernel of poly, f(x, y) = sum of c_j(x) * y^j: the
+row coefficients c_j by Horner in U, the powers y^j from one table per
+tile, with or without the reduction mod p.  Modulo p every product is at
+most (p - 1)^2 and the sum is reduced only when the next product could
+pass 2^63 - 1 (for p = 4003, once per point), so int64 is exact for p <=
+MAX_GRID_PRIME = isqrt(2^63 - 1); above it the kernel itself works in
+Python ints (numpy object arrays).  Over Z the sweep's caller picks the
+element type from a bound it knows: each power, row coefficient and
+partial sum is at most B = sum |c_ij| * X^i * Y^j, which fits in int64
+when ``_fits_int64``.  So grid, direct, Moebius and M(d) counts are exact
+at every prime.  Three routes keep their own choice:
 ``visible_histogram`` refuses p > MAX_GRID_PRIME (GridOverflow), as it
 needs p bins per tile; "auto" in ``count_level_points`` takes rows there,
 root finding on O(X) rows instead of O(XY) evaluations;
@@ -55,6 +59,7 @@ from .arith import _prime_flags, mobius_sieve
 from .errors import GridOverflow, NonFiniteParameter
 from .fields import PrimeField, univariate_roots
 from .poly import (
+    MAX_GRID_PRIME,
     IntBivariatePoly,
     ModBivariatePoly,
     _horner_rows,
@@ -71,9 +76,6 @@ _ROW_STRATEGY_MAX_DEGV = 4
 
 #: most points in one tile of a sweep
 BLOCK_POINTS = 1 << 18
-
-#: largest p for which a product of two residues fits in int64
-MAX_GRID_PRIME = math.isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ def _count_grid(fmod: ModBivariatePoly, a: int, nx: int, ny: int, coprime_only: 
         i, j = np.nonzero(vals == a)
         return int(np.count_nonzero(np.gcd(xs[i], ys[j]) == 1))
 
-    return sum(_sweep(fmod.evaluate, nx, ny, hits, int64=fmod.p <= MAX_GRID_PRIME))
+    return sum(_sweep(fmod.evaluate, nx, ny, hits))
 
 
 def _row_degrees(A: np.ndarray) -> np.ndarray:
@@ -476,6 +478,9 @@ def visible_histogram(
 ) -> VisibleHistogram:
     """One sweep over the grid accumulating both per-level counts.
 
+    Each tile takes one bincount of 2 * f(x, y) + [gcd(x, y) = 1] over 2p
+    bins, formed in place in the tile's values: the odd bins are the
+    visible counts, and the even plus the odd ones the level counts.
     Tiles may be spread over several workers; their bincounts are summed as
     they arrive, so the result is identical for any worker count and at
     most 2 * workers tiles' bincounts are held at once.
@@ -487,13 +492,15 @@ def visible_histogram(
     primes = _sieve_primes(min(box.nx, box.ny))
 
     def bincounts(xs, ys, vals):
-        coprime = _coprime_mask(xs, ys, primes)
-        return np.stack(
-            (np.bincount(vals.ravel(), minlength=p), np.bincount(vals[coprime], minlength=p))
-        )
+        vals *= 2
+        vals += _coprime_mask(xs, ys, primes)
+        return np.bincount(vals.ravel(), minlength=2 * p)
 
-    level, visible = sum(_sweep(fmod.evaluate, box.nx, box.ny, bincounts, workers))
-    return VisibleHistogram(p=p, box=box, level_counts=level, visible_counts=visible)
+    counts = sum(_sweep(fmod.evaluate, box.nx, box.ny, bincounts, workers))
+    visible = counts[1::2]
+    return VisibleHistogram(
+        p=p, box=box, level_counts=counts[::2] + visible, visible_counts=visible
+    )
 
 
 def _fits_int64(f: IntBivariatePoly, box: CountBox) -> bool:

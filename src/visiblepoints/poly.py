@@ -10,7 +10,10 @@ Examples: ``U*V``, ``V^2 - U^3 - U - 1``, ``3*U^2*V - 7``.
 
 from __future__ import annotations
 
+import math
 import re
+
+import numpy as np
 
 from .arith import is_prime
 from .errors import DegenerateReduction, PolynomialParseError
@@ -18,6 +21,9 @@ from .errors import DegenerateReduction, PolynomialParseError
 _TERM_VARPART = re.compile(r"^(?:(\d+)\*)?([UV](?:\^\d+)?(?:\*[UV](?:\^\d+)?)*)$")
 _TERM_CONST = re.compile(r"^(\d+)$")
 _FACTOR = re.compile(r"^([UV])(?:\^(\d+))?$")
+
+#: largest p for which a product of two residues fits in int64
+MAX_GRID_PRIME = math.isqrt(2**63 - 1)
 
 
 def _parse_term(term: str) -> tuple[int, int, int]:
@@ -110,14 +116,15 @@ class IntBivariatePoly:
         return not self.terms
 
     def evaluate(self, x, y):
-        """f(x, y) over Z, by the Horner kernel of :func:`_horner` unreduced.
+        """f(x, y) over Z, by the kernel :func:`_evaluate` unreduced.
 
         x and y are ints or arrays, which broadcast.  Exact for Python ints
         and object arrays of them.  For int64 arrays it is exact when
         sum |c_ij| * X^i * Y^j < 2^63 over the range of x and y, as that
-        sum bounds every partial Horner value.
+        sum bounds every power y^j, every row coefficient c_j(x) with its
+        Horner steps, and every partial sum of the terms c_j(x) * y^j.
         """
-        return _horner(self.terms, x, y)
+        return _evaluate(self.terms, x, y)
 
     def text(self) -> str:
         """Canonical text form (terms sorted by total degree, then U-degree)."""
@@ -188,14 +195,15 @@ class ModBivariatePoly:
         return self.degree <= 0
 
     def evaluate(self, x, y):
-        """f(x, y) mod p, by Horner in V over the row coefficients at x.
+        """f(x, y) mod p, as the sum of c_j(x) * y^j (:func:`_evaluate`).
 
-        x and y are ints, int64 arrays (exact for p <= isqrt(2^63 - 1)) or
-        object arrays of Python ints (exact for every p); arrays broadcast,
-        and the result has their full broadcast shape even when f is
-        constant.
+        x and y are ints or integer arrays; arrays broadcast, and the result
+        has their full broadcast shape even when f is constant.  Exact at
+        every p: an int64 result for int64 arrays up to MAX_GRID_PRIME =
+        isqrt(2^63 - 1), an object array of Python ints above it, whatever
+        the dtype of the arguments.
         """
-        return _horner(self.terms, x, y, self.p)
+        return _evaluate(self.terms, x, y, self.p)
 
     def specialize_u(self, x: int) -> list[int]:
         """Coefficients (ascending in V) of the univariate V -> f(x, V) over F_p.
@@ -269,7 +277,7 @@ def _horner_sparse(pairs, x, p: int | None = None):
 def _horner_rows(terms: dict[tuple[int, int], int], x, p: int | None = None) -> dict:
     """{j: c_j(x)} over the V-powers j of f, descending, with f(x, V) = sum
     of c_j(x) * V^j, by :func:`_horner_sparse` in U; reduced mod p when p is
-    given.  With :func:`_horner` it is the only code that evaluates f.
+    given.  With :func:`_evaluate` it is the only code that evaluates f.
 
     x is an int or an int64 array, and every c_j(x) has the shape of x.
     Modulo p, x is reduced first, so every product combines values below p:
@@ -284,14 +292,60 @@ def _horner_rows(terms: dict[tuple[int, int], int], x, p: int | None = None) -> 
     return {j: _horner_sparse(row, x, p) for j, row in rows.items()}
 
 
-def _horner(terms: dict[tuple[int, int], int], x, y, p: int | None = None):
-    """f(x, y), reduced mod p when p is given, by :func:`_horner_sparse` in
-    V over :func:`_horner_rows`.  Array arguments broadcast, and the result
-    has their full broadcast shape even when f has no V term."""
+def _evaluate(terms: dict[tuple[int, int], int], x, y, p: int | None = None):
+    """f(x, y) = sum of c_j(x) * y^j over the V-powers j of f, reduced mod p
+    when p is given; the only code that evaluates f at points.
+
+    The row coefficients c_j(x) come from :func:`_horner_rows`, O(rows)
+    work; the powers y^j are built once on y, ascending, by
+    :func:`_mul_pow` over the gaps between the exponents, so a huge sparse
+    exponent costs its bit length; the j = 0 term needs no power.  Array
+    arguments broadcast, and the result has their full broadcast shape;
+    only an f with no V term costs a pass just to broadcast.
+
+    Modulo p both factors of each product are residues, so a product is
+    at most (p - 1)^2, and the sum is reduced lazily: after every m =
+    (2^63 - 1 - (p - 1)) // (p - 1)^2 products and once at the end, which
+    keeps int64 exact for p <= MAX_GRID_PRIME (m >= 1 there).  For p =
+    4003 that is one reduction per point.  Above MAX_GRID_PRIME every
+    integer array or numpy scalar is taken to Python ints (object dtype)
+    first, whatever its dtype, and the sum is reduced only at the end.
+    Over Z nothing is reduced; see :meth:`IntBivariatePoly.evaluate`.
+    """
+    period = None
     if p is not None:
+        if p > MAX_GRID_PRIME:
+            x, y = _python_ints(x), _python_ints(y)
+        else:
+            period = (2**63 - 1 - (p - 1)) // (p - 1) ** 2
         y = y % p
-    rows = _horner_rows(terms, x, p) or {0: x * 0}
-    return _horner_sparse(list(rows.items()), y, p)
+    rows = _horner_rows(terms, x, p)
+    const = rows.pop(0, None)
+    if not rows:
+        return (x * 0 if const is None else const) + y * 0
+    power, prev = y, 1
+    for k, j in enumerate(sorted(rows)):
+        power = _mul_pow(power, y, j - prev, p)
+        prev = j
+        if k == 0:
+            acc = rows[j] * power
+            if const is not None:
+                acc += const
+        else:
+            if period is not None and k % period == 0:
+                acc %= p
+            acc += rows[j] * power
+    if p is not None:
+        acc %= p
+    return acc
+
+
+def _python_ints(v):
+    """v with numpy integers taken to Python ints: an array to object dtype,
+    a numpy scalar to int; anything else unchanged."""
+    if isinstance(v, np.ndarray):
+        return v if v.dtype == object else v.astype(object)
+    return int(v) if isinstance(v, np.integer) else v
 
 
 def reduce_mod(f: IntBivariatePoly, p: int) -> ModBivariatePoly:

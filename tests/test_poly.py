@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from visiblepoints.arith import is_prime
-from visiblepoints.counting import MAX_GRID_PRIME
+from visiblepoints.counting import MAX_GRID_PRIME, CountBox, _fits_int64
 from visiblepoints.errors import DegenerateReduction, PolynomialParseError
 from visiblepoints.poly import IntBivariatePoly, parse_poly, reduce_mod
 
@@ -184,3 +184,81 @@ def test_sparse_exponents_match_the_oracle():
                     assert sum(c * pow(y, j, p) for j, c in row) % p == want
     f = parse_poly("U^100000 + 3*U^99998*V^2 - V")
     assert f.evaluate(2, 3) == 2**100000 + 27 * 2**99998 - 3
+
+
+E = parse_poly("V^2 - U^3 - U - 1")
+
+#: primes on each side of the lazy-reduction threshold, with the number m
+#: of (p - 1)^2 products an int64 sum of residues holds between reductions;
+#: above MAX_GRID_PRIME there is no m, as the kernel works in Python ints
+KERNEL_PRIMES = ((1753413037, 3), (2147483647, 2), (2147483659, 1),
+                 (3037000493, 1), (10**10 + 19, None))
+
+
+def _minus_one_sums(p):
+    # every coefficient is -1 and every V- and U-exponent has the parity
+    # that makes c_j(p - 1) = y^j = p - 1 at y = p - 1, so every product of
+    # the kernel is (p - 1)^2; exponents above p and 10^5 go through the
+    # power table
+    vpows = (1, 3, 5, 7, p + 2, 10**5 + 1)
+    polys = [{(2 * k, j): -1 for k, j in enumerate(vpows[:n])} for n in range(1, 7)]
+    polys.append({(0, j): -1 for j in vpows} | {(0, 0): -1, (10**5, 0): -1})
+    return [IntBivariatePoly(t) for t in polys]
+
+
+@pytest.mark.parametrize("p,m", KERNEL_PRIMES)
+def test_kernel_on_each_side_of_the_lazy_reduction_threshold(p, m):
+    if m is not None:
+        assert (2**63 - 1 - (p - 1)) // (p - 1) ** 2 == m
+    coords = [1, 2, p - 2, p - 1, p, 2 * p - 1]
+    for dtype in (np.int64, object):
+        xs = np.array(coords, dtype=dtype)[:, None]
+        ys = np.array(coords, dtype=dtype)[None, :]
+        for f in _minus_one_sums(p):
+            grid = reduce_mod(f, p).evaluate(xs, ys)
+            assert grid.shape == (6, 6)
+            want = [[eval_mod(f.terms, x, y, p) for y in coords] for x in coords]
+            assert grid.tolist() == want, (p, f)
+
+
+def test_evaluate_above_the_grid_limit_is_exact_on_int64_arrays():
+    # products of residues near 10^10 pass 2^63: the kernel takes int64
+    # arguments to Python ints, so no value wraps
+    p = 10000000019
+    fm = reduce_mod(E, p)
+    xs, ys = np.arange(1, 6)[:, None] + 10**9, np.arange(1, 4)[None, :] + 9 * 10**9
+    grid = fm.evaluate(xs, ys)
+    assert grid[0, 0] == fm.evaluate(10**9 + 1, 9 * 10**9 + 1) == 2190000264
+    assert grid.tolist() == [[eval_mod(E.terms, int(x), int(y), p) for y in ys[0]]
+                             for x in xs[:, 0]]
+    assert fm.evaluate(np.int64(10**9 + 1), np.int64(9 * 10**9 + 1)) == 2190000264
+
+
+def test_evaluate_keeps_int64_tiles_up_to_the_grid_limit():
+    # the fast path: an int64 tile stays int64 up to MAX_GRID_PRIME, and
+    # only above it do the values become Python ints (about 10x slower)
+    xs = np.arange(1, 66, dtype=np.int64)[:, None]
+    ys = np.arange(1, 4004, dtype=np.int64)[None, :]
+    for p in (2, 4003, 2147483659, 3037000493):
+        assert reduce_mod(E, p).evaluate(xs, ys).dtype == np.int64, p
+    for p in (3037000507, 10**10 + 19):
+        assert reduce_mod(E, p).evaluate(xs, ys).dtype == object, p
+    assert MAX_GRID_PRIME < 3037000507
+
+
+def test_integer_evaluation_exact_up_to_the_int64_bound():
+    # B = sum |c_ij| X^i Y^j is 7 * 2^60 + 2^20 + 1 < 2^63 on the box
+    # [1, 2^20]^2, so int64 partial sums cannot wrap; object arrays agree
+    X = 2**20
+    box = CountBox(X, X)
+    coords = [1, 2, X // 2 + 1, X - 1, X]
+    for text in ("V^3 + 3*U^2*V + 2*U*V^2 + U^3 + V + 1",
+                 "-V^3 + 3*U^2*V - 2*U*V^2 + U^3 - V - 1"):
+        f = parse_poly(text)
+        assert _fits_int64(f, box)
+        fast = f.evaluate(np.array(coords)[:, None], np.array(coords)[None, :])
+        exact = f.evaluate(np.array(coords, dtype=object)[:, None],
+                           np.array(coords, dtype=object)[None, :])
+        assert fast.dtype == np.int64 and fast.tolist() == exact.tolist()
+        assert fast[-1, -1] == f.evaluate(X, X)
+    assert parse_poly("V^3 + 3*U^2*V + 2*U*V^2 + U^3 + V + 1").evaluate(X, X) == 7 * 2**60 + X + 1
