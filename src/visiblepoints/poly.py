@@ -344,7 +344,7 @@ def _python_ints(v):
     """v with numpy integers taken to Python ints: an array to object dtype,
     a numpy scalar to int; anything else unchanged."""
     if isinstance(v, np.ndarray):
-        return v if v.dtype == object else v.astype(object)
+        return v.astype(object, copy=False)
     return int(v) if isinstance(v, np.integer) else v
 
 
