@@ -307,7 +307,9 @@ def _evaluate(terms: dict[tuple[int, int], int], x, y, p: int | None = None):
     at most (p - 1)^2, and the sum is reduced lazily: after every m =
     (2^63 - 1 - (p - 1)) // (p - 1)^2 products and once at the end, which
     keeps int64 exact for p <= MAX_GRID_PRIME (m >= 1 there).  For p =
-    4003 that is one reduction per point.  Above MAX_GRID_PRIME every
+    4003 that is one reduction per point; reducing before every added
+    product instead doubles the cost of an f with three or four V-powers
+    there.  Above MAX_GRID_PRIME every
     integer array or numpy scalar is taken to Python ints (object dtype)
     first, whatever its dtype, and the sum is reduced only at the end.
     Over Z nothing is reduced; see :meth:`IntBivariatePoly.evaluate`.

@@ -498,14 +498,15 @@ def test_coprime_mask_on_tiles_that_start_inside_a_row():
 
 
 def test_histogram_memory_does_not_grow_with_the_tile_count():
-    # 8192 x 64 is two tiles and 40960 x 64 ten; each tile's bincount holds
-    # 2p int64, so keeping them all would take 5x the memory.  Two tiles,
-    # not one, are the baseline: from the second tile on the running sum
-    # is held too, and it outweighs a tile's own working set
+    # 4096 x 64 is one tile, 8192 x 64 two and 40960 x 64 ten; each tile's
+    # bincount holds 2p int64, so keeping them all would take 5x the memory
+    # of two.  From the second tile on the running sum, one more bincount,
+    # is held too, so ten tiles may exceed one by that bincount and no more
     p = 200003
-    two, ten = (_peak(lambda: visible_histogram(ELLIPTIC, p, CountBox(nx, 64)))
-                for nx in (8192, 40960))
+    one, two, ten = (_peak(lambda: visible_histogram(ELLIPTIC, p, CountBox(nx, 64)))
+                     for nx in (4096, 8192, 40960))
     assert ten < 1.5 * two, (two, ten)
+    assert ten < one + 1.5 * (2 * p * 8), (one, ten)
 
 
 def test_grid_memory_does_not_grow_with_the_row_length():
