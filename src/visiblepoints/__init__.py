@@ -11,135 +11,58 @@ The package provides:
   Moebius inclusion-exclusion) plus a one-sweep per-level histogram;
 * experiment harnesses measuring averaged discrepancies against the
   6/pi^2 density heuristic, with stable CSV/JSON output and a CLI.
+
+The public names below load their submodule on first access (PEP 562), so
+``import visiblepoints`` imports no submodule and no numpy.  Of the
+submodules, ``counting`` and ``experiments`` import numpy, and ``arith``'s
+sieves load it when first called; ``errors``, ``fields``, ``factor``,
+``poly`` and ``output`` do not.  In the CLI, ``count``, ``visible``,
+``zeros``, ``exp-a``, ``exp-p`` and ``sweep`` load numpy; ``irred``,
+``badset``, ``--help`` and the usage errors caught before a handler runs
+do not.
 """
 
-from .arith import (
-    MobiusTable,
-    is_prime,
-    mobius_sieve,
-    primes_in_range,
-    zeta2_inverse_partial,
-)
-from .counting import (
-    COPRIME_DENSITY,
-    CountBox,
-    LevelCurveSpec,
-    VisibleHistogram,
-    count_divisible,
-    count_level_points,
-    count_visible_by_prime,
-    count_visible_direct,
-    count_visible_mobius,
-    expected_visible,
-    visible_histogram,
-)
-from .errors import (
-    BoxTooLarge,
-    ConstantPolynomial,
-    DegenerateReduction,
-    EmptyPlan,
-    GridOverflow,
-    HypothesisViolated,
-    IdenticallyZero,
-    NonFiniteParameter,
-    PolynomialParseError,
-    UsageError,
-    VisiblePointsError,
-)
-from .experiments import (
-    DEFAULT_DELTAS,
-    ConcentrationProfile,
-    CountDeviation,
-    DiscrepancyRecord,
-    SweepFailure,
-    SweepPoint,
-    ZeroSetReport,
-    concentration_profile,
-    concentration_profiles,
-    count_deviation,
-    integer_zero_set,
-    level_sweep,
-    prime_sweep,
-    run_sweep_series,
-)
-from .factor import (
-    IrreducibilityVerdict,
-    bad_level_values,
-    is_absolutely_irreducible,
-    is_irreducible_bivariate,
-)
-from .fields import (
-    ExtensionField,
-    PrimeField,
-    univariate_roots,
-)
-from .output import (
-    read_csv,
-    records_to_csv,
-    records_to_json,
-    zero_reports_to_csv,
-    zero_reports_to_json,
-)
-from .poly import IntBivariatePoly, ModBivariatePoly, parse_poly, reduce_mod
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COPRIME_DENSITY",
-    "DEFAULT_DELTAS",
-    "BoxTooLarge",
-    "ConcentrationProfile",
-    "ConstantPolynomial",
-    "CountBox",
-    "CountDeviation",
-    "DegenerateReduction",
-    "DiscrepancyRecord",
-    "EmptyPlan",
-    "ExtensionField",
-    "GridOverflow",
-    "HypothesisViolated",
-    "IdenticallyZero",
-    "IntBivariatePoly",
-    "IrreducibilityVerdict",
-    "LevelCurveSpec",
-    "MobiusTable",
-    "ModBivariatePoly",
-    "NonFiniteParameter",
-    "PolynomialParseError",
-    "PrimeField",
-    "SweepFailure",
-    "SweepPoint",
-    "UsageError",
-    "VisibleHistogram",
-    "VisiblePointsError",
-    "ZeroSetReport",
-    "bad_level_values",
-    "concentration_profile",
-    "concentration_profiles",
-    "count_deviation",
-    "count_divisible",
-    "count_level_points",
-    "count_visible_by_prime",
-    "count_visible_direct",
-    "count_visible_mobius",
-    "expected_visible",
-    "integer_zero_set",
-    "is_absolutely_irreducible",
-    "is_irreducible_bivariate",
-    "is_prime",
-    "level_sweep",
-    "mobius_sieve",
-    "parse_poly",
-    "prime_sweep",
-    "primes_in_range",
-    "read_csv",
-    "records_to_csv",
-    "records_to_json",
-    "reduce_mod",
-    "run_sweep_series",
-    "univariate_roots",
-    "visible_histogram",
-    "zero_reports_to_csv",
-    "zero_reports_to_json",
-    "zeta2_inverse_partial",
-]
+#: submodule -> the public names it defines
+_SUBMODULE_NAMES = {
+    "arith": ("MobiusTable", "is_prime", "mobius_sieve", "primes_in_range",
+              "zeta2_inverse_partial"),
+    "counting": ("COPRIME_DENSITY", "CountBox", "LevelCurveSpec", "VisibleHistogram",
+                 "count_divisible", "count_level_points", "count_visible_by_prime",
+                 "count_visible_direct", "count_visible_mobius", "expected_visible",
+                 "visible_histogram"),
+    "errors": ("BoxTooLarge", "ConstantPolynomial", "DegenerateReduction", "EmptyPlan",
+               "GridOverflow", "HypothesisViolated", "IdenticallyZero",
+               "NonFiniteParameter", "PolynomialParseError", "UsageError",
+               "VisiblePointsError"),
+    "experiments": ("DEFAULT_DELTAS", "ConcentrationProfile", "CountDeviation",
+                    "DiscrepancyRecord", "SweepFailure", "SweepPoint", "ZeroSetReport",
+                    "concentration_profile", "concentration_profiles", "count_deviation",
+                    "integer_zero_set", "level_sweep", "prime_sweep", "run_sweep_series"),
+    "factor": ("IrreducibilityVerdict", "bad_level_values", "is_absolutely_irreducible",
+               "is_irreducible_bivariate"),
+    "fields": ("ExtensionField", "PrimeField", "univariate_roots"),
+    "output": ("read_csv", "records_to_csv", "records_to_json", "zero_reports_to_csv",
+               "zero_reports_to_json"),
+    "poly": ("IntBivariatePoly", "ModBivariatePoly", "parse_poly", "reduce_mod"),
+}
+_SUBMODULE = {name: mod for mod, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    try:
+        mod = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{mod}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SUBMODULE))

@@ -2,15 +2,19 @@
 
 Everything here is exact integer arithmetic.  Tables are numpy-backed
 (one signed byte per integer for the Moebius table) so limits up to ~1e7
-stay within a few MB and sieve in well under a second.
+stay within a few MB and sieve in well under a second.  The sieves import
+numpy on first use, so that ``is_prime`` and ``factorize``, which the
+numpy-free subcommands of the CLI need, load without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _SEGMENT_SIZE = 1 << 18  # segment length for the segmented prime sieve
 
@@ -67,6 +71,8 @@ class MobiusTable:
 
 def _prime_flags(limit: int) -> np.ndarray:
     """Boolean array of length limit+1 with flags[n] = n is prime."""
+    import numpy as np
+
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -79,6 +85,8 @@ def mobius_sieve(limit: int) -> MobiusTable:
     """Sieve mu(d) for d = 1..limit."""
     if limit < 1:
         raise ValueError("mobius_sieve limit must be >= 1")
+    import numpy as np
+
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     if limit >= 2:
@@ -99,6 +107,8 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     """
     if lo < 2 or lo > hi:
         raise ValueError("need 2 <= lo <= hi")
+    import numpy as np
+
     base = np.nonzero(_prime_flags(math.isqrt(hi)))[0]
     out: list[int] = []
     start = lo

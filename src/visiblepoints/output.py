@@ -20,8 +20,10 @@ import csv
 import io
 import json
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-from .experiments import DiscrepancyRecord, ZeroSetReport
+if TYPE_CHECKING:  # imported where read_csv builds them, since experiments loads numpy
+    from .experiments import DiscrepancyRecord, ZeroSetReport
 
 SCHEMA_VERSION = 1
 
@@ -134,6 +136,8 @@ def zero_reports_to_json(reports: list[ZeroSetReport]) -> str:
 
 
 def _parse_record(row: dict[str, str]) -> DiscrepancyRecord:
+    from .experiments import DiscrepancyRecord
+
     return DiscrepancyRecord(
         kind=row["kind"],
         f_text=row["f"],
@@ -153,6 +157,8 @@ def _parse_record(row: dict[str, str]) -> DiscrepancyRecord:
 
 
 def _parse_zeroset(row: dict[str, str]) -> ZeroSetReport:
+    from .experiments import ZeroSetReport
+
     points = tuple(
         tuple(int(c) for c in pair.split(":")) for pair in row["points"].split(";") if pair
     )

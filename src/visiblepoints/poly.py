@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 import re
 
-import numpy as np
-
 from .arith import is_prime
 from .errors import DegenerateReduction, PolynomialParseError
 
@@ -344,10 +342,12 @@ def _evaluate(terms: dict[tuple[int, int], int], x, y, p: int | None = None):
 
 def _python_ints(v):
     """v with numpy integers taken to Python ints: an array to object dtype,
-    a numpy scalar to int; anything else unchanged."""
-    if isinstance(v, np.ndarray):
+    a numpy integer scalar to int; anything else unchanged.  Arrays and
+    numpy scalars are told apart by their attributes, so that this module
+    loads without numpy."""
+    if getattr(v, "shape", ()) != ():
         return v.astype(object, copy=False)
-    return int(v) if isinstance(v, np.integer) else v
+    return int(v) if getattr(v, "dtype", None) is not None and v.dtype.kind in "iu" else v
 
 
 def reduce_mod(f: IntBivariatePoly, p: int) -> ModBivariatePoly:

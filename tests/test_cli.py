@@ -211,6 +211,40 @@ def test_sweep_requires_plan_or_csv(capsys):
     capsys.readouterr()
 
 
+def test_unopenable_paths_are_usage_errors(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for argv in (
+        ["sweep", "--from-csv", str(missing / "in.csv")],
+        ["irred", "-f", "V^2 - U^3 - U - 1", "-p", "7", "--out", str(missing / "out.txt")],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("usage error: cannot open "), argv
+        assert "No such file or directory" in captured.err, argv
+
+
+def test_counting_goes_through_the_rebindable_cli_names(monkeypatch, capsys):
+    # the benchmark's traced mode counts these calls by rebinding the names
+    # on the cli module; a handler that looked them up elsewhere would
+    # bypass it and its counts would read 0
+    from visiblepoints import cli
+
+    calls = []
+    for name in ("count_level_points", "count_visible_direct", "count_visible_mobius"):
+        def wrapper(*args, _inner=getattr(cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+    box = ["-p", "5", "-a", "1", "-X", "5", "-Y", "5"]
+    assert main(["count", "-f", "U*V", *box]) == 0
+    assert "count = 4" in capsys.readouterr().out
+    assert main(["visible", "-f", "U*V", *box]) == 0
+    assert "direct=3 mobius=3" in capsys.readouterr().out
+    assert calls == ["count_level_points", "count_visible_direct", "count_visible_mobius"]
+
+
 def test_hostile_inputs_end_without_a_traceback(capsys):
     # tiny fields, a huge exponent, a non-finite T or box side and a non-prime
     # p: each is answered or refused with a documented exit code
