@@ -332,11 +332,13 @@ def _cmd_sweep(args) -> int:
     f = parse_poly(args.poly)
     from . import experiments
 
-    values = [float(v) for v in args.grid.split(",") if v]
     plan = []
-    for val in values:
+    for val in filter(None, args.grid.split(",")):
         if args.mode == "levels":
-            p = int(val)
+            try:
+                p = int(val)
+            except ValueError:
+                raise UsageError(f"levels grid entry {val!r} is not an integer p") from None
             if args.box_eq_p:
                 X = Y = float(p)
             else:
@@ -347,7 +349,7 @@ def _cmd_sweep(args) -> int:
         else:
             if args.X is None or args.Y is None:
                 raise UsageError("primes sweep needs -X and -Y")
-            plan.append(experiments.SweepPoint(kind="primes", X=args.X, Y=args.Y, T=val))
+            plan.append(experiments.SweepPoint(kind="primes", X=args.X, Y=args.Y, T=float(val)))
     results = experiments.run_sweep_series(f, plan, workers=args.workers)
     records = [r for r in results if isinstance(r, experiments.DiscrepancyRecord)]
     failures = [r for r in results if isinstance(r, experiments.SweepFailure)]

@@ -284,13 +284,15 @@ def _split_rows(S: np.ndarray, deg: np.ndarray, p: int) -> list:
     """The roots in F_p of the rows of S, each a product of distinct linear
     factors of degree ``deg`` (possibly 0), as a list of arrays.
 
-    Cantor-Zassenhaus with the candidates V + c, c = 0, 1, ..., as
-    ``fields.univariate_roots`` for odd p, one c per round for every piece
-    still of degree >= 2.  With w = (V + c)^((p - 1)/2) mod s, a piece s
-    splits three ways: gcd(s, w - 1) holds the roots r with r + c a
-    nonzero square, gcd(s, w + 1) those with r + c a non-square, and -c
-    itself is a root when s(-c) = 0.  Pieces are grouped by degree and made
-    monic; a linear one gives its root.  Every piece is linear by c = p - 1.
+    Cantor-Zassenhaus for odd p with the candidates V + c, c = 0, 1, ...,
+    one c per round for every piece still of degree >= 2.  With
+    w = (V + c)^((p - 1)/2) mod s, a piece s splits three ways:
+    gcd(s, w - 1) holds the roots r with r + c a nonzero square,
+    gcd(s, w + 1) those with r + c a non-square, and -c itself is a root
+    when s(-c) = 0.  Pieces are grouped by degree and made monic; a linear
+    one gives its root.  Every piece is linear by c = p - 1: the squares
+    are invariant under no nonzero translation, so some c separates any two
+    roots.
     """
     roots: list = []
     pieces = [(S, deg)]

@@ -36,6 +36,13 @@ nonconstant polynomials over a given finite field K.  Strategy, in order:
    the degrees, so L always has the point.  A factor over L need not lie
    in K[U, V], so none is reported.
 
+A polynomial in U and V is held as the list of its V-coefficients, each a
+U-polynomial over K.  The univariate helpers ``fields.u_*`` run on it with
+K[U] (``_UPolys``) in place of a field: the V-derivative, the steps of the
+pseudo-remainder sequence, and the trial division of step 5, which divides
+only by polynomials monic in V.  The subset products of step 5 are formed
+in K[U]/(U^kappa), the precision of the lift.
+
 Absolute irreducibility reduces to irreducibility over F_p and over
 F_{p^l} for every prime l dividing the total degree n: a base-irreducible
 polynomial that splits over the algebraic closure does so into e > 1
@@ -96,29 +103,60 @@ from .poly import IntBivariatePoly, ModBivariatePoly, reduce_mod
 # bivariate polynomials as lists over the V-degree of U-polynomials
 
 
-def _b_trim(bp: list) -> list:
-    while bp and not bp[-1]:
-        bp.pop()
-    return bp
+class _UPolys:
+    """K[U] as the coefficient ring of the ``fields.u_*`` helpers, so that
+    they run on polynomials in V over K[U]; with ``kappa`` it is
+    K[U]/(U^kappa), where the Hensel subset products are formed.
 
+    Elements are trimmed U-polynomials over K.  ``inv`` inverts the nonzero
+    constants, the units of K[U]; every division in V here is by a
+    polynomial monic in V.
+    """
 
-def _b_degv(bp: list) -> int:
-    return len(bp) - 1
+    __slots__ = ("K", "kappa")
+
+    def __init__(self, K, kappa: int | None = None):
+        self.K = K
+        self.kappa = kappa
+
+    @property
+    def zero(self) -> list:
+        return []
+
+    @property
+    def one(self) -> list:
+        return [self.K.one]
+
+    @property
+    def characteristic(self) -> int:
+        return self.K.characteristic
+
+    def add(self, a: list, b: list) -> list:
+        return u_add(self.K, a, b)
+
+    def sub(self, a: list, b: list) -> list:
+        return u_sub(self.K, a, b)
+
+    def mul(self, a: list, b: list) -> list:
+        prod = u_mul(self.K, a, b)
+        return prod if self.kappa is None else u_trim(self.K, prod[: self.kappa])
+
+    def inv(self, a: list) -> list:
+        if u_deg(a) != 0:
+            raise ZeroDivisionError("only nonzero constants are inverted")
+        return [self.K.inv(a[0])]
+
+    def from_int(self, n: int) -> list:
+        return u_trim(self.K, [self.K.from_int(n)])
 
 
 def _b_degu(bp: list) -> int:
     return max((u_deg(e) for e in bp if e), default=-1)
 
 
-def _b_is_zero(bp: list) -> bool:
-    return all(not e for e in bp)
-
-
 def _from_terms(K, terms: dict) -> list:
-    if not terms:
-        return []
-    m = max(j for _, j in terms)
-    bp: list = [[] for _ in range(m + 1)]
+    """The polynomial with these nonzero terms as a list over its V-degree."""
+    bp: list = [[] for _ in range(max(j for _, j in terms) + 1)]
     for (i, j), c in terms.items():
         e = bp[j]
         while len(e) <= i:
@@ -126,7 +164,7 @@ def _from_terms(K, terms: dict) -> list:
         e[i] = c
     for e in bp:
         u_trim(K, e)
-    return _b_trim(bp)
+    return bp
 
 
 def _b_to_terms(bp: list, K, swap: bool) -> dict:
@@ -138,39 +176,6 @@ def _b_to_terms(bp: list, K, swap: bool) -> dict:
     return out
 
 
-def _b_sub(K, a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for j in range(n):
-        x = a[j] if j < len(a) else []
-        y = b[j] if j < len(b) else []
-        out.append(u_sub(K, x, y))
-    return _b_trim(out)
-
-
-def _b_mul(K, a: list, b: list, trunc: int | None = None) -> list:
-    if not a or not b:
-        return []
-    out: list = [[] for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                prod = u_mul(K, x, y)
-                if trunc is not None:
-                    prod = u_trim(K, prod[:trunc])
-                out[i + j] = u_add(K, out[i + j], prod)
-    if trunc is not None:
-        for idx, e in enumerate(out):
-            out[idx] = u_trim(K, e[:trunc])
-    return _b_trim(out)
-
-
-def _b_scale_upoly(K, bp: list, s: list) -> list:
-    return _b_trim([u_mul(K, e, s) for e in bp])
-
-
 def _b_eval_u(K, bp: list, u0) -> list:
     return u_trim(K, [u_eval(K, e, u0) for e in bp])
 
@@ -179,16 +184,8 @@ def _b_layer(K, bp: list, t: int) -> list:
     return u_trim(K, [e[t] if t < len(e) else K.zero for e in bp])
 
 
-def _b_deriv_v(K, bp: list) -> list:
-    char = K.characteristic
-    out = []
-    for j in range(1, len(bp)):
-        out.append(u_scale(K, bp[j], K.from_int(j % char)))
-    return _b_trim(out)
-
-
 def _b_shift_u(K, bp: list, c) -> list:
-    return _b_trim([u_shift(K, e, c) for e in bp])
+    return [u_shift(K, e, c) for e in bp]
 
 
 def _b_content_u(K, bp: list) -> list:
@@ -204,37 +201,8 @@ def _b_content_u(K, bp: list) -> list:
 def _b_primitive_part(K, bp: list) -> list:
     cont = _b_content_u(K, bp)
     if u_deg(cont) <= 0:
-        return [list(e) for e in bp]
-    out = []
-    for e in bp:
-        if not e:
-            out.append([])
-            continue
-        q, r = u_divmod(K, e, cont)
-        if r:
-            raise AssertionError("content does not divide a coefficient")
-        out.append(q)
-    return _b_trim(out)
-
-
-def _b_divmod_monic_v(K, a: list, b: list) -> tuple[list, list]:
-    """Division in K[U][V] by b monic in V; exact, no fractions."""
-    db = _b_degv(b)
-    if db < 0 or u_deg(b[db]) != 0 or b[db][0] != K.one:
-        raise ValueError("divisor must be monic in V")
-    rem = [list(e) for e in a]
-    da = _b_degv(rem)
-    if da < db:
-        return [], _b_trim(rem)
-    quo: list = [[] for _ in range(da - db + 1)]
-    for k in range(da - db, -1, -1):
-        coef = rem[db + k]
-        if not coef:
-            continue
-        quo[k] = list(coef)
-        for j in range(db + 1):
-            rem[j + k] = u_sub(K, rem[j + k], u_mul(K, coef, b[j]))
-    return _b_trim(quo), _b_trim(rem)
+        return bp
+    return [u_divmod(K, e, cont)[0] for e in bp]
 
 
 def _u_pow(K, a: list, e: int) -> list:
@@ -244,31 +212,24 @@ def _u_pow(K, a: list, e: int) -> list:
     return out
 
 
-def _pseudo_rem_v(K, a: list, b: list) -> list:
+def _pseudo_rem_v(R: _UPolys, a: list, b: list) -> list:
     """A remainder of a by b in K[U][V] after scaling by powers of b's
     V-leading coefficient; preserves gcds up to K[U]-content."""
-    db = _b_degv(b)
-    lcb = b[db]
-    rem = [list(e) for e in a]
-    while not _b_is_zero(rem) and _b_degv(_b_trim(rem)) >= db:
-        rem = _b_trim(rem)
-        da = _b_degv(rem)
-        lca = rem[da]
-        shifted = [[] for _ in range(da - db)] + [u_mul(K, lca, e) for e in b]
-        rem = _b_sub(K, _b_scale_upoly(K, rem, lcb), shifted)
-    return _b_trim(rem)
+    db, lcb = u_deg(b), b[-1]
+    while u_deg(a) >= db:
+        shifted = [R.zero] * (u_deg(a) - db) + u_scale(R, b, a[-1])
+        a = u_sub(R, u_scale(R, a, lcb), shifted)
+    return a
 
 
-def _gcd_v_primitive(K, a: list, b: list) -> list:
+def _gcd_v_primitive(R: _UPolys, a: list, b: list) -> list:
     """gcd of a and b as polynomials in V over K(U), primitive-part PRS."""
-    a = _b_primitive_part(K, _b_trim([list(e) for e in a]))
-    b = _b_primitive_part(K, _b_trim([list(e) for e in b]))
-    while not _b_is_zero(b):
-        if _b_degv(a) < _b_degv(b):
+    a, b = _b_primitive_part(R.K, a), _b_primitive_part(R.K, b)
+    while b:
+        if u_deg(a) < u_deg(b):
             a, b = b, a
             continue
-        r = _pseudo_rem_v(K, a, b)
-        a, b = b, (_b_primitive_part(K, r) if not _b_is_zero(r) else [])
+        a, b = b, _b_primitive_part(R.K, _pseudo_rem_v(R, a, b))
     return a
 
 
@@ -299,10 +260,8 @@ def _lift_pair(K, F: list, g0: list, h0: list, kappa: int) -> tuple[list, list]:
 
 def _layers_to_bp(K, layers: list) -> list:
     m = max(len(layer) for layer in layers)
-    bp = []
-    for j in range(m):
-        bp.append(u_trim(K, [layer[j] if j < len(layer) else K.zero for layer in layers]))
-    return _b_trim(bp)
+    return [u_trim(K, [layer[j] if j < len(layer) else K.zero for layer in layers])
+            for j in range(m)]
 
 
 def _hensel_factors(K, F: list, phis: list, kappa: int) -> list:
@@ -342,8 +301,7 @@ def _unmonicize(K, g: list, lam: list | None) -> list:
     of the original via V -> lam(U)*V and a primitive part."""
     if lam is None:
         return g
-    out = [u_mul(K, g[j], _u_pow(K, lam, j)) for j in range(len(g))]
-    return _b_primitive_part(K, _b_trim(out))
+    return _b_primitive_part(K, [u_mul(K, e, _u_pow(K, lam, j)) for j, e in enumerate(g)])
 
 
 def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
@@ -361,20 +319,18 @@ def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
         return False, None, False
     deg_u = max(i for i, _ in terms)
     deg_v = max(j for _, j in terms)
-    swapped = False
 
     if deg_v == 0 or deg_u == 0:
-        if deg_v == 0:
-            up = [terms.get((i, 0), K.zero) for i in range(deg_u + 1)]
-            swapped = True  # report the factor in the U variable
-        else:
-            up = [terms.get((0, j), K.zero) for j in range(deg_v + 1)]
-        up = u_trim(K, up)
+        # one variable: the factor is found as a polynomial in U, and
+        # swapped=True reports it in V when V is the variable
+        swapped = deg_u == 0
+        up = [terms.get((0, i) if swapped else (i, 0), K.zero) for i in range(n + 1)]
         if u_is_irreducible(K, up):
             return False, None, swapped
         fac = _univariate_factor_any(K, up)
         return True, ([fac] if fac else None), swapped
 
+    swapped = False
     if all(j % char == 0 for _, j in terms):
         if all(i % char == 0 for i, _ in terms):
             return True, None, False  # a perfect char-th power
@@ -382,27 +338,26 @@ def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
         deg_u, deg_v = deg_v, deg_u
         swapped = True
 
+    R = _UPolys(K)
     bp = _from_terms(K, terms)
     cont = _b_content_u(K, bp)
     if u_deg(cont) >= 1:
         return True, [cont], swapped
-    m = _b_degv(bp)
+    m = u_deg(bp)
     if m == 1:
         return False, None, swapped
 
     lead = bp[m]
     if u_deg(lead) == 0:
-        inv = K.inv(lead[0])
-        F = [u_scale(K, e, inv) for e in bp]
+        F = u_monic(R, bp)
         lam = None
     else:
         F = [u_mul(K, bp[j], _u_pow(K, lead, m - 1 - j)) for j in range(m)]
         F.append([K.one])
         lam = lead
 
-    d_f = _b_deriv_v(K, F)
-    g = _gcd_v_primitive(K, F, d_f)
-    if _b_degv(g) >= 1:
+    g = _gcd_v_primitive(R, F, u_deriv(R, F))
+    if u_deg(g) >= 1:
         return True, _unmonicize(K, g, lam), swapped
     if not bp[0]:
         # V divides f and m >= 2: the factor, scaled as the subset search
@@ -439,18 +394,18 @@ def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
     kappa = _b_degu(ft) + 1
     lifted = _hensel_factors(K, ft, phis, kappa)
     degs = [u_deg(phi) for phi in phis]
+    truncated = _UPolys(K, kappa)
     for mask in range(1, (1 << s) - 1):
         dsum = sum(degs[i] for i in range(s) if mask >> i & 1)
         if 2 * dsum > m:
             continue
         if 2 * dsum == m and not mask & 1:
             continue
-        cand = [[K.one]]
+        cand = [R.one]
         for i in range(s):
             if mask >> i & 1:
-                cand = _b_mul(K, cand, lifted[i], trunc=kappa)
-        _, rem = _b_divmod_monic_v(K, ft, cand)
-        if _b_is_zero(rem):
+                cand = u_mul(truncated, cand, lifted[i])
+        if not u_divmod(R, ft, cand)[1]:
             back = _b_shift_u(K, cand, K.neg(u0))
             return True, _unmonicize(K, back, lam), swapped
     return False, None, swapped
@@ -658,8 +613,9 @@ def _critical_poly(fm: ModBivariatePoly) -> list | None:
     points to interpolate D."""
     p, d, m = fm.p, fm.degree, fm.deg_v
     K = PrimeField(p)
+    R = _UPolys(K)
     bp = _from_terms(K, fm.terms)
-    fu, fv = _b_trim([u_deriv(K, e) for e in bp]), _b_deriv_v(K, bp)
+    fu, fv = u_trim(R, [u_deriv(K, e) for e in bp]), u_deriv(R, bp)
     h = _interpolate(K, [
         _sylvester_res(_b_eval_u(K, fu, u), m, _b_eval_u(K, fv, u), m - 1, p)
         for u in range((d - 1) ** 2 + 1)

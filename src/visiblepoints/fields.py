@@ -12,7 +12,6 @@ runs and platforms.
 from __future__ import annotations
 
 import random
-from functools import partial
 
 from .arith import factorize, is_prime
 from .errors import IdenticallyZero
@@ -402,53 +401,33 @@ def _split_test(K, a: list, e: int, g: list) -> list:
     return acc
 
 
-def _equal_degree_split(K, g: list, e: int, candidates, out: list) -> None:
+def _equal_degree_split(K, g: list, e: int, rng: random.Random, out: list) -> None:
     """Cantor-Zassenhaus splitting of monic squarefree g whose irreducible
     factors all have degree e; appends the factors to out.
 
-    ``candidates(d)`` yields the polynomials a of degree below d = deg g
-    tried in turn, afresh for each polynomial split; the first a whose
-    :func:`_split_test` has a proper gcd with g splits it.  Every finite
-    field is covered: the quadratic character for odd size, the trace for
-    size 2^k (D. Cantor and H. Zassenhaus, Math. Comp. 36, 1981).
+    The polynomials a of degree below d = deg g tried in turn have
+    coefficients drawn by rng; the first a whose :func:`_split_test` has a
+    proper gcd with g splits it.  Every finite field is covered: the
+    quadratic character for odd size, the trace for size 2^k (D. Cantor and
+    H. Zassenhaus, Math. Comp. 36, 1981).
     """
     d = u_deg(g)
     if d == e:
         out.append(g)
         return
-    for a in candidates(d):
+    while True:
+        a = [K.element_at(rng.randrange(K.size)) for _ in range(d)]
         t = u_gcd(K, _split_test(K, a, e, g), g)
         if 0 < u_deg(t) < d:
-            _equal_degree_split(K, t, e, candidates, out)
-            _equal_degree_split(K, u_divmod(K, g, t)[0], e, candidates, out)
+            _equal_degree_split(K, t, e, rng, out)
+            _equal_degree_split(K, u_divmod(K, g, t)[0], e, rng, out)
             return
-    raise AssertionError("no candidate splits the polynomial")
-
-
-def _linear_candidates(K, d: int):
-    """x + c for odd |K| and c*x for |K| = 2^k, c in ``element_at`` order;
-    d >= 2 plays no part."""
-    odd = K.size % 2
-    for idx in range(K.size):
-        c = K.element_at(idx)
-        yield [c, K.one] if odd else [K.zero, c]
-
-
-def _random_candidates(K, rng: random.Random, d: int):
-    """Endless polynomials of degree below d with coefficients drawn by rng."""
-    while True:
-        yield [K.element_at(rng.randrange(K.size)) for _ in range(d)]
 
 
 def univariate_roots(g: list, field) -> set:
-    """All roots of g in the field, each listed once.
-
-    The product s of the distinct linear factors, gcd(x^q - x, g), is split
-    by :func:`_equal_degree_split` with the candidates x + c for odd q and
-    c*x for q = 2^k, c in ``element_at`` order.  Both end within q
-    candidates: for odd q the squares are invariant under no nonzero
-    translation, so some c separates any two roots; for q = 2^k the trace is
-    a nonzero linear functional, so Tr(c*(r - r')) = 1 for some c.
+    """All roots of g in the field, each listed once: the product of the
+    distinct linear factors of g, gcd(x^q - x, g), is split into them by
+    :func:`factor_squarefree`.
 
     Raises IdenticallyZero for the zero polynomial; row-by-row callers
     treat that case as 'every value satisfies the congruence'.
@@ -457,14 +436,9 @@ def univariate_roots(g: list, field) -> set:
     g = u_trim(K, list(g))
     if not g:
         raise IdenticallyZero("root search on the zero polynomial")
-    g = u_monic(K, g)
     x = [K.zero, K.one]
     s = u_gcd(K, u_sub(K, u_pow_mod(K, x, K.size, g), x), g)
-    if u_deg(s) < 1:
-        return set()
-    linear: list = []
-    _equal_degree_split(K, s, 1, partial(_linear_candidates, K), linear)
-    return {K.neg(h[0]) for h in linear}
+    return {K.neg(h[0]) for h in factor_squarefree(K, s)}
 
 
 def _elt_key(c):
@@ -492,8 +466,7 @@ def factor_squarefree(K, g: list) -> list[list]:
         h = u_pow_mod(K, h, q, rem)
         t = u_gcd(K, u_sub(K, h, x), rem)
         if u_deg(t) > 0:
-            rng = random.Random(0xC0FFEE + e)
-            _equal_degree_split(K, t, e, partial(_random_candidates, K, rng), factors)
+            _equal_degree_split(K, t, e, random.Random(0xC0FFEE + e), factors)
             rem = u_divmod(K, rem, t)[0]
             if u_deg(rem) > 0:
                 h = u_mod(K, h, rem)

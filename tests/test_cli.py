@@ -50,6 +50,12 @@ def test_irred_reports_the_v_factor_over_a_tiny_field(capsys):
     assert capsys.readouterr().out.strip().endswith("witness factor: V")
 
 
+def test_irred_reports_a_one_variable_factor_in_its_own_variable(capsys):
+    for text, witness in (("V^2 + 1", "V + 2"), ("U^2 + 1", "U + 2"), ("U^2", "U")):
+        assert main(["irred", "-f", text, "-p", "5"]) == 0
+        assert capsys.readouterr().out.strip().endswith(f"witness factor: {witness}"), text
+
+
 def test_badset_at_a_large_prime_runs_only_the_candidates(capsys):
     # one verdict per level would take hours here; the critical values of
     # V^3 - U^3 leave the one candidate 0
@@ -204,6 +210,17 @@ def test_sweep_grid(tmp_path, capsys):
     assert len(body) == 3  # header + two records
     assert body[1].startswith("levels,") and ",7," in body[1]
     capsys.readouterr()
+
+
+def test_sweep_levels_grid_takes_exact_integer_primes(capsys):
+    # a float parse would run p = 7 for 7.9 and a 31-digit p for 1e30
+    for entry in ("7.9", "1e30"):
+        argv = ["sweep", "-f", "V^2-U^3-U-1", "--mode", "levels",
+                "--grid", f"7,{entry}", "--box-eq-p"]
+        assert main(argv) == 2, entry
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'{entry}' is not an integer p" in captured.err
 
 
 def test_sweep_requires_plan_or_csv(capsys):

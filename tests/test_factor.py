@@ -261,6 +261,30 @@ def test_v_factor_is_reported_without_a_squarefree_fiber():
     assert (v.irreducible_over_base, v.absolutely_irreducible, v.witness) == (False, False, "V")
 
 
+# the witness each route of the exact engine reports over F_p, as printed by
+# ``irred``; a one-variable input reports its factor in its own variable
+WITNESS_ROUTES = [
+    ("2*U*V^2 + 4*U^2*V", 7, "U"),                  # content in K[U]
+    ("U^2*V^2 + U^2 + V^2 + 1", 7, "U^2 + 1"),      # content in K[U]
+    ("V^2 + 2*U*V + U^2", 7, "2*U + 2*V"),          # repeated factor
+    ("U^2 + 4*V^2*U + 4*V^4", 5, "2*V^2 + U"),      # repeated factor, monicized
+    ("U*V^2 + U^2*V + V + U", 7, "U + V"),          # Hensel search, lead U
+    ("U^2 - V^10", 5, "V^5 + U"),                   # V-exponents 0 mod p: swapped
+    ("V^3 - U^3", 7, "3*U + V"),                    # Hensel search, monic
+    ("V^2 + 1", 5, "V + 2"),                        # V alone
+    ("U^2 + 1", 5, "U + 2"),                        # U alone
+    ("U^2", 5, "U"),                                # U alone, inseparable part
+    ("V^3", 7, "V^2"),                              # V alone, inseparable part
+]
+
+
+def test_each_route_reports_its_recorded_witness():
+    for text, p, witness in WITNESS_ROUTES:
+        v = is_absolutely_irreducible(_mod(text, p))
+        assert (v.irreducible_over_base, v.absolutely_irreducible, v.witness) == (
+            False, False, witness), (text, p)
+
+
 def _loop_bad_levels(fm):
     return {a for a in range(fm.p)
             if not is_absolutely_irreducible(fm.subtract_const(a)).absolutely_irreducible}

@@ -87,7 +87,7 @@ SMALL_FIELDS = [PrimeField(2), PrimeField(3), ExtensionField(2, 2), PrimeField(5
 
 
 def test_univariate_roots_match_enumeration_small_fields():
-    # odd sizes split with (x + c)^((q-1)/2) - 1, sizes 2^k with Tr(c*x);
+    # odd sizes split with the quadratic character, sizes 2^k with the trace;
     # products of linear factors give many roots, random polynomials few
     rng = random.Random(2)
     for K in SMALL_FIELDS:

@@ -1,6 +1,7 @@
 """Guards on the package's names, checked with ast and importlib: the public
-names resolve, the benchmark's traced mode finds every name it rebinds, and
-no module keeps an import it does not use."""
+names resolve, the benchmark's traced mode finds every name it rebinds, no
+module keeps an import it does not use, and every private function or class
+is used somewhere in the package."""
 
 import ast
 import importlib
@@ -56,3 +57,25 @@ def test_no_unused_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 1
     assert [u for path in modules for u in _unused_imports(path)] == []
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    used = Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                used[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                used[node.name] += 1
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    private = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, defs) and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    assert len(private) > 10
+    assert [d for d in private if not used[d.rsplit(" ", 1)[1]]] == []
