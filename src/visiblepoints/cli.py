@@ -8,11 +8,16 @@ commands zeros/exp-a/exp-p/sweep - csv.
 Exit codes: 0 success, 2 usage error (bad flags, malformed polynomial,
 non-prime p, box out of range, a path that cannot be opened), 3 hypothesis
 violated, 4 degenerate reduction, 5 box too large for the requested T.
+A sweep whose plan points all fail still prints its (empty) records and
+exits with the code of its first failure's error type (1 for a type
+outside this list); a sweep with at least one record exits 0.
 
 count, visible, zeros, exp-a, exp-p and sweep import numpy inside their
 handlers (count and visible after parsing -f); irred, badset, --help and
 the usage errors of argument parsing and of the prime and box checks run
-without it.
+without it.  The verdict engine (factor) and the record writers (output)
+are imported by the handlers that use them, so count and visible load
+neither.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .errors import (
     PolynomialParseError,
     UsageError,
 )
-from . import factor, output
 from .poly import parse_poly, reduce_mod
 
 EXIT_USAGE = 2
@@ -38,6 +42,16 @@ EXIT_HYPOTHESIS = 3
 EXIT_DEGENERATE = 4
 EXIT_BOX = 5
 
+
+#: error type -> (stderr prefix, exit code), first match wins; main maps
+#: an error it catches through this table, and sweep a failed point's type
+_EXIT_CODES = (
+    ((UsageError, PolynomialParseError), "usage error", EXIT_USAGE),
+    (HypothesisViolated, "hypothesis violated", EXIT_HYPOTHESIS),
+    (DegenerateReduction, "degenerate reduction", EXIT_DEGENERATE),
+    (BoxTooLarge, "box too large", EXIT_BOX),
+    (ValueError, "usage error", EXIT_USAGE),
+)
 
 #: formats of the record-emitting commands; the others print table or json
 _RECORD_FORMATS = ("table", "csv", "json")
@@ -64,7 +78,10 @@ def build_parser() -> _Parser:
     c.add_argument("-a", type=int, required=True)
     c.add_argument("-X", type=float, required=True)
     c.add_argument("-Y", type=float, required=True)
-    c.add_argument("--strategy", choices=("auto", "grid", "rows"), default="auto")
+    c.add_argument("--strategy", choices=("auto", "grid", "rows"), default="auto",
+                   help="grid: evaluate f at every point; rows: find the roots in V of "
+                        "each row f(x, V) - a; auto (default): whichever a cost rule "
+                        "fitted to timings of both expects to be cheaper")
 
     v = sp.add_parser("visible", help="visible-point count by both routes")
     _add_common(v)
@@ -176,6 +193,8 @@ def _zero_sets_table(reports) -> str:
 def _emit_items(kind: str, items, fmt: str, path: str | None) -> None:
     """Write discrepancy records or zero sets (``kind`` as
     ``output.read_csv`` names them) in the format fmt."""
+    from . import output
+
     writers = {
         "records": {"csv": output.records_to_csv, "json": output.records_to_json,
                     "table": _records_table},
@@ -247,6 +266,8 @@ def _cmd_visible(args) -> int:
 
 def _cmd_irred(args) -> int:
     f = parse_poly(args.poly)
+    from . import factor
+
     verdict = factor.is_absolutely_irreducible(reduce_mod(f, args.p))
     payload = {
         "f": f.text(), "p": args.p,
@@ -269,6 +290,8 @@ def _cmd_irred(args) -> int:
 
 def _cmd_badset(args) -> int:
     f = parse_poly(args.poly)
+    from . import factor
+
     bad = sorted(factor.bad_level_values(f, args.p))
     payload = {"f": f.text(), "p": args.p, "bad_levels": bad, "size": len(bad)}
     _emit_payload(args, payload, f"bad levels ({len(bad)}): {bad}")
@@ -286,7 +309,7 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_exp_a(args) -> int:
-    from . import experiments
+    from . import experiments, output
     from .counting import CountBox
 
     box = CountBox(args.X, args.Y)
@@ -323,6 +346,8 @@ def _cmd_exp_p(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.from_csv:
+        from . import output
+
         with _open(args.from_csv) as fh:
             kind, items = output.read_csv(fh.read())
         _emit_items(kind, items, args.format, args.out)
@@ -356,7 +381,9 @@ def _cmd_sweep(args) -> int:
     for fail in failures:
         sys.stderr.write(f"sweep point {fail.point} failed: {fail.message}\n")
     _emit_items("records", records, args.format, args.out)
-    return 0
+    if records or not failures:
+        return 0
+    return next((code for types, _, code in _EXIT_CODES if issubclass(failures[0].error, types)), 1)
 
 
 #: subcommand -> (handler, checks that main runs on the arguments first)
@@ -387,21 +414,11 @@ def main(argv: list[str] | None = None) -> int:
         # devnull so the flush at interpreter exit raises nothing more
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (UsageError, PolynomialParseError) as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except HypothesisViolated as exc:
-        sys.stderr.write(f"hypothesis violated: {exc}\n")
-        return EXIT_HYPOTHESIS
-    except DegenerateReduction as exc:
-        sys.stderr.write(f"degenerate reduction: {exc}\n")
-        return EXIT_DEGENERATE
-    except BoxTooLarge as exc:
-        sys.stderr.write(f"box too large: {exc}\n")
-        return EXIT_BOX
     except ValueError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
+        label, code = next((label, code) for types, label, code in _EXIT_CODES
+                           if isinstance(exc, types))
+        sys.stderr.write(f"{label}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,22 @@
 """Exact counts of lattice points on level curves f(x, y) = a (mod p) in a
 box [1, X] x [1, Y], with and without the coprimality (visibility) filter.
 
-Two independent routes compute the visible count: a direct gcd filter over
-the level-curve points, and Moebius inclusion-exclusion over the counts
-M(d) of points whose coordinate gcd is divisible by d.  They must agree
-exactly on every input; the test suite enforces this.
+Two independent routes compute the visible count.  The direct route
+counts the points of f = a and keeps those with gcd(x, y) = 1.  The
+Moebius route sums mu(d) * M(d), where M(d) counts the points of
+f(d*s, d*t) = a on the shrunken box [1, X/d] x [1, Y/d], and never takes a
+gcd.  They must agree exactly on every input; the test suite enforces
+this.  The squarefree d with equal shrunken boxes form runs, about
+2 * sqrt(min(X, Y)) of them: the small boxes of a run are counted together
+in evaluations of shape (d, s, t) of at most BLOCK_POINTS points, and the
+few large ones (d <= 3 on 2000^2) one d at a time.
+
+Every single-level count (a level count, the direct count, each M(d) box)
+takes the grid or the rows by one cost rule, ``_prefers_rows``, fitted to
+timings of both: the grid costs about nx * ny * (1 + w) for f with w
+V-powers, the rows of V-degree k about log p * (R + nx * k^2), times about
+2.5 on the per-row part and log2(nx) rounds on the fixed part when the
+roots must be split apart (ny < p, or the gcd filter).
 
 Every walk over the box is one ``_sweep``.  It cuts the box into tiles of
 at most BLOCK_POINTS = 2^18 points (max(1, 2^18 // ny) rows, or a segment
@@ -24,25 +36,26 @@ Python ints (numpy object arrays).  Over Z the sweep's caller picks the
 element type from a bound it knows: each power, row coefficient and
 partial sum is at most B = sum |c_ij| * X^i * Y^j, which fits in int64
 when ``_fits_int64``.  So grid, direct, Moebius and M(d) counts are exact
-at every prime.  Three routes keep their own choice:
+at every prime.  Two routes keep their own choice:
 ``visible_histogram`` refuses p > MAX_GRID_PRIME (GridOverflow), as it
-needs p bins per tile; "auto" in ``count_level_points`` takes rows there,
-root finding on O(X) rows instead of O(XY) evaluations;
-``count_visible_by_prime`` refuses B >= 2^63, where ``prime_sweep`` counts
-modulo each prime, faster than one sweep over Z in Python ints.
+needs p bins per tile; ``count_visible_by_prime`` refuses B >= 2^63, where
+``prime_sweep`` counts modulo each prime, faster than one sweep over Z in
+Python ints.
 
 The row route finds the roots of a whole tile of rows f(x, V) - a at once:
 the rows are grouped by V-degree, and each group goes through one
 vectorised Cantor-Zassenhaus pass on (rows, degree) arrays: V^p by
 square-and-multiply, gcd(g, V^p - V) by pseudo-remainders, and, when the
-box does not hold every y, the split by (V + c)^((p - 1)/2).  Tiles hold at
-most BLOCK_POINTS coefficients of the widest intermediate, and the element
-type follows the sweep's rule, so row counts are exact at every prime too.
+box does not hold every y or the gcd filter needs the roots, the split by
+(V + c)^((p - 1)/2), which keeps each root's row.  Tiles hold at most
+BLOCK_POINTS coefficients of the widest intermediate, and the element type
+follows the sweep's rule, so row counts are exact at every prime too.
 
 The visible (gcd = 1) mask of a tile is sieved: start from all True and,
 for each prime q up to min(largest x, largest y), clear the points whose
 x and y are both divisible by q.  A single-level count takes gcds only of
-the points on the level.  The gcd filter uses the raw integer coordinates,
+the points on the level: the hits of a grid tile, or the lifted roots of
+the rows.  The gcd filter uses the raw integer coordinates,
 never the residues.
 """
 
@@ -72,10 +85,19 @@ from .poly import (
 #: once so every consumer shares the identical float
 COPRIME_DENSITY = 6.0 / (math.pi * math.pi)
 
-_ROW_STRATEGY_MAX_DEGV = 4
-
 #: most points in one tile of a sweep
 BLOCK_POINTS = 1 << 18
+
+# Constants of the cost rule (_prefers_rows), in seconds, fitted to
+# in-process timings of both strategies on one core: the grid per point and
+# V-power; the rows per Cantor-Zassenhaus round and bit of p (the fixed cost
+# of its numpy calls), and per row, k^2 and bit of p; the factor the root
+# split puts on the per-row part.  Pairs are indexed by p > MAX_GRID_PRIME,
+# where both strategies work in Python ints.
+_GRID_S = (5e-9, 1e-7)
+_ROW_ROUND_S = 1e-4
+_ROW_S = (5e-8, 5e-7)
+_SPLIT_FACTOR = 2.5
 
 
 @dataclass(frozen=True)
@@ -207,6 +229,12 @@ def _row_degrees(A: np.ndarray) -> np.ndarray:
     return np.where(nz.any(axis=1), deg, -1)
 
 
+def _degrees_in(deg: np.ndarray) -> list[int]:
+    """The distinct degrees >= 1 in deg, ascending.  By bincount, since
+    np.unique loads numpy.ma on first use, about 15 ms of start-up."""
+    return np.flatnonzero(np.bincount(deg[deg >= 1])).tolist()
+
+
 def _monic(A: np.ndarray, lead: np.ndarray, p: int) -> np.ndarray:
     """The rows of A divided by their nonzero leading coefficients ``lead``,
     through one vectorised Fermat inverse lead^(p - 2)."""
@@ -282,64 +310,83 @@ def _gcd_rows(A: np.ndarray, B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndar
 
 def _split_rows(S: np.ndarray, deg: np.ndarray, p: int) -> list:
     """The roots in F_p of the rows of S, each a product of distinct linear
-    factors of degree ``deg`` (possibly 0), as a list of arrays.
+    factors of degree ``deg`` (possibly 0), as a list of (row indices into
+    S, roots) pairs of arrays: root k of the pair lies on row indices[k].
 
     Cantor-Zassenhaus for odd p with the candidates V + c, c = 0, 1, ...,
     one c per round for every piece still of degree >= 2.  With
     w = (V + c)^((p - 1)/2) mod s, a piece s splits three ways:
     gcd(s, w - 1) holds the roots r with r + c a nonzero square,
     gcd(s, w + 1) those with r + c a non-square, and -c itself is a root
-    when s(-c) = 0.  Pieces are grouped by degree and made monic; a linear
-    one gives its root.  Every piece is linear by c = p - 1: the squares
+    when s(-c) = 0.  Each round groups the pieces of every row by degree,
+    one group per degree, and makes them monic; a linear one gives its
+    root.  Every piece is linear by c = p - 1: the squares
     are invariant under no nonzero translation, so some c separates any two
     roots.
     """
     roots: list = []
-    pieces = [(S, deg)]
+    pieces = [(S, deg, np.arange(len(S)))]
     c = 0
     while pieces:
-        wide = []
-        for P, dP in pieces:
-            for e in np.unique(dP[dP >= 1]).tolist():
-                group = P[dP == e, : e + 1]
-                group = _monic(group, group[:, e], p)
-                if e == 1:
-                    roots.append(-group[:, 0] % p)
-                else:
-                    wide.append(group)
+        by_degree: dict = {}
+        for P, dP, ids in pieces:
+            for e in _degrees_in(dP):
+                at = dP == e
+                by_degree.setdefault(e, []).append((P[at, : e + 1], ids[at]))
         pieces = []
-        for P in wide:
+        for e, parts in by_degree.items():
+            P, ids = (np.concatenate(part) for part in zip(*parts))
+            P = _monic(P, P[:, e], p)
+            if e == 1:
+                roots.append((ids, -P[:, 0] % p))
+                continue
             w, z = _pow_linear_rows(c, (p - 1) // 2, P, p), -c % p
-            at_z = _horner_sparse([(j, P[:, j]) for j in range(P.shape[1] - 1, -1, -1)], z, p)
-            roots.append(np.full(np.count_nonzero(at_z == 0), z, dtype=P.dtype))
+            at_z = _horner_sparse([(j, P[:, j]) for j in range(e, -1, -1)], z, p)
+            hit = ids[at_z == 0]
+            roots.append((hit, np.full(len(hit), z, dtype=P.dtype)))
             for sign in (1, -1):
                 w_sign = np.zeros_like(P)
                 w_sign[:, :-1] = w
                 w_sign[:, 0] = (w_sign[:, 0] - sign) % p
-                pieces.append(_gcd_rows(P, w_sign, p))
+                pieces.append((*_gcd_rows(P, w_sign, p), ids))
         c += 1
     return roots
 
 
-def _count_row_tile(level: ModBivariatePoly, xs: np.ndarray, ny: int) -> int:
-    """Points of level = 0 in the rows xs, y in [1, ny], by batched roots.
+def _coprimes_up_to(x: int, ny: int) -> int:
+    """#{y in [1, ny] : gcd(x, y) = 1}, by np.gcd over segments of at most
+    BLOCK_POINTS values of y."""
+    return sum(
+        int(np.count_nonzero(np.gcd(x, np.arange(y0 + 1, min(y0 + BLOCK_POINTS, ny) + 1)) == 1))
+        for y0 in range(0, ny, BLOCK_POINTS)
+    )
+
+
+def _count_row_tile(level: ModBivariatePoly, xs: np.ndarray, ny: int, coprime_only: bool) -> int:
+    """Points of level = 0 in the rows xs (int64), y in [1, ny], by batched
+    roots; with ``coprime_only`` only those with gcd(x, y) = 1.
 
     The rows f(x, V) are grouped by their true V-degree: a zero row counts
-    ny and a constant one 0.  A group of degree e is made monic and its
-    distinct roots are s = gcd(g, V^p - V), with V^p mod g by
-    square-and-multiply.  When ny = p every root lifts into the box, so
-    deg s is the count; otherwise s is split (:func:`_split_rows`) and the
-    roots lifted, residue 0 to y = p.
+    every y in [1, ny] (the coprime ones with the filter) and a constant
+    one none.  A group of degree e is made monic and its distinct roots are
+    s = gcd(g, V^p - V), with V^p mod g by square-and-multiply.  When
+    ny = p and no filter is asked for, every root lifts into the box, so
+    deg s is the count; otherwise s is split (:func:`_split_rows`), each
+    root lifted, residue 0 to y = p, and the lifts in [1, ny] kept, after
+    the gcd filter on (x, y) when asked for.  The row coefficients are
+    int64 for p <= MAX_GRID_PRIME and Python ints above it.
     """
     p = level.p
-    coeffs = np.zeros((len(xs), max(level.deg_v, 0) + 1), dtype=xs.dtype)
-    for j, c in _horner_rows(level.terms, xs, p).items():
+    u = xs if p <= MAX_GRID_PRIME else xs.astype(object)
+    coeffs = np.zeros((len(xs), max(level.deg_v, 0) + 1), dtype=u.dtype)
+    for j, c in _horner_rows(level.terms, u, p).items():
         coeffs[:, j] = c
     deg = _row_degrees(coeffs)
-    total = ny * int(np.count_nonzero(deg < 0))
-    for e in np.unique(deg[deg >= 1]).tolist():
-        g = coeffs[deg == e, : e + 1]
-        g = _monic(g, g[:, e], p)
+    zero = xs[deg < 0].tolist()
+    total = sum(_coprimes_up_to(x, ny) for x in zero) if coprime_only else ny * len(zero)
+    for e in _degrees_in(deg):
+        rows = np.flatnonzero(deg == e)
+        g = _monic(coeffs[rows, : e + 1], coeffs[rows, e], p)
         if e == 1:
             s, ds = g, np.ones(len(g), dtype=np.int64)
         else:
@@ -347,50 +394,95 @@ def _count_row_tile(level: ModBivariatePoly, xs: np.ndarray, ny: int) -> int:
             h[:, :e] = _pow_linear_rows(0, p, g, p)
             h[:, 1] = (h[:, 1] - 1) % p
             s, ds = _gcd_rows(g, h, p)
-        if ny == p:
+        if ny == p and not coprime_only:
             total += int(ds.sum())
-        else:
-            total += sum(int(np.count_nonzero((r >= 1) & (r <= ny))) for r in _split_rows(s, ds, p))
+            continue
+        for at, r in _split_rows(s, ds, p):
+            y = np.where(r == 0, p, r)
+            keep = y <= ny
+            if coprime_only:
+                y = y[keep].astype(np.int64)
+                keep = np.gcd(xs[rows[at[keep]]], y) == 1
+            total += int(np.count_nonzero(keep))
     return total
 
 
-def _count_rows(spec: LevelCurveSpec, nx: int, ny: int) -> int:
-    """Row count: the roots in V of f(x, V) - a whose canonical lift lands
-    in [1, ny], summed over x in [1, nx].
+def _row_level(fmod: ModBivariatePoly, a: int) -> ModBivariatePoly:
+    """f - a with each V-exponent e >= 1 folded to 1 + (e - 1) mod (p - 1),
+    which changes no value on F_p (y^p = y, and 0^e = 0 for e >= 1), so a
+    row has degree k below p however large the exponents are."""
+    p = fmod.p
+    folded: dict = {}
+    for (i, j), c in fmod.subtract_const(a).terms.items():
+        key = (i, 1 + (j - 1) % (p - 1) if j else 0)
+        folded[key] = folded.get(key, 0) + c
+    return ModBivariatePoly(p, folded)
+
+
+def _count_rows(level: ModBivariatePoly, nx: int, ny: int, coprime_only: bool) -> int:
+    """Row count: the roots in V of each row level(x, V), folded by
+    :func:`_row_level`, whose canonical lift lands in [1, ny], summed over
+    x in [1, nx]; with ``coprime_only`` only the lifts y with gcd(x, y) = 1.
 
     Lift convention: residue r in [1, p-1] is the lattice row value r, and
     residue 0 corresponds to y = p, in range only when ny = p.
 
-    Each V-exponent e >= 1 is first folded to 1 + (e - 1) mod (p - 1),
-    which changes no value on F_p (y^p = y, and 0^e = 0 for e >= 1), so a
-    row has degree k below p however large the exponents are.
-
     For odd p the rows go through :func:`_count_row_tile` in tiles of x of
     at most BLOCK_POINTS coefficients of the widest intermediate, 2k - 1
-    per row, made lazily and summed, so memory is flat in nx.  The element
-    type follows :func:`_sweep`: int64 for p <= MAX_GRID_PRIME, Python ints
-    above it.  At p = 2 (at most 2 rows) each row goes to
-    ``univariate_roots``, whose splitter has the trace split of
-    characteristic 2.
+    per row, made lazily and summed, so memory is flat in nx.  At p = 2 (at
+    most 2 rows) each row goes to ``univariate_roots``, whose splitter has
+    the trace split of characteristic 2.
     """
-    p = spec.p
-    folded: dict = {}
-    for (i, j), c in spec.fmod.subtract_const(spec.a).terms.items():
-        key = (i, 1 + (j - 1) % (p - 1) if j else 0)
-        folded[key] = folded.get(key, 0) + c
-    level = ModBivariatePoly(p, folded)
+    p = level.p
     if p == 2:
-        K = PrimeField(p)
-        return sum(
-            sum(1 for r in univariate_roots(g, K) if (r or p) <= ny) if g else ny
-            for g in map(level.specialize_u, range(1, nx + 1))
-        )
+        K, total = PrimeField(p), 0
+        for x in range(1, nx + 1):
+            g = level.specialize_u(x)
+            ys = [r or p for r in univariate_roots(g, K)] if g else range(1, ny + 1)
+            total += sum(1 for y in ys if y <= ny and (not coprime_only or math.gcd(x, y) == 1))
+        return total
     rows = max(1, BLOCK_POINTS // max(1, 2 * level.deg_v - 1))
-    dtype = np.int64 if p <= MAX_GRID_PRIME else object
     return sum(
-        _count_row_tile(level, np.arange(x0 + 1, min(x0 + rows, nx) + 1).astype(dtype), ny)
+        _count_row_tile(level, np.arange(x0 + 1, min(x0 + rows, nx) + 1), ny, coprime_only)
         for x0 in range(0, nx, rows)
     )
+
+
+def _prefers_rows(level: ModBivariatePoly, nx: int, ny: int, split: bool) -> bool:
+    """The one cost rule of every single-level count: rows when their
+    estimated time is below the grid's, for the level polynomial of
+    :func:`_row_level` on [1, nx] x [1, ny].
+
+    The grid evaluates nx * ny points with one product per V-power of f, w
+    of them, so it costs about nx * ny * (1 + w).  The rows of V-degree k
+    run about log p square-and-multiply steps: a fixed number of numpy
+    calls per round, and k^2 products on each of nx rows.  Splitting
+    the roots apart (needed when ny < p or for the gcd filter) takes about
+    log2(nx) Cantor-Zassenhaus rounds over ever fewer rows, which costs
+    _SPLIT_FACTOR times the per-row part of the first.  Linear rows need
+    no powers and no split.  Above MAX_GRID_PRIME both run on Python ints,
+    at their own constants.
+    """
+    p, k = level.p, max(1, level.deg_v)
+    w = len({j for _, j in level.terms if j})
+    ints = p > MAX_GRID_PRIME
+    rounds, factor = (nx.bit_length(), _SPLIT_FACTOR) if split and k > 1 else (1, 1)
+    rows = p.bit_length() * (_ROW_ROUND_S * rounds + _ROW_S[ints] * k * k * nx * factor)
+    return rows < _GRID_S[ints] * nx * ny * (1 + w)
+
+
+def _count(fmod: ModBivariatePoly, a: int, nx: int, ny: int, coprime_only: bool,
+           strategy: str = "auto") -> int:
+    """Points of fmod = a in [1, nx] x [1, ny], all or only those with
+    gcd(x, y) = 1, by the strategy given or the one :func:`_prefers_rows`
+    picks."""
+    if strategy not in ("auto", "grid", "rows"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy != "grid":
+        level = _row_level(fmod, a)
+        if strategy == "rows" or _prefers_rows(level, nx, ny, coprime_only or ny < fmod.p):
+            return _count_rows(level, nx, ny, coprime_only)
+    return _count_grid(fmod, a, nx, ny, coprime_only)
 
 
 def count_level_points(spec: LevelCurveSpec, box: CountBox, strategy: str = "auto") -> int:
@@ -398,60 +490,74 @@ def count_level_points(spec: LevelCurveSpec, box: CountBox, strategy: str = "aut
 
     ``strategy`` is "grid" (evaluate everywhere), "rows" (the roots in V of
     each row f(x, V) - a, found a tile of rows at a time by
-    :func:`_count_rows`), or "auto" (rows when the full column range is in
-    the box and the V-degree is small, or when p > MAX_GRID_PRIME, where
-    the grid would evaluate every point in Python ints).  Both strategies
-    agree exactly.
+    :func:`_count_rows`), or "auto" (the cheaper of the two by the cost rule
+    :func:`_prefers_rows`).  Both strategies agree exactly.
     """
     box.validate_for(spec.p)
-    nx, ny = box.nx, box.ny
-    if strategy == "auto":
-        strategy = (
-            "rows"
-            if spec.p > MAX_GRID_PRIME
-            or (ny == spec.p and 1 <= spec.fmod.deg_v <= _ROW_STRATEGY_MAX_DEGV)
-            else "grid"
-        )
-    if strategy == "grid":
-        return _count_grid(spec.fmod, spec.a, nx, ny, coprime_only=False)
-    if strategy == "rows":
-        return _count_rows(spec, nx, ny)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _count(spec.fmod, spec.a, box.nx, box.ny, False, strategy)
 
 
 def count_divisible(spec: LevelCurveSpec, box: CountBox, d: int) -> int:
     """M(d): points of the level curve in the box whose coordinate gcd is
     divisible by d; equals the level count of f(d*s, d*t) on the shrunken
-    box [1, X/d] x [1, Y/d].  Zero whenever d exceeds min(X, Y)."""
+    box [1, X/d] x [1, Y/d], by the strategy the cost rule picks.  Zero
+    whenever d exceeds min(X, Y)."""
     if d < 1:
         raise ValueError("d must be >= 1")
     box.validate_for(spec.p)
-    nx, ny = math.floor(box.X / d), math.floor(box.Y / d)
+    nx, ny = box.nx // d, box.ny // d
     if nx <= 0 or ny <= 0:
         return 0
-    scaled = spec.fmod.scale_args(d % spec.p)
-    return _count_grid(scaled, spec.a, nx, ny, coprime_only=False)
+    return _count(spec.fmod.scale_args(d % spec.p), spec.a, nx, ny, False)
 
 
 def count_visible_direct(spec: LevelCurveSpec, box: CountBox) -> int:
     """Visible points on the level curve: the gcd(x, y) = 1 filter applied
-    directly to every counted point."""
+    directly to every counted point, found on the grid or by rows as the
+    cost rule picks."""
     box.validate_for(spec.p)
-    return _count_grid(spec.fmod, spec.a, box.nx, box.ny, coprime_only=True)
+    return _count(spec.fmod, spec.a, box.nx, box.ny, True)
+
+
+def _mobius_batch(fmod: ModBivariatePoly, a: int, ds, mus, n: int, m: int) -> int:
+    """sum of mu(d) * #{(s, t) in [1, n] x [1, m] : f(d*s, d*t) = a} over
+    the d in ds, in one evaluation of shape (len(ds), n, m)."""
+    d = np.asarray(ds, dtype=np.int64)[:, None, None]
+    s, t = (np.arange(1, k + 1, dtype=np.int64) for k in (n, m))
+    vals = fmod.evaluate(d * s[:, None], d * t[None, :])
+    return int(np.dot(mus, np.count_nonzero(vals == a, axis=(1, 2))))
 
 
 def count_visible_mobius(spec: LevelCurveSpec, box: CountBox) -> int:
-    """Visible points via inclusion-exclusion: sum of mu(d) * M(d) over
-    d up to min(X, Y), where the sum truncates exactly because M(d)
-    vanishes beyond that.  Must equal count_visible_direct on every input."""
+    """Visible points via inclusion-exclusion: sum of mu(d) * M(d) over the
+    squarefree d up to min(X, Y), where the sum truncates exactly because
+    M(d) vanishes beyond that.  Must equal count_visible_direct on every
+    input.
+
+    The d with equal shrunken boxes (X // d, Y // d), a run of consecutive
+    squarefree d, share one count: when the cost rule picks the grid for
+    that box and it holds at most BLOCK_POINTS points, as many d as fit in
+    BLOCK_POINTS points go through one evaluation (:func:`_mobius_batch`);
+    otherwise each d is one :func:`count_divisible`.  About 2 * sqrt(min(X,
+    Y)) boxes exist, so the per-d cost is one row of a batch.
+    """
     box.validate_for(spec.p)
-    dmax = min(box.nx, box.ny)  # >= 1, as CountBox sides are
-    mu = mobius_sieve(dmax)
+    nx, ny = box.nx, box.ny
+    mu = mobius_sieve(min(nx, ny)).values  # min >= 1, as CountBox sides are
+    ds = np.flatnonzero(mu)
+    n, m = nx // ds, ny // ds
+    starts = np.flatnonzero(np.r_[True, (n[1:] != n[:-1]) | (m[1:] != m[:-1])])
+    level = _row_level(spec.fmod, spec.a)
     total = 0
-    for d in range(1, dmax + 1):
-        m = mu[d]
-        if m:
-            total += m * count_divisible(spec, box, d)
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(ds)]):
+        bn, bm, points = int(n[lo]), int(m[lo]), int(n[lo] * m[lo])
+        if points > BLOCK_POINTS or _prefers_rows(level, bn, bm, bm < spec.p):
+            total += sum(int(mu[d]) * count_divisible(spec, box, d) for d in ds[lo:hi].tolist())
+            continue
+        step = BLOCK_POINTS // points
+        for k in range(lo, hi, step):
+            run = ds[k : min(k + step, hi)]
+            total += _mobius_batch(spec.fmod, spec.a, run, mu[run].astype(np.int64), bn, bm)
     return total
 
 

@@ -127,10 +127,12 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepFailure:
-    """Error placeholder keeping a failed plan entry in the output list."""
+    """Error placeholder keeping a failed plan entry in the output list:
+    the error's type and its "Type: text" message."""
 
     point: SweepPoint
     message: str
+    error: type = Exception
 
 
 def _require_admissible(f: IntBivariatePoly, p: int, a: int | None = None) -> None:
@@ -355,5 +357,5 @@ def run_sweep_series(
             else:
                 raise ValueError(f"unknown sweep kind {point.kind!r}")
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
-            out.append(SweepFailure(point=point, message=f"{type(exc).__name__}: {exc}"))
+            out.append(SweepFailure(point, f"{type(exc).__name__}: {exc}", type(exc)))
     return out

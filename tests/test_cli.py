@@ -223,6 +223,48 @@ def test_sweep_levels_grid_takes_exact_integer_primes(capsys):
         assert f"'{entry}' is not an integer p" in captured.err
 
 
+def test_sweep_with_no_record_exits_with_its_first_failure(capsys):
+    # every point fails: the header-only CSV is printed and the exit code is
+    # the one main gives the first failure's type (ValueError: usage, 2)
+    argv = ["sweep", "-f", "V^2-U^3-U-1", "--mode", "levels", "--grid", "8,0", "--box-eq-p"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "8 is not prime" in captured.err and "box sides must be >= 1" in captured.err
+    assert _csv_body(captured.out) == ["kind,f,p,T,a,X,Y,sum_abs_dev,bound_value,ratio,"
+                                       "skipped_primes,box_nontrivial"]
+    # a point that fails the hypothesis first: exit 3; a degenerate one: exit 4
+    assert main(["sweep", "-f", "V^3-U^3", "--mode", "levels", "--grid", "7,8",
+                 "--box-eq-p"]) == 3
+    assert main(["sweep", "-f", "7*U+7*V", "--mode", "levels", "--grid", "7",
+                 "--box-eq-p"]) == 4
+    capsys.readouterr()
+    # one record among the failures: exit 0
+    assert main(argv[:-2] + ["8,7", "--box-eq-p"]) == 0
+    assert len(_csv_body(capsys.readouterr().out)) == 2
+
+
+def _csv_body(text):
+    return [ln for ln in text.splitlines() if not ln.startswith("#")]
+
+
+#: the seed-0 queries of the benchmark's curves workload, with their goldens
+GOLDEN_QUERIES = (
+    ("visible-p10007-a6311-X2000.json",
+     ["visible", "-f", "V^2 - U^3 - U - 1", "-p", "10007", "-a", "6311",
+      "-X", "2000", "-Y", "2000", "--format", "json"]),
+    ("count-p10007-a6311.json",
+     ["count", "-f", "V^2 - U^3 - U - 1", "-p", "10007", "-a", "6311",
+      "-X", "10007", "-Y", "10007", "--strategy", "rows", "--format", "json"]),
+)
+
+
+def test_counting_queries_print_the_benchmark_goldens(capsys):
+    for name, argv in GOLDEN_QUERIES:
+        assert main(argv) == 0, name
+        golden = (ROOT / "perfbench" / "goldens" / name).read_text()
+        assert capsys.readouterr().out == golden, name
+
+
 def test_sweep_requires_plan_or_csv(capsys):
     assert main(["sweep", "--format", "csv"]) == 2
     capsys.readouterr()

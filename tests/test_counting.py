@@ -152,11 +152,11 @@ def _rows_reference(spec, nx, ny):
     return total
 
 
-def _random_row_poly(rng, p, r):
-    """A random f with V-degree 1..4 whose row at x = r is zero, constant,
+def _random_row_poly(rng, p, r, kmax=4):
+    """A random f with V-degree 1..kmax whose row at x = r is zero, constant,
     or of lower degree: f = (U - r) * P + c, or P with the V-leading
     coefficient U - r."""
-    k = rng.randint(1, 4)
+    k = rng.randint(1, kmax)
     P = {(i, j): rng.randint(-9, 9) for i in range(4) for j in range(k + 1)}
     kind = rng.randrange(3)
     if kind == 2:
@@ -196,6 +196,105 @@ def test_batched_rows_match_the_per_row_roots(monkeypatch, block):
             level = spec.fmod.subtract_const(spec.a)
             degrees.update(len(level.specialize_u(x)) - 1 for x in range(1, nx + 1))
     assert degrees >= {-1, 0, 1, 2, 3}  # zero and constant rows among them
+
+
+#: the cost rule forced one way: every count by rows, or every count and
+#: every M(d) box on the grid (the d-batches)
+FORCED = {"rows": lambda *args: True, "grid": lambda *args: False}
+
+
+def _random_visible_case(rng, p):
+    """A random f of V-degree 1..6 (some rows zero, constant or of lower
+    degree), a level on or off those rows, and a box with X != Y, possibly
+    real-valued."""
+    while True:
+        nx, ny = rng.randint(1, p), rng.randint(1, p)
+        r = rng.randint(1, nx)
+        f = _random_row_poly(rng, p, r, kmax=6)
+        a = rng.choice((rng.randrange(p), eval_mod(f.terms, r, 1, p), 0))
+        try:
+            spec = LevelCurveSpec(f, p, a)
+        except DegenerateReduction:
+            continue
+        X, Y = (n + 0.5 if n < p and rng.random() < 0.3 else n for n in (nx, ny))
+        return spec, CountBox(X, Y)
+
+
+@pytest.mark.parametrize("block", [BLOCK_POINTS, 7])
+@pytest.mark.parametrize("route", ["auto", "rows", "grid"])
+def test_visible_routes_match_the_oracles(monkeypatch, route, block):
+    # direct (rows or grid with the gcd), Moebius (rows, the d-batches, or
+    # what the cost rule picks) and M(d) against the brute force; tiles of
+    # 7 points split the row tiles, the grid tiles and the d-batches
+    monkeypatch.setattr(counting, "BLOCK_POINTS", block)
+    if route != "auto":
+        monkeypatch.setattr(counting, "_prefers_rows", FORCED[route])
+    rng = random.Random(f"{route}-{block}")
+    for p in (2, 3, 5, 7, 13, 31, 61):
+        for _ in range(6 if p > 3 else 4):
+            spec, box = _random_visible_case(rng, p)
+            terms, a = spec.f.terms, spec.a
+            want = count_visible_brute(terms, p, a, box.X, box.Y)
+            assert count_visible_direct(spec, box) == want, (spec, box)
+            assert count_visible_mobius(spec, box) == want, (spec, box)
+            d = rng.randint(1, 4)
+            assert count_divisible(spec, box, d) == count_divisible_brute(
+                terms, p, a, box.X, box.Y, d), (spec, box, d)
+
+
+@pytest.mark.parametrize("route", ["auto", "rows", "grid"])
+def test_mobius_over_many_one_cell_boxes(monkeypatch, route):
+    # on 61 x 59 every d in [31, 59] shrinks the box to 1 x 1 and d in
+    # [21, 29] to 2 x 2; tiles of 5 points cut those runs into several
+    # d-batches; E has V-degree 2 and U*V^2 + V a vanishing leading row
+    monkeypatch.setattr(counting, "BLOCK_POINTS", 5)
+    if route != "auto":
+        monkeypatch.setattr(counting, "_prefers_rows", FORCED[route])
+    for f in (ELLIPTIC, parse_poly("U*V^2 + V + U^3"), UV):
+        for a in (0, 1, 17, 40):
+            spec, box = LevelCurveSpec(f, 61, a), CountBox(61, 59)
+            want = count_visible_brute(f.terms, 61, a, 61, 59)
+            assert count_visible_mobius(spec, box) == want, (f, a)
+            assert count_visible_direct(spec, box) == want, (f, a)
+
+
+@pytest.mark.parametrize("route", ["rows", "grid"])
+def test_visible_routes_at_primes_above_2_32(monkeypatch, route):
+    # the Python-int (object array) paths of rows, grid and the d-batches
+    monkeypatch.setattr(counting, "_prefers_rows", FORCED[route])
+    rng = random.Random(route)
+    box = CountBox(11.5, 9)
+    for p in (10**10 + 19, 2**61 - 1):
+        for k in (1, 2, 5):
+            terms = {(rng.randint(0, 3), rng.randint(0, k)): rng.randrange(-p, p)
+                     for _ in range(4)}
+            terms[(1, k)] = 1
+            f = IntBivariatePoly(terms)
+            for a in {0, *(eval_mod(f.terms, rng.randint(1, 11), rng.randint(1, 9), p)
+                           for _ in range(2))}:
+                spec = LevelCurveSpec(f, p, a)
+                want = count_visible_brute(f.terms, p, a, box.X, box.Y)
+                assert count_visible_direct(spec, box) == want, (p, f, a)
+                assert count_visible_mobius(spec, box) == want, (p, f, a)
+
+
+def test_auto_agrees_with_both_strategies_at_high_v_degree():
+    # the cost rule covers every V-degree; these cases make it pick both
+    picks = set()
+    for text in ("V^5 + U*V^3 + 2*U^2*V + U^4 + 3", "V^6 + U*V^5 + U^3*V + 1",
+                 "U*V^7 + V^5 + U^2"):
+        f = parse_poly(text)
+        for p, nx, ny in ((7, 7, 7), (31, 20, 31), (1009, 5, 1009), (1009, 1009, 1009),
+                          (1009, 40, 30)):
+            spec, box = LevelCurveSpec(f, p, 3), CountBox(nx, ny)
+            level = counting._row_level(spec.fmod, spec.a)
+            picks.add(counting._prefers_rows(level, nx, ny, ny < p))
+            grid = count_level_points(spec, box, "grid")
+            assert count_level_points(spec, box) == grid == count_level_points(
+                spec, box, "rows"), (text, p, nx, ny)
+            if nx * ny <= 1000:
+                assert grid == count_level_brute(f.terms, p, 3, nx, ny), (text, p)
+    assert picks == {True, False}
 
 
 def test_rows_at_p_2_match_the_brute_force():

@@ -66,6 +66,33 @@ def test_numpy_free_subcommands_run_with_numpy_blocked():
     assert json.loads(blocked["results"][0][1])["bad_levels"] == []
 
 
+_COUNTING_CHILD = r"""
+import contextlib, io, json, sys
+from visiblepoints import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_count_and_visible_load_neither_the_verdicts_nor_the_writers():
+    argvs = [[cmd, "-f", E, "-p", "31", "-a", "3", "-X", "10", "-Y", "10"]
+             for cmd in ("count", "visible")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", _COUNTING_CHILD, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["codes"] == [0, 0]
+    assert "visiblepoints.counting" in doc["modules"]
+    assert not {"visiblepoints.factor", "visiblepoints.output"} & set(doc["modules"])
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from visiblepoints import *", namespace)
