@@ -8,7 +8,8 @@ The package provides:
 * prime and extension fields with univariate root finding and an exact
   absolute-irreducibility test for bivariate polynomials;
 * two independent visible-point counting routes (direct gcd filter and
-  Moebius inclusion-exclusion) plus a one-sweep per-level histogram;
+  Moebius inclusion-exclusion) plus a per-level histogram, by one grid
+  sweep or, for f = g(U) + h(V), by Moebius-weighted convolutions;
 * experiment harnesses measuring averaged discrepancies against the
   6/pi^2 density heuristic, with stable CSV/JSON output and a CLI.
 

@@ -18,13 +18,27 @@ V-powers, the rows of V-degree k about log p * (R + nx * k^2), times about
 2.5 on the per-row part and log2(nx) rounds on the fixed part when the
 roots must be split apart (ny < p, or the gcd filter).
 
-Every walk over the box is one ``_sweep``.  It cuts the box into tiles of
-at most BLOCK_POINTS = 2^18 points (max(1, 2^18 // ny) rows, or a segment
-of one row when ny > 2^18), made lazily in row-major order, and yields each
-tile's reduced result in order through ``parallel_map``; callers sum them
-(counts, histograms) or concatenate them (zero sets) as they arrive.  So
-memory stays bounded however large the box is, and integer sums and
-in-order concatenation do not depend on the worker count.
+The per-level histogram, ``visible_histogram``, has two routes.  The grid
+evaluates f, sieves the coprime mask and bincounts at every point.  When
+the reduced f has no term in both U and V, f = g(U) + h(V), the separable
+route may be taken instead: the level counts of each shrunken box are a
+cyclic convolution of the histograms of g(d*s) and h(d*t), by FFT for the
+few large boxes and by a bincount of the sums g + h for the rest, and the
+visible counts are their Moebius sum.  A cost rule of the same kind,
+``_separable_plan``, picks the route.  The two share neither the coprime
+sieve nor the bivariate evaluation, so each checks the other.
+
+Every walk over the grid of a box is one ``_sweep``.  It cuts the box into
+tiles of at most BLOCK_POINTS = 2^18 points (max(1, 2^18 // ny) rows, or a
+segment of one row when ny > 2^18), made lazily in row-major order, and
+yields each tile's reduced result in order through ``parallel_map``;
+callers sum them (counts, histograms) or concatenate them (zero sets) as
+they arrive.  So memory stays bounded however large the box is, and
+integer sums and in-order concatenation do not depend on the worker
+count.  The other walks are not sweeps but keep the same bounds: the row
+route takes tiles of rows, the Moebius batches have shape (d, s, t), and
+the separable histogram runs its batches of d through ``parallel_map``,
+each batch at most BLOCK_POINTS / 4 points or FFT values.
 
 Evaluation is the one kernel of poly, f(x, y) = sum of c_j(x) * y^j: the
 row coefficients c_j by Horner in U, the powers y^j from one table per
@@ -37,8 +51,8 @@ element type from a bound it knows: each power, row coefficient and
 partial sum is at most B = sum |c_ij| * X^i * Y^j, which fits in int64
 when ``_fits_int64``.  So grid, direct, Moebius and M(d) counts are exact
 at every prime.  Two routes keep their own choice:
-``visible_histogram`` refuses p > MAX_GRID_PRIME (GridOverflow), as it
-needs p bins per tile; ``count_visible_by_prime`` refuses B >= 2^63, where
+``visible_histogram`` refuses p > MAX_GRID_PRIME (GridOverflow), as both
+its routes need p bins per batch; ``count_visible_by_prime`` refuses B >= 2^63, where
 ``prime_sweep`` counts modulo each prime, faster than one sweep over Z in
 Python ints.
 
@@ -98,6 +112,15 @@ _GRID_S = (5e-9, 1e-7)
 _ROW_ROUND_S = 1e-4
 _ROW_S = (5e-8, 5e-7)
 _SPLIT_FACTOR = 2.5
+# Constants of the histogram cost rule (_separable_plan), in seconds, fitted
+# the same way: the grid per point and V-power; a bincount per bin; the
+# fixed cost of a grid tile, a piece of differences or an FFT row; the
+# separable route per difference and per L * log2(L) of one FFT row.
+_HIST_S = 6e-9
+_BIN_S = 4e-9
+_PIECE_S = 5e-5
+_DIFF_S = 6e-9
+_FFT_S = 7e-9
 
 
 @dataclass(frozen=True)
@@ -528,6 +551,19 @@ def _mobius_batch(fmod: ModBivariatePoly, a: int, ds, mus, n: int, m: int) -> in
     return int(np.dot(mus, np.count_nonzero(vals == a, axis=(1, 2))))
 
 
+def _shrunken_runs(nx: int, ny: int) -> list:
+    """The squarefree d up to min(nx, ny), ascending, in runs of consecutive
+    d with equal shrunken boxes (nx // d, ny // d): a list of (n, m, ds,
+    mus), with the run's d and their mu(d) as int64 arrays.  About
+    2 * sqrt(min(nx, ny)) runs exist."""
+    mu = mobius_sieve(min(nx, ny)).values  # min >= 1, as CountBox sides are
+    ds = np.flatnonzero(mu)
+    n, m = nx // ds, ny // ds
+    starts = np.flatnonzero(np.r_[True, (n[1:] != n[:-1]) | (m[1:] != m[:-1])]).tolist()
+    return [(int(n[lo]), int(m[lo]), ds[lo:hi], mu[ds[lo:hi]].astype(np.int64))
+            for lo, hi in zip(starts, starts[1:] + [len(ds)])]
+
+
 def count_visible_mobius(spec: LevelCurveSpec, box: CountBox) -> int:
     """Visible points via inclusion-exclusion: sum of mu(d) * M(d) over the
     squarefree d up to min(X, Y), where the sum truncates exactly because
@@ -535,29 +571,24 @@ def count_visible_mobius(spec: LevelCurveSpec, box: CountBox) -> int:
     input.
 
     The d with equal shrunken boxes (X // d, Y // d), a run of consecutive
-    squarefree d, share one count: when the cost rule picks the grid for
-    that box and it holds at most BLOCK_POINTS points, as many d as fit in
-    BLOCK_POINTS points go through one evaluation (:func:`_mobius_batch`);
-    otherwise each d is one :func:`count_divisible`.  About 2 * sqrt(min(X,
-    Y)) boxes exist, so the per-d cost is one row of a batch.
+    squarefree d (:func:`_shrunken_runs`), share one count: when the cost
+    rule picks the grid for that box and it holds at most BLOCK_POINTS
+    points, as many d as fit in BLOCK_POINTS points go through one
+    evaluation (:func:`_mobius_batch`); otherwise each d is one
+    :func:`count_divisible`.  About 2 * sqrt(min(X, Y)) boxes exist, so the
+    per-d cost is one row of a batch.
     """
     box.validate_for(spec.p)
-    nx, ny = box.nx, box.ny
-    mu = mobius_sieve(min(nx, ny)).values  # min >= 1, as CountBox sides are
-    ds = np.flatnonzero(mu)
-    n, m = nx // ds, ny // ds
-    starts = np.flatnonzero(np.r_[True, (n[1:] != n[:-1]) | (m[1:] != m[:-1])])
     level = _row_level(spec.fmod, spec.a)
     total = 0
-    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(ds)]):
-        bn, bm, points = int(n[lo]), int(m[lo]), int(n[lo] * m[lo])
-        if points > BLOCK_POINTS or _prefers_rows(level, bn, bm, bm < spec.p):
-            total += sum(int(mu[d]) * count_divisible(spec, box, d) for d in ds[lo:hi].tolist())
+    for n, m, ds, mus in _shrunken_runs(box.nx, box.ny):
+        if n * m > BLOCK_POINTS or _prefers_rows(level, n, m, m < spec.p):
+            total += sum(mu * count_divisible(spec, box, d)
+                         for d, mu in zip(ds.tolist(), mus.tolist()))
             continue
-        step = BLOCK_POINTS // points
-        for k in range(lo, hi, step):
-            run = ds[k : min(k + step, hi)]
-            total += _mobius_batch(spec.fmod, spec.a, run, mu[run].astype(np.int64), bn, bm)
+        step = BLOCK_POINTS // (n * m)
+        for k in range(0, len(ds), step):
+            total += _mobius_batch(spec.fmod, spec.a, ds[k : k + step], mus[k : k + step], n, m)
     return total
 
 
@@ -568,9 +599,10 @@ def expected_visible(box: CountBox, p: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class VisibleHistogram:
-    """Per-level counts from one sweep over the grid: entry a of
-    ``level_counts`` is the number of box points with f(x, y) = a (mod p),
-    entry a of ``visible_counts`` additionally requires gcd(x, y) = 1."""
+    """Per-level counts over the box, by either route of
+    :func:`visible_histogram`: entry a of ``level_counts`` is the number of
+    box points with f(x, y) = a (mod p), entry a of ``visible_counts``
+    additionally requires gcd(x, y) = 1."""
 
     p: int
     box: CountBox
@@ -581,10 +613,8 @@ class VisibleHistogram:
         return int(self.visible_counts.sum())
 
 
-def visible_histogram(
-    f: IntBivariatePoly, p: int, box: CountBox, workers: int = 1
-) -> VisibleHistogram:
-    """One sweep over the grid accumulating both per-level counts.
+def _grid_histogram(fmod: ModBivariatePoly, box: CountBox, workers: int = 1) -> VisibleHistogram:
+    """Both per-level counts by one sweep over the grid.
 
     Each tile takes one bincount of 2 * f(x, y) + [gcd(x, y) = 1] over 2p
     bins, formed in place in the tile's values: the odd bins are the
@@ -593,10 +623,7 @@ def visible_histogram(
     they arrive, so the result is identical for any worker count and at
     most 2 * workers tiles' bincounts are held at once.
     """
-    fmod = reduce_mod(f, p)  # propagates DegenerateReduction
-    box.validate_for(p)
-    if p > MAX_GRID_PRIME:
-        raise GridOverflow(f"p = {p} > {MAX_GRID_PRIME}: a histogram needs p bins per tile")
+    p = fmod.p
     primes = _sieve_primes(min(box.nx, box.ny))
 
     def bincounts(xs, ys, vals):
@@ -609,6 +636,248 @@ def visible_histogram(
     return VisibleHistogram(
         p=p, box=box, level_counts=counts[::2] + visible, visible_counts=visible
     )
+
+
+def _fft_length(p: int) -> int:
+    """The smallest power of two >= 2p - 1: a linear convolution of two
+    vectors of length p fits in it without wrapping."""
+    return 1 << (2 * p - 2).bit_length()
+
+
+def _fft_error_bound(norms2: int, L: int) -> float:
+    """A bound on max |c' - c|, where c is the linear convolution of two
+    nonnegative integer vectors x and y zero-padded to length L = 2^k and
+    c' = irfft(rfft(x) * rfft(y)) its float64 value; ``norms2`` is the
+    exact integer ||x||_2^2 * ||y||_2^2.  The convolution is exact after
+    rounding when the bound is below 1/2.
+
+    Percival (Math. Comp. 72 (2003), Thm. 5.1) bounds a convolution by
+    radix-2 transforms of length 2^k.  Each of the k butterfly passes is a
+    unitary map times sqrt(2), so in the 2-norm it scales the error it
+    receives exactly as it scales the signal, and adds at most a relative
+    epsilon per addition, sqrt(5) * epsilon per complex product and beta
+    per stored root of unity.  Two forward transforms, the pointwise
+    product (one more complex product) and the inverse, whose 1/L is a
+    power of two and exact, give, with ||F x||_2 = sqrt(L) * ||x||_2,
+
+        max |c' - c| <= ||c' - c||_2
+                     <  ||x||_2 ||y||_2 ((1 + e)^(3k) (1 + sqrt(5) e)^(3k + 1) (1 + b)^(3k) - 1).
+
+    At float64, e = 2^-53, and b = e / sqrt(2) for correctly rounded roots.
+    numpy's pocketfft is not literally that transform: for L = 2^k it runs
+    radix-4 passes (two radix-2 passes merged, so no more rounding than
+    two of them) and one radix-2 pass, and rfft adds a packing pass of
+    half length.  The bound is taken with e = b = 2^-51, four times the
+    unit roundoff, to cover those passes; the sums checked after rounding
+    (:func:`_separable_histogram`) back it at run time.  For E at p = 4003
+    on the full box the bound is about 6e-10 at d = 1.  Every entry of c
+    is at most ||x||_2 ||y||_2 (Cauchy-Schwarz), below 10^13 whenever the
+    bound is below 1/2, so float64 holds the counts and their folded sums
+    exactly.
+    """
+    k = L.bit_length() - 1
+    e = b = 2.0**-51
+    log = 3 * k * math.log1p(e) + (3 * k + 1) * math.log1p(math.sqrt(5) * e) + 3 * k * math.log1p(b)
+    return math.sqrt(norms2) * math.expm1(log)
+
+
+def _batch_points() -> int:
+    """Most points, or FFT values, in one batch of the separable route: a
+    quarter of BLOCK_POINTS, as a batch holds about four arrays of its size
+    and a grid tile one of BLOCK_POINTS and its temporaries."""
+    return max(1, BLOCK_POINTS // 4)
+
+
+def _points(piece) -> int:
+    ds, _, s0, s1, t0, t1 = piece
+    return len(ds) * (s1 - s0) * (t1 - t0)
+
+
+def _difference_pieces(ds, bands, n: int, m: int):
+    """The boxes [1, n] x [1, m] of the d in ds cut into pieces of at most
+    :func:`_batch_points` points, lazily: tuples (ds, bands, s0, s1, t0,
+    t1), whose d share the s in (s0, s1] and the t in (t0, t1].  Whole
+    boxes go together while they fit; a larger box is cut, one d at a time,
+    into tiles of whole rows or of a segment of one row, as in
+    :func:`_sweep`."""
+    most = _batch_points()
+    if n * m <= most:
+        step = most // (n * m)
+        for k in range(0, len(ds), step):
+            yield ds[k : k + step], bands[k : k + step], 0, n, 0, m
+        return
+    rows, cols = max(1, most // m), min(m, most)
+    for k in range(len(ds)):
+        for s0 in range(0, n, rows):
+            for t0 in range(0, m, cols):
+                yield ds[k : k + 1], bands[k : k + 1], s0, min(s0 + rows, n), t0, min(t0 + cols, m)
+
+
+def _pack(pieces) -> list:
+    """The pieces, in order, packed greedily into lists of at most
+    :func:`_batch_points` points."""
+    most = _batch_points()
+    items, size = [], most
+    for piece in pieces:
+        points = _points(piece)
+        if size + points > most:
+            items.append([])
+            size = 0
+        items[-1].append(piece)
+        size += points
+    return items
+
+
+def _grid_histogram_seconds(fmod: ModBivariatePoly, nx: int, ny: int) -> float:
+    """Estimated time of :func:`_grid_histogram` on [1, nx] x [1, ny]: per
+    point and V-power of f, as in :func:`_prefers_rows`, and per tile, with
+    its bincount of 2p bins."""
+    w = len({j for _, j in fmod.terms if j})
+    tiles = -(-nx // max(1, BLOCK_POINTS // ny)) * -(-ny // min(ny, BLOCK_POINTS))
+    return _HIST_S * nx * ny * (1 + w) + (_PIECE_S + _BIN_S * 2 * fmod.p) * tiles
+
+
+def _separable_plan(fmod: ModBivariatePoly, nx: int, ny: int):
+    """The work of :func:`_separable_histogram` on [1, nx] x [1, ny], as
+    items for ``parallel_map``, when fmod has no term in both U and V and
+    the route's estimated time is below the grid's; None otherwise.
+
+    Each squarefree d up to min(nx, ny) has a band: 0 for d = 1 (the level
+    counts), 1 for mu(d) = 1 and 2 for mu(d) = -1.  A d whose shrunken box
+    n x m has many points for the FFT length L, _DIFF_S * n * m >
+    _PIECE_S + _FFT_S * L * log2(L), is convolved by FFT; k = batch / L of
+    them make an item ("fft", [(d, band), ...]), whose k x L arrays hold
+    at most :func:`_batch_points` values each.  The runs of the other d
+    (:func:`_shrunken_runs`) are cut into pieces (:func:`_difference_pieces`)
+    and packed into items ("diff", pieces) of at most as many points, each
+    one bincount of 6p bins.  The estimate sums these costs, as
+    :func:`_grid_histogram_seconds` does the grid's.  Fitted to in-process
+    timings of both routes on 156 cases (4 separable f, p = 31 to 200003,
+    boxes 3 x 3 to 2000^2 and 1 x p), the rule picks the slower route in
+    9, each a box of one row or column taking under 2 ms, by at most 1.3x.
+    """
+    p = fmod.p
+    if any(i and j for i, j in fmod.terms):
+        return None
+    L = _fft_length(p)
+    fft_s = _PIECE_S + _FFT_S * L * (L.bit_length() - 1)
+    rows, pieces, seconds = [], [], 0.0
+    for n, m, ds, mus in _shrunken_runs(nx, ny):
+        bands = np.where(ds == 1, 0, np.where(mus > 0, 1, 2))
+        if fft_s < _DIFF_S * n * m:
+            rows += zip(ds.tolist(), bands.tolist())
+            seconds += fft_s * len(ds)
+            continue
+        run = list(_difference_pieces(ds, bands, n, m))
+        pieces += run
+        seconds += _DIFF_S * n * m * len(ds) + _PIECE_S * len(run)
+    diffs = _pack(pieces)
+    seconds += _BIN_S * 6 * p * len(diffs)
+    if seconds >= _grid_histogram_seconds(fmod, nx, ny):
+        return None
+    per = max(1, _batch_points() // L)
+    return ([("fft", rows[k : k + per]) for k in range(0, len(rows), per)]
+            + [("diff", item) for item in diffs])
+
+
+def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list,
+                         workers: int = 1) -> VisibleHistogram:
+    """Both per-level counts of a separable fmod = g(U) + h(V), h(0) = 0,
+    from one-variable values, by the Moebius sum over d.
+
+    The level counts of the shrunken box of d are a cyclic convolution of
+    two histograms, N_a(d) = #{s <= nx/d, t <= ny/d : f(ds, dt) = a} =
+    sum over c of G_d[c] * H_d[a - c], with G_d the histogram of g(d*s) and
+    H_d that of h(d*t).  The level counts are N(1) and the visible counts
+    sum of mu(d) * N(d).  An "fft" item computes N(d) for its d as one
+    batch of rfft/irfft of length L (:func:`_fft_length`), rounded and
+    folded to length p, when :func:`_fft_error_bound` of the exact norms
+    proves the rounding exact (the histograms of any other d stay zero);
+    its counts must sum to the n * m >= 1 points of the box, and a d whose
+    sum differs takes differences instead.
+    A "diff" item forms g(d*s) + h(d*t) + 2p * band over its pieces and
+    bincounts it over 6p bins, which folds to the three bands' counts.
+    Items run through ``parallel_map`` and their integer counts are summed,
+    so the result does not depend on the worker count.
+    """
+    from numpy import fft  # loaded by this route alone
+
+    p, nx, ny = fmod.p, box.nx, box.ny
+    L = _fft_length(p)
+    g = ModBivariatePoly(p, {(i, j): c for (i, j), c in fmod.terms.items() if not j})
+    h = ModBivariatePoly(p, {(i, j): c for (i, j), c in fmod.terms.items() if j})
+
+    def g_at(ds, s0, s1):
+        return g.evaluate(ds[:, None] * np.arange(s0 + 1, s1 + 1), 0)
+
+    def h_at(ds, t0, t1):
+        return h.evaluate(0, ds[:, None] * np.arange(t0 + 1, t1 + 1))
+
+    def differences(pieces):
+        buf, at = np.empty(sum(map(_points, pieces)), dtype=np.int64), 0
+        for ds, bands, s0, s1, t0, t1 in pieces:
+            u, v = g_at(ds, s0, s1), h_at(ds, t0, t1) + 2 * p * bands[:, None]
+            size = u.size * v.shape[1]
+            np.add(u[:, :, None], v[:, None, :],
+                   out=buf[at : at + size].reshape(len(ds), u.shape[1], v.shape[1]))
+            at += size
+        return np.bincount(buf, minlength=6 * p).reshape(3, 2, p).sum(axis=1)
+
+    def convolutions(rows):
+        G, H = np.zeros((len(rows), L)), np.zeros((len(rows), L))
+        for k, (d, _) in enumerate(rows):
+            one = np.array([d])
+            gd = np.bincount(g_at(one, 0, nx // d).ravel(), minlength=p)
+            hd = np.bincount(h_at(one, 0, ny // d).ravel(), minlength=p)
+            if _fft_error_bound(int(gd @ gd) * int(hd @ hd), L) < 0.5:
+                G[k, :p], H[k, :p] = gd, hd  # else the row stays 0 and fails the sum
+        spectrum = fft.rfft(G)
+        spectrum *= fft.rfft(H)
+        del G, H
+        conv = fft.irfft(spectrum, L)
+        del spectrum
+        np.rint(conv, out=conv)
+        folded = (conv[:, :p] + conv[:, p : 2 * p]).astype(np.int64)
+        out = np.zeros((3, p), dtype=np.int64)
+        for k, (d, band) in enumerate(rows):
+            if int(folded[k].sum()) == (nx // d) * (ny // d):
+                out[band] += folded[k]
+            else:
+                pieces = _difference_pieces(np.array([d]), np.array([band]), nx // d, ny // d)
+                out += sum(differences(item) for item in _pack(pieces))
+        return out
+
+    def counts(item):
+        kind, work = item
+        return convolutions(work) if kind == "fft" else differences(work)
+
+    bands = sum(parallel_map(counts, items, workers))
+    return VisibleHistogram(p=p, box=box, level_counts=bands[0],
+                            visible_counts=bands[0] + bands[1] - bands[2])
+
+
+def visible_histogram(
+    f: IntBivariatePoly, p: int, box: CountBox, workers: int = 1
+) -> VisibleHistogram:
+    """Both per-level counts over the box, by the cheaper of two routes.
+
+    The grid (:func:`_grid_histogram`) evaluates f, sieves the coprime mask
+    and bincounts at every point.  When the reduction fmod has no term in
+    both U and V, the separable route (:func:`_separable_histogram`) takes
+    the Moebius sum of convolutions of one-variable histograms instead,
+    and :func:`_separable_plan` picks it when its estimated time is below
+    the grid's.  The two routes share neither the coprime sieve nor the
+    bivariate evaluation, and agree exactly; both spread their work over
+    ``workers`` threads and give the same counts for any worker count.
+    """
+    fmod = reduce_mod(f, p)  # propagates DegenerateReduction
+    box.validate_for(p)
+    if p > MAX_GRID_PRIME:
+        raise GridOverflow(f"p = {p} > {MAX_GRID_PRIME}: a histogram needs p bins per tile")
+    items = _separable_plan(fmod, box.nx, box.ny)
+    if items is not None:
+        return _separable_histogram(fmod, box, items, workers)
+    return _grid_histogram(fmod, box, workers)
 
 
 def _fits_int64(f: IntBivariatePoly, box: CountBox) -> bool:

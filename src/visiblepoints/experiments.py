@@ -160,7 +160,8 @@ def level_sweep(
     """Sum over every level a of |N_a - (6/pi^2) X Y / p| for one prime.
 
     Requires f itself absolutely irreducible of degree > 1 mod p; one
-    histogram sweep supplies all p visible counts.
+    ``visible_histogram`` call supplies all p visible counts, by the grid
+    or, for f = g(U) + h(V), by convolutions of one-variable histograms.
     """
     _require_admissible(f, p)
     counts = visible_histogram(f, p, box, workers=workers).visible_counts.tolist()

@@ -23,7 +23,7 @@ from visiblepoints.counting import (
 )
 from visiblepoints.errors import DegenerateReduction, NonFiniteParameter
 from visiblepoints.fields import PrimeField, univariate_roots
-from visiblepoints.poly import IntBivariatePoly, parse_poly
+from visiblepoints.poly import IntBivariatePoly, parse_poly, reduce_mod
 
 from oracles import (
     count_divisible_brute,
@@ -486,6 +486,135 @@ def test_full_box_histogram_matches_brute_force():
         h = visible_histogram(ELLIPTIC, p, CountBox(p, p))
         assert h.level_counts.tolist() == level
         assert h.visible_counts.tolist() == visible
+
+
+def test_grid_histogram_matches_the_oracle():
+    # the grid route itself, whichever route the cost rule gives
+    # visible_histogram here: the full box, a sweep of three row blocks of
+    # 374, 374 and 261 rows, and one worker against four
+    for p, X, Y in ((127, 127, 127), (257, 257, 257), (1009, 1009, 700)):
+        box = CountBox(X, Y)
+        level, visible = histogram_brute(ELLIPTIC.terms, p, X, Y)
+        for workers in (1, 2):
+            h = counting._grid_histogram(reduce_mod(ELLIPTIC, p), box, workers)
+            assert h.level_counts.tolist() == level, (p, X, Y, workers)
+            assert h.visible_counts.tolist() == visible, (p, X, Y, workers)
+    fmod, box = reduce_mod(ELLIPTIC, 101), CountBox(101, 101)
+    h1, h4 = (counting._grid_histogram(fmod, box, workers) for workers in (1, 4))
+    assert (h1.level_counts == h4.level_counts).all()
+    assert (h1.visible_counts == h4.visible_counts).all()
+
+
+def _separable_route(f, p, box, fft="rule", workers=1):
+    """The separable route's histogram whatever the grid would cost: every
+    d convolved by FFT ("all"), none of them ("none"), those with more than
+    an eighth of the box's points ("large"), or as the rule picks ("rule")."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_HIST_S", 1e9)
+        if fft in ("all", "large"):
+            mp.setattr(counting, "_PIECE_S", 0.0)
+            L = counting._fft_length(p)
+            per_row = counting._DIFF_S * box.nx * box.ny / 8 if fft == "large" else 0.0
+            mp.setattr(counting, "_FFT_S", per_row / (L * (L.bit_length() - 1)))
+        elif fft == "none":
+            mp.setattr(counting, "_FFT_S", 1e9)
+        fmod = reduce_mod(f, p)
+        items = counting._separable_plan(fmod, box.nx, box.ny)
+    kinds = {kind for kind, _ in items}
+    assert kinds == {"all": {"fft"}, "none": {"diff"}}.get(fft, kinds), (fft, kinds)
+    return counting._separable_histogram(fmod, box, items, workers)
+
+
+#: separable f: negative coefficients, one variable, V-exponents >= p, and
+#: a cross term 35*U*V^2 that vanishes modulo 5 and 7 only
+SEPARABLE = tuple(parse_poly(t) for t in (
+    "V^2 - U^3 - U - 1", "-3*V^3 + 2*V - U^4 - 5", "V^5 - U^2 + 3", "V^2", "-U^3 + 2*U",
+    "V^12 - 2*U^9 + U", "35*U*V^2 + V^3 - 2*U^2"))
+
+
+def test_separable_route_matches_the_oracle():
+    rng = random.Random(7)
+    for p in (2, 3, 5, 7, 101):
+        boxes = [(p, p), (1, p), (p, 1), (rng.randint(1, p), rng.randint(1, p) + 0.5)]
+        for f in SEPARABLE:
+            if any(i and j for i, j in reduce_mod(f, p).terms):
+                continue  # the cross term survives modulo p
+            for X, Y in boxes:
+                Y = min(Y, p)
+                level, visible = histogram_brute(f.terms, p, X, Y)
+                for fft in ("all", "none", "large"):
+                    h = _separable_route(f, p, CountBox(X, Y), fft, workers=1 + (X > Y))
+                    assert h.level_counts.tolist() == level, (f, p, X, Y, fft)
+                    assert h.visible_counts.tolist() == visible, (f, p, X, Y, fft)
+
+
+def _random_separable(rng, p):
+    terms = {(rng.randint(1, 6), 0): rng.randint(-p, p), (0, 0): rng.randint(-p, p),
+             (0, rng.randint(1, 3)): rng.randint(-p, p)}
+    terms[(0, rng.randint(1, 2 * p))] = rng.randint(1, p - 1)  # nonconstant mod p
+    return IntBivariatePoly(terms)
+
+
+@pytest.mark.parametrize("block", [BLOCK_POINTS, 64])
+def test_separable_route_equals_the_grid(monkeypatch, block):
+    monkeypatch.setattr(counting, "BLOCK_POINTS", block)
+    rng = random.Random(16)
+    plans = {BLOCK_POINTS: ((101, "all"), (1009, "large"), (4003, "rule"), (4003, "none")),
+             64: ((31, "all"), (101, "large"), (101, "none"))}[block]
+    for p, fft in plans:
+        f = _random_separable(rng, p)
+        X = rng.randint(p // 2, p)
+        box = CountBox(X, rng.randint(p // 4, X - 1))
+        grid = counting._grid_histogram(reduce_mod(f, p), box)
+        for workers in (1, 2):
+            h = _separable_route(f, p, box, fft, workers)
+            assert (h.level_counts == grid.level_counts).all(), (f, p, box, fft, workers)
+            assert (h.visible_counts == grid.visible_counts).all(), (f, p, box, fft, workers)
+
+
+def test_histogram_rule_picks_the_cheaper_route():
+    plan = counting._separable_plan
+    e = reduce_mod(ELLIPTIC, 4003)
+    assert plan(e, 4003, 4003) is not None  # the levels workload
+    # separability is read on the reduction: 4003*U*V vanishes mod 4003
+    assert plan(reduce_mod(parse_poly("4003*U*V + V^2 - U^3"), 4003), 4003, 4003) is not None
+    assert plan(reduce_mod(parse_poly("U*V + V^2 - U^3"), 4003), 4003, 4003) is None
+    # tiny boxes at a large p: a grid tile's one bincount of 2p bins beats
+    # the separable route's 6p bins (exp-a -p 100000007 -X 3 -Y 3, not run)
+    assert plan(reduce_mod(ELLIPTIC, 100000007), 3, 3) is None
+    for nx in (4096, 8192, 40960):  # the boxes of the tile-count memory test
+        assert plan(reduce_mod(ELLIPTIC, 200003), nx, 64) is None
+
+
+def test_fft_error_bound():
+    # ||x|| ||y|| of E's histograms at p = 4003, d = 1, on the full box
+    L = counting._fft_length(4003)
+    assert L == 8192 and counting._fft_length(2) == 4
+    g = np.bincount(reduce_mod(ELLIPTIC, 4003).evaluate(np.arange(1, 4004), 0), minlength=4003)
+    ys = np.arange(1, 4004)
+    h = np.bincount(ys * ys % 4003, minlength=4003)
+    assert 1e-10 < counting._fft_error_bound(int(g @ g) * int(h @ h), L) < 1e-9
+    # it rejects the FFT near ||x|| ||y|| = 6.7e12 at this length, and for
+    # V^2 on the full box at p = 2^31 - 1, whose U-histogram is p * [0]
+    assert counting._fft_error_bound(6 * 10**12 * 6 * 10**12, L) < 0.5
+    assert counting._fft_error_bound(7 * 10**12 * 7 * 10**12, L) > 0.5
+    p = 2**31 - 1
+    assert counting._fft_error_bound(p * p * (2 * p), counting._fft_length(p)) > 0.5
+
+
+def test_separable_route_counts_a_d_by_differences_when_a_check_fails(monkeypatch):
+    p, box = 101, CountBox(101, 77)
+    level, visible = histogram_brute(ELLIPTIC.terms, p, box.X, box.Y)
+    # the a-priori bound rejects every d
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "_fft_error_bound", lambda norms2, L: 1.0)
+        h = _separable_route(ELLIPTIC, p, box, "all")
+    assert h.level_counts.tolist() == level and h.visible_counts.tolist() == visible
+    # the sums after rounding are off by one in every row
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + np.eye(1, n))
+    h = _separable_route(ELLIPTIC, p, box, "all")
+    assert h.level_counts.tolist() == level and h.visible_counts.tolist() == visible
 
 
 def _peak(call):
