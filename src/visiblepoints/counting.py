@@ -52,9 +52,9 @@ partial sum is at most B = sum |c_ij| * X^i * Y^j, which fits in int64
 when ``_fits_int64``.  So grid, direct, Moebius and M(d) counts are exact
 at every prime.  Two routes keep their own choice:
 ``visible_histogram`` refuses p > MAX_GRID_PRIME (GridOverflow), as both
-its routes need p bins per batch; ``count_visible_by_prime`` refuses B >= 2^63, where
-``prime_sweep`` counts modulo each prime, faster than one sweep over Z in
-Python ints.
+its routes need p bins per batch; ``count_visible_by_prime`` refuses
+B >= 2^63, where ``prime_sweep`` counts modulo each prime, faster than one
+sweep over Z in Python ints.
 
 The row route finds the roots of a whole tile of rows f(x, V) - a at once:
 the rows are grouped by V-degree, and each group goes through one
