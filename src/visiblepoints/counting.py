@@ -9,7 +9,7 @@ gcd.  They must agree exactly on every input; the test suite enforces
 this.  The squarefree d with equal shrunken boxes form runs, about
 2 * sqrt(min(X, Y)) of them: the small boxes of a run are counted together
 in evaluations of shape (d, s, t) of at most BLOCK_POINTS points, and the
-few large ones (d <= 3 on 2000^2) one d at a time.
+few large ones (d <= 10 on 2000^2) one d at a time.
 
 Every single-level count (a level count, the direct count, each M(d) box)
 takes the grid or the rows by one cost rule, ``_prefers_rows``, fitted to
@@ -29,16 +29,24 @@ visible counts are their Moebius sum.  A cost rule of the same kind,
 sieve nor the bivariate evaluation, so each checks the other.
 
 Every walk over the grid of a box is one ``_sweep``.  It cuts the box into
-tiles of at most BLOCK_POINTS = 2^18 points (max(1, 2^18 // ny) rows, or a
-segment of one row when ny > 2^18), made lazily in row-major order, and
-yields each tile's reduced result in order through ``parallel_map``;
-callers sum them (counts, histograms) or concatenate them (zero sets) as
-they arrive.  So memory stays bounded however large the box is, and
-integer sums and in-order concatenation do not depend on the worker
-count.  The other walks are not sweeps but keep the same bounds: the row
-route takes tiles of rows, the Moebius batches have shape (d, s, t), and
-the separable histogram runs its batches of d through ``parallel_map``,
-each batch at most BLOCK_POINTS / 4 points or FFT values.
+tiles of at most ``points`` points (whole rows while one fits, else
+segments of one row), made lazily in row-major order, and yields each
+tile's reduced result in order through ``parallel_map``; callers sum them
+(counts, histograms) or concatenate them (zero sets) as they arrive.  So
+memory stays bounded however large the box is, and integer sums and
+in-order concatenation do not depend on the worker count.  The tile size
+follows from what a walk holds.  A count walk (the grid count, the prime
+sweep, the zero set) keeps a few arrays of one tile live, so its tiles
+have BLOCK_POINTS = 2^15 points, 256 KB per int64 array, an L2-sized
+working set.  The histogram's tiles have HISTOGRAM_POINTS = 2^18 points,
+as each takes a bincount of 2p bins, which would dominate smaller tiles
+at large p.  The other walks are not sweeps but keep the same bounds: the
+row route takes tiles of rows whose live arrays hold at most
+4 * BLOCK_POINTS coefficients (``_rows_per_tile``), the Moebius batches
+have shape (d, s, t) and at most BLOCK_POINTS points, and the separable
+histogram runs its batches of d through ``parallel_map``, each at most
+HISTOGRAM_POINTS / 4 points or FFT values, as each takes a bincount of 6p
+bins.
 
 Evaluation is the one kernel of poly, f(x, y) = sum of c_j(x) * y^j: the
 row coefficients c_j by Horner in U, the powers y^j from one table per
@@ -61,16 +69,19 @@ the rows are grouped by V-degree, and each group goes through one
 vectorised Cantor-Zassenhaus pass on (rows, degree) arrays: V^p by
 square-and-multiply, gcd(g, V^p - V) by pseudo-remainders, and, when the
 box does not hold every y or the gcd filter needs the roots, the split by
-(V + c)^((p - 1)/2), which keeps each root's row.  Tiles hold at most
-BLOCK_POINTS coefficients of the widest intermediate, and the element type
-follows the sweep's rule, so row counts are exact at every prime too.
+(V + c)^((p - 1)/2), which keeps each root's row.  A tile's rows are
+sized by all of its live intermediates, not only the widest one, and the
+element type follows the sweep's rule, so row counts are exact at every
+prime too.
 
 The visible (gcd = 1) mask of a tile is sieved: start from all True and,
 for each prime q up to min(largest x, largest y), clear the points whose
-x and y are both divisible by q.  A single-level count takes gcds only of
-the points on the level: the hits of a grid tile, or the lifted roots of
-the rows.  The gcd filter uses the raw integer coordinates,
-never the residues.
+x and y are both divisible by q.  One vectorised test first keeps the
+primes whose first multiple falls inside the tile in both directions,
+and only those are looped over.  A single-level count takes gcds only of
+the points on the level: the hits of a grid tile, found by their flat
+indices, or the lifted roots of the rows.  The gcd filter uses the raw
+integer coordinates, never the residues.
 """
 
 from __future__ import annotations
@@ -99,8 +110,16 @@ from .poly import (
 #: once so every consumer shares the identical float
 COPRIME_DENSITY = 6.0 / (math.pi * math.pi)
 
-#: most points in one tile of a sweep
-BLOCK_POINTS = 1 << 18
+#: most points in one tile of a count walk: an int64 array of a tile is
+#: 256 KB, about one core's share of L2
+BLOCK_POINTS = 1 << 15
+#: most points in one tile of a histogram walk, whose per-tile bincount of
+#: 2p bins would dominate smaller tiles at large p
+HISTOGRAM_POINTS = 1 << 18
+#: int64 words per row and per coefficient that a tile of the row engine
+#: holds at its peak, for rows of V-degree k with k + 1 coefficients: 12 to
+#: 15 by tracemalloc for k = 1 to 8, with and without the root split
+_ROW_WORDS = 15
 
 # Constants of the cost rule (_prefers_rows), in seconds, fitted to
 # in-process timings of both strategies on one core: the grid per point and
@@ -195,12 +214,21 @@ def parallel_map(fn, items, workers: int):
         yield from (future.result() for future in pending)
 
 
-def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, int64: bool = True):
+def _tile_shape(ny: int, points: int) -> tuple[int, int]:
+    """Rows and columns of the tiles of at most ``points`` points that cut a
+    box of width ny: whole rows while one fits, else segments of a row."""
+    return max(1, points // ny), min(ny, points)
+
+
+def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, int64: bool = True,
+           points: int | None = None):
     """reduce_tile(xs, ys, evaluate(xs, ys)) for each tile of the grid
     [1, nx] x [1, ny], yielded in row-major order.  xs and ys are int64
     ranges; the evaluator gets them as a column and a row, of int64 when
-    ``int64`` and of Python ints otherwise."""
-    rows, cols = max(1, BLOCK_POINTS // ny), min(ny, BLOCK_POINTS)
+    ``int64`` and of Python ints otherwise.  Tiles hold at most ``points``
+    points: BLOCK_POINTS by default, for the count walks, which keep a few
+    tile-sized arrays live; HISTOGRAM_POINTS for the histogram."""
+    rows, cols = _tile_shape(ny, BLOCK_POINTS if points is None else points)
     per_band = -(-ny // cols)  # tiles side by side in one band of rows
     dtype = np.int64 if int64 else object
 
@@ -214,24 +242,29 @@ def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, int64: boo
     return parallel_map(tile, range(-(-nx // rows) * per_band), workers)
 
 
-def _sieve_primes(limit: int) -> list[int]:
-    """The primes up to limit, ascending; the sieve of the coprime mask."""
-    return np.flatnonzero(_prime_flags(limit)).tolist()
+def _sieve_primes(limit: int) -> np.ndarray:
+    """The primes up to limit, ascending, as an array; the sieve of the
+    coprime mask."""
+    return np.flatnonzero(_prime_flags(limit))
 
 
-def _coprime_mask(xs: np.ndarray, ys: np.ndarray, primes: list[int]) -> np.ndarray:
+def _coprime_mask(xs: np.ndarray, ys: np.ndarray, primes) -> np.ndarray:
     """gcd(x, y) == 1 over the tile xs x ys of consecutive ints; ``primes``
-    must hold every prime up to min(xs[-1], ys[-1]).
+    must hold every prime up to min(xs[-1], ys[-1]), ascending.
 
     Row r holds x = xs[0] + r, so the rows divisible by q start at
-    (-xs[0]) mod q, and likewise the columns at (-ys[0]) mod q.
+    (-xs[0]) mod q, and likewise the columns at (-ys[0]) mod q.  A prime
+    clears points only when both starts fall inside the tile; one
+    vectorised test picks those primes, and only they are looped over, so
+    a tile costs no Python step per prime that misses it.
     """
     mask = np.ones((len(xs), len(ys)), dtype=bool)
-    x0, y0, top = int(xs[0]), int(ys[0]), min(int(xs[-1]), int(ys[-1]))
-    for q in primes:
-        if q > top:
-            break
-        mask[-x0 % q :: q, -y0 % q :: q] = False
+    primes = np.asarray(primes, dtype=np.int64)
+    q = primes[: np.searchsorted(primes, min(xs[-1], ys[-1]), side="right")]
+    r0, c0 = -xs[0] % q, -ys[0] % q
+    hit = (r0 < len(xs)) & (c0 < len(ys))
+    for step, r, c in zip(q[hit].tolist(), r0[hit].tolist(), c0[hit].tolist()):
+        mask[r::step, c::step] = False
     return mask
 
 
@@ -239,7 +272,7 @@ def _count_grid(fmod: ModBivariatePoly, a: int, nx: int, ny: int, coprime_only: 
     def hits(xs, ys, vals):
         if not coprime_only:
             return int(np.count_nonzero(vals == a))
-        i, j = np.nonzero(vals == a)
+        i, j = np.divmod(np.flatnonzero(vals == a), len(ys))
         return int(np.count_nonzero(np.gcd(xs[i], ys[j]) == 1))
 
     return sum(_sweep(fmod.evaluate, nx, ny, hits))
@@ -450,11 +483,11 @@ def _count_rows(level: ModBivariatePoly, nx: int, ny: int, coprime_only: bool) -
     Lift convention: residue r in [1, p-1] is the lattice row value r, and
     residue 0 corresponds to y = p, in range only when ny = p.
 
-    For odd p the rows go through :func:`_count_row_tile` in tiles of x of
-    at most BLOCK_POINTS coefficients of the widest intermediate, 2k - 1
-    per row, made lazily and summed, so memory is flat in nx.  At p = 2 (at
-    most 2 rows) each row goes to ``univariate_roots``, whose splitter has
-    the trace split of characteristic 2.
+    For odd p the rows go through :func:`_count_row_tile` in tiles of
+    :func:`_rows_per_tile` values of x, sized by all the arrays a tile
+    keeps live, made lazily and summed, so memory is flat in nx.  At p = 2
+    (at most 2 rows) each row goes to ``univariate_roots``, whose splitter
+    has the trace split of characteristic 2.
     """
     p = level.p
     if p == 2:
@@ -464,11 +497,26 @@ def _count_rows(level: ModBivariatePoly, nx: int, ny: int, coprime_only: bool) -
             ys = [r or p for r in univariate_roots(g, K)] if g else range(1, ny + 1)
             total += sum(1 for y in ys if y <= ny and (not coprime_only or math.gcd(x, y) == 1))
         return total
-    rows = max(1, BLOCK_POINTS // max(1, 2 * level.deg_v - 1))
+    rows = _rows_per_tile(level.deg_v)
     return sum(
         _count_row_tile(level, np.arange(x0 + 1, min(x0 + rows, nx) + 1), ny, coprime_only)
         for x0 in range(0, nx, rows)
     )
+
+
+def _rows_per_tile(k: int) -> int:
+    """Rows in one tile of the row engine for rows of V-degree k.
+
+    Its arrays have one row per x and about k + 1 columns: the
+    coefficients, the monic group, V^p - V, and the swapped copies, shifts
+    and products of the pseudo-remainder Euclid, _ROW_WORDS * (k + 1)
+    words per row in all.  A tile gets the rows that keep them within
+    4 * BLOCK_POINTS words (1 MiB).  Smaller tiles cost time: every tile
+    repeats the log p squarings and the split rounds, whose numpy calls
+    cost the same for any number of rows, and at a quarter of that (728
+    rows of E) a split quartic count ran 1.5 to 2.3 times slower.
+    """
+    return max(1, 4 * BLOCK_POINTS // (_ROW_WORDS * (max(k, 0) + 1)))
 
 
 def _prefers_rows(level: ModBivariatePoly, nx: int, ny: int, split: bool) -> bool:
@@ -479,9 +527,10 @@ def _prefers_rows(level: ModBivariatePoly, nx: int, ny: int, split: bool) -> boo
     The grid evaluates nx * ny points with one product per V-power of f, w
     of them, so it costs about nx * ny * (1 + w).  The rows of V-degree k
     run about log p square-and-multiply steps: a fixed number of numpy
-    calls per round, and k^2 products on each of nx rows.  Splitting
-    the roots apart (needed when ny < p or for the gcd filter) takes about
-    log2(nx) Cantor-Zassenhaus rounds over ever fewer rows, which costs
+    calls per round in each tile of :func:`_rows_per_tile` rows, and k^2
+    products on each of nx rows.  Splitting the roots apart (needed when
+    ny < p or for the gcd filter) takes about log2(rows of a tile)
+    Cantor-Zassenhaus rounds per tile over ever fewer rows, which costs
     _SPLIT_FACTOR times the per-row part of the first.  Linear rows need
     no powers and no split.  Above MAX_GRID_PRIME both run on Python ints,
     at their own constants.
@@ -489,7 +538,9 @@ def _prefers_rows(level: ModBivariatePoly, nx: int, ny: int, split: bool) -> boo
     p, k = level.p, max(1, level.deg_v)
     w = len({j for _, j in level.terms if j})
     ints = p > MAX_GRID_PRIME
-    rounds, factor = (nx.bit_length(), _SPLIT_FACTOR) if split and k > 1 else (1, 1)
+    tile = min(nx, _rows_per_tile(level.deg_v))
+    rounds, factor = (tile.bit_length(), _SPLIT_FACTOR) if split and k > 1 else (1, 1)
+    rounds *= -(-nx // tile)
     rows = p.bit_length() * (_ROW_ROUND_S * rounds + _ROW_S[ints] * k * k * nx * factor)
     return rows < _GRID_S[ints] * nx * ny * (1 + w)
 
@@ -631,7 +682,8 @@ def _grid_histogram(fmod: ModBivariatePoly, box: CountBox, workers: int = 1) -> 
         vals += _coprime_mask(xs, ys, primes)
         return np.bincount(vals.ravel(), minlength=2 * p)
 
-    counts = sum(_sweep(fmod.evaluate, box.nx, box.ny, bincounts, workers))
+    counts = sum(_sweep(fmod.evaluate, box.nx, box.ny, bincounts, workers,
+                        points=HISTOGRAM_POINTS))
     visible = counts[1::2]
     return VisibleHistogram(
         p=p, box=box, level_counts=counts[::2] + visible, visible_counts=visible
@@ -683,9 +735,11 @@ def _fft_error_bound(norms2: int, L: int) -> float:
 
 def _batch_points() -> int:
     """Most points, or FFT values, in one batch of the separable route: a
-    quarter of BLOCK_POINTS, as a batch holds about four arrays of its size
-    and a grid tile one of BLOCK_POINTS and its temporaries."""
-    return max(1, BLOCK_POINTS // 4)
+    quarter of HISTOGRAM_POINTS, as a batch holds about four arrays of its
+    size and a grid histogram tile one of HISTOGRAM_POINTS and its
+    temporaries.  Like the grid's tiles, the batches stay that large
+    because each takes one bincount of 6p bins."""
+    return max(1, HISTOGRAM_POINTS // 4)
 
 
 def _points(piece) -> int:
@@ -706,7 +760,7 @@ def _difference_pieces(ds, bands, n: int, m: int):
         for k in range(0, len(ds), step):
             yield ds[k : k + step], bands[k : k + step], 0, n, 0, m
         return
-    rows, cols = max(1, most // m), min(m, most)
+    rows, cols = _tile_shape(m, most)
     for k in range(len(ds)):
         for s0 in range(0, n, rows):
             for t0 in range(0, m, cols):
@@ -733,7 +787,8 @@ def _grid_histogram_seconds(fmod: ModBivariatePoly, nx: int, ny: int) -> float:
     point and V-power of f, as in :func:`_prefers_rows`, and per tile, with
     its bincount of 2p bins."""
     w = len({j for _, j in fmod.terms if j})
-    tiles = -(-nx // max(1, BLOCK_POINTS // ny)) * -(-ny // min(ny, BLOCK_POINTS))
+    rows, cols = _tile_shape(ny, HISTOGRAM_POINTS)
+    tiles = -(-nx // rows) * -(-ny // cols)
     return _HIST_S * nx * ny * (1 + w) + (_PIECE_S + _BIN_S * 2 * fmod.p) * tiles
 
 
@@ -910,8 +965,11 @@ def count_visible_by_prime(
     One sweep evaluates f over Z in int64 and sieves the coprime mask once
     per tile, then counts v % p == a % p over the visible values for
     every prime (numpy's % with a positive divisor is a floor mod, as
-    Python's).  Raises GridOverflow unless ``_fits_int64(f, box)``.  No
-    admissibility check is made: f may degenerate modulo some p.
+    Python's).  A tile's values are dropped once masked, and each prime's
+    residues go into one buffer reused for every prime, so a tile holds
+    at most two int64 arrays of its BLOCK_POINTS points.  Raises
+    GridOverflow unless ``_fits_int64(f, box)``.  No admissibility check
+    is made: f may degenerate modulo some p.
     """
     if not _fits_int64(f, box):
         raise GridOverflow(f"sum of |c_ij| X^i Y^j >= 2^63: {f.text()} overflows int64 on the box")
@@ -925,6 +983,12 @@ def count_visible_by_prime(
 
     def counts(xs, ys, vals):
         visible = vals[_coprime_mask(xs, ys, sieve)]
-        return np.array([np.count_nonzero(visible % p == r) for p, r in levels], dtype=np.int64)
+        del vals
+        residues = np.empty_like(visible)
+        out = np.empty(len(levels), dtype=np.int64)
+        for k, (p, r) in enumerate(levels):
+            np.remainder(visible, p, out=residues)
+            out[k] = np.count_nonzero(residues == r)
+        return out
 
     return sum(_sweep(f.evaluate, box.nx, box.ny, counts, workers)).tolist()

@@ -326,7 +326,7 @@ def integer_zero_set(f: IntBivariatePoly, box: CountBox) -> ZeroSetReport:
         raise ValueError("zero set of the zero polynomial is the whole box")
 
     def zeros(xs, ys, vals):
-        i, j = (vals == 0).nonzero()
+        i, j = divmod((vals == 0).ravel().nonzero()[0], len(ys))
         return zip(xs[i].tolist(), ys[j].tolist())
 
     tiles = _sweep(f.evaluate, box.nx, box.ny, zeros, int64=_fits_int64(f, box))

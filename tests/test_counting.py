@@ -9,6 +9,7 @@ import pytest
 from visiblepoints import counting
 from visiblepoints.counting import (
     BLOCK_POINTS,
+    HISTOGRAM_POINTS,
     CountBox,
     LevelCurveSpec,
     _coprime_mask,
@@ -37,6 +38,8 @@ from oracles import (
 UV = parse_poly("U*V")
 PARABOLA = parse_poly("V - U^2")
 ELLIPTIC = parse_poly("V^2 - U^3 - U - 1")
+#: a tile size above every box of the randomized tests: one tile each
+ONE_TILE = 1 << 18
 
 
 def test_running_fixture_counts():
@@ -172,7 +175,7 @@ def _random_row_poly(rng, p, r, kmax=4):
     return IntBivariatePoly(terms)
 
 
-@pytest.mark.parametrize("block", [1, 5, 64, BLOCK_POINTS])
+@pytest.mark.parametrize("block", [1, 5, 64, ONE_TILE])
 def test_batched_rows_match_the_per_row_roots(monkeypatch, block):
     # tiles of one row (block <= 2k - 1), several tiles, and one tile
     monkeypatch.setattr(counting, "BLOCK_POINTS", block)
@@ -220,7 +223,7 @@ def _random_visible_case(rng, p):
         return spec, CountBox(X, Y)
 
 
-@pytest.mark.parametrize("block", [BLOCK_POINTS, 7])
+@pytest.mark.parametrize("block", [ONE_TILE, 7])
 @pytest.mark.parametrize("route", ["auto", "rows", "grid"])
 def test_visible_routes_match_the_oracles(monkeypatch, route, block):
     # direct (rows or grid with the gcd), Moebius (rows, the d-batches, or
@@ -328,10 +331,11 @@ def test_rows_equal_the_grid_at_large_primes():
 
 
 def test_row_memory_does_not_grow_with_the_tile_count(monkeypatch):
-    # E has V-degree 2, so a tile holds BLOCK_POINTS // 3 rows; 8 tiles kept
-    # at once would take 4x the memory of 2 (tiles of 2^15 keep it quick)
+    # E has V-degree 2, so a tile holds _rows_per_tile(2) rows, sized by all
+    # of its live arrays; 8 tiles kept at once would take 4x the memory of 2
+    # (tiles of 2^15 keep it quick)
     monkeypatch.setattr(counting, "BLOCK_POINTS", 1 << 15)
-    p, rows = 100003, (1 << 15) // 3
+    p, rows = 100003, counting._rows_per_tile(2)
     spec = LevelCurveSpec(ELLIPTIC, p, 7)
     two, eight = (_peak(lambda: count_level_points(spec, CountBox(n * rows, p), "rows"))
                   for n in (2, 8))
@@ -408,7 +412,7 @@ def test_histogram_invariants():
 def test_histogram_bins_match_the_oracle_on_many_tiles(monkeypatch, block):
     # one bincount per tile holds both counts, 2 * value + coprime; tiles
     # of one point, of a row segment and of several rows all occur
-    monkeypatch.setattr(counting, "BLOCK_POINTS", block)
+    monkeypatch.setattr(counting, "HISTOGRAM_POINTS", block)
     cubic = parse_poly("U^2*V^3 + 5*U*V - 7")
     for p, boxes in ((2, [(2, 2), (1, 2)]), (3, [(3, 3), (2, 1)]),
                      (101, [(101, 23), (9, 101), (101, 2)])):
@@ -430,10 +434,12 @@ def test_histogram_worker_invariance():
 
 
 def test_blocked_sweep_with_partial_last_block():
-    # 1009 x 700 is three row blocks of 374, 374 and 261 rows
+    # 1009 x 700 is three histogram tiles of 374, 374 and 261 rows, and 22
+    # tiles of 46 rows, the last of 43, for the grid counts
     p, box = 1009, CountBox(1009, 700)
-    rows = BLOCK_POINTS // box.ny
-    assert box.nx > 2 * rows and box.nx % rows
+    for points in (HISTOGRAM_POINTS, BLOCK_POINTS):
+        rows = points // box.ny
+        assert box.nx > 2 * rows and box.nx % rows
     level, visible = histogram_brute(ELLIPTIC.terms, p, box.X, box.Y)
     for workers in (1, 2):
         h = visible_histogram(ELLIPTIC, p, box, workers=workers)
@@ -465,19 +471,33 @@ def test_coprime_mask_matches_gcd():
     # wide boxes: nx <= 3
     for nx in (1, 2, 3):
         _assert_mask_is_gcd(1, nx, 4001)
-    assert _sieve_primes(1) == [] and _sieve_primes(30) == primes_brute(2, 30)
+    assert _sieve_primes(1).tolist() == [] and _sieve_primes(30).tolist() == primes_brute(2, 30)
+    # one-row tiles, tiles that start inside a row at offsets >= 10^5, and
+    # tiles lower or narrower than most primes that reach them, so that
+    # many primes' first multiple falls outside the tile
+    primes = _sieve_primes(210000)
+    for lo, hi, y0, y1 in ((7, 7, 1, 5000), (30030, 30030, 100001, 102000),
+                           (100003, 100003, 99991, 101000), (123456, 123459, 200001, 201000),
+                           (100000, 100900, 150001, 150003), (150001, 150004, 100000, 100999),
+                           (2, 300, 100001, 100002), (199999, 200001, 199999, 200001)):
+        xs = np.arange(lo, hi + 1, dtype=np.int64)
+        ys = np.arange(y0, y1 + 1, dtype=np.int64)
+        mask = _coprime_mask(xs, ys, primes)
+        assert (mask == (np.gcd.outer(xs, ys) == 1)).all(), (lo, hi, y0, y1)
 
 
 def test_coprime_mask_over_the_blocks_of_a_sweep():
-    # 1009 x 700 is three row blocks of 374, 374 and 261 rows, with the
-    # primes sieved once for the whole box as a sweep does
+    # 1009 x 700 is three row blocks of 374, 374 and 261 rows in the
+    # histogram's sweep (22 of 46 rows in a count's), with the primes
+    # sieved once for the whole box as a sweep does
     nx, ny = 1009, 700
-    rows = BLOCK_POINTS // ny
     primes = _sieve_primes(min(nx, ny))
-    starts = list(range(0, nx, rows))
-    assert len(starts) == 3 and nx - starts[-1] < rows
-    for lo in starts:
-        _assert_mask_is_gcd(lo + 1, min(lo + rows, nx), ny, primes)
+    for points, tiles in ((HISTOGRAM_POINTS, 3), (BLOCK_POINTS, 22)):
+        rows = points // ny
+        starts = list(range(0, nx, rows))
+        assert len(starts) == tiles and nx - starts[-1] < rows
+        for lo in starts:
+            _assert_mask_is_gcd(lo + 1, min(lo + rows, nx), ny, primes)
 
 
 def test_full_box_histogram_matches_brute_force():
@@ -555,11 +575,11 @@ def _random_separable(rng, p):
     return IntBivariatePoly(terms)
 
 
-@pytest.mark.parametrize("block", [BLOCK_POINTS, 64])
+@pytest.mark.parametrize("block", [HISTOGRAM_POINTS, 64])
 def test_separable_route_equals_the_grid(monkeypatch, block):
-    monkeypatch.setattr(counting, "BLOCK_POINTS", block)
+    monkeypatch.setattr(counting, "HISTOGRAM_POINTS", block)
     rng = random.Random(16)
-    plans = {BLOCK_POINTS: ((101, "all"), (1009, "large"), (4003, "rule"), (4003, "none")),
+    plans = {HISTOGRAM_POINTS: ((101, "all"), (1009, "large"), (4003, "rule"), (4003, "none")),
              64: ((31, "all"), (101, "large"), (101, "none"))}[block]
     for p, fft in plans:
         f = _random_separable(rng, p)
@@ -678,8 +698,9 @@ def test_counts_match_the_oracles_at_large_primes():
                     f.terms, p, a, box.X, box.Y, 2), (p, f, a)
 
 
-#: a box wider than one tile: each row is cut into two segments
-WIDE_NY = BLOCK_POINTS + 4321
+#: a box wider than one tile: each row is cut into two histogram tiles and
+#: into nine count tiles
+WIDE_NY = HISTOGRAM_POINTS + 4321
 WIDE_PRIMES = (266477, 266479)
 
 
@@ -714,9 +735,21 @@ def test_sweeps_of_boxes_wider_than_a_tile():
             assert got == [visible[a], second[a % WIDE_PRIMES[1]]]
 
 
+def test_grid_gcd_filter_on_tiles_that_start_inside_a_row(monkeypatch):
+    # the grid's gcd filter folds the flat hit indices of a tile by its
+    # width; here every tile but the first of a row starts inside it
+    monkeypatch.setattr(counting, "_prefers_rows", FORCED["grid"])
+    nx, p = 3, WIDE_PRIMES[0]
+    box = CountBox(nx, WIDE_NY)
+    assert WIDE_NY > 8 * BLOCK_POINTS
+    _, visible = _wide_reference(nx, p)
+    for a in (0, 1, int(np.argmax(visible)), p - 1):
+        assert count_visible_direct(LevelCurveSpec(ELLIPTIC, p, a), box) == visible[a], a
+
+
 def test_coprime_mask_on_tiles_that_start_inside_a_row():
     primes = _sieve_primes(WIDE_NY)
-    for lo, hi, y0, y1 in ((1, 3, BLOCK_POINTS + 1, WIDE_NY), (1, 1, 2, 50),
+    for lo, hi, y0, y1 in ((1, 3, HISTOGRAM_POINTS + 1, WIDE_NY), (1, 1, 2, 50),
                            (30030, 30030, 30030, 30100), (2, 9, 30029, 31000),
                            (600, 610, 97, 700)):
         xs = np.arange(lo, hi + 1, dtype=np.int64)
@@ -738,11 +771,31 @@ def test_histogram_memory_does_not_grow_with_the_tile_count():
 
 
 def test_grid_memory_does_not_grow_with_the_row_length():
-    # a row of 2^20 points is four tiles, not one block of 2^20
+    # a row of 2^20 points is 32 tiles of BLOCK_POINTS, not one block of 2^20
     spec = LevelCurveSpec(ELLIPTIC, 1048583, 5)
     short, long = (_peak(lambda: count_level_points(spec, CountBox(2, ny), "grid"))
                    for ny in (2**18, 2**20))
     assert long < 1.5 * short, (short, long)
+
+
+def test_count_walks_keep_a_small_working_set():
+    # tracemalloc peaks on the benchmark's inputs: the prime sweep, the rows
+    # of the full box, and the direct, Moebius and grid counts at 2000^2;
+    # each walk holds a few arrays of one tile, whatever the box
+    spec, box = LevelCurveSpec(ELLIPTIC, 10007, 6311), CountBox(2000, 2000)
+    calls = {
+        "by prime": lambda: count_visible_by_prime(
+            ELLIPTIC, primes_brute(500, 1000), CountBox(500, 500)),
+        "rows": lambda: count_level_points(spec, CountBox(10007, 10007), "rows"),
+        "direct": lambda: count_visible_direct(spec, box),
+        "mobius": lambda: count_visible_mobius(spec, box),
+        "grid": lambda: count_level_points(spec, box, "grid"),
+    }
+    peaks = {}
+    for name, call in calls.items():
+        call()  # lazy imports and caches first
+        peaks[name] = _peak(call)
+    assert max(peaks.values()) <= 2**20, peaks
 
 
 def test_box_validation():

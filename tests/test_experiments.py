@@ -313,6 +313,14 @@ def test_integer_zero_set_bound_on_fixtures():
             assert 1 <= u <= box.nx and 1 <= v <= box.ny
 
 
+def test_integer_zero_set_on_tiles_that_start_inside_a_row():
+    # 150000 > BLOCK_POINTS, so each row is cut into five tiles, and the
+    # zeros v = 40000 * u lie in tiles that start inside the row
+    f = parse_poly("V^2 - 40100*U*V + 4000000*U^2")  # (V - 100*U) * (V - 40000*U)
+    z = integer_zero_set(f, CountBox(3, 150000))
+    assert z.points == ((1, 100), (1, 40000), (2, 200), (2, 80000), (3, 300), (3, 120000))
+
+
 def test_integer_zero_set_row_vanishing():
     f = parse_poly("U - 3")
     z = integer_zero_set(f, CountBox(5, 4))
