@@ -55,6 +55,9 @@ _EXIT_CODES = (
 
 #: formats of the record-emitting commands; the others print table or json
 _RECORD_FORMATS = ("table", "csv", "json")
+#: help of --workers on the sweeping commands
+_WORKERS_HELP = ("threads for the grid sweeps only (the grid histogram and the int64 "
+                 "prime sweep), at most one per CPU; results never depend on it")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,14 +113,14 @@ def build_parser() -> _Parser:
     ea.add_argument("-Y", type=float, required=True)
     ea.add_argument("--delta", type=float, action="append", default=None,
                     help="also report concentration fractions (repeatable)")
-    ea.add_argument("--workers", type=int, default=1)
+    ea.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     ep = sp.add_parser("exp-p", help="discrepancy summed over primes in [T/2, T] at level 0")
     _add_common(ep, _RECORD_FORMATS)
     ep.add_argument("-T", type=float, required=True)
     ep.add_argument("-X", type=float, required=True)
     ep.add_argument("-Y", type=float, required=True)
-    ep.add_argument("--workers", type=int, default=1)
+    ep.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     sw = sp.add_parser("sweep", help="run a series of sweeps, or replay a CSV")
     sw.add_argument("-f", "--poly", required=False, default=None)
@@ -131,7 +134,7 @@ def build_parser() -> _Parser:
     sw.add_argument("--box-eq-p", action="store_true",
                     help="levels mode: use X = Y = p for each grid entry")
     sw.add_argument("--from-csv", default=None, help="re-emit records parsed from a CSV file")
-    sw.add_argument("--workers", type=int, default=1)
+    sw.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     return ap
 
 

@@ -31,22 +31,25 @@ sieve nor the bivariate evaluation, so each checks the other.
 Every walk over the grid of a box is one ``_sweep``.  It cuts the box into
 tiles of at most ``points`` points (whole rows while one fits, else
 segments of one row), made lazily in row-major order, and yields each
-tile's reduced result in order through ``parallel_map``; callers sum them
-(counts, histograms) or concatenate them (zero sets) as they arrive.  So
-memory stays bounded however large the box is, and integer sums and
-in-order concatenation do not depend on the worker count.  The tile size
-follows from what a walk holds.  A count walk (the grid count, the prime
-sweep, the zero set) keeps a few arrays of one tile live, so its tiles
-have BLOCK_POINTS = 2^15 points, 256 KB per int64 array, an L2-sized
-working set.  The histogram's tiles have HISTOGRAM_POINTS = 2^18 points,
-as each takes a bincount of 2p bins, which would dominate smaller tiles
-at large p.  The other walks are not sweeps but keep the same bounds: the
-row route takes tiles of rows whose live arrays hold at most
-4 * BLOCK_POINTS coefficients (``_rows_per_tile``), the Moebius batches
-have shape (d, s, t) and at most BLOCK_POINTS points, and the separable
-histogram runs its batches of d through ``parallel_map``, each at most
-HISTOGRAM_POINTS / 4 points or FFT values, as each takes a bincount of 6p
-bins.
+tile's reduced result in order; callers sum them (counts, histograms) or
+concatenate them (zero sets) as they arrive.  So memory stays bounded
+however large the box is, and integer sums and in-order concatenation do
+not depend on the worker count.  ``_sweep`` is the one place that makes a
+thread pool: its tiles are whole-array numpy work, which runs outside the
+GIL.  The grid histogram and the prime sweep take workers; every other
+walk, the separable histogram and the verdicts of a prime sweep run in the
+calling thread, where a second thread only waits for the GIL.  The tile
+size follows from what a walk holds.  A count walk (the grid count, the
+prime sweep, the zero set) keeps a few arrays of one tile live, so its
+tiles have BLOCK_POINTS = 2^15 points, 256 KB per int64 array, an L2-sized
+working set.  The histogram's tiles have HISTOGRAM_POINTS = 2^18 points, as
+each takes a bincount of 2p bins, which would dominate smaller tiles at
+large p.  The other walks are not sweeps but keep the same bounds: the row
+route takes tiles of rows whose live arrays hold at most 4 * BLOCK_POINTS
+coefficients (``_rows_per_tile``), the Moebius batches have shape (d, s, t)
+and at most BLOCK_POINTS points, and the separable histogram's batches of
+d, one live at a time, hold at most BLOCK_POINTS values in all their
+arrays.
 
 Evaluation is the one kernel of poly, f(x, y) = sum of c_j(x) * y^j: the
 row coefficients c_j by Horner in U, the powers y^j from one table per
@@ -87,8 +90,8 @@ integer coordinates, never the residues.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,24 +199,6 @@ class LevelCurveSpec:
         return f"LevelCurveSpec(f={self.f.text()!r}, p={self.p}, a={self.a})"
 
 
-def parallel_map(fn, items, workers: int):
-    """fn(item) for item in items, yielded in order; spread over ``workers``
-    threads when there is more than one, with at most 2 * workers items
-    submitted and not yet yielded.  ``items`` needs a length and may be lazy,
-    as a range is.  The only place a pool is made."""
-    workers = min(max(1, int(workers)), len(items))
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        yield from (future.result() for future in pending)
-
-
 def _tile_shape(ny: int, points: int) -> tuple[int, int]:
     """Rows and columns of the tiles of at most ``points`` points that cut a
     box of width ny: whole rows while one fits, else segments of a row."""
@@ -227,7 +212,15 @@ def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, int64: boo
     ranges; the evaluator gets them as a column and a row, of int64 when
     ``int64`` and of Python ints otherwise.  Tiles hold at most ``points``
     points: BLOCK_POINTS by default, for the count walks, which keep a few
-    tile-sized arrays live; HISTOGRAM_POINTS for the histogram."""
+    tile-sized arrays live; HISTOGRAM_POINTS for the histogram.
+
+    With more than one worker the tiles go to a pool of as many threads as
+    the least of ``workers``, the tile count and os.cpu_count(), with at
+    most two tiles per thread submitted and not yet yielded.  A sweep's
+    evaluation, mask and bincount are numpy calls on whole tiles, which run
+    outside the GIL, so threads pay off here; this is the only place a pool
+    is made.
+    """
     rows, cols = _tile_shape(ny, BLOCK_POINTS if points is None else points)
     per_band = -(-ny // cols)  # tiles side by side in one band of rows
     dtype = np.int64 if int64 else object
@@ -239,7 +232,20 @@ def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, int64: boo
         u, v = (r.astype(dtype, copy=False) for r in (xs[:, None], ys[None, :]))
         return reduce_tile(xs, ys, evaluate(u, v))
 
-    return parallel_map(tile, range(-(-nx // rows) * per_band), workers)
+    tiles = range(-(-nx // rows) * per_band)
+    workers = min(max(1, int(workers)), len(tiles), os.cpu_count() or 1)
+    if workers <= 1:
+        yield from map(tile, tiles)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # loaded only for a pool
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for k in tiles:
+            pending.append(pool.submit(tile, k))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        yield from (future.result() for future in pending)
 
 
 def _sieve_primes(limit: int) -> np.ndarray:
@@ -734,12 +740,13 @@ def _fft_error_bound(norms2: int, L: int) -> float:
 
 
 def _batch_points() -> int:
-    """Most points, or FFT values, in one batch of the separable route: a
-    quarter of HISTOGRAM_POINTS, as a batch holds about four arrays of its
-    size and a grid histogram tile one of HISTOGRAM_POINTS and its
-    temporaries.  Like the grid's tiles, the batches stay that large
-    because each takes one bincount of 6p bins."""
-    return max(1, HISTOGRAM_POINTS // 4)
+    """Most values that one batch of the separable route holds in its
+    arrays: BLOCK_POINTS, the budget of the count walks' tiles.  The route
+    runs one batch at a time, so its working set stays near 256 KB and
+    flat in p and in the box, besides one bincount of 6p bins per batch,
+    which the cost rule counts (an FFT row longer than the budget is one
+    batch of its own)."""
+    return max(1, BLOCK_POINTS)
 
 
 def _points(piece) -> int:
@@ -793,23 +800,25 @@ def _grid_histogram_seconds(fmod: ModBivariatePoly, nx: int, ny: int) -> float:
 
 
 def _separable_plan(fmod: ModBivariatePoly, nx: int, ny: int):
-    """The work of :func:`_separable_histogram` on [1, nx] x [1, ny], as
-    items for ``parallel_map``, when fmod has no term in both U and V and
-    the route's estimated time is below the grid's; None otherwise.
+    """The work of :func:`_separable_histogram` on [1, nx] x [1, ny], as a
+    list of items, when fmod has no term in both U and V and the route's
+    estimated time is below the grid's; None otherwise.
 
     Each squarefree d up to min(nx, ny) has a band: 0 for d = 1 (the level
     counts), 1 for mu(d) = 1 and 2 for mu(d) = -1.  A d whose shrunken box
     n x m has many points for the FFT length L, _DIFF_S * n * m >
-    _PIECE_S + _FFT_S * L * log2(L), is convolved by FFT; k = batch / L of
-    them make an item ("fft", [(d, band), ...]), whose k x L arrays hold
-    at most :func:`_batch_points` values each.  The runs of the other d
+    _PIECE_S + _FFT_S * L * log2(L), is convolved by FFT; k = batch / (4L)
+    of them, at least one, make an item ("fft", [(d, band), ...]), whose
+    four k x L arrays (two histograms and their spectra) hold at most
+    :func:`_batch_points` values in all.  The runs of the other d
     (:func:`_shrunken_runs`) are cut into pieces (:func:`_difference_pieces`)
     and packed into items ("diff", pieces) of at most as many points, each
-    one bincount of 6p bins.  The estimate sums these costs, as
-    :func:`_grid_histogram_seconds` does the grid's.  Fitted to in-process
-    timings of both routes on 156 cases (4 separable f, p = 31 to 200003,
-    boxes 3 x 3 to 2000^2 and 1 x p), the rule picks the slower route in
-    9, each a box of one row or column taking under 2 ms, by at most 1.3x.
+    one array of sums and one bincount of 6p bins.  The estimate sums these
+    costs, as :func:`_grid_histogram_seconds` does the grid's.  Fitted to
+    in-process timings of both routes on 156 cases (4 separable f, p = 31
+    to 200003, boxes 3 x 3 to 2000^2 and 1 x p), the rule picks the slower
+    route in 9, each a box of one row or column taking under 2 ms, by at
+    most 1.3x.
     """
     p = fmod.p
     if any(i and j for i, j in fmod.terms):
@@ -830,13 +839,12 @@ def _separable_plan(fmod: ModBivariatePoly, nx: int, ny: int):
     seconds += _BIN_S * 6 * p * len(diffs)
     if seconds >= _grid_histogram_seconds(fmod, nx, ny):
         return None
-    per = max(1, _batch_points() // L)
+    per = max(1, _batch_points() // (4 * L))
     return ([("fft", rows[k : k + per]) for k in range(0, len(rows), per)]
             + [("diff", item) for item in diffs])
 
 
-def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list,
-                         workers: int = 1) -> VisibleHistogram:
+def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> VisibleHistogram:
     """Both per-level counts of a separable fmod = g(U) + h(V), h(0) = 0,
     from one-variable values, by the Moebius sum over d.
 
@@ -845,15 +853,17 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list,
     sum over c of G_d[c] * H_d[a - c], with G_d the histogram of g(d*s) and
     H_d that of h(d*t).  The level counts are N(1) and the visible counts
     sum of mu(d) * N(d).  An "fft" item computes N(d) for its d as one
-    batch of rfft/irfft of length L (:func:`_fft_length`), rounded and
+    batch of rfft/irfft of length L (:func:`_fft_length`) of histograms
+    made by one evaluation and one bincount per variable, rounded and
     folded to length p, when :func:`_fft_error_bound` of the exact norms
     proves the rounding exact (the histograms of any other d stay zero);
     its counts must sum to the n * m >= 1 points of the box, and a d whose
     sum differs takes differences instead.
     A "diff" item forms g(d*s) + h(d*t) + 2p * band over its pieces and
     bincounts it over 6p bins, which folds to the three bands' counts.
-    Items run through ``parallel_map`` and their integer counts are summed,
-    so the result does not depend on the worker count.
+    Items run one after another in the calling thread, so one batch is
+    live at a time: their work is many small numpy calls, which a second
+    thread would only slow down by waiting for the GIL.
     """
     from numpy import fft  # loaded by this route alone
 
@@ -862,30 +872,51 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list,
     g = ModBivariatePoly(p, {(i, j): c for (i, j), c in fmod.terms.items() if not j})
     h = ModBivariatePoly(p, {(i, j): c for (i, j), c in fmod.terms.items() if j})
 
+    def g_of(u):
+        return g.evaluate(u, 0)
+
+    def h_of(v):
+        return h.evaluate(0, v)
+
     def g_at(ds, s0, s1):
-        return g.evaluate(ds[:, None] * np.arange(s0 + 1, s1 + 1), 0)
+        return g_of(ds[:, None] * np.arange(s0 + 1, s1 + 1))
 
     def h_at(ds, t0, t1):
-        return h.evaluate(0, ds[:, None] * np.arange(t0 + 1, t1 + 1))
+        return h_of(ds[:, None] * np.arange(t0 + 1, t1 + 1))
+
+    def histograms(fn, ds, sizes):
+        """Row k: the histogram of fn(ds[k] * s) over s in [1, sizes[k]],
+        from one evaluation and one bincount, row k's values offset by k * p."""
+        row = np.repeat(np.arange(len(ds)), sizes)
+        s = np.arange(1, len(row) + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        return np.bincount(fn(ds[row] * s) + p * row, minlength=len(ds) * p).reshape(-1, p)
+
+    # One array of sums serves every "diff" batch, as one runs at a time: a
+    # fresh one per batch is faulted in anew whenever the allocator has
+    # handed its pages back, which made the route for E at p = 4003 take
+    # 2000 minor faults and up to twice the time.
+    sums = np.empty(_batch_points(), dtype=np.int64)
 
     def differences(pieces):
-        buf, at = np.empty(sum(map(_points, pieces)), dtype=np.int64), 0
+        at = 0
         for ds, bands, s0, s1, t0, t1 in pieces:
             u, v = g_at(ds, s0, s1), h_at(ds, t0, t1) + 2 * p * bands[:, None]
             size = u.size * v.shape[1]
             np.add(u[:, :, None], v[:, None, :],
-                   out=buf[at : at + size].reshape(len(ds), u.shape[1], v.shape[1]))
+                   out=sums[at : at + size].reshape(len(ds), u.shape[1], v.shape[1]))
             at += size
-        return np.bincount(buf, minlength=6 * p).reshape(3, 2, p).sum(axis=1)
+        return np.bincount(sums[:at], minlength=6 * p).reshape(3, 2, p).sum(axis=1)
 
     def convolutions(rows):
+        ds = np.array([d for d, _ in rows])
+        gd, hd = histograms(g_of, ds, nx // ds), histograms(h_of, ds, ny // ds)
+        # sums of squares of counts of at most p^2 points: exact in int64
+        norms = zip((gd * gd).sum(axis=1).tolist(), (hd * hd).sum(axis=1).tolist())
         G, H = np.zeros((len(rows), L)), np.zeros((len(rows), L))
-        for k, (d, _) in enumerate(rows):
-            one = np.array([d])
-            gd = np.bincount(g_at(one, 0, nx // d).ravel(), minlength=p)
-            hd = np.bincount(h_at(one, 0, ny // d).ravel(), minlength=p)
-            if _fft_error_bound(int(gd @ gd) * int(hd @ hd), L) < 0.5:
-                G[k, :p], H[k, :p] = gd, hd  # else the row stays 0 and fails the sum
+        for k, (gn, hn) in enumerate(norms):
+            if _fft_error_bound(gn * hn, L) < 0.5:
+                G[k, :p], H[k, :p] = gd[k], hd[k]  # else the row stays 0 and fails the sum
+        del gd, hd
         spectrum = fft.rfft(G)
         spectrum *= fft.rfft(H)
         del G, H
@@ -906,7 +937,7 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list,
         kind, work = item
         return convolutions(work) if kind == "fft" else differences(work)
 
-    bands = sum(parallel_map(counts, items, workers))
+    bands = sum(map(counts, items))
     return VisibleHistogram(p=p, box=box, level_counts=bands[0],
                             visible_counts=bands[0] + bands[1] - bands[2])
 
@@ -922,8 +953,10 @@ def visible_histogram(
     the Moebius sum of convolutions of one-variable histograms instead,
     and :func:`_separable_plan` picks it when its estimated time is below
     the grid's.  The two routes share neither the coprime sieve nor the
-    bivariate evaluation, and agree exactly; both spread their work over
-    ``workers`` threads and give the same counts for any worker count.
+    bivariate evaluation, and agree exactly.  Only the grid spreads its
+    tiles over ``workers`` threads (:func:`_sweep`); the separable route
+    runs in the calling thread.  The counts never depend on the worker
+    count.
     """
     fmod = reduce_mod(f, p)  # propagates DegenerateReduction
     box.validate_for(p)
@@ -931,7 +964,7 @@ def visible_histogram(
         raise GridOverflow(f"p = {p} > {MAX_GRID_PRIME}: a histogram needs p bins per tile")
     items = _separable_plan(fmod, box.nx, box.ny)
     if items is not None:
-        return _separable_histogram(fmod, box, items, workers)
+        return _separable_histogram(fmod, box, items)
     return _grid_histogram(fmod, box, workers)
 
 

@@ -32,7 +32,6 @@ from .counting import (
     count_visible_by_prime,
     count_visible_direct,
     expected_visible,
-    parallel_map,
     visible_histogram,
 )
 from .errors import (
@@ -200,15 +199,23 @@ def prime_sweep(
 
     Needs a finite T >= 2*max(X, Y), so the box fits under every prime in
     range; primes where f degenerates or loses absolute irreducibility are
-    skipped and listed in the record.  The verdicts run per prime.  The
-    kept primes' counts N_p come from one sweep over the box that
-    evaluates f over Z when B = sum |c_ij| X^i Y^j < 2^63, and otherwise
-    from one count modulo each prime.  Each is the faster exact route on
-    its side of that test.  On one worker of a 2-core Xeon, the 73 primes
-    of T = 1000 took 0.57 s per prime against 0.66 s for one sweep in
-    Python ints for U^19 + V^2 - 4*U^3 - 1 on 500 x 500 (B >= 2^63), and
-    0.49 s per prime against 0.05 s for the int64 sweep for
-    V^2 - U^3 - U - 1 on the same box.
+    skipped and listed in the record.  The kept primes' counts N_p come
+    from one sweep over the box that evaluates f over Z when
+    B = sum |c_ij| X^i Y^j < 2^63, and otherwise from one count modulo
+    each prime.  Each is the faster exact route on its side of that test.
+    On one worker of a 2-core Xeon, the 73 primes of T = 1000 took 0.57 s
+    per prime against 0.66 s for one sweep in Python ints for
+    U^19 + V^2 - 4*U^3 - 1 on 500 x 500 (B >= 2^63), and 0.49 s per prime
+    against 0.05 s for the int64 sweep for V^2 - U^3 - U - 1 on the same
+    box.
+
+    Only the int64 sweep spreads its tiles over ``workers`` threads.  The
+    verdicts and the per-prime counts run one prime after another in the
+    calling thread: the verdicts are pure Python, and the per-prime counts
+    many small numpy calls, so a second thread only waits for the GIL (on
+    the same machine the 73 verdicts of V^3 - U^3 - 1 took 1.4x longer on
+    two threads, and 16 per-prime counts of U^19 + V^2 - 4*U^3 - 1 took
+    48 ms on one or two).  The record never depends on the worker count.
     """
     if not math.isfinite(T):
         raise NonFiniteParameter(f"T = {T} is not finite")
@@ -217,15 +224,13 @@ def prime_sweep(
     if T < 2 * max(box.X, box.Y):
         raise BoxTooLarge(f"T = {T} < 2*max(X, Y) = {2 * max(box.X, box.Y)}")
     primes = primes_in_range(math.ceil(T / 2), math.floor(T))
-    admissible = list(parallel_map(lambda p: _admissible_at(f, p), primes, workers))
+    admissible = [_admissible_at(f, p) for p in primes]
     skipped = tuple(p for p, ok in zip(primes, admissible) if not ok)
     kept = [p for p, ok in zip(primes, admissible) if ok]
     try:
         counts = count_visible_by_prime(f, kept, box, 0, workers)
     except GridOverflow:  # B >= 2^63
-        counts = list(parallel_map(
-            lambda p: count_visible_direct(LevelCurveSpec(f, p, 0), box), kept, workers
-        ))
+        counts = [count_visible_direct(LevelCurveSpec(f, p, 0), box) for p in kept]
     per_prime = tuple(zip(kept, counts))
     sum_abs_dev = math.fsum(abs(n - expected_visible(box, p)) for p, n in per_prime)
     bound = math.sqrt(box.X) * math.sqrt(box.Y) * T**0.75

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 import random
 import time
 import tracemalloc
@@ -525,7 +527,79 @@ def test_grid_histogram_matches_the_oracle():
     assert (h1.visible_counts == h4.visible_counts).all()
 
 
-def _separable_route(f, p, box, fft="rule", workers=1):
+class _RaisingPool:
+    """A stand-in for ThreadPoolExecutor that fails as soon as it is made."""
+
+    def __init__(self, max_workers):
+        raise AssertionError(f"a pool of {max_workers} threads")
+
+
+class _RecordingPool:
+    """A stand-in for ThreadPoolExecutor that runs each task at once, in the
+    calling thread, and records the max_workers it was made with."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_only_the_grid_sweeps_make_a_pool(monkeypatch):
+    # the separable histogram runs in the calling thread at any worker
+    # count; the grid histogram (3 tiles) and the prime sweep (8 tiles)
+    # still spread their tiles over threads
+    p, box = 1009, CountBox(1009, 700)
+    fmod = reduce_mod(ELLIPTIC, p)
+    assert counting._separable_plan(fmod, box.nx, box.ny) is not None
+    grid = counting._grid_histogram(fmod, box, 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RaisingPool)
+    h = visible_histogram(ELLIPTIC, p, box, workers=2)
+    assert (h.level_counts == grid.level_counts).all()
+    assert (h.visible_counts == grid.visible_counts).all()
+    with pytest.raises(AssertionError, match="a pool of 2 threads"):
+        counting._grid_histogram(fmod, box, 2)
+    with pytest.raises(AssertionError, match="a pool of 2 threads"):
+        count_visible_by_prime(ELLIPTIC, [1009], CountBox(500, 500), 0, workers=2)
+
+
+def test_sweep_pool_is_capped_by_the_cpus_and_the_tiles(monkeypatch):
+    # exp-p -T 100000 -X 50000 -Y 50000 --workers 100000 has about 76k
+    # tiles; a pool of that many threads is never asked for (and never
+    # started here: the stand-in runs every tile in this thread)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+
+    def total(nx, ny, workers):  # the sum of x * y, in tiles of 50 points
+        tiles = counting._sweep(lambda u, v: u * v, nx, ny,
+                                lambda xs, ys, vals: int(vals.sum()), workers, points=50)
+        return sum(tiles)
+
+    assert total(100, 100, 100000) == 5050 * 5050  # 200 tiles
+    assert total(100, 100, 2) == 5050 * 5050
+    assert total(1, 100, 100000) == 5050  # 2 tiles
+    assert _RecordingPool.sizes == [3, 2, 2]
+    got = count_visible_by_prime(ELLIPTIC, [1009], CountBox(500, 500), 0, workers=100000)
+    assert got == [count_visible_direct(LevelCurveSpec(ELLIPTIC, 1009, 0), CountBox(500, 500))]
+    assert _RecordingPool.sizes == [3, 2, 2, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: no pool
+    assert total(100, 100, 100000) == 5050 * 5050
+    assert _RecordingPool.sizes == [3, 2, 2, 3]
+
+
+def _separable_route(f, p, box, fft="rule"):
     """The separable route's histogram whatever the grid would cost: every
     d convolved by FFT ("all"), none of them ("none"), those with more than
     an eighth of the box's points ("large"), or as the rule picks ("rule")."""
@@ -542,7 +616,7 @@ def _separable_route(f, p, box, fft="rule", workers=1):
         items = counting._separable_plan(fmod, box.nx, box.ny)
     kinds = {kind for kind, _ in items}
     assert kinds == {"all": {"fft"}, "none": {"diff"}}.get(fft, kinds), (fft, kinds)
-    return counting._separable_histogram(fmod, box, items, workers)
+    return counting._separable_histogram(fmod, box, items)
 
 
 #: separable f: negative coefficients, one variable, V-exponents >= p, and
@@ -563,7 +637,7 @@ def test_separable_route_matches_the_oracle():
                 Y = min(Y, p)
                 level, visible = histogram_brute(f.terms, p, X, Y)
                 for fft in ("all", "none", "large"):
-                    h = _separable_route(f, p, CountBox(X, Y), fft, workers=1 + (X > Y))
+                    h = _separable_route(f, p, CountBox(X, Y), fft)
                     assert h.level_counts.tolist() == level, (f, p, X, Y, fft)
                     assert h.visible_counts.tolist() == visible, (f, p, X, Y, fft)
 
@@ -578,6 +652,8 @@ def _random_separable(rng, p):
 @pytest.mark.parametrize("block", [HISTOGRAM_POINTS, 64])
 def test_separable_route_equals_the_grid(monkeypatch, block):
     monkeypatch.setattr(counting, "HISTOGRAM_POINTS", block)
+    if block < HISTOGRAM_POINTS:  # separable batches of 16 values
+        monkeypatch.setattr(counting, "BLOCK_POINTS", block // 4)
     rng = random.Random(16)
     plans = {HISTOGRAM_POINTS: ((101, "all"), (1009, "large"), (4003, "rule"), (4003, "none")),
              64: ((31, "all"), (101, "large"), (101, "none"))}[block]
@@ -586,10 +662,9 @@ def test_separable_route_equals_the_grid(monkeypatch, block):
         X = rng.randint(p // 2, p)
         box = CountBox(X, rng.randint(p // 4, X - 1))
         grid = counting._grid_histogram(reduce_mod(f, p), box)
-        for workers in (1, 2):
-            h = _separable_route(f, p, box, fft, workers)
-            assert (h.level_counts == grid.level_counts).all(), (f, p, box, fft, workers)
-            assert (h.visible_counts == grid.visible_counts).all(), (f, p, box, fft, workers)
+        h = _separable_route(f, p, box, fft)
+        assert (h.level_counts == grid.level_counts).all(), (f, p, box, fft)
+        assert (h.visible_counts == grid.visible_counts).all(), (f, p, box, fft)
 
 
 def test_histogram_rule_picks_the_cheaper_route():
@@ -648,6 +723,17 @@ def _peak(call):
 
 def _histogram_peak(p):
     return _peak(lambda: visible_histogram(ELLIPTIC, p, CountBox(p, p), workers=1))
+
+
+def test_separable_histogram_keeps_one_small_batch_live():
+    # the levels workload: E on the full box at p = 4003 by the separable
+    # route, one batch of at most BLOCK_POINTS values per array at a time,
+    # whatever the worker count
+    p, box = 4003, CountBox(4003, 4003)
+    assert counting._separable_plan(reduce_mod(ELLIPTIC, p), p, p) is not None
+    visible_histogram(ELLIPTIC, p, box, workers=2)  # lazy imports first
+    peak = _peak(lambda: visible_histogram(ELLIPTIC, p, box, workers=2))
+    assert peak <= 1.25 * 2**20, peak
 
 
 def test_histogram_memory_does_not_grow_with_the_box():

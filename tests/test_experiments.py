@@ -1,10 +1,12 @@
+import concurrent.futures
 import json
 import math
+import os
 import random
 
 import pytest
 
-from visiblepoints import experiments, factor
+from visiblepoints import counting, experiments, factor
 from visiblepoints.arith import primes_in_range
 from visiblepoints.cli import main
 from visiblepoints.counting import (
@@ -43,6 +45,9 @@ UV = parse_poly("U*V")
 PARABOLA = parse_poly("V - U^2")
 ELLIPTIC = parse_poly("V^2 - U^3 - U - 1")
 CUBIC_GRAPH = parse_poly("V - U^3")
+FERMAT_CUBIC = parse_poly("V^3 - U^3 - 1")
+#: B = 10^19 + ... >= 2^63 on the box 10 x 10: counted modulo each prime
+HIGH_DEGREE = parse_poly("U^19 + V^2 - 4*U^3 - 1")
 
 
 def test_level_sweep_refuses_bad_hypotheses():
@@ -113,6 +118,38 @@ def test_prime_sweep_worker_invariance():
     records = [prime_sweep(ELLIPTIC, 60, box, workers=w) for w in (1, 2, 8)]
     assert records[0] == records[1] == records[2]
     assert records[0].sum_abs_dev == records[1].sum_abs_dev == records[2].sum_abs_dev
+
+
+class _RaisingPool:
+    """A stand-in for ThreadPoolExecutor that fails as soon as it is made."""
+
+    def __init__(self, max_workers):
+        raise AssertionError(f"a pool of {max_workers} threads")
+
+
+def test_prime_sweep_verdicts_and_per_prime_counts_make_no_pool(monkeypatch):
+    # a box of one tile: only the verdicts (and, for B >= 2^63, the
+    # per-prime counts) could have used threads
+    box = CountBox(10, 10)
+    cubic = prime_sweep(FERMAT_CUBIC, 200, box, workers=1)
+    fallback = prime_sweep(HIGH_DEGREE, 40, box, workers=1)
+    assert not _fits_int64(HIGH_DEGREE, box)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RaisingPool)
+    for f, T, expected in ((FERMAT_CUBIC, 200, cubic), (HIGH_DEGREE, 40, fallback)):
+        got = prime_sweep(f, T, box, workers=2)
+        assert got == expected and got.per_prime == expected.per_prime
+
+
+def test_prime_sweep_with_a_skipped_prime_at_two_workers(monkeypatch):
+    # V^3 - U^3 - 1 is (V - U - 1)^3 modulo 3; tiles of 2 points make the
+    # count sweep of the kept prime 5 six tiles, spread over two threads
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(counting, "BLOCK_POINTS", 2)
+    one, two = (prime_sweep(FERMAT_CUBIC, 6, CountBox(3, 3), workers=w) for w in (1, 2))
+    assert one.skipped_primes == (3,) and one.per_prime == ((5, count_visible_brute(
+        FERMAT_CUBIC.terms, 5, 0, 3, 3)),)
+    assert one == two and one.per_prime == two.per_prime
 
 
 def _random_poly(rng, box):

@@ -77,9 +77,13 @@ print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 
-def test_count_and_visible_load_neither_the_verdicts_nor_the_writers():
-    argvs = [[cmd, "-f", E, "-p", "31", "-a", "3", "-X", "10", "-Y", "10"]
-             for cmd in ("count", "visible")]
+#: what only a thread pool needs: concurrent.futures imports logging
+POOL_MODULES = {"concurrent.futures", "logging"}
+
+
+def _modules_after(argvs) -> tuple[list, set]:
+    """Exit codes of the argvs, run in order in one fresh interpreter, and
+    the modules loaded at the end."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -88,9 +92,29 @@ def test_count_and_visible_load_neither_the_verdicts_nor_the_writers():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["codes"] == [0, 0]
-    assert "visiblepoints.counting" in doc["modules"]
-    assert not {"visiblepoints.factor", "visiblepoints.output"} & set(doc["modules"])
+    return doc["codes"], set(doc["modules"])
+
+
+def test_count_and_visible_load_neither_the_verdicts_nor_the_writers():
+    codes, modules = _modules_after(
+        [[cmd, "-f", E, "-p", "31", "-a", "3", "-X", "10", "-Y", "10"]
+         for cmd in ("count", "visible")])
+    assert codes == [0, 0]
+    assert "visiblepoints.counting" in modules
+    assert not {"visiblepoints.factor", "visiblepoints.output"} & modules
+    assert not POOL_MODULES & modules
+
+
+def test_a_separable_level_sweep_makes_no_pool():
+    # the separable histogram runs in the calling thread at any worker
+    # count; the grid would take 4 tiles on this box
+    from visiblepoints import counting, poly
+
+    assert counting._separable_plan(poly.reduce_mod(poly.parse_poly(E), 1009), 1009, 1009)
+    codes, modules = _modules_after(
+        [["exp-a", "-f", E, "-p", "1009", "-X", "1009", "-Y", "1009", "--workers", "2"]])
+    assert codes == [0]
+    assert not POOL_MODULES & modules
 
 
 def test_star_import_binds_every_public_name():
