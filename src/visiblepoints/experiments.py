@@ -213,9 +213,10 @@ def prime_sweep(
     verdicts and the per-prime counts run one prime after another in the
     calling thread: the verdicts are pure Python, and the per-prime counts
     many small numpy calls, so a second thread only waits for the GIL (on
-    the same machine the 73 verdicts of V^3 - U^3 - 1 took 1.4x longer on
-    two threads, and 16 per-prime counts of U^19 + V^2 - 4*U^3 - 1 took
-    48 ms on one or two).  The record never depends on the worker count.
+    the same machine the 73 verdicts of V^3 - U^3 - 1 took 1.1 to 1.6x
+    longer on two threads, and 16 per-prime counts of
+    U^19 + V^2 - 4*U^3 - 1 took 48 ms on one or two).  The record never
+    depends on the worker count.
     """
     if not math.isfinite(T):
         raise NonFiniteParameter(f"T = {T} is not finite")
