@@ -57,7 +57,8 @@ _EXIT_CODES = (
 _RECORD_FORMATS = ("table", "csv", "json")
 #: help of --workers on the sweeping commands
 _WORKERS_HELP = ("threads for the grid sweeps only (the grid histogram and the int64 "
-                 "prime sweep), at most one per CPU; results never depend on it")
+                 "prime sweep), at most one per CPU this process may run on; results never "
+                 "depend on it")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -205,6 +205,14 @@ def _tile_shape(ny: int, points: int) -> tuple[int, int]:
     return max(1, points // ny), min(ny, points)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS
+    reports one, else all of the host's (1 when that is unknown too)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, int64: bool = True,
            points: int | None = None):
     """reduce_tile(xs, ys, evaluate(xs, ys)) for each tile of the grid
@@ -215,8 +223,8 @@ def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, int64: boo
     tile-sized arrays live; HISTOGRAM_POINTS for the histogram.
 
     With more than one worker the tiles go to a pool of as many threads as
-    the least of ``workers``, the tile count and os.cpu_count(), with at
-    most two tiles per thread submitted and not yet yielded.  A sweep's
+    the least of ``workers``, the tile count and :func:`_usable_cpus`, with
+    at most two tiles per thread submitted and not yet yielded.  A sweep's
     evaluation, mask and bincount are numpy calls on whole tiles, which run
     outside the GIL, so threads pay off here; this is the only place a pool
     is made.
@@ -233,7 +241,7 @@ def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, int64: boo
         return reduce_tile(xs, ys, evaluate(u, v))
 
     tiles = range(-(-nx // rows) * per_band)
-    workers = min(max(1, int(workers)), len(tiles), os.cpu_count() or 1)
+    workers = min(max(1, int(workers)), len(tiles), _usable_cpus())
     if workers <= 1:
         yield from map(tile, tiles)
         return
@@ -853,8 +861,7 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> 
     sum over c of G_d[c] * H_d[a - c], with G_d the histogram of g(d*s) and
     H_d that of h(d*t).  The level counts are N(1) and the visible counts
     sum of mu(d) * N(d).  An "fft" item computes N(d) for its d as one
-    batch of rfft/irfft of length L (:func:`_fft_length`) of histograms
-    made by one evaluation and one bincount per variable, rounded and
+    batch of rfft/irfft of length L (:func:`_fft_length`), rounded and
     folded to length p, when :func:`_fft_error_bound` of the exact norms
     proves the rounding exact (the histograms of any other d stay zero);
     its counts must sum to the n * m >= 1 points of the box, and a d whose
@@ -872,24 +879,11 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> 
     g = ModBivariatePoly(p, {(i, j): c for (i, j), c in fmod.terms.items() if not j})
     h = ModBivariatePoly(p, {(i, j): c for (i, j), c in fmod.terms.items() if j})
 
-    def g_of(u):
-        return g.evaluate(u, 0)
-
-    def h_of(v):
-        return h.evaluate(0, v)
-
     def g_at(ds, s0, s1):
-        return g_of(ds[:, None] * np.arange(s0 + 1, s1 + 1))
+        return g.evaluate(ds[:, None] * np.arange(s0 + 1, s1 + 1), 0)
 
     def h_at(ds, t0, t1):
-        return h_of(ds[:, None] * np.arange(t0 + 1, t1 + 1))
-
-    def histograms(fn, ds, sizes):
-        """Row k: the histogram of fn(ds[k] * s) over s in [1, sizes[k]],
-        from one evaluation and one bincount, row k's values offset by k * p."""
-        row = np.repeat(np.arange(len(ds)), sizes)
-        s = np.arange(1, len(row) + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        return np.bincount(fn(ds[row] * s) + p * row, minlength=len(ds) * p).reshape(-1, p)
+        return h.evaluate(0, ds[:, None] * np.arange(t0 + 1, t1 + 1))
 
     # One array of sums serves every "diff" batch, as one runs at a time: a
     # fresh one per batch is faulted in anew whenever the allocator has
@@ -908,15 +902,13 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> 
         return np.bincount(sums[:at], minlength=6 * p).reshape(3, 2, p).sum(axis=1)
 
     def convolutions(rows):
-        ds = np.array([d for d, _ in rows])
-        gd, hd = histograms(g_of, ds, nx // ds), histograms(h_of, ds, ny // ds)
-        # sums of squares of counts of at most p^2 points: exact in int64
-        norms = zip((gd * gd).sum(axis=1).tolist(), (hd * hd).sum(axis=1).tolist())
         G, H = np.zeros((len(rows), L)), np.zeros((len(rows), L))
-        for k, (gn, hn) in enumerate(norms):
-            if _fft_error_bound(gn * hn, L) < 0.5:
-                G[k, :p], H[k, :p] = gd[k], hd[k]  # else the row stays 0 and fails the sum
-        del gd, hd
+        for k, (d, _) in enumerate(rows):
+            one = np.array([d])
+            gd = np.bincount(g_at(one, 0, nx // d).ravel(), minlength=p)
+            hd = np.bincount(h_at(one, 0, ny // d).ravel(), minlength=p)
+            if _fft_error_bound(int(gd @ gd) * int(hd @ hd), L) < 0.5:
+                G[k, :p], H[k, :p] = gd, hd  # else the row stays 0 and fails the sum
         spectrum = fft.rfft(G)
         spectrum *= fft.rfft(H)
         del G, H

@@ -563,7 +563,7 @@ def test_only_the_grid_sweeps_make_a_pool(monkeypatch):
     fmod = reduce_mod(ELLIPTIC, p)
     assert counting._separable_plan(fmod, box.nx, box.ny) is not None
     grid = counting._grid_histogram(fmod, box, 1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RaisingPool)
     h = visible_histogram(ELLIPTIC, p, box, workers=2)
     assert (h.level_counts == grid.level_counts).all()
@@ -580,7 +580,7 @@ def test_sweep_pool_is_capped_by_the_cpus_and_the_tiles(monkeypatch):
     # started here: the stand-in runs every tile in this thread)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 3)
 
     def total(nx, ny, workers):  # the sum of x * y, in tiles of 50 points
         tiles = counting._sweep(lambda u, v: u * v, nx, ny,
@@ -594,9 +594,20 @@ def test_sweep_pool_is_capped_by_the_cpus_and_the_tiles(monkeypatch):
     got = count_visible_by_prime(ELLIPTIC, [1009], CountBox(500, 500), 0, workers=100000)
     assert got == [count_visible_direct(LevelCurveSpec(ELLIPTIC, 1009, 0), CountBox(500, 500))]
     assert _RecordingPool.sizes == [3, 2, 2, 3]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: no pool
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 1)  # one CPU: no pool
     assert total(100, 100, 100000) == 5050 * 5050
     assert _RecordingPool.sizes == [3, 2, 2, 3]
+
+
+def test_usable_cpus_are_the_affinity_set_where_there_is_one(monkeypatch):
+    # a process pinned to 2 of the host's 64 CPUs gets at most 2 threads
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert counting._usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")  # no affinity call: every CPU
+    assert counting._usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one
+    assert counting._usable_cpus() == 1
 
 
 def _separable_route(f, p, box, fft="rule"):

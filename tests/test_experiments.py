@@ -1,7 +1,6 @@
 import concurrent.futures
 import json
 import math
-import os
 import random
 
 import pytest
@@ -134,7 +133,7 @@ def test_prime_sweep_verdicts_and_per_prime_counts_make_no_pool(monkeypatch):
     cubic = prime_sweep(FERMAT_CUBIC, 200, box, workers=1)
     fallback = prime_sweep(HIGH_DEGREE, 40, box, workers=1)
     assert not _fits_int64(HIGH_DEGREE, box)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RaisingPool)
     for f, T, expected in ((FERMAT_CUBIC, 200, cubic), (HIGH_DEGREE, 40, fallback)):
         got = prime_sweep(f, T, box, workers=2)
@@ -144,7 +143,7 @@ def test_prime_sweep_verdicts_and_per_prime_counts_make_no_pool(monkeypatch):
 def test_prime_sweep_with_a_skipped_prime_at_two_workers(monkeypatch):
     # V^3 - U^3 - 1 is (V - U - 1)^3 modulo 3; tiles of 2 points make the
     # count sweep of the kept prime 5 six tiles, spread over two threads
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(counting, "BLOCK_POINTS", 2)
     one, two = (prime_sweep(FERMAT_CUBIC, 6, CountBox(3, 3), workers=w) for w in (1, 2))
     assert one.skipped_primes == (3,) and one.per_prime == ((5, count_visible_brute(
