@@ -56,9 +56,8 @@ _EXIT_CODES = (
 #: formats of the record-emitting commands; the others print table or json
 _RECORD_FORMATS = ("table", "csv", "json")
 #: help of --workers on the sweeping commands
-_WORKERS_HELP = ("threads for the grid sweeps only (the grid histogram and the int64 "
-                 "prime sweep), at most one per CPU this process may run on; results never "
-                 "depend on it")
+_WORKERS_HELP = ("threads for the grid histogram only, at most one per CPU this process may "
+                 "run on; the prime sweep runs in one thread; results never depend on it")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -354,7 +353,7 @@ def _cmd_exp_p(args) -> int:
     experiments = _load_experiments()
     from .counting import CountBox
 
-    record = experiments.prime_sweep(f, args.T, CountBox(args.X, args.Y), workers=args.workers)
+    record = experiments.prime_sweep(f, args.T, CountBox(args.X, args.Y))
     _emit_items("records", [record], args.format, args.out)
     return 0
 

@@ -36,20 +36,20 @@ concatenate them (zero sets) as they arrive.  So memory stays bounded
 however large the box is, and integer sums and in-order concatenation do
 not depend on the worker count.  ``_sweep`` is the one place that makes a
 thread pool: its tiles are whole-array numpy work, which runs outside the
-GIL.  The grid histogram and the prime sweep take workers; every other
-walk, the separable histogram and the verdicts of a prime sweep run in the
-calling thread, where a second thread only waits for the GIL.  The tile
-size follows from what a walk holds.  A count walk (the grid count, the
-prime sweep, the zero set) keeps a few arrays of one tile live, so its
-tiles have BLOCK_POINTS = 2^15 points, 256 KB per int64 array, an L2-sized
-working set.  The histogram's tiles have HISTOGRAM_POINTS = 2^18 points, as
-each takes a bincount of 2p bins, which would dominate smaller tiles at
-large p.  The other walks are not sweeps but keep the same bounds: the row
-route takes tiles of rows whose live arrays hold at most 4 * BLOCK_POINTS
-coefficients (``_rows_per_tile``), the Moebius batches have shape (d, s, t)
-and at most BLOCK_POINTS points, and the separable histogram's batches of
-d, one live at a time, hold at most BLOCK_POINTS values in all their
-arrays.
+GIL.  Only the grid histogram takes workers, as its tiles are long enough
+to gain from them; every other walk, the separable histogram and the whole
+prime sweep run in the calling thread, where a second thread only waits
+for the GIL.  The tile size follows from what a walk holds.  A count walk
+(the grid count, the prime sweep, the zero set) keeps a few arrays of one
+tile live, so its tiles have BLOCK_POINTS = 2^15 points, 256 KB per int64
+array, an L2-sized working set.  The histogram's tiles have
+HISTOGRAM_POINTS = 2^18 points, as each takes a bincount of 2p bins, which
+would dominate smaller tiles at large p.  The other walks are not sweeps
+but keep the same bounds: the row route takes tiles of rows whose live
+arrays hold at most 4 * BLOCK_POINTS coefficients (``_rows_per_tile``),
+the Moebius batches have shape (d, s, t) and at most BLOCK_POINTS points,
+and the separable histogram's batches of d, one live at a time, hold at
+most BLOCK_POINTS values in all their arrays.
 
 Evaluation is the one kernel of poly, f(x, y) = sum of c_j(x) * y^j: the
 row coefficients c_j by Horner in U, the powers y^j from one table per
@@ -224,10 +224,12 @@ def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, int64: boo
 
     With more than one worker the tiles go to a pool of as many threads as
     the least of ``workers``, the tile count and :func:`_usable_cpus`, with
-    at most two tiles per thread submitted and not yet yielded.  A sweep's
-    evaluation, mask and bincount are numpy calls on whole tiles, which run
-    outside the GIL, so threads pay off here; this is the only place a pool
-    is made.
+    at most two tiles per thread submitted and not yet yielded.  This is
+    the only place a pool is made, and only :func:`_grid_histogram` asks
+    for one: its evaluation, mask and bincount are numpy calls on whole
+    tiles of HISTOGRAM_POINTS points, which run outside the GIL long
+    enough for threads to pay off.  The count walks take the default of
+    one worker.
     """
     rows, cols = _tile_shape(ny, BLOCK_POINTS if points is None else points)
     per_band = -(-ny // cols)  # tiles side by side in one band of rows
@@ -982,19 +984,66 @@ def _fits_int64(f: IntBivariatePoly, box: CountBox) -> bool:
     return True
 
 
+def _congruence_test(p: int, r: int) -> tuple[np.uint64, np.uint64, np.uint64]:
+    """(q, s, w) such that, for p = 2 or odd, 0 <= r < p and every int64 v
+    viewed as a uint64, v = r (mod p) exactly when (v * q + s) mod 2^64 <= w.
+    Any other even p is refused (ValueError).
+
+    For odd p, q = p^-1 mod 2^64.  An int64 v = r (mod p) is v = r + k * p
+    with k_min <= k <= k_max, k_min = -floor((2^63 + r) / p) and
+    k_max = floor((2^63 - 1 - r) / p); for such v, v * q = r * q + k, so
+    v * q + s = k - k_min lies in [0, w] with s = -r * q - k_min and
+    w = k_max - k_min.  Conversely, as v -> v * q is a bijection of the
+    integers mod 2^64, each t in [0, w] comes from one such v alone.  For
+    p = 2, q = 2^63 moves the low bit to the top and s = r * 2^63 clears
+    it exactly when it equals r, so w = 0.  The constants are formed in
+    Python ints, then made numpy scalars.
+    """
+    if p == 2:
+        q, s, w = 1 << 63, r << 63, 0
+    elif p % 2 == 0:
+        raise ValueError(f"p = {p} is even and not 2")
+    else:
+        q = pow(p, -1, 1 << 64)
+        k_min = -((2**63 + r) // p)
+        k_max = (2**63 - 1 - r) // p
+        s, w = (-r * q - k_min) % (1 << 64), k_max - k_min
+    return np.uint64(q), np.uint64(s), np.uint64(w)
+
+
+def _congruent(values: np.ndarray, test, work: np.ndarray) -> np.ndarray:
+    """The mask of the values (uint64 views of int64) that pass ``test``,
+    the constants of :func:`_congruence_test`: one multiply, one add and
+    one compare per value, with ``work``, a uint64 buffer of their shape,
+    holding the products."""
+    q, s, w = test
+    np.multiply(values, q, out=work)
+    np.add(work, s, out=work)
+    return work <= w
+
+
 def count_visible_by_prime(
-    f: IntBivariatePoly, primes: list[int], box: CountBox, a: int = 0, workers: int = 1
+    f: IntBivariatePoly, primes: list[int], box: CountBox, a: int = 0
 ) -> list[int]:
     """Visible points of f(x, y) = a (mod p) in the box, for each p in primes.
 
     One sweep evaluates f over Z in int64 and sieves the coprime mask once
-    per tile, then counts v % p == a % p over the visible values for
-    every prime (numpy's % with a positive divisor is a floor mod, as
-    Python's).  A tile's values are dropped once masked, and each prime's
-    residues go into one buffer reused for every prime, so a tile holds
-    at most two int64 arrays of its BLOCK_POINTS points.  Raises
-    GridOverflow unless ``_fits_int64(f, box)``.  No admissibility check
-    is made: f may degenerate modulo some p.
+    per tile, then counts, for every prime, the visible values v with
+    v = a (mod p) by an exact test on their uint64 views: one multiply by
+    the inverse of p modulo 2^64, one add and one compare
+    (:func:`_congruent`; Granlund and Montgomery, "Division by invariant
+    integers using multiplication", PLDI 1994; Lemire, Kaser and Kurz,
+    "Faster remainder by direct computation", SPE 2019).  The test is
+    exact for every int64 value, as each is r + k * p for one k in a range
+    of fewer than 2^64 / p values, and the inverse maps that range onto
+    [0, w].  p = 2 tests the low bit;
+    any other even modulus is refused (ValueError).  A tile's values are
+    dropped once masked, and each prime's products go into one buffer
+    reused for every prime, so a tile holds at most two 8-byte arrays of
+    its BLOCK_POINTS points.  The sweep runs in the calling thread: each
+    prime's pass is a few numpy calls on one tile, too short to gain from
+    releasing the GIL.  Raises GridOverflow unless ``_fits_int64(f, box)``.
+    No admissibility check is made: f may degenerate modulo some p.
     """
     if not _fits_int64(f, box):
         raise GridOverflow(f"sum of |c_ij| X^i Y^j >= 2^63: {f.text()} overflows int64 on the box")
@@ -1004,16 +1053,13 @@ def count_visible_by_prime(
         raise GridOverflow(f"p = {max(primes)} does not fit in int64")
     box.validate_for(min(primes))
     sieve = _sieve_primes(min(box.nx, box.ny))
-    levels = [(p, a % p) for p in primes]
+    tests = [_congruence_test(p, a % p) for p in primes]
 
     def counts(xs, ys, vals):
-        visible = vals[_coprime_mask(xs, ys, sieve)]
+        visible = vals[_coprime_mask(xs, ys, sieve)].view(np.uint64)
         del vals
-        residues = np.empty_like(visible)
-        out = np.empty(len(levels), dtype=np.int64)
-        for k, (p, r) in enumerate(levels):
-            np.remainder(visible, p, out=residues)
-            out[k] = np.count_nonzero(residues == r)
-        return out
+        work = np.empty_like(visible)
+        return np.array([np.count_nonzero(_congruent(visible, t, work)) for t in tests],
+                        dtype=np.int64)
 
-    return sum(_sweep(f.evaluate, box.nx, box.ny, counts, workers)).tolist()
+    return sum(_sweep(f.evaluate, box.nx, box.ny, counts)).tolist()

@@ -191,9 +191,7 @@ def _admissible_at(f: IntBivariatePoly, p: int) -> bool:
     return True
 
 
-def prime_sweep(
-    f: IntBivariatePoly, T: float, box: CountBox, workers: int = 1
-) -> DiscrepancyRecord:
+def prime_sweep(f: IntBivariatePoly, T: float, box: CountBox) -> DiscrepancyRecord:
     """Sum over primes p in [T/2, T] of |N_p - (6/pi^2) X Y / p| at the
     fixed level a = 0.
 
@@ -203,20 +201,19 @@ def prime_sweep(
     from one sweep over the box that evaluates f over Z when
     B = sum |c_ij| X^i Y^j < 2^63, and otherwise from one count modulo
     each prime.  Each is the faster exact route on its side of that test.
-    On one worker of a 2-core Xeon, the 73 primes of T = 1000 took 0.57 s
+    On one core of a 2-core Xeon, the 73 primes of T = 1000 took 0.57 s
     per prime against 0.66 s for one sweep in Python ints for
     U^19 + V^2 - 4*U^3 - 1 on 500 x 500 (B >= 2^63), and 0.49 s per prime
-    against 0.05 s for the int64 sweep for V^2 - U^3 - U - 1 on the same
-    box.
+    against 0.02 s for the int64 sweep for V^2 - U^3 - U - 1 on the same
+    box (0.46 s for its 560 primes of T = 10^4 on 1000 x 1000).
 
-    Only the int64 sweep spreads its tiles over ``workers`` threads.  The
-    verdicts and the per-prime counts run one prime after another in the
-    calling thread: the verdicts are pure Python, and the per-prime counts
-    many small numpy calls, so a second thread only waits for the GIL (on
-    the same machine the 73 verdicts of V^3 - U^3 - 1 took 1.1 to 1.6x
-    longer on two threads, and 16 per-prime counts of
-    U^19 + V^2 - 4*U^3 - 1 took 48 ms on one or two).  The record never
-    depends on the worker count.
+    Everything runs in the calling thread: the verdicts are pure Python,
+    and the int64 sweep and the per-prime counts many short numpy calls,
+    so a second thread only waits for the GIL.  On the same machine the 73
+    verdicts of V^3 - U^3 - 1 took 1.1 to 1.6x longer on two threads, and
+    the int64 sweep of V^2 - U^3 - U - 1 took 19 ms against 26 ms on two
+    threads at T = 1000 on 500 x 500, 0.46 s against 0.73 s at T = 10^4 on
+    1000 x 1000 (medians).
     """
     if not math.isfinite(T):
         raise NonFiniteParameter(f"T = {T} is not finite")
@@ -229,7 +226,7 @@ def prime_sweep(
     skipped = tuple(p for p, ok in zip(primes, admissible) if not ok)
     kept = [p for p, ok in zip(primes, admissible) if ok]
     try:
-        counts = count_visible_by_prime(f, kept, box, 0, workers)
+        counts = count_visible_by_prime(f, kept, box)
     except GridOverflow:  # B >= 2^63
         counts = [count_visible_direct(LevelCurveSpec(f, p, 0), box) for p in kept]
     per_prime = tuple(zip(kept, counts))
@@ -346,7 +343,8 @@ def run_sweep_series(
     f: IntBivariatePoly, plan: list[SweepPoint], workers: int = 1
 ) -> list[DiscrepancyRecord | SweepFailure]:
     """Run a list of sweep points in order; a failing entry becomes a
-    SweepFailure in its slot instead of aborting the series."""
+    SweepFailure in its slot instead of aborting the series.  ``workers``
+    goes to the level points alone; a prime point runs in one thread."""
     if not plan:
         raise EmptyPlan("sweep plan has no entries")
     out: list[DiscrepancyRecord | SweepFailure] = []
@@ -360,7 +358,7 @@ def run_sweep_series(
             elif point.kind == "primes":
                 if point.T is None:
                     raise ValueError("'primes' sweep point needs T")
-                out.append(prime_sweep(f, point.T, box, workers=workers))
+                out.append(prime_sweep(f, point.T, box))
             else:
                 raise ValueError(f"unknown sweep kind {point.kind!r}")
         except Exception as exc:  # noqa: BLE001 - isolation is the contract

@@ -16,9 +16,11 @@ stated threshold delta = 0.5 through the Markov bound that the averaged
 discrepancy sum supports.
 """
 
+import io
+import json
 import math
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 import pytest
 
@@ -177,16 +179,20 @@ def test_5_level_average_trend_and_bitwise_recount():
 def test_6_prime_average_harness():
     with criterion(6, "prime-averaged discrepancy harness, T=200, 100x100"):
         box = CountBox(100, 100)
-        rec1 = prime_sweep(ELLIPTIC, 200, box, workers=1)
+        rec1 = prime_sweep(ELLIPTIC, 200, box)
         assert rec1.skipped_primes == ()
         assert [p for p, _ in rec1.per_prime] == primes_brute(100, 200)
         for p, n in rec1.per_prime:
             assert n == count_visible_brute(ELLIPTIC.terms, p, 0, 100, 100), p
         assert math.isfinite(rec1.ratio) and rec1.ratio > 0
-        rec2 = prime_sweep(ELLIPTIC, 200, box, workers=2)
-        rec8 = prime_sweep(ELLIPTIC, 200, box, workers=8)
-        assert rec1 == rec2 == rec8
-        assert repr(rec1.sum_abs_dev) == repr(rec2.sum_abs_dev) == repr(rec8.sum_abs_dev)
+        outs = []
+        for w in ("1", "2", "8"):
+            with redirect_stdout(io.StringIO()) as out:
+                assert cli_main(["exp-p", "-f", "V^2 - U^3 - U - 1", "-T", "200", "-X", "100",
+                                 "-Y", "100", "--format", "json", "--workers", w]) == 0
+            outs.append(out.getvalue())
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])["records"][0]["sum_abs_dev"] == rec1.sum_abs_dev
 
 
 def test_7_integer_zero_set():

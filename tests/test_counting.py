@@ -556,9 +556,11 @@ class _RecordingPool:
 
 
 def test_only_the_grid_sweeps_make_a_pool(monkeypatch):
-    # the separable histogram runs in the calling thread at any worker
-    # count; the grid histogram (3 tiles) and the prime sweep (8 tiles)
-    # still spread their tiles over threads
+    # the separable histogram and the prime sweep run in the calling thread
+    # at any worker count; the grid histogram (3 tiles) still spreads its
+    # tiles over threads
+    from visiblepoints.experiments import prime_sweep
+
     p, box = 1009, CountBox(1009, 700)
     fmod = reduce_mod(ELLIPTIC, p)
     assert counting._separable_plan(fmod, box.nx, box.ny) is not None
@@ -570,14 +572,20 @@ def test_only_the_grid_sweeps_make_a_pool(monkeypatch):
     assert (h.visible_counts == grid.visible_counts).all()
     with pytest.raises(AssertionError, match="a pool of 2 threads"):
         counting._grid_histogram(fmod, box, 2)
-    with pytest.raises(AssertionError, match="a pool of 2 threads"):
-        count_visible_by_prime(ELLIPTIC, [1009], CountBox(500, 500), 0, workers=2)
+    # 8 tiles at 500^2, and 10 tiles of 1000 points at 100^2
+    direct = count_visible_direct(LevelCurveSpec(ELLIPTIC, 1009, 0), CountBox(500, 500))
+    assert count_visible_by_prime(ELLIPTIC, [1009], CountBox(500, 500)) == [direct]
+    monkeypatch.setattr(counting, "BLOCK_POINTS", 1000)
+    small = CountBox(100, 100)
+    rec = prime_sweep(ELLIPTIC, 200, small)
+    assert rec.per_prime == tuple(
+        (q, count_visible_direct(LevelCurveSpec(ELLIPTIC, q, 0), small)) for q, _ in rec.per_prime)
 
 
 def test_sweep_pool_is_capped_by_the_cpus_and_the_tiles(monkeypatch):
-    # exp-p -T 100000 -X 50000 -Y 50000 --workers 100000 has about 76k
-    # tiles; a pool of that many threads is never asked for (and never
-    # started here: the stand-in runs every tile in this thread)
+    # a grid sweep of about 76k tiles at 100000 workers never asks for a
+    # pool of that many threads (and never starts one here: the stand-in
+    # runs every tile in this thread)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(counting, "_usable_cpus", lambda: 3)
@@ -591,12 +599,34 @@ def test_sweep_pool_is_capped_by_the_cpus_and_the_tiles(monkeypatch):
     assert total(100, 100, 2) == 5050 * 5050
     assert total(1, 100, 100000) == 5050  # 2 tiles
     assert _RecordingPool.sizes == [3, 2, 2]
-    got = count_visible_by_prime(ELLIPTIC, [1009], CountBox(500, 500), 0, workers=100000)
-    assert got == [count_visible_direct(LevelCurveSpec(ELLIPTIC, 1009, 0), CountBox(500, 500))]
-    assert _RecordingPool.sizes == [3, 2, 2, 3]
     monkeypatch.setattr(counting, "_usable_cpus", lambda: 1)  # one CPU: no pool
     assert total(100, 100, 100000) == 5050 * 5050
-    assert _RecordingPool.sizes == [3, 2, 2, 3]
+    assert _RecordingPool.sizes == [3, 2, 2]
+
+
+#: the largest prime below 2^63
+PRIME_BELOW_2_63 = 2**63 - 25
+
+
+@pytest.mark.parametrize("p", [2, 3, 997, 2**31 - 1, 2**61 - 1, PRIME_BELOW_2_63])
+@pytest.mark.parametrize("which", ["0", "1", "p-1"])
+def test_congruence_test_matches_python_mod(p, which):
+    # every int64 value is r + k * p for one k; the values at and near both
+    # ends of int64, within p of them, at the first and last k, and around 0
+    r = {"0": 0, "1": 1, "p-1": p - 1}[which]
+    lo, hi = -(2**63), 2**63 - 1
+    k_min, k_max = -((2**63 + r) // p), (2**63 - 1 - r) // p
+    near = {0, 1, 2, r, r + 1, p - 1, p, p + 1, p - r, 2 * p}
+    values = {0, r, r - p, r + p, -r, 1, -1}
+    values |= {lo + d for d in near} | {hi - d for d in near}
+    values |= {r + k * p + d for k in (k_min, k_min + 1, k_max - 1, k_max) for d in (-1, 0, 1)}
+    rng = random.Random(p + r)
+    values |= {rng.randint(lo, hi) for _ in range(200)}
+    values |= {r + rng.randint(k_min, k_max) * p for _ in range(200)}
+    values = sorted(v for v in values if lo <= v <= hi)
+    arr = np.array(values, dtype=np.int64).view(np.uint64)
+    got = counting._congruent(arr, counting._congruence_test(p, r), np.empty_like(arr))
+    assert got.tolist() == [v % p == r for v in values]
 
 
 def test_usable_cpus_are_the_affinity_set_where_there_is_one(monkeypatch):
@@ -826,10 +856,9 @@ def test_sweeps_of_boxes_wider_than_a_tile():
         assert count_level_points(spec, box, "grid") == level[a]
         assert count_visible_direct(spec, box) == count_visible_mobius(spec, box) == visible[a]
     second = _wide_reference(nx, WIDE_PRIMES[1])[1]
-    for workers in (1, 2, 3):
-        for a in levels:
-            got = count_visible_by_prime(ELLIPTIC, list(WIDE_PRIMES), box, a, workers=workers)
-            assert got == [visible[a], second[a % WIDE_PRIMES[1]]]
+    for a in levels:
+        got = count_visible_by_prime(ELLIPTIC, list(WIDE_PRIMES), box, a)
+        assert got == [visible[a], second[a % WIDE_PRIMES[1]]]
 
 
 def test_grid_gcd_filter_on_tiles_that_start_inside_a_row(monkeypatch):

@@ -112,11 +112,16 @@ def test_prime_sweep_small_case_matches_oracle():
     assert rec.a == 0 and rec.T == 40.0
 
 
-def test_prime_sweep_worker_invariance():
-    box = CountBox(20, 20)
-    records = [prime_sweep(ELLIPTIC, 60, box, workers=w) for w in (1, 2, 8)]
-    assert records[0] == records[1] == records[2]
-    assert records[0].sum_abs_dev == records[1].sum_abs_dev == records[2].sum_abs_dev
+def test_prime_sweep_worker_invariance(capsys):
+    # exp-p keeps --workers for the scripts that pass it; it changes nothing
+    outs = []
+    for w in ("1", "2", "8"):
+        assert main(["exp-p", "-f", "V^2 - U^3 - U - 1", "-T", "60", "-X", "20", "-Y", "20",
+                     "--format", "json", "--workers", w]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["records"][0]["sum_abs_dev"] == prime_sweep(
+        ELLIPTIC, 60, CountBox(20, 20)).sum_abs_dev
 
 
 class _RaisingPool:
@@ -127,28 +132,35 @@ class _RaisingPool:
 
 
 def test_prime_sweep_verdicts_and_per_prime_counts_make_no_pool(monkeypatch):
-    # a box of one tile: only the verdicts (and, for B >= 2^63, the
-    # per-prime counts) could have used threads
+    # the verdicts, the int64 sweep and, for B >= 2^63, the per-prime
+    # counts all run in the calling thread
     box = CountBox(10, 10)
-    cubic = prime_sweep(FERMAT_CUBIC, 200, box, workers=1)
-    fallback = prime_sweep(HIGH_DEGREE, 40, box, workers=1)
     assert not _fits_int64(HIGH_DEGREE, box)
     monkeypatch.setattr(counting, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RaisingPool)
-    for f, T, expected in ((FERMAT_CUBIC, 200, cubic), (HIGH_DEGREE, 40, fallback)):
-        got = prime_sweep(f, T, box, workers=2)
-        assert got == expected and got.per_prime == expected.per_prime
+    for f, T in ((FERMAT_CUBIC, 200), (HIGH_DEGREE, 40)):
+        got = prime_sweep(f, T, box)
+        assert got.per_prime == tuple(
+            (p, count_visible_brute(f.terms, p, 0, 10, 10)) for p, _ in got.per_prime)
 
 
-def test_prime_sweep_with_a_skipped_prime_at_two_workers(monkeypatch):
+def test_prime_sweep_with_a_skipped_prime_at_two_workers(monkeypatch, capsys):
     # V^3 - U^3 - 1 is (V - U - 1)^3 modulo 3; tiles of 2 points make the
-    # count sweep of the kept prime 5 six tiles, spread over two threads
+    # count sweep of the kept prime 5 six tiles, all in the calling thread
+    # whatever --workers says
     monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(counting, "BLOCK_POINTS", 2)
-    one, two = (prime_sweep(FERMAT_CUBIC, 6, CountBox(3, 3), workers=w) for w in (1, 2))
-    assert one.skipped_primes == (3,) and one.per_prime == ((5, count_visible_brute(
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RaisingPool)
+    rec = prime_sweep(FERMAT_CUBIC, 6, CountBox(3, 3))
+    assert rec.skipped_primes == (3,) and rec.per_prime == ((5, count_visible_brute(
         FERMAT_CUBIC.terms, 5, 0, 3, 3)),)
-    assert one == two and one.per_prime == two.per_prime
+    outs = []
+    for w in ("1", "2"):
+        assert main(["exp-p", "-f", "V^3 - U^3 - 1", "-T", "6", "-X", "3", "-Y", "3",
+                     "--format", "json", "--workers", w]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["records"][0]["sum_abs_dev"] == rec.sum_abs_dev
 
 
 def _random_poly(rng, box):
@@ -185,7 +197,7 @@ def test_counts_by_prime_match_the_per_prime_route_at_full_scale():
     primes = primes_in_range(500, 1000)
     for a in (0, 7, -3):
         f = _random_poly(rng, box)
-        assert count_visible_by_prime(f, primes, box, a, workers=2) == _per_prime_route(
+        assert count_visible_by_prime(f, primes, box, a) == _per_prime_route(
             f, primes, box, a)
 
 
@@ -198,6 +210,17 @@ def test_counts_by_prime_match_brute_force():
         want = [count_visible_brute(f.terms, p, a, box.X, box.Y) for p in primes]
         assert count_visible_by_prime(f, primes, box, a) == want
     assert count_visible_by_prime(ELLIPTIC, [], box) == []
+    # p = 2 (the low bit) on a box that fits under it, with values of either
+    # sign up to about 2^62 and negative levels
+    tiny, primes = CountBox(2, 2), [2, 3, 5, 7, 2**31 - 1]
+    for a in (0, 1, -1, -4, -(2**40 + 1)):
+        f = IntBivariatePoly({ij: rng.randint(-(2**59), 2**59)
+                              for ij in ((1, 1), (2, 0), (0, 1), (0, 0))})
+        assert _fits_int64(f, tiny)
+        want = [count_visible_brute(f.terms, p, a, 2, 2) for p in primes]
+        assert count_visible_by_prime(f, primes, tiny, a) == want
+    with pytest.raises(ValueError, match="p = 4 is even"):
+        count_visible_by_prime(ELLIPTIC, [4], tiny)
 
 
 # B = 7*8^20 + 8^3 + |c| on the box 8 x 8, with 8^20 = 2^60

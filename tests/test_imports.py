@@ -117,6 +117,14 @@ def test_a_separable_level_sweep_makes_no_pool():
     assert not POOL_MODULES & modules
 
 
+def test_a_prime_sweep_makes_no_pool():
+    # the int64 sweep of this box takes 8 tiles, all in the calling thread
+    codes, modules = _modules_after(
+        [["exp-p", "-f", E, "-T", "1000", "-X", "500", "-Y", "500", "--workers", "2"]])
+    assert codes == [0]
+    assert not POOL_MODULES & modules
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from visiblepoints import *", namespace)
