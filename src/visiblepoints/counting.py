@@ -1036,13 +1036,13 @@ def count_visible_by_prime(
     "Faster remainder by direct computation", SPE 2019).  The test is
     exact for every int64 value, as each is r + k * p for one k in a range
     of fewer than 2^64 / p values, and the inverse maps that range onto
-    [0, w].  p = 2 tests the low bit;
-    any other even modulus is refused (ValueError).  A tile's values are
-    dropped once masked, and each prime's products go into one buffer
-    reused for every prime, so a tile holds at most two 8-byte arrays of
-    its BLOCK_POINTS points.  The sweep runs in the calling thread: each
-    prime's pass is a few numpy calls on one tile, too short to gain from
-    releasing the GIL.  Raises GridOverflow unless ``_fits_int64(f, box)``.
+    [0, w].  p = 2 tests the low bit; any other even modulus is refused
+    (ValueError).  A tile's values are dropped once masked, and each
+    prime's products go into one buffer reused for every prime, so a tile
+    holds at most two 8-byte arrays of its BLOCK_POINTS points.  The sweep
+    runs in the calling thread: each prime's pass is a few numpy calls on
+    one tile, too short to gain from releasing the GIL.  Raises
+    GridOverflow unless ``_fits_int64(f, box)``.
     No admissibility check is made: f may degenerate modulo some p.
     """
     if not _fits_int64(f, box):
