@@ -7,9 +7,10 @@ Moebius route sums mu(d) * M(d), where M(d) counts the points of
 f(d*s, d*t) = a on the shrunken box [1, X/d] x [1, Y/d], and never takes a
 gcd.  They must agree exactly on every input; the test suite enforces
 this.  The squarefree d with equal shrunken boxes form runs, about
-2 * sqrt(min(X, Y)) of them: the small boxes of a run are counted together
-in evaluations of shape (d, s, t) of at most BLOCK_POINTS points, and the
-few large ones (d <= 10 on 2000^2) one d at a time.
+2 * sqrt(min(X, Y)) of them, and each run is cut like any other box
+(below): the small boxes of a run are counted together in evaluations of
+shape (d, s, t), and the few large ones (d <= 10 on 2000^2) a tile at a
+time, all in pieces of at most BLOCK_POINTS points.
 
 Every single-level count (a level count, the direct count, each M(d) box)
 takes the grid or the rows by one cost rule, ``_prefers_rows``, fitted to
@@ -28,28 +29,26 @@ visible counts are their Moebius sum.  A cost rule of the same kind,
 ``_separable_plan``, picks the route.  The two share neither the coprime
 sieve nor the bivariate evaluation, so each checks the other.
 
-Every walk over the grid of a box is one ``_sweep``.  It cuts the box into
-tiles of at most ``points`` points (whole rows while one fits, else
-segments of one row), made lazily in row-major order, and yields each
-tile's reduced result in order; callers sum them (counts, histograms) or
-concatenate them (zero sets) as they arrive.  So memory stays bounded
-however large the box is, and integer sums and in-order concatenation do
-not depend on the worker count.  ``_sweep`` is the one place that makes a
-thread pool: its tiles are whole-array numpy work, which runs outside the
-GIL.  Only the grid histogram takes workers, as its tiles are long enough
-to gain from them; every other walk, the separable histogram and the whole
-prime sweep run in the calling thread, where a second thread only waits
-for the GIL.  The tile size follows from what a walk holds.  A count walk
-(the grid count, the prime sweep, the zero set) keeps a few arrays of one
-tile live, so its tiles have BLOCK_POINTS = 2^15 points, 256 KB per int64
-array, an L2-sized working set.  The histogram's tiles have
-HISTOGRAM_POINTS = 2^18 points, as each takes a bincount of 2p bins, which
-would dominate smaller tiles at large p.  The other walks are not sweeps
-but keep the same bounds: the row route takes tiles of rows whose live
-arrays hold at most 4 * BLOCK_POINTS coefficients (``_rows_per_tile``),
-the Moebius batches have shape (d, s, t) and at most BLOCK_POINTS points,
-and the separable histogram's batches of d, one live at a time, hold at
-most BLOCK_POINTS values in all their arrays.
+Every blocked walk cuts its boxes with one generator, ``_pieces``: a box,
+or a run of equal shrunken boxes of several d with a weight each, becomes
+pieces of at most ``points`` points in d-then-row-major order, whole boxes
+together while they fit and a larger box one d at a time, in tiles of
+whole rows or of a segment of one row.  ``_sweep`` evaluates the pieces of
+one box (d = 1) and yields each reduced result in order, which callers sum
+(counts, histograms) or concatenate (zero sets); the Moebius count
+evaluates the pieces of each run the cost rule gives the grid; the
+separable histogram bincounts sums over its pieces.  So memory stays
+bounded however large the box is, and the results do not depend on the
+worker count.  ``_sweep`` is the one place that makes a thread pool, and
+only the grid histogram asks for one: its long tiles are numpy work that
+runs outside the GIL, while every other walk runs in the calling thread,
+where a second thread only waits for the GIL.  The count walks (the grid
+count, the prime sweep, the zero set, the Moebius count) and the separable
+batches hold BLOCK_POINTS = 2^15 points, 256 KB per int64 array, an
+L2-sized working set; the histogram's tiles hold HISTOGRAM_POINTS = 2^18,
+as each takes a bincount of 2p bins, which would dominate smaller tiles at
+large p.  The row route alone keeps its own x-tiles (``_rows_per_tile``):
+their budget is counted in words per row and coefficient, not in points.
 
 Evaluation is the one kernel of poly, f(x, y) = sum of c_j(x) * y^j: the
 row coefficients c_j by Horner in U, the powers y^j from one table per
@@ -57,15 +56,16 @@ tile, with or without the reduction mod p.  Modulo p every product is at
 most (p - 1)^2 and the sum is reduced only when the next product could
 pass 2^63 - 1 (for p = 4003, once per point), so int64 is exact for p <=
 MAX_GRID_PRIME = isqrt(2^63 - 1); above it the kernel itself works in
-Python ints (numpy object arrays).  Over Z the sweep's caller picks the
-element type from a bound it knows: each power, row coefficient and
-partial sum is at most B = sum |c_ij| * X^i * Y^j, which fits in int64
-when ``_fits_int64``.  So grid, direct, Moebius and M(d) counts are exact
-at every prime.  Two routes keep their own choice:
-``visible_histogram`` refuses p > MAX_GRID_PRIME (GridOverflow), as both
-its routes need p bins per batch; ``count_visible_by_prime`` refuses
-B >= 2^63, where ``prime_sweep`` counts modulo each prime, faster than one
-sweep over Z in Python ints.
+Python ints (numpy object arrays).  Over Z the kernel does the same
+unless each power, row coefficient and partial sum, all at most B = sum
+|c_ij| * X^i * Y^j for the largest |x| and |y| of its arguments, fits in
+int64 (``poly._fits_int64``).  So grid, direct, Moebius and M(d) counts
+and zero sets are exact at every prime and every box.  Two routes refuse
+what they cannot do exactly: ``visible_histogram`` refuses p >
+MAX_GRID_PRIME (GridOverflow), as both its routes need p bins per batch;
+``count_visible_by_prime`` refuses B >= 2^63 on the box, as its test needs
+int64 values, and there ``prime_sweep`` counts modulo each prime, faster
+than one sweep over Z in Python ints.
 
 The row route finds the roots of a whole tile of rows f(x, V) - a at once:
 the rows are grouped by V-degree, and each group goes through one
@@ -74,7 +74,7 @@ square-and-multiply, gcd(g, V^p - V) by pseudo-remainders, and, when the
 box does not hold every y or the gcd filter needs the roots, the split by
 (V + c)^((p - 1)/2), which keeps each root's row.  A tile's rows are
 sized by all of its live intermediates, not only the widest one, and the
-element type follows the sweep's rule, so row counts are exact at every
+element type follows the kernel's rule, so row counts are exact at every
 prime too.
 
 The visible (gcd = 1) mask of a tile is sieved: start from all True and,
@@ -93,6 +93,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -103,6 +104,7 @@ from .poly import (
     MAX_GRID_PRIME,
     IntBivariatePoly,
     ModBivariatePoly,
+    _fits_int64,
     _horner_rows,
     _horner_sparse,
     _mul_pow,
@@ -205,6 +207,30 @@ def _tile_shape(ny: int, points: int) -> tuple[int, int]:
     return max(1, points // ny), min(ny, points)
 
 
+def _pieces(ds, weights, n: int, m: int, points: int | None = None):
+    """The one cut of every blocked walk: the boxes [1, n] x [1, m] of the d
+    in ds, each d with its weight, cut lazily into pieces (ds, weights, s0,
+    s1, t0, t1) of at most ``points`` points (BLOCK_POINTS by default),
+    whose d share the s in (s0, s1] and the t in (t0, t1].
+
+    Whole boxes go together while they fit; a larger box is cut, one d at a
+    time, into tiles of whole rows or of a segment of one row
+    (:func:`_tile_shape`).  The pieces come in d-then-row-major order, so a
+    walk that sums or concatenates them in order is deterministic.
+    """
+    points = BLOCK_POINTS if points is None else points
+    if n * m <= points:
+        step = points // (n * m)
+        for k in range(0, len(ds), step):
+            yield ds[k : k + step], weights[k : k + step], 0, n, 0, m
+        return
+    rows, cols = _tile_shape(m, points)
+    for k in range(len(ds)):
+        for s0 in range(0, n, rows):
+            for t0 in range(0, m, cols):
+                yield ds[k : k + 1], weights[k : k + 1], s0, min(s0 + rows, n), t0, min(t0 + cols, m)
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set where the OS
     reports one, else all of the host's (1 when that is unknown too)."""
@@ -213,14 +239,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, int64: bool = True,
-           points: int | None = None):
+def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, points: int | None = None):
     """reduce_tile(xs, ys, evaluate(xs, ys)) for each tile of the grid
-    [1, nx] x [1, ny], yielded in row-major order.  xs and ys are int64
-    ranges; the evaluator gets them as a column and a row, of int64 when
-    ``int64`` and of Python ints otherwise.  Tiles hold at most ``points``
+    [1, nx] x [1, ny], yielded in row-major order.  The tiles are the
+    pieces of the box of d = 1 (:func:`_pieces`) of at most ``points``
     points: BLOCK_POINTS by default, for the count walks, which keep a few
-    tile-sized arrays live; HISTOGRAM_POINTS for the histogram.
+    tile-sized arrays live; HISTOGRAM_POINTS for the histogram.  xs and ys
+    are int64 ranges, and the evaluator gets them as a column and a row.
 
     With more than one worker the tiles go to a pool of as many threads as
     the least of ``workers``, the tile count and :func:`_usable_cpus`, with
@@ -231,19 +256,19 @@ def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, int64: boo
     enough for threads to pay off.  The count walks take the default of
     one worker.
     """
-    rows, cols = _tile_shape(ny, BLOCK_POINTS if points is None else points)
-    per_band = -(-ny // cols)  # tiles side by side in one band of rows
-    dtype = np.int64 if int64 else object
 
-    def tile(k: int):
-        x0, y0 = k // per_band * rows, k % per_band * cols
-        xs = np.arange(x0 + 1, min(x0 + rows, nx) + 1, dtype=np.int64)
-        ys = np.arange(y0 + 1, min(y0 + cols, ny) + 1, dtype=np.int64)
-        u, v = (r.astype(dtype, copy=False) for r in (xs[:, None], ys[None, :]))
-        return reduce_tile(xs, ys, evaluate(u, v))
+    def tile(piece):
+        _, _, x0, x1, y0, y1 = piece
+        xs = np.arange(x0 + 1, x1 + 1, dtype=np.int64)
+        ys = np.arange(y0 + 1, y1 + 1, dtype=np.int64)
+        return reduce_tile(xs, ys, evaluate(xs[:, None], ys[None, :]))
 
-    tiles = range(-(-nx // rows) * per_band)
-    workers = min(max(1, int(workers)), len(tiles), _usable_cpus())
+    one = np.ones(1, dtype=np.int64)
+    tiles = _pieces(one, one, nx, ny, points)
+    workers = min(max(1, int(workers)), _usable_cpus())
+    if workers > 1:  # no more threads than tiles
+        first = list(islice(tiles, workers))
+        workers, tiles = len(first), chain(first, tiles)
     if workers <= 1:
         yield from map(tile, tiles)
         return
@@ -251,8 +276,8 @@ def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, int64: boo
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
-        for k in tiles:
-            pending.append(pool.submit(tile, k))
+        for piece in tiles:
+            pending.append(pool.submit(tile, piece))
             if len(pending) == 2 * workers:
                 yield pending.popleft().result()
         yield from (future.result() for future in pending)
@@ -426,12 +451,11 @@ def _split_rows(S: np.ndarray, deg: np.ndarray, p: int) -> list:
 
 
 def _coprimes_up_to(x: int, ny: int) -> int:
-    """#{y in [1, ny] : gcd(x, y) = 1}, by np.gcd over segments of at most
-    BLOCK_POINTS values of y."""
-    return sum(
-        int(np.count_nonzero(np.gcd(x, np.arange(y0 + 1, min(y0 + BLOCK_POINTS, ny) + 1)) == 1))
-        for y0 in range(0, ny, BLOCK_POINTS)
-    )
+    """#{y in [1, ny] : gcd(x, y) = 1}, by np.gcd over the pieces of the
+    row [1, ny] (:func:`_pieces`)."""
+    one = np.ones(1, dtype=np.int64)
+    return sum(int(np.count_nonzero(np.gcd(x, np.arange(t0 + 1, t1 + 1)) == 1))
+               for *_, t0, t1 in _pieces(one, one, 1, ny))
 
 
 def _count_row_tile(level: ModBivariatePoly, xs: np.ndarray, ny: int, coprime_only: bool) -> int:
@@ -530,7 +554,10 @@ def _rows_per_tile(k: int) -> int:
     4 * BLOCK_POINTS words (1 MiB).  Smaller tiles cost time: every tile
     repeats the log p squarings and the split rounds, whose numpy calls
     cost the same for any number of rows, and at a quarter of that (728
-    rows of E) a split quartic count ran 1.5 to 2.3 times slower.
+    rows of E) a split quartic count ran 1.5 to 2.3 times slower.  These
+    are the only tiles not cut by :func:`_pieces`: their budget is counted
+    in words per row and coefficient, which the points of a box do not
+    measure.
     """
     return max(1, 4 * BLOCK_POINTS // (_ROW_WORDS * (max(k, 0) + 1)))
 
@@ -609,13 +636,18 @@ def count_visible_direct(spec: LevelCurveSpec, box: CountBox) -> int:
     return _count(spec.fmod, spec.a, box.nx, box.ny, True)
 
 
-def _mobius_batch(fmod: ModBivariatePoly, a: int, ds, mus, n: int, m: int) -> int:
-    """sum of mu(d) * #{(s, t) in [1, n] x [1, m] : f(d*s, d*t) = a} over
-    the d in ds, in one evaluation of shape (len(ds), n, m)."""
-    d = np.asarray(ds, dtype=np.int64)[:, None, None]
-    s, t = (np.arange(1, k + 1, dtype=np.int64) for k in (n, m))
-    vals = fmod.evaluate(d * s[:, None], d * t[None, :])
-    return int(np.dot(mus, np.count_nonzero(vals == a, axis=(1, 2))))
+def _mobius_batch(fmod: ModBivariatePoly, a: int, piece) -> int:
+    """sum of mu(d) * #{(s, t) in piece : f(d*s, d*t) = a} over the d of a
+    piece (ds, mus, s0, s1, t0, t1) of :func:`_pieces`, in one evaluation
+    of shape (len(ds), s1 - s0, t1 - t0); a piece of one d is counted flat,
+    as a count along axes is slower on it."""
+    ds, mus, s0, s1, t0, t1 = piece
+    s, t = np.arange(s0 + 1, s1 + 1, dtype=np.int64), np.arange(t0 + 1, t1 + 1, dtype=np.int64)
+    d = ds[:, None, None]
+    hits = fmod.evaluate(d * s[:, None], d * t[None, :]) == a
+    if len(ds) == 1:
+        return int(mus[0]) * int(np.count_nonzero(hits))
+    return int(np.dot(mus, np.count_nonzero(hits, axis=(1, 2))))
 
 
 def _shrunken_runs(nx: int, ny: int) -> list:
@@ -638,24 +670,22 @@ def count_visible_mobius(spec: LevelCurveSpec, box: CountBox) -> int:
     input.
 
     The d with equal shrunken boxes (X // d, Y // d), a run of consecutive
-    squarefree d (:func:`_shrunken_runs`), share one count: when the cost
-    rule picks the grid for that box and it holds at most BLOCK_POINTS
-    points, as many d as fit in BLOCK_POINTS points go through one
-    evaluation (:func:`_mobius_batch`); otherwise each d is one
-    :func:`count_divisible`.  About 2 * sqrt(min(X, Y)) boxes exist, so the
-    per-d cost is one row of a batch.
+    squarefree d (:func:`_shrunken_runs`), share one cost: when the cost
+    rule picks the rows for that box, each d is one :func:`count_divisible`;
+    otherwise the run is cut into pieces (:func:`_pieces`), small boxes of
+    several d together and large ones a tile at a time, and each piece is
+    one evaluation (:func:`_mobius_batch`).  About 2 * sqrt(min(X, Y))
+    boxes exist, so the per-d cost of a small box is one row of a batch.
     """
     box.validate_for(spec.p)
     level = _row_level(spec.fmod, spec.a)
     total = 0
     for n, m, ds, mus in _shrunken_runs(box.nx, box.ny):
-        if n * m > BLOCK_POINTS or _prefers_rows(level, n, m, m < spec.p):
+        if _prefers_rows(level, n, m, m < spec.p):
             total += sum(mu * count_divisible(spec, box, d)
                          for d, mu in zip(ds.tolist(), mus.tolist()))
-            continue
-        step = BLOCK_POINTS // (n * m)
-        for k in range(0, len(ds), step):
-            total += _mobius_batch(spec.fmod, spec.a, ds[k : k + step], mus[k : k + step], n, m)
+        else:
+            total += sum(_mobius_batch(spec.fmod, spec.a, piece) for piece in _pieces(ds, mus, n, m))
     return total
 
 
@@ -749,49 +779,15 @@ def _fft_error_bound(norms2: int, L: int) -> float:
     return math.sqrt(norms2) * math.expm1(log)
 
 
-def _batch_points() -> int:
-    """Most values that one batch of the separable route holds in its
-    arrays: BLOCK_POINTS, the budget of the count walks' tiles.  The route
-    runs one batch at a time, so its working set stays near 256 KB and
-    flat in p and in the box, besides one bincount of 6p bins per batch,
-    which the cost rule counts (an FFT row longer than the budget is one
-    batch of its own)."""
-    return max(1, BLOCK_POINTS)
-
-
-def _points(piece) -> int:
-    ds, _, s0, s1, t0, t1 = piece
-    return len(ds) * (s1 - s0) * (t1 - t0)
-
-
-def _difference_pieces(ds, bands, n: int, m: int):
-    """The boxes [1, n] x [1, m] of the d in ds cut into pieces of at most
-    :func:`_batch_points` points, lazily: tuples (ds, bands, s0, s1, t0,
-    t1), whose d share the s in (s0, s1] and the t in (t0, t1].  Whole
-    boxes go together while they fit; a larger box is cut, one d at a time,
-    into tiles of whole rows or of a segment of one row, as in
-    :func:`_sweep`."""
-    most = _batch_points()
-    if n * m <= most:
-        step = most // (n * m)
-        for k in range(0, len(ds), step):
-            yield ds[k : k + step], bands[k : k + step], 0, n, 0, m
-        return
-    rows, cols = _tile_shape(m, most)
-    for k in range(len(ds)):
-        for s0 in range(0, n, rows):
-            for t0 in range(0, m, cols):
-                yield ds[k : k + 1], bands[k : k + 1], s0, min(s0 + rows, n), t0, min(t0 + cols, m)
-
-
 def _pack(pieces) -> list:
-    """The pieces, in order, packed greedily into lists of at most
-    :func:`_batch_points` points."""
-    most = _batch_points()
-    items, size = [], most
+    """The pieces of :func:`_pieces`, in order, packed greedily into lists
+    of at most BLOCK_POINTS points: one "diff" batch of the separable route
+    each, which holds one array of sums and one bincount of 6p bins."""
+    items, size = [], BLOCK_POINTS
     for piece in pieces:
-        points = _points(piece)
-        if size + points > most:
+        ds, _, s0, s1, t0, t1 = piece
+        points = len(ds) * (s1 - s0) * (t1 - t0)
+        if size + points > BLOCK_POINTS:
             items.append([])
             size = 0
         items[-1].append(piece)
@@ -817,14 +813,12 @@ def _separable_plan(fmod: ModBivariatePoly, nx: int, ny: int):
     Each squarefree d up to min(nx, ny) has a band: 0 for d = 1 (the level
     counts), 1 for mu(d) = 1 and 2 for mu(d) = -1.  A d whose shrunken box
     n x m has many points for the FFT length L, _DIFF_S * n * m >
-    _PIECE_S + _FFT_S * L * log2(L), is convolved by FFT; k = batch / (4L)
-    of them, at least one, make an item ("fft", [(d, band), ...]), whose
-    four k x L arrays (two histograms and their spectra) hold at most
-    :func:`_batch_points` values in all.  The runs of the other d
-    (:func:`_shrunken_runs`) are cut into pieces (:func:`_difference_pieces`)
-    and packed into items ("diff", pieces) of at most as many points, each
-    one array of sums and one bincount of 6p bins.  The estimate sums these
-    costs, as :func:`_grid_histogram_seconds` does the grid's.  Fitted to
+    _PIECE_S + _FFT_S * L * log2(L), is convolved by FFT, one item
+    ("fft", (d, band)) each.  The runs of the other d
+    (:func:`_shrunken_runs`) are cut into pieces (:func:`_pieces`) and
+    packed into items ("diff", pieces) of at most BLOCK_POINTS points
+    (:func:`_pack`).  The estimate sums these costs, as
+    :func:`_grid_histogram_seconds` does the grid's.  Fitted to
     in-process timings of both routes on 156 cases (4 separable f, p = 31
     to 200003, boxes 3 x 3 to 2000^2 and 1 x p), the rule picks the slower
     route in 9, each a box of one row or column taking under 2 ms, by at
@@ -835,23 +829,21 @@ def _separable_plan(fmod: ModBivariatePoly, nx: int, ny: int):
         return None
     L = _fft_length(p)
     fft_s = _PIECE_S + _FFT_S * L * (L.bit_length() - 1)
-    rows, pieces, seconds = [], [], 0.0
+    ffts, pieces, seconds = [], [], 0.0
     for n, m, ds, mus in _shrunken_runs(nx, ny):
         bands = np.where(ds == 1, 0, np.where(mus > 0, 1, 2))
         if fft_s < _DIFF_S * n * m:
-            rows += zip(ds.tolist(), bands.tolist())
+            ffts += [("fft", db) for db in zip(ds.tolist(), bands.tolist())]
             seconds += fft_s * len(ds)
             continue
-        run = list(_difference_pieces(ds, bands, n, m))
+        run = list(_pieces(ds, bands, n, m))
         pieces += run
         seconds += _DIFF_S * n * m * len(ds) + _PIECE_S * len(run)
     diffs = _pack(pieces)
     seconds += _BIN_S * 6 * p * len(diffs)
     if seconds >= _grid_histogram_seconds(fmod, nx, ny):
         return None
-    per = max(1, _batch_points() // (4 * L))
-    return ([("fft", rows[k : k + per]) for k in range(0, len(rows), per)]
-            + [("diff", item) for item in diffs])
+    return ffts + [("diff", item) for item in diffs]
 
 
 def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> VisibleHistogram:
@@ -862,12 +854,11 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> 
     two histograms, N_a(d) = #{s <= nx/d, t <= ny/d : f(ds, dt) = a} =
     sum over c of G_d[c] * H_d[a - c], with G_d the histogram of g(d*s) and
     H_d that of h(d*t).  The level counts are N(1) and the visible counts
-    sum of mu(d) * N(d).  An "fft" item computes N(d) for its d as one
-    batch of rfft/irfft of length L (:func:`_fft_length`), rounded and
-    folded to length p, when :func:`_fft_error_bound` of the exact norms
-    proves the rounding exact (the histograms of any other d stay zero);
-    its counts must sum to the n * m >= 1 points of the box, and a d whose
-    sum differs takes differences instead.
+    sum of mu(d) * N(d).  An "fft" item computes N(d) for its d by one
+    rfft/irfft of length L (:func:`_fft_length`), rounded and folded to
+    length p, when :func:`_fft_error_bound` of the exact norms proves the
+    rounding exact; its counts must then sum to the n * m >= 1 points of
+    the box, and a d that fails either check takes differences instead.
     A "diff" item forms g(d*s) + h(d*t) + 2p * band over its pieces and
     bincounts it over 6p bins, which folds to the three bands' counts.
     Items run one after another in the calling thread, so one batch is
@@ -891,7 +882,7 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> 
     # fresh one per batch is faulted in anew whenever the allocator has
     # handed its pages back, which made the route for E at p = 4003 take
     # 2000 minor faults and up to twice the time.
-    sums = np.empty(_batch_points(), dtype=np.int64)
+    sums = np.empty(BLOCK_POINTS, dtype=np.int64)
 
     def differences(pieces):
         at = 0
@@ -903,33 +894,24 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> 
             at += size
         return np.bincount(sums[:at], minlength=6 * p).reshape(3, 2, p).sum(axis=1)
 
-    def convolutions(rows):
-        G, H = np.zeros((len(rows), L)), np.zeros((len(rows), L))
-        for k, (d, _) in enumerate(rows):
-            one = np.array([d])
-            gd = np.bincount(g_at(one, 0, nx // d).ravel(), minlength=p)
-            hd = np.bincount(h_at(one, 0, ny // d).ravel(), minlength=p)
-            if _fft_error_bound(int(gd @ gd) * int(hd @ hd), L) < 0.5:
-                G[k, :p], H[k, :p] = gd, hd  # else the row stays 0 and fails the sum
-        spectrum = fft.rfft(G)
-        spectrum *= fft.rfft(H)
-        del G, H
-        conv = fft.irfft(spectrum, L)
-        del spectrum
-        np.rint(conv, out=conv)
-        folded = (conv[:, :p] + conv[:, p : 2 * p]).astype(np.int64)
-        out = np.zeros((3, p), dtype=np.int64)
-        for k, (d, band) in enumerate(rows):
-            if int(folded[k].sum()) == (nx // d) * (ny // d):
-                out[band] += folded[k]
-            else:
-                pieces = _difference_pieces(np.array([d]), np.array([band]), nx // d, ny // d)
-                out += sum(differences(item) for item in _pack(pieces))
-        return out
+    def convolution(d, band):
+        n, m, one = nx // d, ny // d, np.array([d])
+        gd = np.bincount(g_at(one, 0, n).ravel(), minlength=p)
+        hd = np.bincount(h_at(one, 0, m).ravel(), minlength=p)
+        if _fft_error_bound(int(gd @ gd) * int(hd @ hd), L) < 0.5:
+            spectrum = fft.rfft(gd, L)
+            spectrum *= fft.rfft(hd, L)
+            conv = np.rint(fft.irfft(spectrum, L))
+            folded = (conv[:p] + conv[p : 2 * p]).astype(np.int64)
+            if int(folded.sum()) == n * m:
+                out = np.zeros((3, p), dtype=np.int64)
+                out[band] = folded
+                return out
+        return sum(map(differences, _pack(_pieces(one, np.array([band]), n, m))))
 
     def counts(item):
         kind, work = item
-        return convolutions(work) if kind == "fft" else differences(work)
+        return convolution(*work) if kind == "fft" else differences(work)
 
     bands = sum(map(counts, items))
     return VisibleHistogram(p=p, box=box, level_counts=bands[0],
@@ -960,28 +942,6 @@ def visible_histogram(
     if items is not None:
         return _separable_histogram(fmod, box, items)
     return _grid_histogram(fmod, box, workers)
-
-
-def _fits_int64(f: IntBivariatePoly, box: CountBox) -> bool:
-    """True when B = sum |c_ij| * X^i * Y^j over the floored box is below
-    2^63, so f evaluates over Z in int64 without overflow at every point.
-
-    B is exact in Python ints, but a term whose bit length is at least 63
-    is rejected before its powers are formed, so a huge exponent costs
-    nothing: c * X^i * Y^j has at least (bits(c) - 1) + i * (bits(X) - 1)
-    + j * (bits(Y) - 1) + 1 bits.
-    """
-    nx, ny = box.nx, box.ny
-    bx, by = nx.bit_length() - 1, ny.bit_length() - 1
-    total = 0
-    for (i, j), c in f.terms.items():
-        c = abs(c)
-        if c.bit_length() - 1 + i * bx + j * by >= 63:
-            return False
-        total += c * nx**i * ny**j
-        if total >= 1 << 63:
-            return False
-    return True
 
 
 def _congruence_test(p: int, r: int) -> tuple[np.uint64, np.uint64, np.uint64]:
@@ -1042,10 +1002,11 @@ def count_visible_by_prime(
     holds at most two 8-byte arrays of its BLOCK_POINTS points.  The sweep
     runs in the calling thread: each prime's pass is a few numpy calls on
     one tile, too short to gain from releasing the GIL.  Raises
-    GridOverflow unless ``_fits_int64(f, box)``.
-    No admissibility check is made: f may degenerate modulo some p.
+    GridOverflow unless ``_fits_int64`` holds on the box, as the test needs
+    int64 values.  No admissibility check is made: f may degenerate modulo
+    some p.
     """
-    if not _fits_int64(f, box):
+    if not _fits_int64(f.terms, box.nx, box.ny):
         raise GridOverflow(f"sum of |c_ij| X^i Y^j >= 2^63: {f.text()} overflows int64 on the box")
     if not primes:
         return []

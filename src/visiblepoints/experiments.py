@@ -26,7 +26,6 @@ from .arith import primes_in_range
 from .counting import (
     CountBox,
     LevelCurveSpec,
-    _fits_int64,
     _sweep,
     count_level_points,
     count_visible_by_prime,
@@ -321,9 +320,10 @@ def integer_zero_set(f: IntBivariatePoly, box: CountBox) -> ZeroSetReport:
     """All integer points (u, v) in the box with f(u, v) = 0 exactly, in
     row-major order.
 
-    One sweep evaluates f over Z at every point of the box: in int64 when
-    ``_fits_int64(f, box)``, so no value can overflow, and in Python ints
-    otherwise.  A row where f vanishes identically contributes every v.
+    One sweep evaluates f over Z at every point of the box, exactly: each
+    tile in int64 where no value can overflow, in Python ints elsewhere
+    (:meth:`IntBivariatePoly.evaluate`).  A row where f vanishes
+    identically contributes every v.
     """
     if f.is_zero():
         raise ValueError("zero set of the zero polynomial is the whole box")
@@ -332,7 +332,7 @@ def integer_zero_set(f: IntBivariatePoly, box: CountBox) -> ZeroSetReport:
         i, j = divmod((vals == 0).ravel().nonzero()[0], len(ys))
         return zip(xs[i].tolist(), ys[j].tolist())
 
-    tiles = _sweep(f.evaluate, box.nx, box.ny, zeros, int64=_fits_int64(f, box))
+    tiles = _sweep(f.evaluate, box.nx, box.ny, zeros)
     return ZeroSetReport(
         f_text=f.text(), X=float(box.X), Y=float(box.Y),
         points=tuple(pt for tile in tiles for pt in tile),

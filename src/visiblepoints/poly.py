@@ -116,11 +116,10 @@ class IntBivariatePoly:
     def evaluate(self, x, y):
         """f(x, y) over Z, by the kernel :func:`_evaluate` unreduced.
 
-        x and y are ints or arrays, which broadcast.  Exact for Python ints
-        and object arrays of them.  For int64 arrays it is exact when
-        sum |c_ij| * X^i * Y^j < 2^63 over the range of x and y, as that
-        sum bounds every power y^j, every row coefficient c_j(x) with its
-        Horner steps, and every partial sum of the terms c_j(x) * y^j.
+        x and y are ints or integer arrays, which broadcast.  Exact for
+        Python ints, object arrays of them and int64 arrays: int64 stays
+        when :func:`_fits_int64` holds for the largest |x| and |y| of the
+        arguments, and is taken to Python ints (an object array) otherwise.
         """
         return _evaluate(self.terms, x, y)
 
@@ -310,10 +309,15 @@ def _evaluate(terms: dict[tuple[int, int], int], x, y, p: int | None = None):
     there.  Above MAX_GRID_PRIME every
     integer array or numpy scalar is taken to Python ints (object dtype)
     first, whatever its dtype, and the sum is reduced only at the end.
-    Over Z nothing is reduced; see :meth:`IntBivariatePoly.evaluate`.
+    Over Z nothing is reduced, and numpy integers are taken to Python ints
+    in the same way unless :func:`_fits_int64` holds for the largest |x|
+    and |y| of the arguments, so no value can wrap.
     """
     period = None
-    if p is not None:
+    if p is None:
+        if (_fixed_width(x) or _fixed_width(y)) and not _fits_int64(terms, _largest(x), _largest(y)):
+            x, y = _python_ints(x), _python_ints(y)
+    else:
         if p > MAX_GRID_PRIME:
             x, y = _python_ints(x), _python_ints(y)
         else:
@@ -340,6 +344,39 @@ def _evaluate(terms: dict[tuple[int, int], int], x, y, p: int | None = None):
     return acc
 
 
+def _fits_int64(terms: dict[tuple[int, int], int], X: int, Y: int) -> bool:
+    """True when B = sum |c_ij| * X^i * Y^j < 2^63 for the largest |x| = X
+    >= 1 and |y| = Y >= 1: B bounds every power y^j, row coefficient c_j(x)
+    with its Horner steps and partial sum of the terms c_j(x) * y^j, so f
+    evaluates over Z in int64 without overflow.  A term of at least
+    (bits(c) - 1) + i * (bits(X) - 1) + j * (bits(Y) - 1) + 1 >= 64 bits is
+    rejected before its powers are formed, so a huge exponent costs nothing.
+    """
+    bx, by = X.bit_length() - 1, Y.bit_length() - 1
+    total = 0
+    for (i, j), c in terms.items():
+        c = abs(c)
+        if c.bit_length() - 1 + i * bx + j * by >= 63:
+            return False
+        total += c * X**i * Y**j
+        if total >= 1 << 63:
+            return False
+    return True
+
+
+def _fixed_width(v) -> bool:
+    """True for a numpy integer array or scalar, which can wrap."""
+    return getattr(v, "dtype", None) is not None and v.dtype.kind in "iu"
+
+
+def _largest(v) -> int:
+    """max(|v|, 1) over an int or an integer array, in Python ints, so the
+    int64 minimum gives 2^63."""
+    if getattr(v, "shape", ()) == ():
+        return max(abs(int(v)), 1)
+    return max(-int(v.min()), int(v.max()), 1) if v.size else 1
+
+
 def _python_ints(v):
     """v with numpy integers taken to Python ints: an array to object dtype,
     a numpy integer scalar to int; anything else unchanged.  Arrays and
@@ -347,7 +384,7 @@ def _python_ints(v):
     loads without numpy."""
     if getattr(v, "shape", ()) != ():
         return v.astype(object, copy=False)
-    return int(v) if getattr(v, "dtype", None) is not None and v.dtype.kind in "iu" else v
+    return int(v) if _fixed_width(v) else v
 
 
 def reduce_mod(f: IntBivariatePoly, p: int) -> ModBivariatePoly:

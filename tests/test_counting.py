@@ -15,6 +15,7 @@ from visiblepoints.counting import (
     CountBox,
     LevelCurveSpec,
     _coprime_mask,
+    _pieces,
     _sieve_primes,
     count_divisible,
     count_level_points,
@@ -502,6 +503,36 @@ def test_coprime_mask_over_the_blocks_of_a_sweep():
             _assert_mask_is_gcd(lo + 1, min(lo + rows, nx), ny, primes)
 
 
+def _piece_cells(pieces, budget):
+    """The (d, weight, s, t) of the pieces in their order, after checking
+    that each holds at most ``budget`` points and a weight per d."""
+    for ds, weights, s0, s1, t0, t1 in pieces:
+        assert len(ds) == len(weights) and 0 < len(ds) * (s1 - s0) * (t1 - t0) <= budget
+        for d, w in zip(ds.tolist(), weights.tolist()):
+            yield from ((d, w, s, t) for s in range(s0 + 1, s1 + 1) for t in range(t0 + 1, t1 + 1))
+
+
+def test_pieces_cover_every_point_once_in_order_within_the_budget():
+    # boxes of n * m just below, at and above the budget, one-row boxes
+    # wider than it, random ones, and a budget of 1; runs of 1 to 6 d
+    rng = random.Random(2146)
+    for budget in (1, 2, 12, 97, 1000):
+        shapes = [(1, budget), (1, budget + 1), (budget, 1), (2, budget),
+                  (1, budget + rng.randint(1, 3 * budget)), (rng.randint(2, 9), rng.randint(1, budget))]
+        shapes += [(n, (budget + k) // n) for n in (1, 2, 3) for k in (-1, 0, 1) if (budget + k) // n]
+        for n, m in shapes:
+            ds = np.array(sorted(rng.sample(range(1, 50), rng.randint(1, 6))), dtype=np.int64)
+            weights = np.array([rng.choice((-1, 1, 0, 7)) for _ in ds], dtype=np.int64)
+            want = [(d, w, s, t) for d, w in zip(ds.tolist(), weights.tolist())
+                    for s in range(1, n + 1) for t in range(1, m + 1)]
+            got = list(_piece_cells(_pieces(ds, weights, n, m, budget), budget))
+            assert got == want, (budget, n, m, len(ds))
+    # the default budget is BLOCK_POINTS, read when the pieces are made
+    one = np.ones(1, dtype=np.int64)
+    assert len(list(_pieces(one, one, 2, BLOCK_POINTS // 2))) == 1
+    assert len(list(_pieces(one, one, 2, BLOCK_POINTS // 2 + 1))) == 2
+
+
 def test_full_box_histogram_matches_brute_force():
     for p in (127, 257):
         level, visible = histogram_brute(ELLIPTIC.terms, p, p, p)
@@ -746,9 +777,9 @@ def test_separable_route_counts_a_d_by_differences_when_a_check_fails(monkeypatc
         mp.setattr(counting, "_fft_error_bound", lambda norms2, L: 1.0)
         h = _separable_route(ELLIPTIC, p, box, "all")
     assert h.level_counts.tolist() == level and h.visible_counts.tolist() == visible
-    # the sums after rounding are off by one in every row
+    # the sums after rounding are off by one for every d
     irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + np.eye(1, n))
+    monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + (np.arange(n) == 0))
     h = _separable_route(ELLIPTIC, p, box, "all")
     assert h.level_counts.tolist() == level and h.visible_counts.tolist() == visible
 

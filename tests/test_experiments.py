@@ -12,7 +12,6 @@ from visiblepoints.counting import (
     COPRIME_DENSITY,
     CountBox,
     LevelCurveSpec,
-    _fits_int64,
     count_visible_by_prime,
     count_visible_direct,
     expected_visible,
@@ -36,9 +35,15 @@ from visiblepoints.experiments import (
     prime_sweep,
     run_sweep_series,
 )
-from visiblepoints.poly import IntBivariatePoly, parse_poly
+from visiblepoints.poly import IntBivariatePoly, _fits_int64, parse_poly
 
 from oracles import count_visible_brute, primes_brute
+
+
+def _fits(f, box):
+    """B = sum |c_ij| X^i Y^j < 2^63 on the floored box."""
+    return _fits_int64(f.terms, box.nx, box.ny)
+
 
 UV = parse_poly("U*V")
 PARABOLA = parse_poly("V - U^2")
@@ -135,7 +140,7 @@ def test_prime_sweep_verdicts_and_per_prime_counts_make_no_pool(monkeypatch):
     # the verdicts, the int64 sweep and, for B >= 2^63, the per-prime
     # counts all run in the calling thread
     box = CountBox(10, 10)
-    assert not _fits_int64(HIGH_DEGREE, box)
+    assert not _fits(HIGH_DEGREE, box)
     monkeypatch.setattr(counting, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RaisingPool)
     for f, T in ((FERMAT_CUBIC, 200), (HIGH_DEGREE, 40)):
@@ -170,7 +175,7 @@ def _random_poly(rng, box):
         terms = {(i, j): rng.randint(-60, 60)
                  for i in range(4) for j in range(4) if rng.random() < 0.4}
         f = IntBivariatePoly(terms)
-        if f.degree >= 2 and any(c < 0 for c in f.terms.values()) and _fits_int64(f, box):
+        if f.degree >= 2 and any(c < 0 for c in f.terms.values()) and _fits(f, box):
             return f
 
 
@@ -216,7 +221,7 @@ def test_counts_by_prime_match_brute_force():
     for a in (0, 1, -1, -4, -(2**40 + 1)):
         f = IntBivariatePoly({ij: rng.randint(-(2**59), 2**59)
                               for ij in ((1, 1), (2, 0), (0, 1), (0, 0))})
-        assert _fits_int64(f, tiny)
+        assert _fits(f, tiny)
         want = [count_visible_brute(f.terms, p, a, 2, 2) for p in primes]
         assert count_visible_by_prime(f, primes, tiny, a) == want
     with pytest.raises(ValueError, match="p = 4 is even"):
@@ -230,7 +235,7 @@ AT_2_63 = IntBivariatePoly({(20, 0): 7, (0, 3): 1, (0, 0): -(2**60 - 512)})
 
 def test_prime_sweep_routes_on_either_side_of_2_63(monkeypatch):
     box = CountBox(8, 8)
-    assert _fits_int64(BELOW_2_63, box) and not _fits_int64(AT_2_63, box)
+    assert _fits(BELOW_2_63, box) and not _fits(AT_2_63, box)
     with pytest.raises(GridOverflow):
         count_visible_by_prime(AT_2_63, [11, 13], box)
     direct = []
@@ -246,10 +251,10 @@ def test_prime_sweep_routes_on_either_side_of_2_63(monkeypatch):
 
 
 def test_bound_check_rejects_huge_exponents_early():
-    assert not _fits_int64(parse_poly("U^100000000000 + V"), CountBox(2, 2))
-    assert _fits_int64(parse_poly("U^100000000000 + V"), CountBox(1, 2))
-    assert not _fits_int64(IntBivariatePoly({(0, 0): 2**63}), CountBox(1, 1))
-    assert _fits_int64(IntBivariatePoly({(0, 0): -(2**63 - 1)}), CountBox(1, 1))
+    assert not _fits(parse_poly("U^100000000000 + V"), CountBox(2, 2))
+    assert _fits(parse_poly("U^100000000000 + V"), CountBox(1, 2))
+    assert not _fits(IntBivariatePoly({(0, 0): 2**63}), CountBox(1, 1))
+    assert _fits(IntBivariatePoly({(0, 0): -(2**63 - 1)}), CountBox(1, 1))
 
 
 def _exp_p_bodies(capsys, args):
@@ -405,10 +410,20 @@ def test_integer_zero_set_beyond_int64():
          CountBox(20, 20)),
     ]
     for f, box in cases:
-        assert not _fits_int64(f, box)
+        assert not _fits(f, box)
         z = integer_zero_set(f, box)
         assert z.points == _zeros_by_loop(f, box.nx, box.ny), f
     assert integer_zero_set(*cases[1]).points == ((3, 1), (3, 2), (3, 3), (3, 4))
+
+
+def test_integer_zero_set_with_int64_and_python_int_tiles():
+    # every row of 2 x 40000 is two tiles; f = U^64 + U - 2 fits int64 on
+    # the tiles of row 1, where it vanishes, and not on those of row 2,
+    # where int64 would wrap 2^64 to 0 and report the whole row
+    f = parse_poly("U^64 + U - 2")
+    box = CountBox(2, 40000)
+    assert not _fits(f, box)
+    assert integer_zero_set(f, box).points == tuple((1, v) for v in range(1, 40001))
 
 
 def test_integer_zero_set_on_a_box_wider_than_a_tile():

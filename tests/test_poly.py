@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from visiblepoints.arith import is_prime
-from visiblepoints.counting import MAX_GRID_PRIME, CountBox, _fits_int64
+from visiblepoints.counting import MAX_GRID_PRIME
 from visiblepoints.errors import DegenerateReduction, PolynomialParseError
-from visiblepoints.poly import IntBivariatePoly, parse_poly, reduce_mod
+from visiblepoints.poly import IntBivariatePoly, _fits_int64, parse_poly, reduce_mod
 
 from oracles import eval_mod
 
@@ -250,15 +250,44 @@ def test_integer_evaluation_exact_up_to_the_int64_bound():
     # B = sum |c_ij| X^i Y^j is 7 * 2^60 + 2^20 + 1 < 2^63 on the box
     # [1, 2^20]^2, so int64 partial sums cannot wrap; object arrays agree
     X = 2**20
-    box = CountBox(X, X)
     coords = [1, 2, X // 2 + 1, X - 1, X]
     for text in ("V^3 + 3*U^2*V + 2*U*V^2 + U^3 + V + 1",
                  "-V^3 + 3*U^2*V - 2*U*V^2 + U^3 - V - 1"):
         f = parse_poly(text)
-        assert _fits_int64(f, box)
+        assert _fits_int64(f.terms, X, X)
         fast = f.evaluate(np.array(coords)[:, None], np.array(coords)[None, :])
         exact = f.evaluate(np.array(coords, dtype=object)[:, None],
                            np.array(coords, dtype=object)[None, :])
         assert fast.dtype == np.int64 and fast.tolist() == exact.tolist()
         assert fast[-1, -1] == f.evaluate(X, X)
     assert parse_poly("V^3 + 3*U^2*V + 2*U*V^2 + U^3 + V + 1").evaluate(X, X) == 7 * 2**60 + X + 1
+
+
+def _by_loop(f, us, vs):
+    return [[sum(c * u**i * v**j for (i, j), c in f.terms.items()) for v in vs] for u in us]
+
+
+def test_integer_evaluation_never_wraps_int64():
+    # past B < 2^63 numpy integers are taken to Python ints: in int64,
+    # 3^40 and (2 * 10^4)^6 would wrap to negative values
+    assert parse_poly("U^40").evaluate(np.array([3]), np.array([1])).tolist() == [3**40]
+    assert parse_poly("U^40").evaluate(np.int64(3), 1) == 3**40
+    f = parse_poly("U^3*V^3 + 1")
+    a = [10**4, 2 * 10**4]
+    got = f.evaluate(np.array(a)[:, None], np.array(a)[None, :])
+    assert got.tolist() == _by_loop(f, a, a) and got.dtype == object
+    # at and next to both ends of int64, where |int64 min| = 2^63 does not
+    # fit: int64 stays exactly while B < 2^63
+    top, bottom = 2**63 - 1, -(2**63)
+    for text, u, v, stays in (("U", top, 1, True), ("U + 1", top, 1, False),
+                              ("U - 1", top - 1, 1, True), ("-U", bottom + 1, 1, True),
+                              ("U", bottom, 1, False), ("-U", bottom, 1, False),
+                              ("U*V - 1", 2**31, 2**32 - 1, True),
+                              ("U*V - 1", -(2**31), 2**32, False),
+                              ("U^2 + V^2", 2**31, 2**31, False)):
+        f = parse_poly(text)
+        us, vs = [u, 1, -1], [v, 1]
+        got = f.evaluate(np.array(us, dtype=np.int64)[:, None],
+                         np.array(vs, dtype=np.int64)[None, :])
+        assert got.tolist() == _by_loop(f, us, vs), text
+        assert (got.dtype == np.int64) == stays, text
