@@ -23,11 +23,12 @@ The per-level histogram, ``visible_histogram``, has two routes.  The grid
 evaluates f, sieves the coprime mask and bincounts at every point.  When
 the reduced f has no term in both U and V, f = g(U) + h(V), the separable
 route may be taken instead: the level counts of each shrunken box are a
-cyclic convolution of the histograms of g(d*s) and h(d*t), by FFT for the
-few large boxes and by a bincount of the sums g + h for the rest, and the
-visible counts are their Moebius sum.  A cost rule of the same kind,
-``_separable_plan``, picks the route.  The two share neither the coprime
-sieve nor the bivariate evaluation, so each checks the other.
+cyclic convolution of the histograms of g(d*s) and h(d*t), gathered from
+one kernel evaluation of f per axis, by FFT for the few large boxes and
+by a bincount of the sums g + h for the rest, and the visible counts are
+their Moebius sum.  A cost rule of the same kind, ``_separable_plan``,
+picks the route.  The two share neither the coprime sieve nor the
+bivariate evaluation, so each checks the other.
 
 Every blocked walk cuts its boxes with one generator, ``_pieces``: a box,
 or a run of equal shrunken boxes of several d with a weight each, becomes
@@ -52,16 +53,18 @@ their budget is counted in words per row and coefficient, not in points.
 
 Evaluation is the one kernel of poly, f(x, y) = sum of c_j(x) * y^j: the
 row coefficients c_j by Horner in U, the powers y^j from one table per
-tile, with or without the reduction mod p.  Modulo p every product is at
-most (p - 1)^2 and the sum is reduced only when the next product could
-pass 2^63 - 1 (for p = 4003, once per point), so int64 is exact for p <=
-MAX_GRID_PRIME = isqrt(2^63 - 1); above it the kernel itself works in
-Python ints (numpy object arrays).  Over Z the kernel does the same
-unless each power, row coefficient and partial sum, all at most B = sum
-|c_ij| * X^i * Y^j for the largest |x| and |y| of its arguments, fits in
-int64 (``poly._fits_int64``).  So grid, direct, Moebius and M(d) counts
-and zero sets are exact at every prime and every box.  Two routes refuse
-what they cannot do exactly: ``visible_histogram`` refuses p >
+tile, with or without the reduction mod p.  The kernel alone picks the
+element type (``poly._exact``), whatever the numpy integer width of its
+arguments: int64 where no value can pass 2^63 - 1, and Python ints (numpy
+object arrays) elsewhere, so no caller here converts its arguments.
+Modulo p every product is at most (p - 1)^2 and the sum is reduced only
+when the next product could pass 2^63 - 1 (for p = 4003, once per point),
+so int64 is exact for p <= MAX_GRID_PRIME = isqrt(2^63 - 1).  Over Z it
+is exact while each power, row coefficient and partial sum, all at most
+B = sum |c_ij| * X^i * Y^j for the largest |x| and |y| of the arguments,
+fits in int64 (``poly._fits_int64``).  So grid, direct, Moebius, M(d)
+and row counts and zero sets are exact at every prime and every box.  Two
+routes refuse what they cannot do exactly: ``visible_histogram`` refuses p >
 MAX_GRID_PRIME (GridOverflow), as both its routes need p bins per batch;
 ``count_visible_by_prime`` refuses B >= 2^63 on the box, as its test needs
 int64 values, and there ``prime_sweep`` counts modulo each prime, faster
@@ -469,13 +472,13 @@ def _count_row_tile(level: ModBivariatePoly, xs: np.ndarray, ny: int, coprime_on
     ny = p and no filter is asked for, every root lifts into the box, so
     deg s is the count; otherwise s is split (:func:`_split_rows`), each
     root lifted, residue 0 to y = p, and the lifts in [1, ny] kept, after
-    the gcd filter on (x, y) when asked for.  The row coefficients are
-    int64 for p <= MAX_GRID_PRIME and Python ints above it.
+    the gcd filter on (x, y) when asked for.  The row coefficients take the
+    element type that the kernel picks for them (``poly._exact``).
     """
     p = level.p
-    u = xs if p <= MAX_GRID_PRIME else xs.astype(object)
-    coeffs = np.zeros((len(xs), max(level.deg_v, 0) + 1), dtype=u.dtype)
-    for j, c in _horner_rows(level.terms, u, p).items():
+    cs = _horner_rows(level.terms, xs, p)  # xs's dtype serves a zero level
+    coeffs = np.zeros((len(xs), max(level.deg_v, 0) + 1), dtype=next(iter(cs.values()), xs).dtype)
+    for j, c in cs.items():
         coeffs[:, j] = c
     deg = _row_degrees(coeffs)
     zero = xs[deg < 0].tolist()
@@ -861,6 +864,10 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> 
     the box, and a d that fails either check takes differences instead.
     A "diff" item forms g(d*s) + h(d*t) + 2p * band over its pieces and
     bincounts it over 6p bins, which folds to the three bands' counts.
+    Both kinds read g and h from two axis tables, each one kernel call:
+    g(s) = f(s, 0) for s <= nx and h(t) = f(0, t) - f(0, 0) for t <= ny,
+    reduced mod p, so g(d*s) and h(d*t) are gathers at d*s and d*t (a
+    strided slice for a whole shrunken box).
     Items run one after another in the calling thread, so one batch is
     live at a time: their work is many small numpy calls, which a second
     thread would only slow down by waiting for the GIL.
@@ -869,14 +876,9 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> 
 
     p, nx, ny = fmod.p, box.nx, box.ny
     L = _fft_length(p)
-    g = ModBivariatePoly(p, {(i, j): c for (i, j), c in fmod.terms.items() if not j})
-    h = ModBivariatePoly(p, {(i, j): c for (i, j), c in fmod.terms.items() if j})
-
-    def g_at(ds, s0, s1):
-        return g.evaluate(ds[:, None] * np.arange(s0 + 1, s1 + 1), 0)
-
-    def h_at(ds, t0, t1):
-        return h.evaluate(0, ds[:, None] * np.arange(t0 + 1, t1 + 1))
+    G = fmod.evaluate(np.arange(nx + 1), 0)
+    H = fmod.evaluate(0, np.arange(ny + 1))
+    H = (H - H[0]) % p
 
     # One array of sums serves every "diff" batch, as one runs at a time: a
     # fresh one per batch is faulted in anew whenever the allocator has
@@ -887,7 +889,8 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> 
     def differences(pieces):
         at = 0
         for ds, bands, s0, s1, t0, t1 in pieces:
-            u, v = g_at(ds, s0, s1), h_at(ds, t0, t1) + 2 * p * bands[:, None]
+            u = G[ds[:, None] * np.arange(s0 + 1, s1 + 1)]
+            v = H[ds[:, None] * np.arange(t0 + 1, t1 + 1)] + 2 * p * bands[:, None]
             size = u.size * v.shape[1]
             np.add(u[:, :, None], v[:, None, :],
                    out=sums[at : at + size].reshape(len(ds), u.shape[1], v.shape[1]))
@@ -896,8 +899,8 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> 
 
     def convolution(d, band):
         n, m, one = nx // d, ny // d, np.array([d])
-        gd = np.bincount(g_at(one, 0, n).ravel(), minlength=p)
-        hd = np.bincount(h_at(one, 0, m).ravel(), minlength=p)
+        gd = np.bincount(G[d::d], minlength=p)
+        hd = np.bincount(H[d::d], minlength=p)
         if _fft_error_bound(int(gd @ gd) * int(hd @ hd), L) < 0.5:
             spectrum = fft.rfft(gd, L)
             spectrum *= fft.rfft(hd, L)

@@ -87,41 +87,52 @@ def parse_poly(text: str) -> "IntBivariatePoly":
     return IntBivariatePoly(terms)
 
 
-class IntBivariatePoly:
-    """Bivariate polynomial over Z, stored as {(i, j): coefficient != 0}.
-
-    Immutable after construction; the total degree is cached.
+class _BivariatePoly:
+    """The body of both polynomial classes: {(i, j): coefficient != 0} over
+    Z (p is None) or modulo the prime p.  Immutable after construction; the
+    total degree is cached.  Equal when class, p and terms are.
     """
 
-    __slots__ = ("terms", "degree")
+    __slots__ = ("p", "terms", "degree")
 
-    def __init__(self, terms: dict[tuple[int, int], int]):
+    def __init__(self, p: int | None, terms: dict[tuple[int, int], int]):
         clean = {}
         for (i, j), c in terms.items():
             if i < 0 or j < 0:
                 raise ValueError("exponents must be nonnegative")
+            c = int(c) if p is None else int(c) % p
             if c:
-                clean[(int(i), int(j))] = int(c)
+                clean[(int(i), int(j))] = c
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(
-            self, "degree", max((i + j for i, j in clean), default=-1)
-        )
+        object.__setattr__(self, "degree", max((i + j for i, j in clean), default=-1))
 
     def __setattr__(self, *_):
-        raise AttributeError("IntBivariatePoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def deg_u(self) -> int:
+        return max((i for i, _ in self.terms), default=-1)
+
+    @property
+    def deg_v(self) -> int:
+        return max((j for _, j in self.terms), default=-1)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate(self, x, y):
-        """f(x, y) over Z, by the kernel :func:`_evaluate` unreduced.
+    def is_constant(self) -> bool:
+        return self.degree <= 0
 
-        x and y are ints or integer arrays, which broadcast.  Exact for
-        Python ints, object arrays of them and int64 arrays: int64 stays
-        when :func:`_fits_int64` holds for the largest |x| and |y| of the
-        arguments, and is taken to Python ints (an object array) otherwise.
+    def evaluate(self, x, y):
+        """f(x, y), reduced mod p for a reduction, by :func:`_evaluate`.
+
+        x and y are ints, numpy integers of any width or integer arrays,
+        which broadcast to the shape of the result even when f is constant.
+        Exact for every argument: int64 where no value can pass 2^63 - 1,
+        Python ints (an object array) otherwise (:func:`_exact`).
         """
-        return _evaluate(self.terms, x, y)
+        return _evaluate(self.terms, x, y, self.p)
 
     def text(self) -> str:
         """Canonical text form (terms sorted by total degree, then U-degree)."""
@@ -150,57 +161,36 @@ class IntBivariatePoly:
         return " ".join(parts)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntBivariatePoly) and self.terms == other.terms
+        return type(other) is type(self) and self.p == other.p and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self.p, frozenset(self.terms.items())))
+
+
+class IntBivariatePoly(_BivariatePoly):
+    """Bivariate polynomial over Z, stored as {(i, j): coefficient != 0};
+    ``p`` is None.  Evaluation is exact for every numpy integer width."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: dict[tuple[int, int], int]):
+        super().__init__(None, terms)
 
     def __repr__(self) -> str:
         return f"IntBivariatePoly({self.text()!r})"
 
 
-class ModBivariatePoly:
+class ModBivariatePoly(_BivariatePoly):
     """Reduction of an integer bivariate polynomial modulo a prime p.
 
     Coefficients live in [0, p-1]; zero coefficients are not stored.
+    Evaluation is exact at every p and for every numpy integer width.
     """
 
-    __slots__ = ("p", "terms", "degree")
+    __slots__ = ()
 
     def __init__(self, p: int, terms: dict[tuple[int, int], int]):
-        clean = {}
-        for (i, j), c in terms.items():
-            c %= p
-            if c:
-                clean[(int(i), int(j))] = c
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "degree", max((i + j for i, j in clean), default=-1))
-
-    def __setattr__(self, *_):
-        raise AttributeError("ModBivariatePoly is immutable")
-
-    @property
-    def deg_u(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
-
-    @property
-    def deg_v(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
-
-    def is_constant(self) -> bool:
-        return self.degree <= 0
-
-    def evaluate(self, x, y):
-        """f(x, y) mod p, as the sum of c_j(x) * y^j (:func:`_evaluate`).
-
-        x and y are ints or integer arrays; arrays broadcast, and the result
-        has their full broadcast shape even when f is constant.  Exact at
-        every p: an int64 result for int64 arrays up to MAX_GRID_PRIME =
-        isqrt(2^63 - 1), an object array of Python ints above it, whatever
-        the dtype of the arguments.
-        """
-        return _evaluate(self.terms, x, y, self.p)
+        super().__init__(p, terms)
 
     def specialize_u(self, x: int) -> list[int]:
         """Coefficients (ascending in V) of the univariate V -> f(x, V) over F_p.
@@ -227,18 +217,8 @@ class ModBivariatePoly:
         terms = {(i, j): c * pow(d, i + j, p) for (i, j), c in self.terms.items()}
         return ModBivariatePoly(p, terms)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModBivariatePoly)
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
-        return f"ModBivariatePoly(p={self.p}, {IntBivariatePoly(self.terms).text()!r})"
+        return f"ModBivariatePoly(p={self.p}, {self.text()!r})"
 
 
 def _mul_pow(acc, x, e: int, p: int | None):
@@ -276,11 +256,13 @@ def _horner_rows(terms: dict[tuple[int, int], int], x, p: int | None = None) -> 
     of c_j(x) * V^j, by :func:`_horner_sparse` in U; reduced mod p when p is
     given.  With :func:`_evaluate` it is the only code that evaluates f.
 
-    x is an int or an int64 array, and every c_j(x) has the shape of x.
-    Modulo p, x is reduced first, so every product combines values below p:
-    exact in int64 for p <= isqrt(2^63 - 1).  The work per row grows with
-    the number of terms and the log of the exponent gaps, not the degree.
+    x is an int or an integer array in the kernel's element type
+    (:func:`_exact`; over Z, :func:`_evaluate` picks it), and every c_j(x)
+    has its shape.  Modulo p, x is reduced first, so every product combines
+    values below p.  The work per row grows with the number of terms and
+    the log of the exponent gaps, not the degree.
     """
+    x = _exact(x, p is not None and p > MAX_GRID_PRIME)
     if p is not None:
         x = x % p
     rows: dict = {}
@@ -306,22 +288,19 @@ def _evaluate(terms: dict[tuple[int, int], int], x, y, p: int | None = None):
     keeps int64 exact for p <= MAX_GRID_PRIME (m >= 1 there).  For p =
     4003 that is one reduction per point; reducing before every added
     product instead doubles the cost of an f with three or four V-powers
-    there.  Above MAX_GRID_PRIME every
-    integer array or numpy scalar is taken to Python ints (object dtype)
-    first, whatever its dtype, and the sum is reduced only at the end.
-    Over Z nothing is reduced, and numpy integers are taken to Python ints
-    in the same way unless :func:`_fits_int64` holds for the largest |x|
-    and |y| of the arguments, so no value can wrap.
+    there.  Above MAX_GRID_PRIME the sum is reduced only at the end.  Over
+    Z nothing is reduced.  Every numpy integer argument, of any width,
+    goes through :func:`_exact`, which keeps int64 only where no value can
+    wrap: modulo p up to MAX_GRID_PRIME, and over Z while
+    :func:`_fits_int64` holds for the largest |x| and |y| of the arguments.
     """
-    period = None
     if p is None:
-        if (_fixed_width(x) or _fixed_width(y)) and not _fits_int64(terms, _largest(x), _largest(y)):
-            x, y = _python_ints(x), _python_ints(y)
+        wide = (_fixed_width(x) or _fixed_width(y)) and not _fits_int64(terms, _largest(x), _largest(y))
     else:
-        if p > MAX_GRID_PRIME:
-            x, y = _python_ints(x), _python_ints(y)
-        else:
-            period = (2**63 - 1 - (p - 1)) // (p - 1) ** 2
+        wide = p > MAX_GRID_PRIME
+    x, y = _exact(x, wide), _exact(y, wide)
+    period = None if p is None or wide else (2**63 - 1 - (p - 1)) // (p - 1) ** 2
+    if p is not None:
         y = y % p
     rows = _horner_rows(terms, x, p)
     const = rows.pop(0, None)
@@ -342,6 +321,22 @@ def _evaluate(terms: dict[tuple[int, int], int], x, y, p: int | None = None):
     if p is not None:
         acc %= p
     return acc
+
+
+def _exact(v, wide: bool):
+    """v in an element type the kernel computes with exactly; the one rule
+    that picks it.  A numpy integer scalar becomes an int; an integer array
+    of any width becomes int64, or Python ints (object dtype) when ``wide``
+    (a value of f could pass 2^63 - 1) or when a uint64 value is >= 2^63.
+    Anything else comes back unchanged.  Numpy values are told apart by
+    their attributes, so that this module loads without numpy."""
+    if not _fixed_width(v):
+        return v
+    if v.shape == ():
+        return int(v)
+    if wide or (v.dtype.kind == "u" and v.dtype.itemsize == 8 and v.size and int(v.max()) >> 63):
+        return v.astype(object)
+    return v.astype("int64", copy=False)
 
 
 def _fits_int64(terms: dict[tuple[int, int], int], X: int, Y: int) -> bool:
@@ -375,16 +370,6 @@ def _largest(v) -> int:
     if getattr(v, "shape", ()) == ():
         return max(abs(int(v)), 1)
     return max(-int(v.min()), int(v.max()), 1) if v.size else 1
-
-
-def _python_ints(v):
-    """v with numpy integers taken to Python ints: an array to object dtype,
-    a numpy integer scalar to int; anything else unchanged.  Arrays and
-    numpy scalars are told apart by their attributes, so that this module
-    loads without numpy."""
-    if getattr(v, "shape", ()) != ():
-        return v.astype(object, copy=False)
-    return int(v) if _fixed_width(v) else v
 
 
 def reduce_mod(f: IntBivariatePoly, p: int) -> ModBivariatePoly:

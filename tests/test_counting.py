@@ -729,10 +729,16 @@ def test_separable_route_equals_the_grid(monkeypatch, block):
     rng = random.Random(16)
     plans = {HISTOGRAM_POINTS: ((101, "all"), (1009, "large"), (4003, "rule"), (4003, "none")),
              64: ((31, "all"), (101, "large"), (101, "none"))}[block]
+    cases = []
     for p, fft in plans:
         f = _random_separable(rng, p)
         X = rng.randint(p // 2, p)
-        box = CountBox(X, rng.randint(p // 4, X - 1))
+        cases.append((p, fft, f, CountBox(X, rng.randint(p // 4, X - 1))))
+    # one row, one column and nx < ny, where the two axis tables differ most
+    p, wide = {HISTOGRAM_POINTS: (4003, (37, 2000)), 64: (101, (7, 90))}[block]
+    for box in (CountBox(1, p), CountBox(p, 1), CountBox(*wide)):
+        cases += [(p, fft, _random_separable(rng, p), box) for fft in ("all", "large", "none")]
+    for p, fft, f, box in cases:
         grid = counting._grid_histogram(reduce_mod(f, p), box)
         h = _separable_route(f, p, box, fft)
         assert (h.level_counts == grid.level_counts).all(), (f, p, box, fft)

@@ -6,7 +6,13 @@ import pytest
 from visiblepoints.arith import is_prime
 from visiblepoints.counting import MAX_GRID_PRIME
 from visiblepoints.errors import DegenerateReduction, PolynomialParseError
-from visiblepoints.poly import IntBivariatePoly, _fits_int64, parse_poly, reduce_mod
+from visiblepoints.poly import (
+    IntBivariatePoly,
+    ModBivariatePoly,
+    _fits_int64,
+    parse_poly,
+    reduce_mod,
+)
 
 from oracles import eval_mod
 
@@ -291,3 +297,54 @@ def test_integer_evaluation_never_wraps_int64():
                          np.array(vs, dtype=np.int64)[None, :])
         assert got.tolist() == _by_loop(f, us, vs), text
         assert (got.dtype == np.int64) == stays, text
+
+
+WIDTHS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def test_every_numpy_integer_width_evaluates_exactly():
+    # narrow products used to wrap (int32 U^3 at 2000 gave -589934592, int16
+    # gave 16932 at (100, 3)) or raise OverflowError (unsigned arrays against
+    # the negative coefficient over Z, 8- and 16-bit ones against p =
+    # 1000003); every width now goes to int64 or Python ints
+    f = parse_poly("U^3 - 3*V^2 - 1")
+    ps = (1000003, 10000000019)
+    for dtype in WIDTHS:
+        info = np.iinfo(dtype)
+        vals = sorted({v for v in (0, 1, 3, 100, 2000, 40000, 2**31 + 1, info.min, info.max)
+                       if info.min <= v <= info.max})
+        xs, ys = np.array(vals, dtype=dtype)[:, None], np.array(vals, dtype=dtype)[None, :]
+        assert f.evaluate(xs, ys).tolist() == _by_loop(f, vals, vals), dtype
+        for p in ps:
+            got = reduce_mod(f, p).evaluate(xs, ys).tolist()
+            assert got == [[eval_mod(f.terms, x, y, p) for y in vals] for x in vals], (dtype, p)
+        for x, y in ((100, 3), (vals[-1], vals[0])):
+            assert f.evaluate(dtype(x), dtype(y)) == _by_loop(f, [x], [y])[0][0], dtype
+            for p in ps:
+                assert reduce_mod(f, p).evaluate(dtype(x), dtype(y)) == eval_mod(f.terms, x, y, p)
+    # uint64 values that int64 cannot hold, and the int64 minimum
+    for vals, dtype in (([2**63 + 5, 2**64 - 1, 7], np.uint64), ([-(2**63), -1, 5], np.int64)):
+        xs, ys = np.array(vals, dtype=dtype)[:, None], np.array(vals, dtype=dtype)[None, :]
+        assert f.evaluate(xs, ys).tolist() == _by_loop(f, vals, vals), dtype
+        for p in ps:
+            got = reduce_mod(f, p).evaluate(xs, ys).tolist()
+            assert got == [[eval_mod(f.terms, x, y, p) for y in vals] for x in vals], (dtype, p)
+
+
+def test_both_polynomial_classes_keep_their_semantics():
+    t = {(1, 1): 1, (0, 2): 3, (0, 0): 2}
+    z, m5 = IntBivariatePoly(t), ModBivariatePoly(5, t)
+    assert z.terms == m5.terms and z != m5 and m5 != z
+    # the same terms modulo two primes: the reductions differ by p alone
+    m7 = reduce_mod(z, 7)
+    assert m7.terms == m5.terms and m5 != m7
+    assert m5 == reduce_mod(z, 5) == ModBivariatePoly(5, {(1, 1): 6, (0, 2): 8, (0, 0): 7})
+    assert hash(m5) == hash(reduce_mod(z, 5))
+    assert z == parse_poly(z.text()) and hash(z) == hash(parse_poly(z.text()))
+    assert len({z, IntBivariatePoly(dict(t)), m5, reduce_mod(z, 5), m7}) == 3
+    for obj in (z, m5):
+        for name in ("terms", "degree", "p", "other"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+    assert repr(E) == "IntBivariatePoly('-U^3 + V^2 - U - 1')"
+    assert repr(reduce_mod(E, 7)) == "ModBivariatePoly(p=7, '6*U^3 + V^2 + 6*U + 6')"
