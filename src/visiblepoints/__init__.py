@@ -35,14 +35,12 @@ _SUBMODULE_NAMES = {
                  "count_divisible", "count_level_points", "count_visible_by_prime",
                  "count_visible_direct", "count_visible_mobius", "expected_visible",
                  "visible_histogram"),
-    "errors": ("BoxTooLarge", "ConstantPolynomial", "DegenerateReduction", "EmptyPlan",
-               "GridOverflow", "HypothesisViolated", "IdenticallyZero",
-               "NonFiniteParameter", "PolynomialParseError", "UsageError",
-               "VisiblePointsError"),
+    "errors": ("BoxTooLarge", "ConstantPolynomial", "DegenerateReduction", "GridOverflow",
+               "HypothesisViolated", "IdenticallyZero", "NonFiniteParameter",
+               "PolynomialParseError", "UsageError", "VisiblePointsError"),
     "experiments": ("DEFAULT_DELTAS", "ConcentrationProfile", "CountDeviation",
-                    "DiscrepancyRecord", "SweepFailure", "SweepPoint", "ZeroSetReport",
-                    "concentration_profile", "concentration_profiles", "count_deviation",
-                    "integer_zero_set", "level_sweep", "prime_sweep", "run_sweep_series"),
+                    "DiscrepancyRecord", "ZeroSetReport", "concentration_profiles",
+                    "count_deviation", "integer_zero_set", "level_sweep", "prime_sweep"),
     "factor": ("IrreducibilityVerdict", "bad_level_values", "is_absolutely_irreducible",
                "is_irreducible_bivariate"),
     "fields": ("ExtensionField", "PrimeField", "univariate_roots"),

@@ -8,9 +8,14 @@ commands zeros/exp-a/exp-p/sweep - csv.
 Exit codes: 0 success, 2 usage error (bad flags, malformed polynomial,
 non-prime p, box out of range, a path that cannot be opened), 3 hypothesis
 violated, 4 degenerate reduction, 5 box too large for the requested T.
-A sweep whose plan points all fail still prints its (empty) records and
-exits with the code of its first failure's error type (1 for a type
-outside this list); a sweep with at least one record exits 0.
+sweep parses every --grid entry before it runs any, so a malformed or
+empty grid is a usage error that prints nothing.  It then runs the
+entries in order; each that fails writes one stderr line, such as
+"sweep point p=8 failed: ValueError: 8 is not prime" (T=3.0 for a primes
+entry), and the rest still run.  A sweep with at least one record exits
+0; one whose entries all fail still prints its (empty) records and exits
+with the code of its first failure's error type (1 for a type outside
+this list).
 
 count, visible, zeros, exp-a, exp-p and sweep import numpy inside their
 handlers (count and visible after parsing -f); irred, badset, --help and
@@ -65,6 +70,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _worker_count(text: str) -> int:
+    """The type of --workers: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
 def _add_common(sub, formats=("table", "json")):
     sub.add_argument("-f", "--poly", required=True, help="polynomial, e.g. \"V^2 - U^3 - U - 1\"")
     sub.add_argument("--format", choices=formats, default="table")
@@ -113,14 +129,14 @@ def build_parser() -> _Parser:
     ea.add_argument("-Y", type=float, required=True)
     ea.add_argument("--delta", type=float, action="append", default=None,
                     help="also report concentration fractions (repeatable)")
-    ea.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    ea.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
 
     ep = sp.add_parser("exp-p", help="discrepancy summed over primes in [T/2, T] at level 0")
     _add_common(ep, _RECORD_FORMATS)
     ep.add_argument("-T", type=float, required=True)
     ep.add_argument("-X", type=float, required=True)
     ep.add_argument("-Y", type=float, required=True)
-    ep.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    ep.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
 
     sw = sp.add_parser("sweep", help="run a series of sweeps, or replay a CSV")
     sw.add_argument("-f", "--poly", required=False, default=None)
@@ -134,7 +150,7 @@ def build_parser() -> _Parser:
     sw.add_argument("--box-eq-p", action="store_true",
                     help="levels mode: use X = Y = p for each grid entry")
     sw.add_argument("--from-csv", default=None, help="re-emit records parsed from a CSV file")
-    sw.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    sw.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
     return ap
 
 
@@ -322,6 +338,8 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_exp_a(args) -> int:
+    if args.delta and args.format == "csv":
+        raise UsageError("--delta needs --format json or table; csv prints no fractions")
     experiments = _load_experiments()
     from . import output
     from .counting import CountBox
@@ -331,10 +349,11 @@ def _cmd_exp_a(args) -> int:
     experiments.check_deltas(deltas)
     f = parse_poly(args.poly)
     record = experiments.level_sweep(f, args.p, box, workers=args.workers)
-    profiles = experiments.sweep_profiles(record, deltas)
     if args.format == "csv":
         _emit_items("records", [record], "csv", args.out)
-    elif args.format == "json":
+        return 0
+    profiles = experiments.sweep_profiles(record, deltas)
+    if args.format == "json":
         doc = json.loads(output.records_to_json([record]))
         doc["concentration"] = [
             {"delta": pr.delta, "fraction_within": pr.fraction_within}
@@ -370,8 +389,9 @@ def _cmd_sweep(args) -> int:
         raise UsageError("sweep needs either --from-csv or -f/--mode/--grid")
     f = parse_poly(args.poly)
     experiments = _load_experiments()
+    from .counting import CountBox
 
-    plan = []
+    entries = []  # (p, T, X, Y): p for a levels entry, T for a primes entry
     for val in filter(None, args.grid.split(",")):
         if args.mode == "levels":
             try:
@@ -384,20 +404,27 @@ def _cmd_sweep(args) -> int:
                 if args.X is None or args.Y is None:
                     raise UsageError("levels sweep needs -X/-Y or --box-eq-p")
                 X, Y = args.X, args.Y
-            plan.append(experiments.SweepPoint(kind="levels", X=X, Y=Y, p=p))
+            entries.append((p, None, X, Y))
         else:
             if args.X is None or args.Y is None:
                 raise UsageError("primes sweep needs -X and -Y")
-            plan.append(experiments.SweepPoint(kind="primes", X=args.X, Y=args.Y, T=float(val)))
-    results = experiments.run_sweep_series(f, plan, workers=args.workers)
-    records = [r for r in results if isinstance(r, experiments.DiscrepancyRecord)]
-    failures = [r for r in results if isinstance(r, experiments.SweepFailure)]
-    for fail in failures:
-        sys.stderr.write(f"sweep point {fail.point} failed: {fail.message}\n")
+            entries.append((None, float(val), args.X, args.Y))
+    if not entries:
+        raise UsageError("sweep plan has no entries")
+    records, first_failure = [], None
+    for p, T, X, Y in entries:
+        try:
+            box = CountBox(X, Y)
+            records.append(experiments.level_sweep(f, p, box, workers=args.workers)
+                           if T is None else experiments.prime_sweep(f, T, box))
+        except Exception as exc:  # noqa: BLE001 - a failed entry ends only itself
+            label = f"p={p}" if T is None else f"T={T}"
+            sys.stderr.write(f"sweep point {label} failed: {type(exc).__name__}: {exc}\n")
+            first_failure = first_failure or exc
     _emit_items("records", records, args.format, args.out)
-    if records or not failures:
+    if records or first_failure is None:
         return 0
-    return next((code for types, _, code in _EXIT_CODES if issubclass(failures[0].error, types)), 1)
+    return next((code for types, _, code in _EXIT_CODES if isinstance(first_failure, types)), 1)
 
 
 #: subcommand -> (handler, checks that main runs on the arguments first)

@@ -42,10 +42,6 @@ class NonFiniteParameter(VisiblePointsError, ValueError):
     """A real-valued parameter (the prime bound T, a box side) is not finite."""
 
 
-class EmptyPlan(VisiblePointsError, ValueError):
-    """A sweep series was invoked with no plan entries."""
-
-
 class UsageError(VisiblePointsError, ValueError):
     """Invalid command-line arguments (bad flag combinations, non-prime p,
     box out of range)."""

@@ -36,7 +36,6 @@ from .counting import (
 from .errors import (
     BoxTooLarge,
     DegenerateReduction,
-    EmptyPlan,
     GridOverflow,
     HypothesisViolated,
     NonFiniteParameter,
@@ -109,28 +108,6 @@ class ZeroSetReport:
     X: float
     Y: float
     points: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One entry of a sweep plan: a 'levels' point needs p, a 'primes'
-    point needs T; both need the box."""
-
-    kind: str
-    X: float
-    Y: float
-    p: int | None = None
-    T: float | None = None
-
-
-@dataclass(frozen=True)
-class SweepFailure:
-    """Error placeholder keeping a failed plan entry in the output list:
-    the error's type and its "Type: text" message."""
-
-    point: SweepPoint
-    message: str
-    error: type = Exception
 
 
 def _require_admissible(f: IntBivariatePoly, p: int, a: int | None = None) -> None:
@@ -288,10 +265,16 @@ def sweep_profiles(record: DiscrepancyRecord, deltas) -> list[ConcentrationProfi
     ]
 
 
-def concentration_profile(
-    f: IntBivariatePoly, p: int, box: CountBox, delta: float, workers: int = 1
-) -> ConcentrationProfile:
-    """Fraction of levels a with |N_a - m| <= delta*m, m the expected count.
+def concentration_profiles(
+    f: IntBivariatePoly,
+    p: int,
+    box: CountBox,
+    deltas: tuple[float, ...] = DEFAULT_DELTAS,
+    workers: int = 1,
+) -> list[ConcentrationProfile]:
+    """Profiles at several thresholds from a single ``level_sweep``: for
+    each delta, the fraction of levels a with |N_a - m| <= delta*m, m the
+    expected count.
 
     The fraction is a share of the p levels, so it is capped at 1: once
     every level lies within delta*m it cannot rise further with p, and a
@@ -301,17 +284,6 @@ def concentration_profile(
     not this fraction directly; it reaches the fraction only through
     Markov's inequality, 1 - fraction_within <= sum_abs_dev / (p*delta*m).
     """
-    return concentration_profiles(f, p, box, (delta,), workers)[0]
-
-
-def concentration_profiles(
-    f: IntBivariatePoly,
-    p: int,
-    box: CountBox,
-    deltas: tuple[float, ...] = DEFAULT_DELTAS,
-    workers: int = 1,
-) -> list[ConcentrationProfile]:
-    """Profiles at several thresholds from a single ``level_sweep``."""
     check_deltas(deltas)
     return sweep_profiles(level_sweep(f, p, box, workers=workers), deltas)
 
@@ -337,30 +309,3 @@ def integer_zero_set(f: IntBivariatePoly, box: CountBox) -> ZeroSetReport:
         f_text=f.text(), X=float(box.X), Y=float(box.Y),
         points=tuple(pt for tile in tiles for pt in tile),
     )
-
-
-def run_sweep_series(
-    f: IntBivariatePoly, plan: list[SweepPoint], workers: int = 1
-) -> list[DiscrepancyRecord | SweepFailure]:
-    """Run a list of sweep points in order; a failing entry becomes a
-    SweepFailure in its slot instead of aborting the series.  ``workers``
-    goes to the level points alone; a prime point runs in one thread."""
-    if not plan:
-        raise EmptyPlan("sweep plan has no entries")
-    out: list[DiscrepancyRecord | SweepFailure] = []
-    for point in plan:
-        try:
-            box = CountBox(point.X, point.Y)
-            if point.kind == "levels":
-                if point.p is None:
-                    raise ValueError("'levels' sweep point needs p")
-                out.append(level_sweep(f, point.p, box, workers=workers))
-            elif point.kind == "primes":
-                if point.T is None:
-                    raise ValueError("'primes' sweep point needs T")
-                out.append(prime_sweep(f, point.T, box))
-            else:
-                raise ValueError(f"unknown sweep kind {point.kind!r}")
-        except Exception as exc:  # noqa: BLE001 - isolation is the contract
-            out.append(SweepFailure(point, f"{type(exc).__name__}: {exc}", type(exc)))
-    return out

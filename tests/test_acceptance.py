@@ -36,7 +36,7 @@ from visiblepoints.counting import (
 )
 from visiblepoints.errors import DegenerateReduction
 from visiblepoints.experiments import (
-    concentration_profile,
+    concentration_profiles,
     count_deviation,
     integer_zero_set,
     level_sweep,
@@ -221,10 +221,8 @@ def test_8_concentration_profile():
         markov = {}
         for p in (101, 1009):
             box = CountBox(p, p)
-            fracs = [
-                concentration_profile(ELLIPTIC, p, box, d).fraction_within
-                for d in CONCENTRATION_DELTAS
-            ]
+            fracs = [pr.fraction_within
+                     for pr in concentration_profiles(ELLIPTIC, p, box, CONCENTRATION_DELTAS)]
             assert fracs == sorted(fracs), (p, fracs)  # exact monotonicity
             fr[p] = fracs
             # Markov: at most sum_a |N_a - m| / (delta*m) levels lie farther

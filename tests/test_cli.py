@@ -229,7 +229,10 @@ def test_sweep_with_no_record_exits_with_its_first_failure(capsys):
     argv = ["sweep", "-f", "V^2-U^3-U-1", "--mode", "levels", "--grid", "8,0", "--box-eq-p"]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert "8 is not prime" in captured.err and "box sides must be >= 1" in captured.err
+    assert captured.err.splitlines() == [
+        "sweep point p=8 failed: ValueError: 8 is not prime",
+        "sweep point p=0 failed: ValueError: box sides must be >= 1",
+    ]
     assert _csv_body(captured.out) == ["kind,f,p,T,a,X,Y,sum_abs_dev,bound_value,ratio,"
                                        "skipped_primes,box_nontrivial"]
     # a point that fails the hypothesis first: exit 3; a degenerate one: exit 4
@@ -241,6 +244,47 @@ def test_sweep_with_no_record_exits_with_its_first_failure(capsys):
     # one record among the failures: exit 0
     assert main(argv[:-2] + ["8,7", "--box-eq-p"]) == 0
     assert len(_csv_body(capsys.readouterr().out)) == 2
+
+
+def test_sweep_primes_grid(capsys):
+    base = ["sweep", "-f", "V^2-U^3-U-1", "--mode", "primes"]
+    # T = 3 fails alone; the T = 20 and T = 100 records follow in grid order
+    assert main(base + ["--grid", "3,20,100", "-X", "2", "-Y", "2", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert [(r["kind"], r["T"]) for r in json.loads(captured.out)["records"]] == [
+        ("primes", 20.0), ("primes", 100.0)]
+    assert captured.err == "sweep point T=3.0 failed: ValueError: T must be >= 4\n"
+    # the only entry fails with BoxTooLarge: exit 5
+    assert main(base + ["--grid", "6", "-X", "4", "-Y", "4"]) == 5
+    assert "T=6.0 failed: BoxTooLarge" in capsys.readouterr().err
+    # a grid with no entry runs nothing and prints nothing
+    assert main(base + ["--grid", ",", "-X", "2", "-Y", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: sweep plan has no entries\n"
+
+
+def test_exp_a_csv_refuses_delta(capsys):
+    # csv prints no concentration column, so fractions asked for there
+    # would be dropped without a word
+    argv = ["exp-a", "-f", "V^2-U^3-U-1", "-p", "31", "-X", "31", "-Y", "31",
+            "--format", "csv", "--delta", "0.25"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "json or table" in captured.err
+
+
+def test_workers_below_1_are_usage_errors(capsys):
+    E = "V^2-U^3-U-1"
+    for command in (["exp-a", "-f", E, "-p", "31", "-X", "31", "-Y", "31"],
+                    ["exp-p", "-f", E, "-T", "40", "-X", "20", "-Y", "20"],
+                    ["sweep", "-f", E, "--mode", "levels", "--grid", "7", "--box-eq-p"]):
+        for workers in ("0", "-5", "two"):
+            assert main(command + ["--workers", workers]) == 2, (command[0], workers)
+            captured = capsys.readouterr()
+            assert captured.out == "", (command[0], workers)
+            assert captured.err.startswith("usage error: argument --workers: "), captured.err
 
 
 def _csv_body(text):

@@ -18,22 +18,16 @@ from visiblepoints.counting import (
 )
 from visiblepoints.errors import (
     BoxTooLarge,
-    EmptyPlan,
     GridOverflow,
     HypothesisViolated,
     NonFiniteParameter,
 )
 from visiblepoints.experiments import (
-    DiscrepancyRecord,
-    SweepFailure,
-    SweepPoint,
-    concentration_profile,
     concentration_profiles,
     count_deviation,
     integer_zero_set,
     level_sweep,
     prime_sweep,
-    run_sweep_series,
 )
 from visiblepoints.poly import IntBivariatePoly, _fits_int64, parse_poly
 
@@ -327,15 +321,11 @@ def test_count_deviation_examples():
 
 
 def test_concentration_profile_monotone_in_delta():
-    box = CountBox(101, 101)
-    fracs = [
-        concentration_profile(ELLIPTIC, 101, box, d).fraction_within
-        for d in (0.05, 0.1, 0.25, 0.5, 0.75)
-    ]
+    deltas = (0.05, 0.1, 0.25, 0.5, 0.75)
+    profs = concentration_profiles(ELLIPTIC, 101, CountBox(101, 101), deltas)
+    assert [p.delta for p in profs] == list(deltas)
+    fracs = [p.fraction_within for p in profs]
     assert fracs == sorted(fracs)
-    profs = concentration_profiles(ELLIPTIC, 101, box, deltas=(0.1, 0.25, 0.5))
-    assert [p.delta for p in profs] == [0.1, 0.25, 0.5]
-    assert [p.fraction_within for p in profs] == fracs[1:4]
 
 
 def test_concentration_profile_hand_checkable():
@@ -343,15 +333,15 @@ def test_concentration_profile_hand_checkable():
     main = expected_visible(box, 7)
     counts = [count_visible_brute(PARABOLA.terms, 7, a, 7, 7) for a in range(7)]
     expected = sum(1 for c in counts if abs(c - main) <= 0.9 * main) / 7
-    prof = concentration_profile(PARABOLA, 7, box, 0.9)
+    (prof,) = concentration_profiles(PARABOLA, 7, box, (0.9,))
     assert prof.fraction_within == expected
 
 
 def test_concentration_delta_validation():
     with pytest.raises(ValueError):
-        concentration_profile(ELLIPTIC, 13, CountBox(13, 13), 0.0)
+        concentration_profiles(ELLIPTIC, 13, CountBox(13, 13), (0.0,))
     with pytest.raises(ValueError):
-        concentration_profile(ELLIPTIC, 13, CountBox(13, 13), 1.0)
+        concentration_profiles(ELLIPTIC, 13, CountBox(13, 13), (0.5, 1.0))
 
 
 def test_integer_zero_set_examples():
@@ -431,22 +421,6 @@ def test_integer_zero_set_on_a_box_wider_than_a_tile():
     f = parse_poly("U*V - 270000")
     z = integer_zero_set(f, CountBox(2, 300000))
     assert z.points == ((1, 270000), (2, 135000))
-
-
-def test_run_sweep_series_order_and_isolation():
-    f = parse_poly("U*V - 2")  # reducible mod 2 only
-    plan = [
-        SweepPoint(kind="levels", X=2, Y=2, p=2),
-        SweepPoint(kind="levels", X=7, Y=7, p=7),
-        SweepPoint(kind="primes", X=2, Y=2, T=6),
-    ]
-    out = run_sweep_series(f, plan)
-    assert isinstance(out[0], SweepFailure)
-    assert "HypothesisViolated" in out[0].message
-    assert isinstance(out[1], DiscrepancyRecord) and out[1].p == 7
-    assert isinstance(out[2], DiscrepancyRecord) and out[2].kind == "primes"
-    with pytest.raises(EmptyPlan):
-        run_sweep_series(f, [])
 
 
 def test_sum_reproducibility_bitwise():
