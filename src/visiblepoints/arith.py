@@ -1,10 +1,14 @@
 """Integer utilities: primality, Moebius sieve, prime enumeration, factorization.
 
-Everything here is exact integer arithmetic.  Tables are numpy-backed
-(one signed byte per integer for the Moebius table) so limits up to ~1e7
-stay within a few MB and sieve in well under a second.  The sieves import
-numpy on first use, so that ``is_prime`` and ``factorize``, which the
-numpy-free subcommands of the CLI need, load without it.
+Everything here is exact integer arithmetic.  One routine,
+``_sieve_window``, crosses off composites, over any window [lo, hi] given
+the primes up to isqrt(hi) (a segmented sieve): ``_prime_flags`` is its
+window from 0, and ``primes_in_range`` walks it over ``_SEGMENT_SIZE``
+windows.  Tables are numpy-backed (one signed byte per integer for the
+Moebius table) so limits up to ~1e7 stay within a few MB and sieve in
+well under a second.  The sieves import numpy on first use, so that
+``is_prime`` and ``factorize``, which the numpy-free subcommands of the
+CLI need, load without it.
 """
 
 from __future__ import annotations
@@ -69,16 +73,25 @@ class MobiusTable:
         return int(self.values[d])
 
 
+def _sieve_window(lo: int, hi: int, base: list[int]) -> np.ndarray:
+    """Boolean array of length hi - lo + 1 with flags[i] = lo + i is prime,
+    for 0 <= lo <= hi; ``base`` must hold every prime up to isqrt(hi)."""
+    import numpy as np
+
+    flags = np.ones(hi - lo + 1, dtype=bool)
+    flags[: max(0, 2 - lo)] = False
+    for p in base:
+        flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return flags
+
+
 def _prime_flags(limit: int) -> np.ndarray:
     """Boolean array of length limit+1 with flags[n] = n is prime."""
     import numpy as np
 
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
+    root = math.isqrt(limit)
+    base = np.flatnonzero(_prime_flags(root)).tolist() if root >= 2 else []
+    return _sieve_window(0, limit, base)
 
 
 def mobius_sieve(limit: int) -> MobiusTable:
@@ -109,21 +122,11 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         raise ValueError("need 2 <= lo <= hi")
     import numpy as np
 
-    base = np.nonzero(_prime_flags(math.isqrt(hi)))[0]
+    base = np.flatnonzero(_prime_flags(math.isqrt(hi))).tolist()
     out: list[int] = []
-    start = lo
-    while start <= hi:
-        stop = min(start + _SEGMENT_SIZE, hi + 1)
-        seg = np.ones(stop - start, dtype=bool)
-        for p in base:
-            p = int(p)
-            first = max(p * p, ((start + p - 1) // p) * p)
-            if first < stop:
-                seg[first - start :: p] = False
-        if start <= 1:
-            seg[: 2 - start] = False
-        out.extend(int(start + i) for i in np.nonzero(seg)[0])
-        start = stop
+    for start in range(lo, hi + 1, _SEGMENT_SIZE):
+        flags = _sieve_window(start, min(start + _SEGMENT_SIZE - 1, hi), base)
+        out += (np.flatnonzero(flags) + start).tolist()
     return out
 
 
@@ -139,28 +142,20 @@ def zeta2_inverse_partial(D: int) -> float:
 
 
 def factorize(k: int) -> list[tuple[int, int]]:
-    """Prime factorization of k >= 1 as (prime, exponent) pairs, ascending."""
+    """Prime factorization of k >= 1 as (prime, exponent) pairs, ascending,
+    by trial division: the callers factor field degrees."""
     if k < 1:
         raise ValueError("factorize needs k >= 1")
     out = []
-    for p in (2, 3):
+    d = 2
+    while d * d <= k:
         e = 0
-        while k % p == 0:
-            k //= p
+        while k % d == 0:
+            k //= d
             e += 1
         if e:
-            out.append((p, e))
-    d = 5
-    while d * d <= k:
-        for q in (d, d + 2):
-            e = 0
-            while k % q == 0:
-                k //= q
-                e += 1
-            if e:
-                out.append((q, e))
-        d += 6
+            out.append((d, e))
+        d += 1
     if k > 1:
         out.append((k, 1))
     return out
-

@@ -148,7 +148,7 @@ def build_parser() -> _Parser:
     sw.add_argument("-X", type=float, default=None)
     sw.add_argument("-Y", type=float, default=None)
     sw.add_argument("--box-eq-p", action="store_true",
-                    help="levels mode: use X = Y = p for each grid entry")
+                    help="levels mode, without -X/-Y: use X = Y = p for each grid entry")
     sw.add_argument("--from-csv", default=None, help="re-emit records parsed from a CSV file")
     sw.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
     return ap
@@ -387,6 +387,9 @@ def _cmd_sweep(args) -> int:
         return 0
     if not (args.poly and args.mode and args.grid):
         raise UsageError("sweep needs either --from-csv or -f/--mode/--grid")
+    if args.box_eq_p and (args.mode == "primes" or args.X is not None or args.Y is not None):
+        raise UsageError("--box-eq-p sets X = Y = p in levels mode; it takes no -X/-Y "
+                         "and no --mode primes")
     f = parse_poly(args.poly)
     experiments = _load_experiments()
     from .counting import CountBox

@@ -268,7 +268,7 @@ def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, points: in
 
     one = np.ones(1, dtype=np.int64)
     tiles = _pieces(one, one, nx, ny, points)
-    workers = min(max(1, int(workers)), _usable_cpus())
+    workers = min(int(workers), _usable_cpus())
     if workers > 1:  # no more threads than tiles
         first = list(islice(tiles, workers))
         workers, tiles = len(first), chain(first, tiles)
@@ -935,8 +935,10 @@ def visible_histogram(
     bivariate evaluation, and agree exactly.  Only the grid spreads its
     tiles over ``workers`` threads (:func:`_sweep`); the separable route
     runs in the calling thread.  The counts never depend on the worker
-    count.
+    count; a count below 1 raises ValueError on either route.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     fmod = reduce_mod(f, p)  # propagates DegenerateReduction
     box.validate_for(p)
     if p > MAX_GRID_PRIME:

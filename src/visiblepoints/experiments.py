@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .arith import primes_in_range
 from .counting import (
@@ -43,6 +44,11 @@ from .errors import (
 from .factor import is_absolutely_irreducible
 from .poly import IntBivariatePoly, reduce_mod
 
+# numpy is loaded by counting: loaded here, ahead of it, it raised the peak
+# RSS of exp-a and exp-p by about 1 MB
+if TYPE_CHECKING:
+    import numpy as np
+
 #: default relative thresholds for concentration profiles
 DEFAULT_DELTAS = (0.1, 0.25, 0.5)
 
@@ -57,7 +63,8 @@ class DiscrepancyRecord:
     the regime where the averaged statements carry content; it is an
     annotation, never a pass/fail.  ``per_prime`` keeps the individual
     (p, N) terms of a prime sweep and ``visible_counts`` the p per-level
-    counts N_a of a level sweep; neither is serialized or compared.
+    counts N_a of a level sweep, as one contiguous int64 array; neither is
+    serialized or compared.
     """
 
     kind: str  # "levels" or "primes"
@@ -75,7 +82,7 @@ class DiscrepancyRecord:
     per_prime: tuple[tuple[int, int], ...] = field(
         default=(), compare=False, repr=False
     )
-    visible_counts: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    visible_counts: np.ndarray | tuple[()] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -139,9 +146,9 @@ def level_sweep(
     or, for f = g(U) + h(V), by convolutions of one-variable histograms.
     """
     _require_admissible(f, p)
-    counts = visible_histogram(f, p, box, workers=workers).visible_counts.tolist()
+    counts = visible_histogram(f, p, box, workers=workers).visible_counts.astype("int64")
     main = expected_visible(box, p)
-    sum_abs_dev = math.fsum(abs(c - main) for c in counts)
+    sum_abs_dev = math.fsum(abs(counts - main).tolist())
     bound = math.sqrt(box.X) * math.sqrt(box.Y) * p**0.75 * math.log(p)
     return DiscrepancyRecord(
         kind="levels",
@@ -155,7 +162,7 @@ def level_sweep(
         bound_value=bound,
         ratio=sum_abs_dev / bound,
         box_nontrivial=box.X * box.Y >= p**1.5,
-        visible_counts=tuple(counts),
+        visible_counts=counts,
     )
 
 
@@ -254,13 +261,14 @@ def sweep_profiles(record: DiscrepancyRecord, deltas) -> list[ConcentrationProfi
     """Profiles at several thresholds from the per-level visible counts a
     ``level_sweep`` record keeps; no further sweep is run."""
     check_deltas(deltas)
-    if not record.visible_counts:
+    if len(record.visible_counts) == 0:
         raise ValueError("record carries no per-level counts (not from level_sweep)")
-    p, counts = record.p, record.visible_counts
+    p = record.p
     main = expected_visible(CountBox(record.X, record.Y), p)
+    dev = abs(record.visible_counts - main)
     return [
-        ConcentrationProfile(p=p, X=record.X, Y=record.Y, delta=d, fraction_within=sum(
-            1 for c in counts if abs(c - main) <= d * main) / p)
+        ConcentrationProfile(p=p, X=record.X, Y=record.Y, delta=d,
+                             fraction_within=int((dev <= d * main).sum()) / p)
         for d in deltas
     ]
 

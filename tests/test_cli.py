@@ -4,7 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from visiblepoints import counting
 from visiblepoints.cli import main
+from visiblepoints.poly import parse_poly, reduce_mod
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -212,6 +214,19 @@ def test_sweep_grid(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_box_eq_p_takes_no_box_and_no_primes_mode(capsys):
+    # the flag would override -X/-Y, and primes mode would ignore it
+    E = "V^2 - U^3 - U - 1"
+    for argv in (["sweep", "-f", E, "--mode", "levels", "--grid", "7", "-X", "3", "-Y", "3",
+                  "--box-eq-p", "--format", "json"],
+                 ["sweep", "-f", E, "--mode", "primes", "--grid", "20", "-X", "2", "-Y", "2",
+                  "--box-eq-p"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("usage error: --box-eq-p sets X = Y = p"), argv
+
+
 def test_sweep_levels_grid_takes_exact_integer_primes(capsys):
     # a float parse would run p = 7 for 7.9 and a 31-digit p for 1e30
     for entry in ("7.9", "1e30"):
@@ -262,6 +277,43 @@ def test_sweep_primes_grid(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "usage error: sweep plan has no entries\n"
+
+
+#: exp-a at p = 1009 on the full box with --delta 0.02, 0.05 and 0.1: f,
+#: whether its histogram takes the separable route (E) or the grid (a cross
+#: term), and the record and fractions as the table prints them
+EXP_A_1009 = (
+    ("V^2 - U^3 - U - 1", True, "-U^3 + V^2 - U - 1", "18559.663723400772",
+     "0.014854590355179458", ("0.38354806739345887", "0.8235877106045589", "0.9960356788899901")),
+    ("V^2 + U*V - U^3 - 1", False, "-U^3 + U*V + V^2 - 1", "19855.63263881503",
+     "0.01589184445840184", ("0.354806739345887", "0.798810703666997", "0.9920713577799801")),
+)
+
+
+def test_exp_a_prints_the_same_bytes_on_both_histogram_routes(capsys):
+    deltas, bound = ("0.02", "0.05", "0.1"), "1249422.7898334092"
+    with_deltas = [arg for d in deltas for arg in ("--delta", d)]
+    for f, separable, text, dev, ratio, fractions in EXP_A_1009:
+        plan = counting._separable_plan(reduce_mod(parse_poly(f), 1009), 1009, 1009)
+        assert (plan is not None) == separable, f
+        argv = ["exp-a", "-f", f, "-p", "1009", "-X", "1009", "-Y", "1009", "--format"]
+        assert main(argv + ["csv"]) == 0
+        assert _csv_body(capsys.readouterr().out) == [
+            "kind,f,p,T,a,X,Y,sum_abs_dev,bound_value,ratio,skipped_primes,box_nontrivial",
+            f"levels,{text},1009,,,1009.0,1009.0,{dev},{bound},{ratio},,true"]
+        assert main(argv + ["table"] + with_deltas) == 0
+        assert capsys.readouterr().out == (
+            f"[levels] f={text} p=1009 X=1009.0 (floor 1009) Y=1009.0 (floor 1009)\n"
+            f"  sum_abs_dev={dev} bound={bound} ratio={ratio} nontrivial_box=True\n"
+            + "".join(f"  within {d:>5}: fraction {fr}\n" for d, fr in zip(deltas, fractions)))
+        assert main(argv + ["json"] + with_deltas) == 0
+        record = {"kind": "levels", "f": text, "p": 1009, "T": None, "a": None,
+                  "X": 1009.0, "Y": 1009.0, "sum_abs_dev": float(dev),
+                  "bound_value": float(bound), "ratio": float(ratio),
+                  "skipped_primes": [], "box_nontrivial": True}
+        doc = {"schema": 1, "records": [record], "concentration": [
+            {"delta": float(d), "fraction_within": float(fr)} for d, fr in zip(deltas, fractions)]}
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_exp_a_csv_refuses_delta(capsys):

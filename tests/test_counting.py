@@ -436,6 +436,16 @@ def test_histogram_worker_invariance():
     assert (h1.visible_counts == h4.visible_counts).all()
 
 
+def test_worker_counts_below_1_raise_on_both_routes():
+    grid_f = parse_poly("V^2 + U*V - U^3 - 1")
+    for f, p, workers, separable in ((ELLIPTIC, 1009, -5, True), (ELLIPTIC, 7, -5, False),
+                                     (grid_f, 7, 0, False)):
+        box = CountBox(p, p)
+        assert (counting._separable_plan(reduce_mod(f, p), p, p) is not None) == separable
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            visible_histogram(f, p, box, workers=workers)
+
+
 def test_blocked_sweep_with_partial_last_block():
     # 1009 x 700 is three histogram tiles of 374, 374 and 261 rows, and 22
     # tiles of 46 rows, the last of 43, for the grid counts

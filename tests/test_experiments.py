@@ -3,6 +3,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from visiblepoints import counting, experiments, factor
@@ -80,6 +81,22 @@ def test_level_sweep_matches_brute_force_mid_size():
         abs(count_visible_brute(ELLIPTIC.terms, p, a, p, p) - main) for a in range(p)
     ]
     assert rec.sum_abs_dev == math.fsum(devs)
+
+
+def test_level_sweep_keeps_its_counts_as_one_int64_array():
+    box = CountBox(31, 31)
+    record = level_sweep(ELLIPTIC, 31, box, workers=2)
+    counts = record.visible_counts
+    assert counts.dtype == np.int64 and counts.flags.c_contiguous
+    assert counts.tolist() == [count_visible_brute(ELLIPTIC.terms, 31, a, 31, 31)
+                               for a in range(31)]
+
+
+def test_level_sweeps_refuse_worker_counts_below_1():
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        level_sweep(ELLIPTIC, 13, CountBox(13, 13), workers=0)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        concentration_profiles(ELLIPTIC, 13, CountBox(13, 13), workers=-5)
 
 
 def test_level_sweep_nontrivial_annotation():

@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from visiblepoints.counting import CountBox
-from visiblepoints.experiments import integer_zero_set, level_sweep, prime_sweep
+from visiblepoints.experiments import integer_zero_set, level_sweep, prime_sweep, sweep_profiles
 from visiblepoints.output import (
     read_csv,
     records_to_csv,
@@ -27,6 +29,14 @@ def test_csv_round_trip_identical_records():
     kind, parsed = read_csv(text)
     assert kind == "records"
     assert parsed == records  # per_prime is excluded from comparison
+
+
+def test_a_replayed_level_record_carries_no_level_counts():
+    # the CSV holds no per-level counts, so no profile can be taken from it
+    (record,) = read_csv(records_to_csv([level_sweep(ELLIPTIC, 13, CountBox(13, 13))]))[1]
+    assert len(record.visible_counts) == 0
+    with pytest.raises(ValueError, match="no per-level counts"):
+        sweep_profiles(record, (0.5,))
 
 
 def test_csv_body_stable_without_timestamp():
