@@ -52,21 +52,20 @@ yields a factorization over F_{p^l} for any prime l | e.
 The bad levels of f, the a for which f - a is not absolutely irreducible,
 get that verdict only at candidate levels (``bad_level_values``).  The
 support of f - a is the same at every level but a = f(0, 0), so when Gao's
-certificate accepts it, f(0, 0) is the one candidate.  Otherwise: when
-f - a splits over the algebraic closure, its projective closure (degree
-d >= 2) is singular, as two components meet by Bezout and a repeated one
-is singular along itself, in every characteristic.  The points at infinity
-depend only on the top two homogeneous parts f_d and f_(d-1), and one gcd
-tests them for every a.  With none singular, a bad a is a critical value:
-f - a, f_U and f_V vanish together, so a is a root in F_p of
-D(l) = Res_U(Res_V(f - l, f_V), Res_V(f_U, f_V)).  The resultants are
-Sylvester determinants with formal V-degrees, interpolated from U-degree
-bounds d(d - 1) and (d - 1)^2 and the l-degree bound (m - 1)k, k the degree
-of Res_V(f_U, f_V) and m = deg_V f.  All p levels get the verdict when
-d < 2, p <= d(d - 1) + 1, a point at infinity is singular, F_p has fewer
-than (m - 1)k + 1 elements, or either resultant vanishes identically.  For
-fixed degree the bad set has a size bounded independently of p (Y. Stein,
-Israel J. Math. 68, 1989).
+certificate accepts it, f(0, 0) is the one candidate; a degree-1 f has
+none.  Otherwise the candidates come from Ruppert's criterion in Gao's form
+(W. Ruppert, J. Number Theory 77, 1999; S. Gao, Math. Comp. 72, 2003).  For
+F of bidegree (m, n), the F_p-linear map (g, h) -> F*g_V - g*F_V - F*h_U +
+h*F_U on g of bidegree at most (m - 1, n) and h of bidegree at most
+(m, n - 1) has (F_U, F_V) in its kernel, and for p > deg F a reducible F
+gives it a second kernel vector.  Only the constant term of F = f - a
+depends on a, so its matrix is a linear pencil M(a) = M0 - a*N, N the
+matrix of (g, h) -> g_V - h_U.  Where some level has nullity 1, a bad level
+is a root of one (c - 1)-minor of the pencil that is not identically zero,
+c the number of columns.  All p levels get the verdict when p <= deg f, f
+is free of U or of V, or no level has nullity 1.  For fixed degree the bad
+set has a size bounded independently of p (Y. Stein, Israel J. Math. 68,
+1989).
 """
 
 from __future__ import annotations
@@ -520,40 +519,34 @@ def is_absolutely_irreducible(fmod: ModBivariatePoly) -> IrreducibilityVerdict:
 # bad levels
 
 
-def _det_mod(rows: list, p: int) -> int:
-    """Determinant modulo p of a square matrix of ints, by elimination."""
+def _det_mod(rows: list, p: int) -> tuple[int, int, list, list]:
+    """Gaussian elimination modulo p of a matrix of ints in [0, p).
+
+    Returns (det, rank, pivot rows, pivot columns).  The pivot rows and
+    columns span a nonsingular rank x rank submatrix; det is the
+    determinant when the matrix is square, so 0 when it is singular.
+    """
     a = [list(r) for r in rows]
-    det = 1
-    for c in range(len(a)):
-        piv = next((r for r in range(c, len(a)) if a[r][c]), None)
+    order = list(range(len(a)))
+    det, cols = 1, []
+    for c in range(len(a[0]) if a else 0):
+        k = len(cols)
+        piv = next((r for r in range(k, len(a)) if a[r][c]), None)
         if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
+            det = 0
+            continue
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            order[k], order[piv] = order[piv], order[k]
             det = -det
-        det = det * a[c][c] % p
-        inv = pow(a[c][c], p - 2, p)
-        for r in range(c + 1, len(a)):
+        det = det * a[k][c] % p
+        inv = pow(a[k][c], p - 2, p)
+        for r in range(k + 1, len(a)):
             t = a[r][c] * inv % p
             if t:
-                a[r][c:] = [(x - t * y) % p for x, y in zip(a[r][c:], a[c][c:])]
-    return det % p
-
-
-def _sylvester_res(a: list, da: int, b: list, db: int, p: int) -> int:
-    """Res(a, b) modulo p with the formal degrees da and db: the Sylvester
-    determinant with a's and b's coefficients padded to those degrees.
-
-    It vanishes whenever a and b share a root in the algebraic closure, even
-    when both leading coefficients are zero, and it is a polynomial in the
-    coefficients, so it commutes with specializing them.
-    """
-    n = da + db
-    ra = [a[i] % p if i < len(a) else 0 for i in range(da, -1, -1)]
-    rb = [b[i] % p if i < len(b) else 0 for i in range(db, -1, -1)]
-    rows = [[0] * k + ra + [0] * (n - k - da - 1) for k in range(db)]
-    rows += [[0] * k + rb + [0] * (n - k - db - 1) for k in range(da)]
-    return _det_mod(rows, p)
+                a[r][c:] = [(x - t * y) % p for x, y in zip(a[r][c:], a[k][c:])]
+        cols.append(c)
+    return det % p, len(cols), order[: len(cols)], cols
 
 
 def _interpolate(K, values: list) -> list:
@@ -570,152 +563,109 @@ def _interpolate(K, values: list) -> list:
     return out
 
 
-def _singular_at_infinity(fm: ModBivariatePoly) -> bool:
-    """True when the projective closure of f - a has a singular point on
-    the line at infinity, for any (every) level a; needs deg f >= 2.
+def _ruppert_rows(terms: dict, m: int, n: int, p: int) -> dict:
+    """The matrix over F_p of (g, h) -> F*g_V - g*F_V - F*h_U + h*F_U, F
+    with these terms, as {monomial of the image: row}.  The columns are
+    the coefficients of g (deg_U < m, deg_V <= n), then of h (deg_U <= m,
+    deg_V < n)."""
+    basis = [(i, j, True) for i in range(m) for j in range(n + 1)]
+    basis += [(i, j, False) for i in range(m + 1) for j in range(n)]
+    rows: dict = {}
+    for k, (i, j, is_g) in enumerate(basis):
+        for (s, t), c in terms.items():
+            # the term c*U^s*V^t of F against g or h = U^i*V^j
+            key, w = ((s + i, t + j - 1), j - t) if is_g else ((s + i - 1, t + j), s - i)
+            if w % p:
+                row = rows.setdefault(key, [0] * len(basis))
+                row[k] = (row[k] + w * c) % p
+    return rows
 
-    With f_d and f_(d-1) the top two homogeneous parts, (u : v : 0) is
-    singular when f_d, its two partials and f_(d-1) vanish there.  The
-    chart v = 1 is one gcd of those four polynomials in u; the point
-    (1 : 0 : 0) is read off the coefficients of U^d, U^(d-1)*V and U^(d-1).
+
+def _candidate_levels(fm: ModBivariatePoly) -> list[int] | None:
+    """The levels a at which :func:`bad_level_values` runs the exact verdict
+    on f - a, or None when it runs it at every level.
+
+    f(0, 0) alone when Gao's certificate accepts the support of f plus a
+    constant term, none when f has degree 1.  Otherwise, for p > deg f and
+    f in both U and V, the candidates are the roots in F_p of
+    D(l) = det M(l)[R, C], M(l) = M0 - l*N the Ruppert matrix of f - l and
+    R, C the pivot rows and columns of the first level a0 of nullity 1, or
+    every level when p <= c, the number of columns; D has degree <= c - 1,
+    so it comes from its values at c levels.  A candidate of nullity 1 is
+    proven good and dropped.  None when no level has nullity 1.
     """
-    K, d = PrimeField(fm.p), fm.degree
-
-    def chart(weight: int, part: int) -> list:
-        out = [K.zero] * (d + 1)
-        for (i, j), c in fm.terms.items():
-            if i + j == part:
-                out[i] = K.from_int(c * (j if weight else 1))
-        return u_trim(K, out)
-
-    top = chart(0, d)
-    g = top
-    for q in (u_deriv(K, top), chart(1, d), chart(0, d - 1)):
-        g = u_gcd(K, g, q)
-    if u_deg(g) >= 1:
-        return True
-    return not any(fm.terms.get(ij) for ij in ((d, 0), (d - 1, 1), (d - 1, 0)))
-
-
-def _shear(fm: ModBivariatePoly, t: int) -> ModBivariatePoly:
-    """f(U + t*V, V) modulo p: its V^d coefficient is f_d(t, 1), d = deg f."""
-    p, out = fm.p, {}
-    for (i, j), c in fm.terms.items():
-        for r in range(i + 1):
-            key = (r, i - r + j)
-            out[key] = out.get(key, 0) + c * math.comb(i, r) * pow(t, i - r, p)
-    return ModBivariatePoly(p, out)
-
-
-def _critical_poly(fm: ModBivariatePoly) -> list | None:
-    """D(l) = Res_U(G, h) of :func:`_critical_levels` over F_p: [] when h
-    or D vanishes identically, None when p < (m - 1)k + 1 leaves too few
-    points to interpolate D."""
-    p, d, m = fm.p, fm.degree, fm.deg_v
-    K = PrimeField(p)
-    R = _UPolys(K)
-    bp = _from_terms(K, fm.terms)
-    fu, fv = u_trim(R, [u_deriv(K, e) for e in bp]), u_deriv(R, bp)
-    h = _interpolate(K, [
-        _sylvester_res(_b_eval_u(K, fu, u), m, _b_eval_u(K, fv, u), m - 1, p)
-        for u in range((d - 1) ** 2 + 1)
-    ])
-    k = u_deg(h)
-    if k < 0:
-        return []
-    if (m - 1) * k + 1 > p:
-        return None
-    big = d * (d - 1)
-    fibers = [(_b_eval_u(K, bp, u), _b_eval_u(K, fv, u)) for u in range(big + 1)]
-    dvals = []
-    for lam in range((m - 1) * k + 1):
-        g = _interpolate(K, [
-            _sylvester_res(u_sub(K, fx, [lam]), m, fy, m - 1, p) for fx, fy in fibers
-        ])
-        dvals.append(_sylvester_res(g, big, h, k, p))
-    return _interpolate(K, dvals)
-
-
-def _critical_levels(fm: ModBivariatePoly) -> list[int] | None:
-    """The candidate levels of :func:`bad_level_values`, or None when every
-    level must be tried: f(0, 0) alone when Gao's certificate accepts the
-    support of f plus a constant term, else the roots in F_p of
-    D(l) = Res_U(G, h) (:func:`_critical_poly`).
-
-    h(U) = Res_V(f_U, f_V) and G(U, l) = Res_V(f - l, f_V) are taken with
-    the formal V-degrees m and m - 1 (m = deg_V f), so each is a polynomial
-    in the coefficients and is interpolated from its values at u = 0, 1, ...:
-    h from (d - 1)^2 + 1 points, trimmed to its degree k, and G(U, l) from
-    d(d - 1) + 1 points, its U-degree bound, which is also its formal degree
-    in D.  D has l-degree at most (m - 1)k and comes from as many points
-    l, plus one.
-
-    Where the V-leading coefficients of f and f_V vanish together, the
-    formal resultants vanish too, so h or D can be identically zero for a
-    curve with few critical values, as for U*V.  Then D is taken once more
-    from f(U + tV, V), t the least value in F_p with f_d(t, 1) != 0 (there
-    is one, as f_d(t, 1) is a nonzero polynomial of degree <= d < p): its
-    V-leading coefficient is that nonzero constant.  The shear is an
-    invertible linear map that fixes the line at infinity, so it changes
-    neither which levels are bad nor the singular points at infinity.
-    """
-    p, d = fm.p, fm.degree
+    p, d, m, n = fm.p, fm.degree, fm.deg_u, fm.deg_v
     if _gao_certificate(set(fm.terms) | {(0, 0)}):
         # the support of f - a, and so the certificate, is the same at every
         # level but a = f(0, 0)
         return [fm.terms.get((0, 0), 0)]
-    # p > d(d - 1) + 1 leaves room for the points and rules out f_V = 0 with
-    # m >= 1, which needs a V-exponent >= p; m = 0 puts a singular point at
-    # (0 : 1 : 0)
-    if d < 2 or p <= d * (d - 1) + 1 or _singular_at_infinity(fm):
+    if d == 1:
+        return []
+    if p <= d or not m or not n:
         return None
-    D = _critical_poly(fm)
-    if D == []:
-        top = {i: c for (i, j), c in fm.terms.items() if i + j == d}
-        t = next(t for t in range(p) if sum(c * pow(t, i, p) for i, c in top.items()) % p)
-        D = _critical_poly(_shear(fm, t))
-    if not D:
+    M0, N = _ruppert_rows(fm.terms, m, n, p), _ruppert_rows({(0, 0): 1}, m, n, p)
+    c = 2 * m * n + m + n
+    zero = [0] * c
+    pencil = [(M0.get(key, zero), N.get(key, zero)) for key in sorted(set(M0) | set(N))]
+
+    def eliminate(a: int, rows=range(len(pencil)), cols=range(c)):
+        return _det_mod([[(pencil[i][0][j] - a * pencil[i][1][j]) % p for j in cols]
+                         for i in rows], p)
+
+    for a0 in range(min(p, c)):
+        _, rank, rows, cols = eliminate(a0)
+        if rank == c - 1:
+            break
+    else:
+        # every (c - 1)-minor, of degree <= c - 1, vanishes at min(p, c) levels
         return None
-    return sorted(univariate_roots(D, PrimeField(p)))
+    if p <= c:
+        levels = range(p)
+    else:
+        K = PrimeField(p)
+        levels = sorted(univariate_roots(
+            _interpolate(K, [eliminate(a, rows, cols)[0] for a in range(c)]), K))
+    return [a for a in levels if eliminate(a)[1] < c - 1]
 
 
 def bad_level_values(f: IntBivariatePoly, p: int) -> set[int]:
     """The residues a for which f - a is not absolutely irreducible mod p.
 
-    Every candidate level gets the exact verdict of
-    :func:`is_absolutely_irreducible`; the candidates come from the
-    critical values of f (:func:`_critical_levels`) where that argument
-    applies, and are all p levels otherwise.  First, as Gao's certificate
-    depends only on the support, which is the same at every level but
-    a = f(0, 0), its acceptance of that support leaves f(0, 0) the one
-    candidate at any degree.
+    Every level of :func:`_candidate_levels` gets the exact verdict of
+    :func:`is_absolutely_irreducible`, and every level does where that
+    returns None: when p <= deg f, f is free of U or of V, or no level has
+    nullity 1.
 
-    Why the critical values suffice: let C_a be the projective closure of
-    f - a, of degree d >= 2.  If f - a is not absolutely irreducible, C_a
-    is reducible over the algebraic closure and so singular: two components
-    meet (Bezout), and a repeated component is singular along itself; this
-    holds in every characteristic.  The points of C_a at infinity and
-    their singularity depend only on f_d and f_(d-1), so one test decides
-    them for every a (:func:`_singular_at_infinity`).  When none is
-    singular, a bad a has an affine singular point (u0, v0), a common zero
-    of f - a, f_U and f_V.  Then h(u0) = 0 for h(U) = Res_V(f_U, f_V), of
-    U-degree k <= (d - 1)^2, and G(u0, a) = 0 for G(U, l) = Res_V(f - l,
-    f_V), of U-degree <= d(d - 1), so a is a root of D(l) = Res_U(G, h), of
-    l-degree <= (m - 1)k with m = deg_V f.  A superset is enough, as each
-    candidate still gets the exact verdict.
+    Why the candidates hold every bad level, for p > deg f and f in both U
+    and V.  Let F = f - a, of bidegree (m, n), and M(a) the matrix of
+    Ruppert's map (g, h) -> F*g_V - g*F_V - F*h_U + h*F_U, whose kernel is
+    the pairs with (g/F)_V = (h/F)_U.  The rank of M(a) is the same over
+    F_p and over its algebraic closure, where a reducible F gives two
+    independent kernel vectors:
 
-    All p levels are tried where the argument or its arithmetic does not
-    apply: d < 2; p <= d(d - 1) + 1, which bounds the loop by
-    d(d - 1) + 1 verdicts and covers f_V = 0 mod p (that needs a
-    V-exponent >= p); a singular point at infinity, which m = 0 puts at
-    (0 : 1 : 0); p < (m - 1)k + 1, too few points to interpolate D; and
-    h = 0 or D = 0 both for f and for its shear f(U + tV, V), as for
-    compositions P(g), where every level is bad.
-    The bad set has a size bounded independently of p for fixed degree
-    (Y. Stein, Israel J. Math. 68, 1989).
+    - F = A*B with A and B nonconstant and coprime.  s_A = F*(A_U/A, A_V/A)
+      = (B*A_U, B*A_V) and s_B = (A*B_U, A*B_V) solve it, as
+      (A_U/A)_V = (A_V/A)_U, and fit the degree bounds (deg_U(B*A_U) <= m - 1
+      and deg_V(B*A_V) <= n - 1, also when A is free of U or of V).  If
+      l*s_A + k*s_B = 0, then A divides l*B*A_U and l*B*A_V, so l*A_U and
+      l*A_V, which have lower degree: they vanish.  A_U = A_V = 0 would make
+      A a polynomial in U^p and V^p, impossible for 0 < deg A < p; so l = 0,
+      and k = 0 alike.
+    - F = c*P^e with P irreducible and e >= 2.  (P^(e-1)*P_U, P^(e-1)*P_V)
+      and (P_U, P_V) solve it, as (P_U*P^-e)_V = (P_V*P^-e)_U, and fit the
+      bounds.  l*P^(e-1) + k kills both P_U and P_V, which do not both
+      vanish since 0 < deg P < p, so l = k = 0.
+
+    So a bad a has nullity >= 2 and rank M(a) <= c - 2, c the number of
+    columns, and every (c - 1)-minor vanishes there: a is a root of D, and
+    nullity 1 proves a good.  If no level has nullity 1 among the first
+    min(p, c), every (c - 1)-minor, a polynomial of degree <= c - 1 in a,
+    vanishes at all p levels or at c of them, so identically: no level has
+    nullity 1.  The bad set has a size bounded independently of p for fixed
+    degree (Y. Stein, Israel J. Math. 68, 1989).
     """
     fm = reduce_mod(f, p)
-    levels = _critical_levels(fm)
+    levels = _candidate_levels(fm)
     if levels is None:
         levels = range(p)
     return {

@@ -100,3 +100,21 @@ def first_rootless_monic(p, k):
             if -c0 % p not in values:
                 return [c0, *middle, 1]
     raise AssertionError("no rootless monic polynomial found")
+
+
+def bad_levels_conic(terms, p):
+    """The levels a in [0, p) at which the conic f - a is not absolutely
+    irreducible, for f = A*U^2 + B*U*V + C*V^2 + D*U + E*V + G of total
+    degree 2 modulo the odd prime p: those where the symmetric matrix
+    [[2A, B, D], [B, 2C, E], [D, E, 2(G - a)]] of its homogenisation is
+    singular, as a conic splits over the algebraic closure exactly when it
+    is degenerate."""
+    A, B, C, D, E, G = (terms.get(ij, 0) for ij in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)))
+    if p == 2 or not (A % p or B % p or C % p):
+        raise ValueError("a conic modulo an odd prime")
+
+    def det(a):
+        (r, s, t), (u, v, w), (x, y, z) = (2 * A, B, D), (B, 2 * C, E), (D, E, 2 * (G - a))
+        return r * (v * z - w * y) - s * (u * z - w * x) + t * (u * y - v * x)
+
+    return {a for a in range(p) if det(a) % p == 0}

@@ -59,10 +59,19 @@ def test_irred_reports_a_one_variable_factor_in_its_own_variable(capsys):
 
 
 def test_badset_at_a_large_prime_runs_only_the_candidates(capsys):
-    # one verdict per level would take hours here; the critical values of
-    # V^3 - U^3 leave the one candidate 0
+    # one verdict per level would take hours here; the pencil of Ruppert
+    # matrices of V^3 - U^3 leaves the one candidate 0
     assert main(["badset", "-f", "V^3 - U^3", "-p", "1000003"]) == 0
     assert capsys.readouterr().out.strip().endswith("[0]")
+
+
+def test_badset_needs_no_loop_over_the_levels_of_a_large_prime(capsys):
+    # a degree-1 f has no bad level, and U^3*V^3 + U + V, singular at
+    # infinity, leaves no candidate of nullity 2 or more
+    for text, p in (("U", "10000000019"), ("U^3*V^3 + U + V", "2147483647"),
+                    ("U^3*V^3 + U + V", "2305843009213693951")):
+        assert main(["badset", "-f", text, "-p", p]) == 0
+        assert capsys.readouterr().out == "bad levels (0): []\n", text
 
 
 def test_usage_errors_exit_2(capsys):

@@ -15,7 +15,7 @@ from visiblepoints.factor import (
 from visiblepoints.fields import ExtensionField, PrimeField
 from visiblepoints.poly import IntBivariatePoly, ModBivariatePoly, parse_poly, reduce_mod
 
-from oracles import primes_brute
+from oracles import bad_levels_conic, primes_brute
 
 
 def _mod(text, p):
@@ -305,14 +305,16 @@ def _random_level_fixture(rng):
 
 
 def test_bad_levels_equal_the_loop_on_random_inputs():
-    # the fallback threshold d(d - 1) + 1 is 3, 7 and 13 for d = 2, 3, 4
+    # p > deg f throughout, so the pencil gives the candidates unless no
+    # level has nullity 1; where p is at most its number of columns, every
+    # level is a candidate
     rng = random.Random(1989)
     filtered = 0
     for _ in range(24):
         p = rng.choice((5, 7, 11, 13, 29))
         f = _random_level_fixture(rng)
         fm = reduce_mod(f, p)
-        cands = factor._critical_levels(fm)
+        cands = factor._candidate_levels(fm)
         loop = _loop_bad_levels(fm)
         if cands is not None:
             filtered += 1
@@ -331,66 +333,89 @@ def _random_linear_in_v(rng):
     return IntBivariatePoly(terms)
 
 
-def test_critical_levels_shear_a_vanishing_leading_coefficient():
-    # the formal resultants of U*V vanish with its V-leading coefficient U;
-    # the shear f(U + V, V) = U*V + V^2 has the constant one 1
-    assert factor._critical_levels(_mod("U*V", 101)) == [0]
-    assert factor._shear(_mod("U*V", 101), 1) == _mod("U*V + V^2", 101)
-    # deg A = 2 puts a singular point at (0 : 1 : 0), so the loop runs there
+def test_candidates_of_curves_linear_in_v():
+    # f - a = A*V + B - a splits exactly where B - a vanishes at a root of
+    # A, so at most two levels are bad and some level has nullity 1; the
+    # pencil also covers deg A = 2, singular at (0 : 1 : 0)
+    assert factor._candidate_levels(_mod("U*V", 101)) == [0]
     rng = random.Random(2007)
-    sheared = 0
     for _ in range(40):
         p = rng.choice((31, 37, 41, 43, 47, 53))
         f = _random_linear_in_v(rng)
         fm = reduce_mod(f, p)
-        cands = factor._critical_levels(fm)
+        cands = factor._candidate_levels(fm)
         loop = _loop_bad_levels(fm)
-        if factor._critical_poly(fm) == [] and cands is not None:
-            sheared += 1
-        if not factor._singular_at_infinity(fm) and len(loop) < p:
-            assert cands is not None, (f, p)
-        if cands is not None:
-            assert loop <= set(cands), (f, p)
+        assert cands is not None, (f, p)
+        assert loop <= set(cands), (f, p)
         assert bad_level_values(f, p) == loop, (f, p)
-    assert sheared >= 15
 
 
-# one input for each reason the critical-value filter does not apply
+# one input for each reason every level gets the exact verdict
 FALLBACK_FIXTURES = [
-    ("2*U^2*V^2 - 3*U*V - 2*V^2", 17),      # singular at (1 : 0 : 0) and (0 : 1 : 0)
-    ("U^3 + U", 17),                        # no V: singular at (0 : 1 : 0)
-    ("V^3 - U^3 + U", 3),                   # f_V = 0 mod p, below the threshold as p | d
-    ("U^2 + 2*U*V^2 + V^4 + U + V^2", 17),  # (U + V^2)^2 + U + V^2: h = 0, sheared too
-    ("V^3 - U^3", 7),                       # p <= d(d - 1) + 1
+    ("U^3 + U", 17),                        # free of V
+    ("V^2 + 3*V", 13),                      # free of U
+    ("V^3 - U^3 + U", 3),                   # p <= deg f
+    ("U^2 + 2*U*V^2 + V^4 + U + V^2", 17),  # (U + V^2)^2 + U + V^2: no level of nullity 1
+    ("U^2*V^2 + U*V + 3", 13),              # a polynomial in U*V: no level of nullity 1
 ]
 
 
-def test_bad_levels_fall_back_to_the_loop(monkeypatch):
+def test_bad_levels_fall_back_to_the_loop():
     for text, p in FALLBACK_FIXTURES:
         f = parse_poly(text)
         fm = reduce_mod(f, p)
-        assert factor._critical_levels(fm) is None, text
+        assert factor._candidate_levels(fm) is None, text
         assert bad_level_values(f, p) == _loop_bad_levels(fm), text
     assert bad_level_values(parse_poly("U^2 + 2*U*V^2 + V^4 + U + V^2"), 17) == set(range(17))
-    assert factor._singular_at_infinity(_mod("U^3 + U", 17))
-    # the test at infinity is needed: level 1 of this quartic is reducible
-    # with no affine singular point, so the resultants alone miss it
-    fm = _mod("2*U^2*V^2 - 3*U*V - 2*V^2", 17)
-    assert factor._singular_at_infinity(fm)
-    assert bad_level_values(parse_poly("2*U^2*V^2 - 3*U*V - 2*V^2"), 17) == {0, 1}
-    monkeypatch.setattr(factor, "_singular_at_infinity", lambda fm: False)
-    assert 1 not in factor._critical_levels(fm)
+    assert bad_level_values(parse_poly("U^2*V^2 + U*V + 3"), 13) == set(range(13))
+
+
+def test_bad_levels_at_the_degree_and_the_next_prime():
+    # the pencil's proof needs p > deg f: at p = deg f every level gets the
+    # verdict, at the next prime the pencil gives the candidates
+    for text, p, q in (("U^2 + V^2", 2, 3), ("V^3 - U^3 + U", 3, 5), ("U^5 + V^5 + U*V", 5, 7)):
+        fm = _mod(text, p)
+        assert fm.degree == p
+        assert factor._candidate_levels(fm) is None, text
+        assert bad_level_values(parse_poly(text), p) == _loop_bad_levels(fm), text
+        fm = _mod(text, q)
+        cands = factor._candidate_levels(fm)
+        loop = _loop_bad_levels(fm)
+        assert cands is not None and loop <= set(cands), text
+        assert bad_level_values(parse_poly(text), q) == loop, text
+
+
+def test_bad_levels_equal_the_conic_oracle():
+    rng = random.Random(1887)
+    checked = 0
+    for p in (3, 5, 7, 11, 13, 101, 1009):
+        for _ in range(50):
+            terms = {(i, j): rng.randrange(p) for i in range(3) for j in range(3 - i)}
+            terms = {ij: c for ij, c in terms.items() if c}
+            if not any(terms.get(ij) for ij in ((2, 0), (1, 1), (0, 2))):
+                continue
+            f = IntBivariatePoly(terms)
+            assert bad_level_values(f, p) == bad_levels_conic(terms, p), (f, p)
+            checked += 1
+    assert checked >= 300
 
 
 def test_bad_levels_recorded_sets():
     for text, p, cands, bad in (
         ("V^3 - U^3", 97, [0], {0}),
         ("V^3 - U^3", 307, [0], {0}),
-        ("V^4 - U^4 + U*V", 101, [0, 24, 77], {24, 77}),
+        ("V^3 - U^3", 7, [0], {0}),                # p <= c: every level a candidate
+        ("V^4 - U^4 + U*V", 101, [24, 77], {24, 77}),
         ("V^2 - U^3 - U - 1", 307, [306], set()),  # certified but at a = f(0, 0)
         ("V^100 + U^3 + U*V", 1000003, [0], set()),
+        # level 1 is reducible with no affine singular point, at infinity
+        ("2*U^2*V^2 - 3*U*V - 2*V^2", 17, [0, 1], {0, 1}),
+        ("U^3*V^3 + U + V", 1009, [], set()),      # singular at infinity
+        ("U^3*V^3 + U + V", 2**31 - 1, [], set()),
+        ("U^3*V^3 + U + V", 2**61 - 1, [], set()),
+        ("U + 3", 10000000019, [], set()),         # degree 1, not certified
     ):
-        assert factor._critical_levels(_mod(text, p)) == cands, (text, p)
+        assert factor._candidate_levels(_mod(text, p)) == cands, (text, p)
         assert bad_level_values(parse_poly(text), p) == bad, (text, p)
 
 
@@ -405,6 +430,6 @@ def test_bad_levels_run_the_verdict_only_at_candidates(monkeypatch):
     monkeypatch.setattr(factor, "is_absolutely_irreducible", counted)
     assert bad_level_values(parse_poly("V^3 - U^3"), 97) == {0}
     assert len(calls) <= 2
-    calls.clear()  # the candidates of U*V come from its shear U*V + V^2
+    calls.clear()  # the other roots of the pencil's minor have nullity 1
     assert bad_level_values(parse_poly("U*V"), 10007) == {0}
     assert len(calls) == 1
