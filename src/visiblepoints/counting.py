@@ -27,8 +27,11 @@ cyclic convolution of the histograms of g(d*s) and h(d*t), gathered from
 one kernel evaluation of f per axis, by FFT for the few large boxes and
 by a bincount of the sums g + h for the rest, and the visible counts are
 their Moebius sum.  A cost rule of the same kind, ``_separable_plan``,
-picks the route.  The two share neither the coprime sieve nor the
-bivariate evaluation, so each checks the other.
+picks the route and returns its work as two lists, the d to convolve by
+FFT with their Moebius bands and the batches of differences, which
+``_separable_histogram`` adds into one (3, p) accumulator, one row per
+band.  The two routes share neither the coprime sieve nor the bivariate
+evaluation, so each checks the other.
 
 Every blocked walk cuts its boxes with one generator, ``_pieces``: a box,
 or a run of equal shrunken boxes of several d with a weight each, becomes
@@ -784,18 +787,19 @@ def _fft_error_bound(norms2: int, L: int) -> float:
 
 def _pack(pieces) -> list:
     """The pieces of :func:`_pieces`, in order, packed greedily into lists
-    of at most BLOCK_POINTS points: one "diff" batch of the separable route
-    each, which holds one array of sums and one bincount of 6p bins."""
-    items, size = [], BLOCK_POINTS
+    of at most BLOCK_POINTS points: one batch of differences of the
+    separable route each, which holds one array of sums and one bincount of
+    6p bins."""
+    batches, size = [], BLOCK_POINTS
     for piece in pieces:
         ds, _, s0, s1, t0, t1 = piece
         points = len(ds) * (s1 - s0) * (t1 - t0)
         if size + points > BLOCK_POINTS:
-            items.append([])
+            batches.append([])
             size = 0
-        items[-1].append(piece)
+        batches[-1].append(piece)
         size += points
-    return items
+    return batches
 
 
 def _grid_histogram_seconds(fmod: ModBivariatePoly, nx: int, ny: int) -> float:
@@ -809,23 +813,22 @@ def _grid_histogram_seconds(fmod: ModBivariatePoly, nx: int, ny: int) -> float:
 
 
 def _separable_plan(fmod: ModBivariatePoly, nx: int, ny: int):
-    """The work of :func:`_separable_histogram` on [1, nx] x [1, ny], as a
-    list of items, when fmod has no term in both U and V and the route's
-    estimated time is below the grid's; None otherwise.
+    """The work of :func:`_separable_histogram` on [1, nx] x [1, ny], as two
+    lists (ffts, batches), when fmod has no term in both U and V and the
+    route's estimated time is below the grid's; None otherwise.
 
     Each squarefree d up to min(nx, ny) has a band: 0 for d = 1 (the level
     counts), 1 for mu(d) = 1 and 2 for mu(d) = -1.  A d whose shrunken box
     n x m has many points for the FFT length L, _DIFF_S * n * m >
-    _PIECE_S + _FFT_S * L * log2(L), is convolved by FFT, one item
-    ("fft", (d, band)) each.  The runs of the other d
-    (:func:`_shrunken_runs`) are cut into pieces (:func:`_pieces`) and
-    packed into items ("diff", pieces) of at most BLOCK_POINTS points
-    (:func:`_pack`).  The estimate sums these costs, as
-    :func:`_grid_histogram_seconds` does the grid's.  Fitted to
-    in-process timings of both routes on 156 cases (4 separable f, p = 31
-    to 200003, boxes 3 x 3 to 2000^2 and 1 x p), the rule picks the slower
-    route in 9, each a box of one row or column taking under 2 ms, by at
-    most 1.3x.
+    _PIECE_S + _FFT_S * L * log2(L), is convolved by FFT: ffts lists these
+    as pairs (d, band).  The runs of the other d (:func:`_shrunken_runs`)
+    are cut into pieces (:func:`_pieces`), and batches lists them packed
+    into lists of at most BLOCK_POINTS points (:func:`_pack`).  The
+    estimate sums these costs, as :func:`_grid_histogram_seconds` does the
+    grid's.  Fitted to in-process timings of both routes on 156 cases (4
+    separable f, p = 31 to 200003, boxes 3 x 3 to 2000^2 and 1 x p), the
+    rule picks the slower route in 9, each a box of one row or column
+    taking under 2 ms, by at most 1.3x.
     """
     p = fmod.p
     if any(i and j for i, j in fmod.terms):
@@ -836,20 +839,20 @@ def _separable_plan(fmod: ModBivariatePoly, nx: int, ny: int):
     for n, m, ds, mus in _shrunken_runs(nx, ny):
         bands = np.where(ds == 1, 0, np.where(mus > 0, 1, 2))
         if fft_s < _DIFF_S * n * m:
-            ffts += [("fft", db) for db in zip(ds.tolist(), bands.tolist())]
+            ffts += zip(ds.tolist(), bands.tolist())
             seconds += fft_s * len(ds)
             continue
         run = list(_pieces(ds, bands, n, m))
         pieces += run
         seconds += _DIFF_S * n * m * len(ds) + _PIECE_S * len(run)
-    diffs = _pack(pieces)
-    seconds += _BIN_S * 6 * p * len(diffs)
+    batches = _pack(pieces)
+    seconds += _BIN_S * 6 * p * len(batches)
     if seconds >= _grid_histogram_seconds(fmod, nx, ny):
         return None
-    return ffts + [("diff", item) for item in diffs]
+    return ffts, batches
 
 
-def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> VisibleHistogram:
+def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, plan: tuple) -> VisibleHistogram:
     """Both per-level counts of a separable fmod = g(U) + h(V), h(0) = 0,
     from one-variable values, by the Moebius sum over d.
 
@@ -857,48 +860,35 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> 
     two histograms, N_a(d) = #{s <= nx/d, t <= ny/d : f(ds, dt) = a} =
     sum over c of G_d[c] * H_d[a - c], with G_d the histogram of g(d*s) and
     H_d that of h(d*t).  The level counts are N(1) and the visible counts
-    sum of mu(d) * N(d).  An "fft" item computes N(d) for its d by one
-    rfft/irfft of length L (:func:`_fft_length`), rounded and folded to
+    sum of mu(d) * N(d).  ``plan`` is the pair (ffts, batches) of
+    :func:`_separable_plan`, and both add into one (3, p) int64
+    accumulator, one row per band.  Each (d, band) of ffts computes N(d) by
+    one rfft/irfft of length L (:func:`_fft_length`), rounded and folded to
     length p, when :func:`_fft_error_bound` of the exact norms proves the
     rounding exact; its counts must then sum to the n * m >= 1 points of
-    the box, and a d that fails either check takes differences instead.
-    A "diff" item forms g(d*s) + h(d*t) + 2p * band over its pieces and
-    bincounts it over 6p bins, which folds to the three bands' counts.
-    Both kinds read g and h from two axis tables, each one kernel call:
-    g(s) = f(s, 0) for s <= nx and h(t) = f(0, t) - f(0, 0) for t <= ny,
-    reduced mod p, so g(d*s) and h(d*t) are gathers at d*s and d*t (a
-    strided slice for a whole shrunken box).
-    Items run one after another in the calling thread, so one batch is
-    live at a time: their work is many small numpy calls, which a second
-    thread would only slow down by waiting for the GIL.
+    the box, and a d that fails either check is cut into batches of
+    differences instead.  Each batch forms g(d*s) + h(d*t) + 2p * band over
+    its pieces and bincounts it over 6p bins, which folds to the three
+    bands' counts.  Both read g and h from two axis tables, each one kernel
+    call: g(s) = f(s, 0) for s <= nx and h(t) = f(0, t) - f(0, 0) for
+    t <= ny, reduced mod p, so g(d*s) and h(d*t) are gathers at d*s and d*t
+    (a strided slice for a whole shrunken box).
+    The work runs in the calling thread, so one batch is live at a time:
+    it is many small numpy calls, which a second thread would only slow
+    down by waiting for the GIL.
     """
     from numpy import fft  # loaded by this route alone
 
+    ffts, batches = plan
     p, nx, ny = fmod.p, box.nx, box.ny
     L = _fft_length(p)
     G = fmod.evaluate(np.arange(nx + 1), 0)
     H = fmod.evaluate(0, np.arange(ny + 1))
     H = (H - H[0]) % p
+    bands = np.zeros((3, p), dtype=np.int64)
 
-    # One array of sums serves every "diff" batch, as one runs at a time: a
-    # fresh one per batch is faulted in anew whenever the allocator has
-    # handed its pages back, which made the route for E at p = 4003 take
-    # 2000 minor faults and up to twice the time.
-    sums = np.empty(BLOCK_POINTS, dtype=np.int64)
-
-    def differences(pieces):
-        at = 0
-        for ds, bands, s0, s1, t0, t1 in pieces:
-            u = G[ds[:, None] * np.arange(s0 + 1, s1 + 1)]
-            v = H[ds[:, None] * np.arange(t0 + 1, t1 + 1)] + 2 * p * bands[:, None]
-            size = u.size * v.shape[1]
-            np.add(u[:, :, None], v[:, None, :],
-                   out=sums[at : at + size].reshape(len(ds), u.shape[1], v.shape[1]))
-            at += size
-        return np.bincount(sums[:at], minlength=6 * p).reshape(3, 2, p).sum(axis=1)
-
-    def convolution(d, band):
-        n, m, one = nx // d, ny // d, np.array([d])
+    fallback = []
+    for d, band in ffts:
         gd = np.bincount(G[d::d], minlength=p)
         hd = np.bincount(H[d::d], minlength=p)
         if _fft_error_bound(int(gd @ gd) * int(hd @ hd), L) < 0.5:
@@ -906,17 +896,26 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, items: list) -> 
             spectrum *= fft.rfft(hd, L)
             conv = np.rint(fft.irfft(spectrum, L))
             folded = (conv[:p] + conv[p : 2 * p]).astype(np.int64)
-            if int(folded.sum()) == n * m:
-                out = np.zeros((3, p), dtype=np.int64)
-                out[band] = folded
-                return out
-        return sum(map(differences, _pack(_pieces(one, np.array([band]), n, m))))
+            if int(folded.sum()) == (nx // d) * (ny // d):
+                bands[band] += folded
+                continue
+        fallback += _pack(_pieces(np.array([d]), np.array([band]), nx // d, ny // d))
 
-    def counts(item):
-        kind, work = item
-        return convolution(*work) if kind == "fft" else differences(work)
-
-    bands = sum(map(counts, items))
+    # One array of sums serves every batch, as one runs at a time: a fresh
+    # one per batch is faulted in anew whenever the allocator has handed
+    # its pages back, which made the route for E at p = 4003 take 2000
+    # minor faults and up to twice the time.
+    sums = np.empty(BLOCK_POINTS, dtype=np.int64)
+    for pieces in chain(batches, fallback):
+        at = 0
+        for ds, bs, s0, s1, t0, t1 in pieces:
+            u = G[ds[:, None] * np.arange(s0 + 1, s1 + 1)]
+            v = H[ds[:, None] * np.arange(t0 + 1, t1 + 1)] + 2 * p * bs[:, None]
+            size = u.size * v.shape[1]
+            np.add(u[:, :, None], v[:, None, :],
+                   out=sums[at : at + size].reshape(len(ds), u.shape[1], v.shape[1]))
+            at += size
+        bands += np.bincount(sums[:at], minlength=6 * p).reshape(3, 2, p).sum(axis=1)
     return VisibleHistogram(p=p, box=box, level_counts=bands[0],
                             visible_counts=bands[0] + bands[1] - bands[2])
 
@@ -943,9 +942,9 @@ def visible_histogram(
     box.validate_for(p)
     if p > MAX_GRID_PRIME:
         raise GridOverflow(f"p = {p} > {MAX_GRID_PRIME}: a histogram needs p bins per tile")
-    items = _separable_plan(fmod, box.nx, box.ny)
-    if items is not None:
-        return _separable_histogram(fmod, box, items)
+    plan = _separable_plan(fmod, box.nx, box.ny)
+    if plan is not None:
+        return _separable_histogram(fmod, box, plan)
     return _grid_histogram(fmod, box, workers)
 
 

@@ -51,6 +51,11 @@ if TYPE_CHECKING:
 
 #: default relative thresholds for concentration profiles
 DEFAULT_DELTAS = (0.1, 0.25, 0.5)
+#: the most primes up to T that prime_sweep accepts: it holds each prime of
+#: [T/2, T] as a Python int with its verdict and count, about 250 bytes a
+#: prime, so the largest T accepted (about 1.5e8, with 4 * 10^6 primes in
+#: [T/2, T]) takes about 1 GB
+MAX_SWEEP_PRIMES = 10**7
 
 
 @dataclass(frozen=True)
@@ -179,8 +184,10 @@ def prime_sweep(f: IntBivariatePoly, T: float, box: CountBox) -> DiscrepancyReco
     fixed level a = 0.
 
     Needs a finite T >= 2*max(X, Y), so the box fits under every prime in
-    range; primes where f degenerates or loses absolute irreducibility are
-    skipped and listed in the record.  The kept primes' counts N_p come
+    range, and refuses (ValueError) a T with possibly more than
+    MAX_SWEEP_PRIMES primes up to it, by the bound pi(T) < 1.25506 T / ln T,
+    before it lists any.  Primes where f degenerates or loses absolute
+    irreducibility are skipped and listed in the record.  The kept primes' counts N_p come
     from one sweep over the box that evaluates f over Z when
     B = sum |c_ij| X^i Y^j < 2^63, and otherwise from one count modulo
     each prime.  Each is the faster exact route on its side of that test.
@@ -204,6 +211,10 @@ def prime_sweep(f: IntBivariatePoly, T: float, box: CountBox) -> DiscrepancyReco
         raise ValueError("T must be >= 4")
     if T < 2 * max(box.X, box.Y):
         raise BoxTooLarge(f"T = {T} < 2*max(X, Y) = {2 * max(box.X, box.Y)}")
+    most = 1.25506 * T / math.log(T)  # > pi(T) (Rosser and Schoenfeld, 1962)
+    if most > MAX_SWEEP_PRIMES:
+        raise ValueError(f"T = {T}: up to 1.25506*T/ln(T) = {most:.6g} primes, "
+                         f"above the sweep's cap of {MAX_SWEEP_PRIMES} primes")
     primes = primes_in_range(math.ceil(T / 2), math.floor(T))
     admissible = [_admissible_at(f, p) for p in primes]
     skipped = tuple(p for p, ok in zip(primes, admissible) if not ok)

@@ -222,12 +222,13 @@ def _pseudo_rem_v(R: _UPolys, a: list, b: list) -> list:
 
 
 def _gcd_v_primitive(R: _UPolys, a: list, b: list) -> list:
-    """gcd of a and b as polynomials in V over K(U), primitive-part PRS."""
+    """gcd of a and b as polynomials in V over K(U), primitive-part PRS.
+
+    Needs deg_V a >= deg_V b, as the one caller's F and F_V have; each
+    pseudo-remainder has lower V-degree than its divisor, so the order
+    holds at every step."""
     a, b = _b_primitive_part(R.K, a), _b_primitive_part(R.K, b)
     while b:
-        if u_deg(a) < u_deg(b):
-            a, b = b, a
-            continue
         a, b = b, _b_primitive_part(R.K, _pseudo_rem_v(R, a, b))
     return a
 

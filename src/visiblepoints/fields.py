@@ -63,12 +63,6 @@ class PrimeField:
             raise IndexError(idx)
         return idx
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
     def __repr__(self):
         return f"PrimeField({self.p})"
 
@@ -108,8 +102,7 @@ def u_sub(K, a: list, b: list) -> list:
 
 
 def u_scale(K, a: list, s) -> list:
-    if s == K.zero:
-        return []
+    """a * s for a nonzero scalar s."""
     return u_trim(K, [K.mul(x, s) for x in a])
 
 
@@ -363,17 +356,6 @@ class ExtensionField:
             idx, r = divmod(idx, self.p)
             digits.append(r)
         return tuple(digits)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and other.p == self.p
-            and other.k == self.k
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("ExtensionField", self.p, self.k, self.modulus))
 
     def __repr__(self):
         return f"ExtensionField(p={self.p}, k={self.k})"

@@ -20,6 +20,9 @@ def test_mobius_small_values():
     assert [mt[d] for d in range(1, 7)] == [1, -1, -1, 0, -1, 1]
     assert mt[4] == 0
     assert mt[30] == -1  # three distinct primes
+    for d in (0, 31, -1):
+        with pytest.raises(IndexError, match=rf"^mu\({d}\) outside table limit 30$"):
+            mt[d]
 
 
 def test_mobius_rejects_zero_limit():
@@ -210,6 +213,9 @@ def test_factorize_matches_brute_force():
 def test_zeta2_small_values():
     assert zeta2_inverse_partial(1) == 1.0
     assert zeta2_inverse_partial(2) == 0.75
+    for D in (0, -3):
+        with pytest.raises(ValueError, match="^D must be >= 1$"):
+            zeta2_inverse_partial(D)
 
 
 def test_zeta2_bounds_and_cauchy():

@@ -22,6 +22,16 @@ def test_visible_prints_both_routes(capsys):
     assert "direct=3" in out and "mobius=3" in out and "expected=3.0396" in out
 
 
+def test_visible_exits_1_when_the_two_routes_disagree(monkeypatch, capsys):
+    from visiblepoints import cli
+
+    monkeypatch.setattr(cli, "count_visible_mobius", lambda spec, box: 4)
+    assert main(["visible", "-f", "U*V", "-p", "5", "-a", "1", "-X", "5", "-Y", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: direct=3 != mobius=4 disagree\n"
+
+
 def test_count_command_table_and_json(capsys):
     assert main(["count", "-f", "U*V", "-p", "5", "-a", "1", "-X", "5", "-Y", "5"]) == 0
     assert "count = 4" in capsys.readouterr().out
@@ -221,6 +231,22 @@ def test_sweep_grid(tmp_path, capsys):
     assert len(body) == 3  # header + two records
     assert body[1].startswith("levels,") and ",7," in body[1]
     capsys.readouterr()
+
+
+def test_sweep_needs_a_box_in_each_mode(capsys):
+    E = "V^2 - U^3 - U - 1"
+    for mode, grid, message in (("levels", "7", "levels sweep needs -X/-Y or --box-eq-p"),
+                                ("primes", "20", "primes sweep needs -X and -Y")):
+        for box in ([], ["-X", "3"], ["-Y", "3"]):
+            assert main(["sweep", "-f", E, "--mode", mode, "--grid", grid, *box]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "", (mode, box)
+            assert captured.err == f"usage error: {message}\n", (mode, box)
+    # with both sides, each levels entry takes the box as given
+    assert main(["sweep", "-f", E, "--mode", "levels", "--grid", "7,13", "-X", "3", "-Y", "2",
+                 "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [(r["p"], r["X"], r["Y"]) for r in records] == [(7, 3.0, 2.0), (13, 3.0, 2.0)]
 
 
 def test_sweep_box_eq_p_takes_no_box_and_no_primes_mode(capsys):
@@ -423,9 +449,21 @@ def test_hostile_inputs_end_without_a_traceback(capsys):
         ["irred", "-f", E, "-p", "9"],
         ["zeros", "-f", "U - V", "-X", "inf", "-Y", "3"],
         ["zeros", "-f", "U - V", "-X", "nan", "-Y", "3"],
+        ["exp-p", "-f", E, "-T", "1e25", "-X", "3", "-Y", "3"],
+        ["exp-p", "-f", E, "-T", "1e12", "-X", "3", "-Y", "3"],
     ):
         assert main(argv) in (0, 2, 3, 4, 5), argv
         assert "Traceback" not in capsys.readouterr().err, argv
+    # prime ranges too long to list: refused before any prime is sieved
+    for T, most in (("1e25", "2.18026e+23"), ("1e12", "4.54221e+10")):
+        message = (f"T = {float(T)}: up to 1.25506*T/ln(T) = {most} primes, "
+                   "above the sweep's cap of 10000000 primes")
+        assert main(["exp-p", "-f", E, "-T", T, "-X", "3", "-Y", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"usage error: {message}\n", T
+        assert main(["sweep", "-f", E, "--mode", "primes", "--grid", T, "-X", "3", "-Y", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"sweep point T={float(T)} failed: ValueError: {message}\n", T
     assert main(["irred", "-f", "U^5*V^5 + U + V + 1", "-p", "2"]) == 0
     assert "absolutely_irreducible=true" in capsys.readouterr().out
     assert main(["count", "-f", "U^99999999 + V", "-p", "7", "-a", "0",

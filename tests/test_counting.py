@@ -695,10 +695,11 @@ def _separable_route(f, p, box, fft="rule"):
         elif fft == "none":
             mp.setattr(counting, "_FFT_S", 1e9)
         fmod = reduce_mod(f, p)
-        items = counting._separable_plan(fmod, box.nx, box.ny)
-    kinds = {kind for kind, _ in items}
+        plan = counting._separable_plan(fmod, box.nx, box.ny)
+    ffts, batches = plan
+    kinds = {kind for kind, work in (("fft", ffts), ("diff", batches)) if work}
     assert kinds == {"all": {"fft"}, "none": {"diff"}}.get(fft, kinds), (fft, kinds)
-    return counting._separable_histogram(fmod, box, items)
+    return counting._separable_histogram(fmod, box, plan)
 
 
 #: separable f: negative coefficients, one variable, V-exponents >= p, and
@@ -996,6 +997,11 @@ def test_spec_construction_contracts():
     assert spec.a == 2  # reduced at construction
     assert spec.in_theorem_scope
     assert not LevelCurveSpec(parse_poly("5*U^2 + U + V"), 5, 0).in_theorem_scope
+    for name in ("a", "p", "fmod", "other"):
+        with pytest.raises(AttributeError, match="^LevelCurveSpec is immutable$"):
+            setattr(spec, name, 1)
+    assert spec.a == 2
+    assert repr(spec) == "LevelCurveSpec(f='U*V', p=5, a=2)"
 
 
 def test_real_valued_boxes_floor():

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +238,9 @@ def test_counts_by_prime_match_brute_force():
         assert count_visible_by_prime(f, primes, tiny, a) == want
     with pytest.raises(ValueError, match="p = 4 is even"):
         count_visible_by_prime(ELLIPTIC, [4], tiny)
+    # the smallest prime above 2^63 has no int64 residues
+    with pytest.raises(GridOverflow, match=f"^p = {2**63 + 29} does not fit in int64$"):
+        count_visible_by_prime(ELLIPTIC, [5, 2**63 + 29], tiny)
 
 
 # B = 7*8^20 + 8^3 + |c| on the box 8 x 8, with 8^20 = 2^60
@@ -270,13 +274,13 @@ def test_bound_check_rejects_huge_exponents_early():
 
 def _exp_p_bodies(capsys, args):
     out = {}
-    for fmt in ("csv", "json"):
+    for fmt in ("csv", "json", "table"):
         for w in ("1", "2", "3"):
             assert main(["exp-p", *args, "--format", fmt, "--workers", w]) == 0
             text = capsys.readouterr().out
             if fmt == "csv":
                 text = "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))
-            else:
+            elif fmt == "json":
                 json.loads(text)
             out[fmt, w] = text
     return out
@@ -287,14 +291,36 @@ def test_exp_p_bodies_do_not_depend_on_workers(capsys):
     for args in (["-f", "V^2 - U^3 - U - 1", "-T", "1200", "-X", "600", "-Y", "600"],
                  ["-f", "V^3 - U^3 - 1", "-T", "6", "-X", "3", "-Y", "3"]):
         bodies = _exp_p_bodies(capsys, args)
-        for fmt in ("csv", "json"):
+        for fmt in ("csv", "json", "table"):
             assert bodies[fmt, "1"] == bodies[fmt, "2"] == bodies[fmt, "3"]
+    assert bodies["table", "1"].splitlines() == [
+        "[primes] f=-U^3 + V^3 - 1 T=6.0 a=0 X=3.0 (floor 3) Y=3.0 (floor 3)",
+        "  sum_abs_dev=0.905731216662752 bound=11.500975876432904 "
+        "ratio=0.07875255338277172 nontrivial_box=False",
+        "  skipped primes: 3"]
 
 
 def test_prime_sweep_rejects_non_finite_T():
     for T in (math.inf, -math.inf, math.nan):
         with pytest.raises(NonFiniteParameter, match="T = "):
             prime_sweep(ELLIPTIC, T, CountBox(5, 5))
+
+
+def test_prime_sweep_refuses_a_range_too_long_to_list(monkeypatch):
+    # pi(T) < 1.25506 T / ln T passes the cap of 10^7 primes between
+    # T = 1.5e8 and 1.6e8; a refusal lists no prime
+    listed = []
+    monkeypatch.setattr(experiments, "primes_in_range",
+                        lambda lo, hi: listed.append((lo, hi)) or [])
+    assert experiments.MAX_SWEEP_PRIMES == 10**7
+    for T, most in ((1.6e8, "1.06301e+07"), (1e12, "4.54221e+10"), (1e25, "2.18026e+23")):
+        message = (f"T = {T}: up to 1.25506*T/ln(T) = {most} primes, "
+                   "above the sweep's cap of 10000000 primes")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            prime_sweep(ELLIPTIC, T, CountBox(3, 3))
+    assert listed == []
+    assert prime_sweep(ELLIPTIC, 1.5e8, CountBox(3, 3)).per_prime == ()
+    assert listed == [(75000000, 150000000)]
 
 
 def test_prime_sweep_skips_and_logs():

@@ -31,9 +31,16 @@ def test_bivariate_irreducibility_examples():
 
 
 def test_constant_input_rejected():
-    fm = _mod("U + 3", 5)  # build a valid poly, then shift to constant? not possible
-    with pytest.raises(ConstantPolynomial):
-        is_absolutely_irreducible(fm.subtract_const(0).scale_args(0))
+    # U + 3 with its arguments scaled by 0: the constant 3 mod 5
+    constant = _mod("U + 3", 5).scale_args(0)
+    assert constant.terms == {(0, 0): 3}
+    for verdict, message in (
+        (is_absolutely_irreducible, "verdict on a constant polynomial"),
+        (lambda fm: is_irreducible_bivariate(fm, PrimeField(5)),
+         "irreducibility of a constant polynomial"),
+    ):
+        with pytest.raises(ConstantPolynomial, match=f"^{message}$"):
+            verdict(constant)
 
 
 def test_verdict_examples():

@@ -11,8 +11,10 @@ from visiblepoints.fields import (
     u_deg,
     u_divmod,
     u_eval,
+    u_ext_gcd,
     u_gcd,
     u_is_irreducible,
+    u_monic,
     u_mul,
     univariate_roots,
 )
@@ -192,3 +194,33 @@ def test_gcd_monic_and_common_divisor():
     b = u_mul(K, [1, 1], [5, 1])
     g = u_gcd(K, a, b)
     assert g == [1, 1]
+
+
+F7, F49 = PrimeField(7), ExtensionField(7, 2)
+#: every refusal of the fields and their polynomials: (call, type, message)
+REFUSALS = (
+    (lambda: PrimeField(9), ValueError, "9 is not prime"),
+    (lambda: F7.inv(0), ZeroDivisionError, "inverse of zero"),
+    (lambda: F7.element_at(7), IndexError, "7"),
+    (lambda: F7.element_at(-1), IndexError, "-1"),
+    (lambda: ExtensionField(7, 0), ValueError, "extension degree must be >= 1"),
+    (lambda: F49.inv(F49.zero), ZeroDivisionError, "inverse of zero"),
+    (lambda: F49.element_at(49), IndexError, "49"),
+    (lambda: find_irreducible_over(F7, 0), ValueError, "degree must be >= 1"),
+    (lambda: u_divmod(F7, [1, 2], []), ZeroDivisionError, "division by zero polynomial"),
+)
+
+
+@pytest.mark.parametrize("call,kind,message", REFUSALS)
+def test_fields_refuse_what_they_cannot_do(call, kind, message):
+    with pytest.raises(kind, match=f"^{message}$"):
+        call()
+
+
+def test_zero_and_constant_edges():
+    assert u_monic(F7, []) == []
+    assert u_ext_gcd(F7, [], []) == ([], [1], [])
+    # a constant, zero included, is never irreducible
+    for K in (F7, F49):
+        assert not u_is_irreducible(K, [K.one]) and not u_is_irreducible(K, [])
+    assert repr(F7) == "PrimeField(7)" and repr(F49) == "ExtensionField(p=7, k=2)"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -37,6 +38,16 @@ def test_a_replayed_level_record_carries_no_level_counts():
     assert len(record.visible_counts) == 0
     with pytest.raises(ValueError, match="no per-level counts"):
         sweep_profiles(record, (0.5,))
+
+
+def test_read_csv_refuses_text_it_did_not_write():
+    for text, message in (
+        ("", "no CSV content found"),
+        ("# only a comment\n\n", "no CSV content found"),
+        ("kind,f,p\nlevels,U,5\n", "unrecognized CSV header: ['kind', 'f', 'p']"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            read_csv(text)
 
 
 def test_csv_body_stable_without_timestamp():

@@ -33,7 +33,8 @@ def test_parse_basic_forms():
 
 def test_parse_merges_and_cancels():
     assert parse_poly("U + U").terms == {(1, 0): 2}
-    assert parse_poly("U - U").is_zero()
+    zero = parse_poly("U - U")
+    assert zero.is_zero() and zero.text() == "0"
 
 
 def test_parse_rejections():
@@ -346,5 +347,9 @@ def test_both_polynomial_classes_keep_their_semantics():
         for name in ("terms", "degree", "p", "other"):
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
+    for make in (IntBivariatePoly, lambda terms: ModBivariatePoly(5, terms)):
+        for terms in ({(-1, 0): 1}, {(2, 1): 3, (0, -2): 1}):
+            with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+                make(terms)
     assert repr(E) == "IntBivariatePoly('-U^3 + V^2 - U - 1')"
     assert repr(reduce_mod(E, 7)) == "ModBivariatePoly(p=7, '6*U^3 + V^2 + 6*U + 6')"
