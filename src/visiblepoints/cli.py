@@ -15,7 +15,8 @@ entries in order; each that fails writes one stderr line, such as
 entry), and the rest still run.  A sweep with at least one record exits
 0; one whose entries all fail still prints its (empty) records and exits
 with the code of its first failure's error type (1 for a type outside
-this list).
+this list).  --workers (exp-a, exp-p, sweep) must be an integer >= 1 and
+changes nothing: the level sweeps use the CPUs that taskset leaves them.
 
 count, visible, zeros, exp-a, exp-p and sweep import numpy inside their
 handlers (count and visible after parsing -f); irred, badset, --help and
@@ -61,8 +62,8 @@ _EXIT_CODES = (
 #: formats of the record-emitting commands; the others print table or json
 _RECORD_FORMATS = ("table", "csv", "json")
 #: help of --workers on the sweeping commands
-_WORKERS_HELP = ("threads for the grid histogram only, at most one per CPU this process may "
-                 "run on; the prime sweep runs in one thread; results never depend on it")
+_WORKERS_HELP = ("accepted and ignored: the grid histogram takes a thread per CPU this "
+                 "process may run on (taskset restricts them) while p <= 2^17")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,14 +130,12 @@ def build_parser() -> _Parser:
     ea.add_argument("-Y", type=float, required=True)
     ea.add_argument("--delta", type=float, action="append", default=None,
                     help="also report concentration fractions (repeatable)")
-    ea.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
 
     ep = sp.add_parser("exp-p", help="discrepancy summed over primes in [T/2, T] at level 0")
     _add_common(ep, _RECORD_FORMATS)
     ep.add_argument("-T", type=float, required=True)
     ep.add_argument("-X", type=float, required=True)
     ep.add_argument("-Y", type=float, required=True)
-    ep.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
 
     sw = sp.add_parser("sweep", help="run a series of sweeps, or replay a CSV")
     sw.add_argument("-f", "--poly", required=False, default=None)
@@ -150,7 +149,8 @@ def build_parser() -> _Parser:
     sw.add_argument("--box-eq-p", action="store_true",
                     help="levels mode, without -X/-Y: use X = Y = p for each grid entry")
     sw.add_argument("--from-csv", default=None, help="re-emit records parsed from a CSV file")
-    sw.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
+    for sub in (ea, ep, sw):
+        sub.add_argument("--workers", type=_worker_count, help=_WORKERS_HELP)
     return ap
 
 
@@ -348,7 +348,7 @@ def _cmd_exp_a(args) -> int:
     deltas = tuple(args.delta) if args.delta else experiments.DEFAULT_DELTAS
     experiments.check_deltas(deltas)
     f = parse_poly(args.poly)
-    record = experiments.level_sweep(f, args.p, box, workers=args.workers)
+    record = experiments.level_sweep(f, args.p, box)
     if args.format == "csv":
         _emit_items("records", [record], "csv", args.out)
         return 0
@@ -418,7 +418,7 @@ def _cmd_sweep(args) -> int:
     for p, T, X, Y in entries:
         try:
             box = CountBox(X, Y)
-            records.append(experiments.level_sweep(f, p, box, workers=args.workers)
+            records.append(experiments.level_sweep(f, p, box)
                            if T is None else experiments.prime_sweep(f, T, box))
         except Exception as exc:  # noqa: BLE001 - a failed entry ends only itself
             label = f"p={p}" if T is None else f"T={T}"

@@ -43,9 +43,11 @@ one box (d = 1) and yields each reduced result in order, which callers sum
 evaluates the pieces of each run the cost rule gives the grid; the
 separable histogram bincounts sums over its pieces.  So memory stays
 bounded however large the box is, and the results do not depend on the
-worker count.  ``_sweep`` is the one place that makes a thread pool, and
-only the grid histogram asks for one: its long tiles are numpy work that
-runs outside the GIL, while every other walk runs in the calling thread,
+thread count.  ``_sweep`` is the one place that makes a thread pool, and
+only the grid histogram asks for one, of a size it picks itself: a thread
+per usable CPU while 2p <= HISTOGRAM_POINTS (p <= 2^17), else one, as each
+thread holds up to two tiles' bincounts of 2p bins.  Its long tiles are
+numpy work outside the GIL; every other walk runs in the calling thread,
 where a second thread only waits for the GIL.  The count walks (the grid
 count, the prime sweep, the zero set, the Moebius count) and the separable
 batches hold BLOCK_POINTS = 2^15 points, 256 KB per int64 array, an
@@ -257,10 +259,10 @@ def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, points: in
     the least of ``workers``, the tile count and :func:`_usable_cpus`, with
     at most two tiles per thread submitted and not yet yielded.  This is
     the only place a pool is made, and only :func:`_grid_histogram` asks
-    for one: its evaluation, mask and bincount are numpy calls on whole
-    tiles of HISTOGRAM_POINTS points, which run outside the GIL long
-    enough for threads to pay off.  The count walks take the default of
-    one worker.
+    for one, with a thread count it picks itself: its evaluation, mask and
+    bincount are numpy calls on whole tiles of HISTOGRAM_POINTS points,
+    which run outside the GIL long enough for threads to pay off.  The
+    count walks take the default of one worker.
     """
 
     def tile(piece):
@@ -716,17 +718,20 @@ class VisibleHistogram:
         return int(self.visible_counts.sum())
 
 
-def _grid_histogram(fmod: ModBivariatePoly, box: CountBox, workers: int = 1) -> VisibleHistogram:
+def _grid_histogram(fmod: ModBivariatePoly, box: CountBox,
+                    workers: int | None = None) -> VisibleHistogram:
     """Both per-level counts by one sweep over the grid.
 
     Each tile takes one bincount of 2 * f(x, y) + [gcd(x, y) = 1] over 2p
     bins, formed in place in the tile's values: the odd bins are the
-    visible counts, and the even plus the odd ones the level counts.
-    Tiles may be spread over several workers; their bincounts are summed as
-    they arrive, so the result is identical for any worker count and at
-    most 2 * workers tiles' bincounts are held at once.
+    visible counts, and the even plus the odd ones the level counts.  They
+    are summed in tile order, so the result is the same on any number of
+    threads, with at most 2 * workers held at once: by default one thread
+    per usable CPU while 2p <= HISTOGRAM_POINTS (p <= 2^17), else one.
     """
     p = fmod.p
+    if workers is None:
+        workers = _usable_cpus() if 2 * p <= HISTOGRAM_POINTS else 1
     primes = _sieve_primes(min(box.nx, box.ny))
 
     def bincounts(xs, ys, vals):
@@ -921,7 +926,7 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, plan: tuple) -> 
 
 
 def visible_histogram(
-    f: IntBivariatePoly, p: int, box: CountBox, workers: int = 1
+    f: IntBivariatePoly, p: int, box: CountBox, workers: int | None = None
 ) -> VisibleHistogram:
     """Both per-level counts over the box, by the cheaper of two routes.
 
@@ -932,11 +937,11 @@ def visible_histogram(
     and :func:`_separable_plan` picks it when its estimated time is below
     the grid's.  The two routes share neither the coprime sieve nor the
     bivariate evaluation, and agree exactly.  Only the grid spreads its
-    tiles over ``workers`` threads (:func:`_sweep`); the separable route
-    runs in the calling thread.  The counts never depend on the worker
-    count; a count below 1 raises ValueError on either route.
+    tiles over threads: ``workers``, or as many as :func:`_grid_histogram`
+    picks for None.  The counts never depend on their number, and a
+    ``workers`` below 1 raises ValueError on either route.
     """
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     fmod = reduce_mod(f, p)  # propagates DegenerateReduction
     box.validate_for(p)

@@ -13,8 +13,8 @@ to a scaling envelope:
 
 The envelopes carry unknown constant factors, so harnesses report ratios
 and never threshold them.  Deviation sums are accumulated with
-``math.fsum`` in a fixed order, making every reported float reproducible
-bit-for-bit across runs and worker counts.
+``math.fsum``, which rounds correctly in any order, making every reported
+float reproducible bit-for-bit across runs and thread counts.
 """
 
 from __future__ import annotations
@@ -141,28 +141,24 @@ def _require_admissible(f: IntBivariatePoly, p: int, a: int | None = None) -> No
         )
 
 
-def level_sweep(
-    f: IntBivariatePoly, p: int, box: CountBox, workers: int = 1
-) -> DiscrepancyRecord:
+def level_sweep(f: IntBivariatePoly, p: int, box: CountBox) -> DiscrepancyRecord:
     """Sum over every level a of |N_a - (6/pi^2) X Y / p| for one prime.
 
     Requires f itself absolutely irreducible of degree > 1 mod p; one
-    ``visible_histogram`` call supplies all p visible counts, by the grid
-    or, for f = g(U) + h(V), by convolutions of one-variable histograms.
+    ``visible_histogram`` call supplies all p visible counts, by the grid,
+    on as many threads as it picks, or, for f = g(U) + h(V), by
+    convolutions of one-variable histograms.  The deviations reach
+    ``math.fsum`` 2^16 at a time, so no list of p floats is built.
     """
     _require_admissible(f, p)
-    counts = visible_histogram(f, p, box, workers=workers).visible_counts.astype("int64")
+    counts = visible_histogram(f, p, box).visible_counts.astype("int64")
     main = expected_visible(box, p)
-    sum_abs_dev = math.fsum(abs(counts - main).tolist())
+    sum_abs_dev = math.fsum(d for k in range(0, p, 1 << 16)
+                            for d in abs(counts[k : k + (1 << 16)] - main).tolist())
     bound = math.sqrt(box.X) * math.sqrt(box.Y) * p**0.75 * math.log(p)
     return DiscrepancyRecord(
-        kind="levels",
-        f_text=f.text(),
-        p=p,
-        T=None,
-        a=None,
-        X=float(box.X),
-        Y=float(box.Y),
+        kind="levels", f_text=f.text(), p=p, T=None, a=None,
+        X=float(box.X), Y=float(box.Y),
         sum_abs_dev=sum_abs_dev,
         bound_value=bound,
         ratio=sum_abs_dev / bound,
@@ -289,7 +285,6 @@ def concentration_profiles(
     p: int,
     box: CountBox,
     deltas: tuple[float, ...] = DEFAULT_DELTAS,
-    workers: int = 1,
 ) -> list[ConcentrationProfile]:
     """Profiles at several thresholds from a single ``level_sweep``: for
     each delta, the fraction of levels a with |N_a - m| <= delta*m, m the
@@ -304,7 +299,7 @@ def concentration_profiles(
     Markov's inequality, 1 - fraction_within <= sum_abs_dev / (p*delta*m).
     """
     check_deltas(deltas)
-    return sweep_profiles(level_sweep(f, p, box, workers=workers), deltas)
+    return sweep_profiles(level_sweep(f, p, box), deltas)
 
 
 def integer_zero_set(f: IntBivariatePoly, box: CountBox) -> ZeroSetReport:

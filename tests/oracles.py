@@ -4,6 +4,7 @@ Everything here is deliberately naive pure-Python enumeration, sharing no
 code with the library paths under test.
 """
 
+import functools
 import itertools
 import math
 
@@ -118,3 +119,101 @@ def bad_levels_conic(terms, p):
         return r * (v * z - w * y) - s * (u * z - w * x) + t * (u * y - v * x)
 
     return {a for a in range(p) if det(a) % p == 0}
+
+
+def divides_mod(g, f, p):
+    """Whether g divides f modulo p (both term dicts {(i, j): c}), by long
+    division in the lex order with U first: a leading term of the rest that
+    the leading term of g does not divide stays in the remainder."""
+    g = {m: c % p for m, c in g.items() if c % p}
+    rest = {m: c % p for m, c in f.items() if c % p}
+    (gi, gj), inv = max(g), pow(g[max(g)], -1, p)
+    while rest:
+        i, j = max(rest)
+        if i < gi or j < gj:
+            return False
+        q = rest[i, j] * inv % p
+        for (a, b), c in g.items():
+            m = (a + i - gi, b + j - gj)
+            rest[m] = (rest.get(m, 0) - q * c) % p
+            if not rest[m]:
+                del rest[m]
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _gf_tables(p, k):
+    """Addition and multiplication tables of GF(p^k), modulo the monic
+    first_rootless_monic(p, k) (irreducible for k in (2, 3)); an element is
+    the integer whose base-p digits are its coefficients, constant first,
+    so the integers below p are F_p."""
+    modulus = first_rootless_monic(p, k)
+    digits = [[n // p**i % p for i in range(k)] for n in range(p**k)]
+
+    def encode(cs):
+        return sum(c % p * p**i for i, c in enumerate(cs))
+
+    def times(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for top in range(2 * k - 2, k - 1, -1):
+            c = prod[top]
+            for i, m in enumerate(modulus):
+                prod[top - k + i] -= c * m
+        return encode(prod[:k])
+
+    add = [[encode([x + y for x, y in zip(a, b)]) for b in digits] for a in digits]
+    mul = [[times(a, b) for b in digits] for a in digits]
+    return add, mul
+
+
+def _has_line_factor(terms, p, k, over_base):
+    """Whether a line U = g or V = a*U + g with coefficients in GF(p^k)
+    (in F_p when ``over_base``) divides f, of total degree d, k >= 2: f
+    then vanishes at d + 1 distinct points (t in 0, 1, ..., d) of the line,
+    and conversely, as f restricted to a line has degree <= d in t."""
+    add, mul = _gf_tables(p, k)
+    d = max(i + j for i, j in terms)
+
+    def f(u, v):
+        pu, pv, total = [1], [1], 0
+        for _ in range(d):
+            pu.append(mul[pu[-1]][u])
+            pv.append(mul[pv[-1]][v])
+        for (i, j), c in terms.items():
+            total = add[total][mul[c % p][mul[pu[i]][pv[j]]]]
+        return total
+
+    coefficients = range(p if over_base else p**k)
+    for g in coefficients:
+        if all(f(g, t) == 0 for t in range(d + 1)):
+            return True
+        if f(0, g) == 0 and any(all(f(t, add[mul[a][t]][g]) == 0 for t in range(1, d + 1))
+                                for a in coefficients):
+            return True
+    return False
+
+
+def verdict_lines(terms, p):
+    """(irreducible over F_p, absolutely irreducible) for f of total degree
+    2 or 3 modulo p.  Every factorisation of f then has a linear factor,
+    over F_p when f is reducible there; an f irreducible over F_p but not
+    absolutely is the product of the d conjugates of a line over F_{p^d}.
+    So f is irreducible over F_p
+    when no line over F_p divides it, and absolutely irreducible when no
+    line over F_{p^2} or F_{p^3} does."""
+    terms = {ij: c % p for ij, c in terms.items() if c % p}
+    if max(i + j for i, j in terms) not in (2, 3):
+        raise ValueError("a polynomial of total degree 2 or 3 modulo p")
+    if _has_line_factor(terms, p, 2, over_base=True):
+        return False, False
+    return True, not (_has_line_factor(terms, p, 2, False) or _has_line_factor(terms, p, 3, False))
+
+
+def bad_levels_lines(terms, p):
+    """The levels a in [0, p) at which f - a, of total degree 2 or 3 modulo
+    p, is not absolutely irreducible, by :func:`verdict_lines` at each."""
+    return {a for a in range(p)
+            if not verdict_lines({**terms, (0, 0): terms.get((0, 0), 0) - a}, p)[1]}

@@ -374,6 +374,22 @@ def test_workers_below_1_are_usage_errors(capsys):
             assert captured.err.startswith("usage error: argument --workers: "), captured.err
 
 
+def test_exp_a_prints_the_same_bytes_whatever_workers_says(monkeypatch, capsys):
+    # --workers is checked and changes nothing: the grid histogram of this
+    # non-separable f takes a thread per CPU (3 here, over 51 tiles) either way
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(counting, "HISTOGRAM_POINTS", 256)
+    argv = ["exp-a", "-f", "V^2 + U*V - U^3 - 1", "-p", "101", "-X", "101", "-Y", "101",
+            "--format", "json", "--delta", "0.1"]
+    outs = []
+    for workers in ([], ["--workers", "1"], ["--workers", "2"], ["--workers", "4"]):
+        assert main(argv + workers) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1:] == outs[:1] * 3
+    assert main(argv + ["--workers", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def _csv_body(text):
     return [ln for ln in text.splitlines() if not ln.startswith("#")]
 

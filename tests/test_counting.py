@@ -645,6 +645,44 @@ def test_sweep_pool_is_capped_by_the_cpus_and_the_tiles(monkeypatch):
     assert _RecordingPool.sizes == [3, 2, 2]
 
 
+def test_grid_histogram_takes_a_thread_per_cpu_while_2p_bins_fit_a_tile(monkeypatch):
+    # by default the grid takes min(CPUs, tiles) threads while 2p <=
+    # HISTOGRAM_POINTS and makes no pool above that; an explicit count keeps
+    # its meaning on either side
+    f = parse_poly("V^2 + U*V - U^3 - 1")
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
+
+    brute = {}
+
+    def sizes(p, X, Y, workers=None):
+        _RecordingPool.sizes.clear()
+        h = visible_histogram(f, p, CountBox(X, Y), workers)
+        if (p, X, Y) not in brute:
+            brute[p, X, Y] = histogram_brute(f.terms, p, X, Y)
+        assert (h.level_counts.tolist(), h.visible_counts.tolist()) == brute[p, X, Y]
+        return _RecordingPool.sizes
+
+    monkeypatch.setattr(counting, "HISTOGRAM_POINTS", 2 * 127)
+    assert counting._separable_plan(reduce_mod(f, 131), 131, 131) is None
+    for cpus in (1, 2, 3, 8):
+        monkeypatch.setattr(counting, "_usable_cpus", lambda: cpus)
+        pool = [] if cpus == 1 else [cpus]
+        assert sizes(101, 101, 101) == pool  # 51 tiles of 2 rows
+        assert sizes(127, 127, 3) == [min(cpus, 2)] * (cpus > 1)  # 2 tiles
+        assert sizes(131, 131, 131) == []  # 131 tiles, but 2p bins > a tile
+        assert sizes(101, 101, 101, workers=1) == []
+        assert sizes(131, 131, 131, workers=2) == [2] * (cpus > 1)
+    # the bound itself, 2^17, at the default tile of 2^18 points
+    monkeypatch.setattr(counting, "HISTOGRAM_POINTS", HISTOGRAM_POINTS)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 4)
+    for p, pool in ((131071, [2]), (131101, [])):  # 2^17 - 1 and the next prime
+        _RecordingPool.sizes.clear()
+        h = visible_histogram(f, p, CountBox(p, 3))  # 2 tiles
+        assert _RecordingPool.sizes == pool, p
+        assert h.level_counts.sum() == 3 * p
+
+
 #: the largest prime below 2^63
 PRIME_BELOW_2_63 = 2**63 - 25
 

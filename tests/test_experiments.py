@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from visiblepoints.experiments import (
     level_sweep,
     prime_sweep,
 )
-from visiblepoints.poly import IntBivariatePoly, _fits_int64, parse_poly
+from visiblepoints.poly import IntBivariatePoly, _fits_int64, parse_poly, reduce_mod
 
 from oracles import count_visible_brute, primes_brute
 
@@ -86,18 +87,11 @@ def test_level_sweep_matches_brute_force_mid_size():
 
 def test_level_sweep_keeps_its_counts_as_one_int64_array():
     box = CountBox(31, 31)
-    record = level_sweep(ELLIPTIC, 31, box, workers=2)
+    record = level_sweep(ELLIPTIC, 31, box)
     counts = record.visible_counts
     assert counts.dtype == np.int64 and counts.flags.c_contiguous
     assert counts.tolist() == [count_visible_brute(ELLIPTIC.terms, 31, a, 31, 31)
                                for a in range(31)]
-
-
-def test_level_sweeps_refuse_worker_counts_below_1():
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        level_sweep(ELLIPTIC, 13, CountBox(13, 13), workers=0)
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        concentration_profiles(ELLIPTIC, 13, CountBox(13, 13), workers=-5)
 
 
 def test_level_sweep_nontrivial_annotation():
@@ -466,11 +460,52 @@ def test_integer_zero_set_on_a_box_wider_than_a_tile():
     assert z.points == ((1, 270000), (2, 135000))
 
 
-def test_sum_reproducibility_bitwise():
-    rec1 = level_sweep(ELLIPTIC, 101, CountBox(101, 101), workers=1)
-    rec2 = level_sweep(ELLIPTIC, 101, CountBox(101, 101), workers=3)
-    assert rec1 == rec2
-    assert repr(rec1.sum_abs_dev) == repr(rec2.sum_abs_dev)
+class _CountingPool(concurrent.futures.ThreadPoolExecutor):
+    """The real thread pool, recording the max_workers of each one made."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+def test_sum_reproducibility_bitwise(monkeypatch):
+    # the grid histogram of a non-separable f takes a thread per CPU; on 1,
+    # 2 and 3 CPUs, over 51 tiles of 2 rows, the records and profiles agree
+    # bit for bit, and the pool really is made on 2 and 3
+    f, p, box = parse_poly("V^2 + U*V - U^3 - 1"), 101, CountBox(101, 101)
+    assert counting._separable_plan(reduce_mod(f, p), p, p) is None
+    monkeypatch.setattr(counting, "HISTOGRAM_POINTS", 256)
+    monkeypatch.setattr(_CountingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingPool)
+    records, profiles = [], []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(counting, "_usable_cpus", lambda: cpus)
+        records.append(level_sweep(f, p, box))
+        profiles.append(concentration_profiles(f, p, box, (0.05, 0.1, 0.5)))
+    assert _CountingPool.sizes == [2, 2, 3, 3]
+    for rec, prof in zip(records, profiles):
+        assert rec == records[0] and prof == profiles[0]
+        assert repr(rec.sum_abs_dev) == repr(records[0].sum_abs_dev)
+        assert rec.visible_counts.tolist() == records[0].visible_counts.tolist()
+    assert records[0].visible_counts.tolist() == [
+        count_visible_brute(f.terms, p, a, p, p) for a in range(p)]
+
+
+def test_level_sweep_sums_the_deviations_without_a_list_of_p_floats():
+    # a list of p Python floats for math.fsum took the peak to 6 * 8p bytes
+    p, box = 200003, CountBox(3, 3)
+    level_sweep(ELLIPTIC, 101, box)  # lazy imports first
+    tracemalloc.start()
+    try:
+        rec = level_sweep(ELLIPTIC, p, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * p, peak / (8 * p)
+    main = expected_visible(box, p)
+    assert rec.sum_abs_dev == math.fsum(abs(n - main) for n in rec.visible_counts.tolist())
 
 
 def test_density_constant_shared():

@@ -15,7 +15,13 @@ from visiblepoints.factor import (
 from visiblepoints.fields import ExtensionField, PrimeField
 from visiblepoints.poly import IntBivariatePoly, ModBivariatePoly, parse_poly, reduce_mod
 
-from oracles import bad_levels_conic, primes_brute
+from oracles import (
+    bad_levels_conic,
+    bad_levels_lines,
+    divides_mod,
+    primes_brute,
+    verdict_lines,
+)
 
 
 def _mod(text, p):
@@ -440,3 +446,71 @@ def test_bad_levels_run_the_verdict_only_at_candidates(monkeypatch):
     calls.clear()  # the other roots of the pencil's minor have nullity 1
     assert bad_level_values(parse_poly("U*V"), 10007) == {0}
     assert len(calls) == 1
+
+
+def _random_terms(rng, p, d):
+    """Seeded coefficients of a polynomial of total degree d modulo p."""
+    while True:
+        terms = {(i, j): rng.randrange(p) for i in range(d + 1) for j in range(d + 1 - i)}
+        terms = {ij: c for ij, c in terms.items() if c}
+        if any(i + j == d for i, j in terms):
+            return terms
+
+
+def _assert_verdict_matches_the_line_oracle(terms, p):
+    """The engine's verdict against :func:`verdict_lines`; its witness is
+    the extension degree d where f splits only over F_{p^d}, and a factor
+    that divides f where it names one over F_p."""
+    f = IntBivariatePoly(terms)
+    v = is_absolutely_irreducible(reduce_mod(f, p))
+    assert (v.irreducible_over_base, v.absolutely_irreducible) == verdict_lines(terms, p), (f, p)
+    if v.irreducible_over_base and not v.absolutely_irreducible:
+        assert v.witness == reduce_mod(f, p).degree, (f, p, v)
+    if isinstance(v.witness, str):
+        assert divides_mod(parse_poly(v.witness).terms, terms, p), (f, p, v)
+    return v
+
+
+def test_verdicts_equal_the_line_oracle():
+    rng = random.Random(2446)
+    seen = set()
+    for p in (2, 3, 5, 7):
+        for k in range(60):
+            v = _assert_verdict_matches_the_line_oracle(_random_terms(rng, p, 2 + k % 2), p)
+            seen.add((v.irreducible_over_base, v.absolutely_irreducible, type(v.witness)))
+    # every kind of verdict occurs: a named factor over F_p, a split only
+    # over an extension, and absolute irreducibility
+    assert {(False, False, str), (True, False, int), (True, True, type(None))} <= seen
+
+
+def test_bad_levels_equal_the_line_oracle():
+    rng = random.Random(704)
+    nonempty = 0
+    for p, n in ((2, 40), (3, 40), (5, 8), (7, 4)):
+        for _ in range(n):
+            terms = _random_terms(rng, p, 3)
+            bad = bad_levels_lines(terms, p)
+            assert bad_level_values(IntBivariatePoly(terms), p) == bad, (terms, p)
+            nonempty += bool(bad)
+    assert nonempty >= 20
+
+
+def test_line_oracle_fixtures():
+    # V^3 - U^3 has the factor V - U at every p, and at p = 3 every level
+    # is bad, as V^3 - U^3 - a = (V - U - a)^3; U^3 - 2*V^3 is irreducible
+    # over F_7, where 2 is not a cube, and splits into three conjugate lines
+    # over F_{7^3}; U^2 + V^2 splits over F_7 only in F_49
+    for p in (2, 3, 5, 7):
+        for text, bad in (("V^3 - U^3", set(range(p)) if p == 3 else {0}),
+                          ("V^2 - U^3 - U - 1", set())):
+            f = parse_poly(text)
+            assert bad_levels_lines(f.terms, p) == bad_level_values(f, p) == bad, (text, p)
+            _assert_verdict_matches_the_line_oracle(f.terms, p)
+    for text, p, expected in (("U^3 - 2*V^3", 7, (True, False)), ("U^2 + V^2", 7, (True, False)),
+                              ("U*V", 7, (False, False)), ("V^2 - U^3 - U - 1", 7, (True, True))):
+        assert verdict_lines(parse_poly(text).terms, p) == expected, text
+        _assert_verdict_matches_the_line_oracle(parse_poly(text).terms, p)
+    f = parse_poly("U^3 - 2*V^3")
+    assert bad_levels_lines(f.terms, 7) == bad_level_values(f, 7) == {0}
+    assert divides_mod({(1, 0): 1, (0, 1): 6}, {(3, 0): 6, (0, 3): 1}, 7)  # V - U | V^3 - U^3
+    assert not divides_mod({(1, 0): 1, (0, 1): 1}, {(3, 0): 6, (0, 3): 1}, 7)
