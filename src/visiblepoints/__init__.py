@@ -20,7 +20,9 @@ sieves load it when first called; ``errors``, ``fields``, ``factor``,
 ``poly`` and ``output`` do not.  In the CLI, ``count``, ``visible``,
 ``zeros``, ``exp-a``, ``exp-p`` and ``sweep`` load numpy; ``irred``,
 ``badset``, ``--help`` and the usage errors caught before a handler runs
-do not.
+load neither numpy nor ``dataclasses`` (only ``counting`` and
+``experiments`` define dataclasses), and ``json`` loads only where JSON is
+written.
 """
 
 import importlib

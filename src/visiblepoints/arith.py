@@ -14,7 +14,6 @@ CLI need, load without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -56,16 +55,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
 class MobiusTable:
     """Moebius function values mu(1..limit) as a signed-byte array.
 
     values[d] is +1/-1 for squarefree d with an even/odd number of prime
-    factors and 0 otherwise; index 0 is unused.
+    factors and 0 otherwise; index 0 is unused.  A plain class rather than
+    a dataclass: ``dataclasses`` loads ``inspect``, which the numpy-free
+    subcommands of the CLI would pay for at start-up.
     """
 
-    limit: int
-    values: np.ndarray
+    __slots__ = ("limit", "values")
+
+    def __init__(self, limit: int, values: np.ndarray):
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, *_):
+        raise AttributeError("MobiusTable is immutable")
+
+    def __repr__(self):
+        return f"MobiusTable(limit={self.limit})"
 
     def __getitem__(self, d: int) -> int:
         if not 1 <= d <= self.limit:

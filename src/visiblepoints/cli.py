@@ -6,8 +6,9 @@ real.  Output formats: table (default), json, and - for the record-emitting
 commands zeros/exp-a/exp-p/sweep - csv.
 
 Exit codes: 0 success, 2 usage error (bad flags, malformed polynomial,
-non-prime p, box out of range, a path that cannot be opened), 3 hypothesis
-violated, 4 degenerate reduction, 5 box too large for the requested T.
+non-prime p, box out of range, a path that cannot be opened, a bad set of
+every level above p = factor.MAX_ALL_LEVELS_PRIME), 3 hypothesis violated,
+4 degenerate reduction, 5 box too large for the requested T.
 sweep parses every --grid entry before it runs any, so a malformed or
 empty grid is a usage error that prints nothing.  It then runs the
 entries in order; each that fails writes one stderr line, such as
@@ -21,15 +22,15 @@ changes nothing: the level sweeps use the CPUs that taskset leaves them.
 count, visible, zeros, exp-a, exp-p and sweep import numpy inside their
 handlers (count and visible after parsing -f); irred, badset, --help and
 the usage errors of argument parsing and of the prime and box checks run
-without it.  The verdict engine (factor) and the record writers (output)
-are imported by the handlers that use them, so count and visible load
-neither.
+without it, and without dataclasses, which loads inspect.  json is imported
+only where JSON is written: by --format json and by the record writers
+(output).  The verdict engine (factor) and the record writers are imported
+by the handlers that use them, so count and visible load neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -182,7 +183,12 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _emit_payload(args, payload: dict, table: str) -> None:
-    _emit(json.dumps(payload, indent=2) if args.format == "json" else table, args.out)
+    if args.format == "json":
+        import json
+
+        _emit(json.dumps(payload, indent=2), args.out)
+    else:
+        _emit(table, args.out)
 
 
 def _records_table(records) -> str:
@@ -354,6 +360,8 @@ def _cmd_exp_a(args) -> int:
         return 0
     profiles = experiments.sweep_profiles(record, deltas)
     if args.format == "json":
+        import json
+
         doc = json.loads(output.records_to_json([record]))
         doc["concentration"] = [
             {"delta": pr.delta, "fraction_within": pr.fraction_within}

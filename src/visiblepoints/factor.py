@@ -62,17 +62,18 @@ gives it a second kernel vector.  Only the constant term of F = f - a
 depends on a, so its matrix is a linear pencil M(a) = M0 - a*N, N the
 matrix of (g, h) -> g_V - h_U.  Where some level has nullity 1, a bad level
 is a root of one (c - 1)-minor of the pencil that is not identically zero,
-c the number of columns.  All p levels get the verdict when p <= deg f, f
-is free of U or of V, or no level has nullity 1.  For fixed degree the bad
-set has a size bounded independently of p (Y. Stein, Israel J. Math. 68,
-1989).
+c the number of columns.  All p levels get the verdict when p <= deg f or
+no level has nullity 1, and an f free of U or of V of degree >= 2 has every
+level bad, with no verdict; above MAX_ALL_LEVELS_PRIME both are refused.
+For fixed degree the bad set has a size bounded independently of p (Y.
+Stein, Israel J. Math. 68, 1989).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import factorize
 from .errors import ConstantPolynomial
@@ -97,6 +98,11 @@ from .fields import (
     univariate_roots,
 )
 from .poly import IntBivariatePoly, ModBivariatePoly, reduce_mod
+
+#: the largest p at which bad_level_values lists every level, or gives every
+#: level the verdict, rather than raise ValueError: p levels take p lines of
+#: output, and p verdicts take minutes near this bound
+MAX_ALL_LEVELS_PRIME = 10**5
 
 # ---------------------------------------------------------------------------
 # bivariate polynomials as lists over the V-degree of U-polynomials
@@ -415,13 +421,13 @@ def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
 # public verdict operations
 
 
-@dataclass(frozen=True)
-class IrreducibilityVerdict:
+class IrreducibilityVerdict(NamedTuple):
     """Outcome of the absolute-irreducibility decision.
 
     ``witness`` is an int e > 1 (an extension degree over which a
     base-irreducible polynomial splits), a string describing a factor over
-    the base field, or None.
+    the base field, or None.  A named tuple rather than a dataclass, which
+    would load ``inspect`` for ``irred`` and ``badset``.
     """
 
     irreducible_over_base: bool
@@ -584,7 +590,8 @@ def _ruppert_rows(terms: dict, m: int, n: int, p: int) -> dict:
 
 def _candidate_levels(fm: ModBivariatePoly) -> list[int] | None:
     """The levels a at which :func:`bad_level_values` runs the exact verdict
-    on f - a, or None when it runs it at every level.
+    on f - a, or None when it runs it at every level (for f free of U or of
+    V, ``bad_level_values`` needs no verdict).
 
     f(0, 0) alone when Gao's certificate accepts the support of f plus a
     constant term, none when f has degree 1.  Otherwise, for p > deg f and
@@ -629,13 +636,25 @@ def _candidate_levels(fm: ModBivariatePoly) -> list[int] | None:
     return [a for a in levels if eliminate(a)[1] < c - 1]
 
 
+def _every_level(p: int, why: str) -> range:
+    """All p levels; above MAX_ALL_LEVELS_PRIME, a ValueError that names p,
+    the bound and why."""
+    if p > MAX_ALL_LEVELS_PRIME:
+        raise ValueError(f"p = {p}: {why} above p = {MAX_ALL_LEVELS_PRIME}")
+    return range(p)
+
+
 def bad_level_values(f: IntBivariatePoly, p: int) -> set[int]:
     """The residues a for which f - a is not absolutely irreducible mod p.
 
-    Every level of :func:`_candidate_levels` gets the exact verdict of
+    When f reduced mod p has degree >= 2 and is free of U or of V, every
+    level is bad: f - a is a polynomial of degree >= 2 in one variable, so
+    a product of linear factors over the algebraic closure.  Otherwise every
+    level of :func:`_candidate_levels` gets the exact verdict of
     :func:`is_absolutely_irreducible`, and every level does where that
-    returns None: when p <= deg f, f is free of U or of V, or no level has
-    nullity 1.
+    returns None: when p <= deg f or no level has nullity 1.  Above
+    ``MAX_ALL_LEVELS_PRIME``, a bad set that would list every level or give
+    every level the verdict raises ValueError instead.
 
     Why the candidates hold every bad level, for p > deg f and f in both U
     and V.  Let F = f - a, of bidegree (m, n), and M(a) the matrix of
@@ -666,9 +685,12 @@ def bad_level_values(f: IntBivariatePoly, p: int) -> set[int]:
     degree (Y. Stein, Israel J. Math. 68, 1989).
     """
     fm = reduce_mod(f, p)
+    if fm.degree > 1 and not (fm.deg_u and fm.deg_v):
+        return set(_every_level(p, f"every level of {f.text()} is bad, too many to list"))
     levels = _candidate_levels(fm)
     if levels is None:
-        levels = range(p)
+        levels = _every_level(p, f"the bad set of {f.text()} needs a verdict at every "
+                                 "level, too many to run")
     return {
         a for a in levels
         if not is_absolutely_irreducible(fm.subtract_const(a)).absolutely_irreducible

@@ -4,11 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from visiblepoints import counting
 from visiblepoints.cli import main
 from visiblepoints.poly import parse_poly, reduce_mod
 
 ROOT = Path(__file__).resolve().parents[1]
+E = "V^2 - U^3 - U - 1"
 
 
 def _bodies(path):
@@ -505,3 +508,50 @@ def test_closed_stdout_ends_without_a_traceback():
     assert proc.wait(timeout=120) == 1
     assert b"Traceback" not in err, err
     assert len(head) == 10 and full.startswith(head)
+
+
+#: (argv, exit code) of inputs at the edge of what the CLI accepts; each
+#: must end with its code, without a traceback, under ADVERSARIAL_CAP bytes
+#: of address space within ADVERSARIAL_TIMEOUT seconds.  Left out until
+#: ROADMAP item 5 bounds the level sweep's memory: `exp-a -f E -p 3037000493
+#: -X 3 -Y 3`, whose 2p-bin grid histogram ends in an untyped
+#: _ArrayMemoryError (exit 1).
+ADVERSARIAL_ARGV = [
+    (["exp-p", "-f", E, "-T", "1e25", "-X", "3", "-Y", "3"], 2),
+    (["exp-p", "-f", E, "-T", "1e12", "-X", "3", "-Y", "3"], 2),
+    (["badset", "-f", "U", "-p", "10000000019"], 0),
+    (["badset", "-f", "U^3*V^3 + U + V", "-p", "2305843009213693951"], 0),
+    (["badset", "-f", "U^2", "-p", "2305843009213693951"], 2),
+    (["badset", "-f", "U^2*V^2 + U*V + 3", "-p", "2305843009213693951"], 2),
+    (["exp-a", "-f", E, "-p", "101", "-X", "10", "-Y", "10", "--workers", "0"], 2),
+    (["irred", "-f", E, "-p", "2305843009213693953"], 2),  # 3 divides 2^61 + 1
+    # the cap leaves room for the benchmark's full level sweep
+    (["exp-a", "-f", E, "-p", "4003", "-X", "4003", "-Y", "4003", "--format", "json"], 0),
+]
+ADVERSARIAL_CAP = 1 << 30
+ADVERSARIAL_TIMEOUT = 10
+
+
+def _capped():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (ADVERSARIAL_CAP, ADVERSARIAL_CAP))
+
+
+@pytest.mark.parametrize("argv, code", ADVERSARIAL_ARGV,
+                         ids=[" ".join(argv) for argv, _ in ADVERSARIAL_ARGV])
+def test_adversarial_argv_end_with_their_code_under_a_memory_cap(argv, code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"  # native thread pools reserve address space per thread
+    try:
+        proc = subprocess.run([sys.executable, "-m", "visiblepoints.cli", *argv],
+                              capture_output=True, env=env, preexec_fn=_capped,
+                              timeout=ADVERSARIAL_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"still running after {ADVERSARIAL_TIMEOUT} s")
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+    assert proc.returncode == code, proc.stderr.decode()

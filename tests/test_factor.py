@@ -4,7 +4,7 @@ import pytest
 
 from visiblepoints import factor
 from visiblepoints.arith import factorize
-from visiblepoints.errors import ConstantPolynomial
+from visiblepoints.errors import ConstantPolynomial, DegenerateReduction
 from visiblepoints.factor import (
     _gao_certificate,
     _reducible_over,
@@ -396,6 +396,75 @@ def test_bad_levels_at_the_degree_and_the_next_prime():
         loop = _loop_bad_levels(fm)
         assert cands is not None and loop <= set(cands), text
         assert bad_level_values(parse_poly(text), q) == loop, text
+
+
+def _random_one_variable(rng, p):
+    """A polynomial that reduces mod p to one free of U or of V: one
+    variable with some coefficients divisible by p, and terms in the other
+    variable or in both whose coefficients are multiples of p."""
+    var = rng.choice((0, 1))
+    terms = {}
+    for k in range(rng.randint(1, 6) + 1):
+        c = rng.randint(-9, 9) if rng.random() < 0.7 else p * rng.randint(-2, 2)
+        terms[(k, 0) if var == 0 else (0, k)] = c
+    for _ in range(rng.randint(0, 2)):
+        i, j = rng.randint(0, 3), rng.randint(1, 3)
+        terms[(i, j) if var == 0 else (j, i)] = p * rng.randint(1, 3)
+    return IntBivariatePoly({ij: c for ij, c in terms.items() if c})
+
+
+UNIVARIATE_PRIMES = (2, 3, 5, 7, 11, 13, 31)
+
+
+def test_bad_levels_of_one_variable_take_no_verdict(monkeypatch):
+    # f mod p free of U or of V: f - a of degree >= 2 splits into linear
+    # factors over the closure, so every level is bad; degree 1 has none
+    fixtures = [(parse_poly(text), p) for text, p in (
+        ("3*U^2 + U", 3),           # reduces to U
+        ("2*V^4 + V + 1", 2),       # reduces to V + 1
+        ("5*V^3 + 5*U*V + V", 5),   # reduces to V
+        ("U^2 + 2*U*V", 2),         # reduces to U^2
+        ("U^3 + 3*V^2", 3),         # U^p, inseparable
+        ("V^7 + 7*U", 7),           # V^p
+        ("U^31 + 1", 31),
+    )]
+    rng = random.Random(29)
+    for p in UNIVARIATE_PRIMES:
+        fixtures += [(_random_one_variable(rng, p), p) for _ in range(6)]
+    verdicts = []
+
+    def counted(fm):
+        verdicts.append(fm)
+        return is_absolutely_irreducible(fm)
+
+    monkeypatch.setattr(factor, "is_absolutely_irreducible", counted)
+    seen = set()
+    for f, p in fixtures:
+        try:
+            fm = reduce_mod(f, p)
+        except DegenerateReduction:
+            continue
+        assert not (fm.deg_u and fm.deg_v), (f, p)
+        loop = _loop_bad_levels(fm)
+        assert loop == (set(range(p)) if fm.degree > 1 else set()), (f, p)
+        assert bad_level_values(f, p) == loop, (f, p)
+        seen.add((p, min(fm.degree, 2)))
+    assert verdicts == []
+    assert seen >= {(p, 2) for p in UNIVARIATE_PRIMES} | {(2, 1), (3, 1), (5, 1)}
+
+
+@pytest.mark.parametrize("text", [
+    "U^2",                  # every level bad: the closed form lists them
+    "V^3 + 1",
+    "U^2*V^2 + U*V + 3",    # no level of nullity 1: a verdict at every level
+])
+def test_bad_sets_of_every_level_are_refused_above_the_bound(monkeypatch, text):
+    monkeypatch.setattr(factor, "MAX_ALL_LEVELS_PRIME", 13)
+    assert bad_level_values(parse_poly(text), 13) == set(range(13))
+    with pytest.raises(ValueError, match=r"^p = 17: .* above p = 13$"):
+        bad_level_values(parse_poly(text), 17)
+    # a bad set from the candidates is not limited
+    assert bad_level_values(parse_poly("V^3 - U^3"), 17) == {0}
 
 
 def test_bad_levels_equal_the_conic_oracle():

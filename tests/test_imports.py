@@ -125,6 +125,60 @@ def test_a_prime_sweep_makes_no_pool():
     assert not POOL_MODULES & modules
 
 
+#: what dataclasses loads with it: numpy loads inspect too, but a command
+#: that needs no numpy must pay for none of them at start-up
+INSPECT_CHAIN = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+#: (argv, exit code, whether json may load); [] imports the CLI alone
+IMPORT_BUDGET = (
+    ([], None, False),
+    (["--help"], 0, False),
+    (["irred", "-f", E, "-p", "307"], 0, False),
+    (["irred", "-f", E, "-p", "307", "--format", "json"], 0, True),
+    (["badset", "-f", E, "-p", "307"], 0, False),
+    (["badset", "-f", "U^2", "-p", "31"], 0, False),
+    (["badset", "-f", E, "-p", "307", "--format", "json"], 0, True),
+    (["irred", "-f", "V^^2", "-p", "307"], 2, False),
+    (["count", "-f", E, "-p", "308", "-a", "1", "-X", "5", "-Y", "5"], 2, False),
+    (["count", "-f", E, "-p", "307", "-a", "1", "-X", "500", "-Y", "5"], 2, False),
+    (["badset", "-p", "307"], 2, False),
+)
+
+# Reads its argv from sys.argv, and prints the exit code and then the modules
+# it loaded after start-up, after a marker line, so that the child itself
+# loads no json.
+_BUDGET_CHILD = r"""
+import sys
+before = set(sys.modules)
+from visiblepoints import cli
+code = None
+if sys.argv[1:]:
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        code = exc.code
+sys.stdout.write("\n--modules--\n%r\n%s\n" % (code, " ".join(sorted(set(sys.modules) - before))))
+"""
+
+
+@pytest.mark.parametrize("argv, code, json_ok", IMPORT_BUDGET,
+                         ids=[" ".join(argv) or "import" for argv, _, _ in IMPORT_BUDGET])
+def test_numpy_free_commands_load_no_dataclasses_and_json_only_to_write_it(argv, code, json_ok):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", _BUDGET_CHILD, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got_code, modules = proc.stdout.rpartition("\n--modules--\n")[2].splitlines()
+    modules = set(modules.split())
+    assert got_code == repr(code)
+    assert not INSPECT_CHAIN & modules
+    assert "numpy" not in modules
+    assert ("json" in modules) == json_ok
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from visiblepoints import *", namespace)
