@@ -46,14 +46,19 @@ print(json.dumps({"numpy_loaded": numpy_loaded, "results": results}))
 """
 
 
-def _child(mode: str) -> dict:
+def _env() -> dict:
+    """The environment of a child interpreter: this checkout's library first."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _child(mode: str) -> dict:
     argvs = json.dumps([argv for argv, _ in NUMPY_FREE])
     proc = subprocess.run([sys.executable, "-c", _CHILD, mode, argvs],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -84,12 +89,8 @@ POOL_MODULES = {"concurrent.futures", "logging"}
 def _modules_after(argvs) -> tuple[list, set]:
     """Exit codes of the argvs, run in order in one fresh interpreter, and
     the modules loaded at the end."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run([sys.executable, "-c", _COUNTING_CHILD, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     return doc["codes"], set(doc["modules"])
@@ -164,12 +165,8 @@ sys.stdout.write("\n--modules--\n%r\n%s\n" % (code, " ".join(sorted(set(sys.modu
 @pytest.mark.parametrize("argv, code, json_ok", IMPORT_BUDGET,
                          ids=[" ".join(argv) or "import" for argv, _, _ in IMPORT_BUDGET])
 def test_numpy_free_commands_load_no_dataclasses_and_json_only_to_write_it(argv, code, json_ok):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run([sys.executable, "-c", _BUDGET_CHILD, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     got_code, modules = proc.stdout.rpartition("\n--modules--\n")[2].splitlines()
     modules = set(modules.split())
