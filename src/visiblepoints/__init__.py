@@ -11,7 +11,8 @@ The package provides:
   Moebius inclusion-exclusion) plus a per-level histogram, by one grid
   sweep or, for f = g(U) + h(V), by Moebius-weighted convolutions;
 * experiment harnesses measuring averaged discrepancies against the
-  6/pi^2 density heuristic, with stable CSV/JSON output and a CLI.
+  6/pi^2 density heuristic, their records as a table, stable CSV or JSON,
+  and a CLI.
 
 The public names below load their submodule on first access (PEP 562), so
 ``import visiblepoints`` imports no submodule and no numpy.  Of the
@@ -20,9 +21,10 @@ sieves load it when first called; ``errors``, ``fields``, ``factor``,
 ``poly`` and ``output`` do not.  In the CLI, ``count``, ``visible``,
 ``zeros``, ``exp-a``, ``exp-p`` and ``sweep`` load numpy; ``irred``,
 ``badset``, ``--help`` and the usage errors caught before a handler runs
-load neither numpy nor ``dataclasses`` (only ``counting`` and
-``experiments`` define dataclasses), and ``json`` loads only where JSON is
-written.
+load neither numpy nor ``dataclasses`` (only ``counting``, ``experiments``
+and ``output`` define dataclasses), and ``json`` loads only where JSON is
+written.  ``output`` defines the record types and writes every record
+format, so ``sweep --from-csv`` loads no numpy.
 """
 
 import importlib
@@ -40,13 +42,13 @@ _SUBMODULE_NAMES = {
     "errors": ("BoxTooLarge", "ConstantPolynomial", "DegenerateReduction", "GridOverflow",
                "HypothesisViolated", "IdenticallyZero", "NonFiniteParameter",
                "PolynomialParseError", "UsageError", "VisiblePointsError"),
-    "experiments": ("DEFAULT_DELTAS", "ConcentrationProfile", "CountDeviation",
-                    "DiscrepancyRecord", "ZeroSetReport", "concentration_profiles",
+    "experiments": ("DEFAULT_DELTAS", "CountDeviation", "concentration_profiles",
                     "count_deviation", "integer_zero_set", "level_sweep", "prime_sweep"),
     "factor": ("IrreducibilityVerdict", "bad_level_values", "is_absolutely_irreducible",
                "is_irreducible_bivariate"),
     "fields": ("ExtensionField", "PrimeField", "univariate_roots"),
-    "output": ("read_csv", "records_to_csv", "records_to_json", "zero_reports_to_csv",
+    "output": ("ConcentrationProfile", "DiscrepancyRecord", "ZeroSetReport", "read_csv",
+               "records_to_csv", "records_to_json", "render", "zero_reports_to_csv",
                "zero_reports_to_json"),
     "poly": ("IntBivariatePoly", "ModBivariatePoly", "parse_poly", "reduce_mod"),
 }

@@ -21,11 +21,19 @@ if TYPE_CHECKING:
 
 _SEGMENT_SIZE = 1 << 18  # segment length for the segmented prime sieve
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: psi_13, the least strong pseudoprime to all of _MR_BASES (Sorenson and
+#: Webster, Math. Comp. 86, 2017): Miller-Rabin to them decides n below it
+PRIME_TEST_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (trial division, Miller-Rabin above 1e6)."""
+    """Deterministic primality test: trial division below 1e6, Miller-Rabin
+    to the 13 prime bases 2..41 up to ``PRIME_TEST_BOUND``, and a
+    ValueError naming the bound at and above it."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"{n} is too large to test for primality: the test is "
+                         f"deterministic only below {PRIME_TEST_BOUND}")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13):
@@ -38,7 +46,6 @@ def is_prime(n: int) -> bool:
                 return False
             i += 2
         return True
-    # Miller-Rabin with a base set deterministic far beyond 64-bit inputs.
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

@@ -6,9 +6,10 @@ real.  Output formats: table (default), json, and - for the record-emitting
 commands zeros/exp-a/exp-p/sweep - csv.
 
 Exit codes: 0 success, 2 usage error (bad flags, malformed polynomial,
-non-prime p, box out of range, a path that cannot be opened, a bad set of
-every level above p = factor.MAX_ALL_LEVELS_PRIME), 3 hypothesis violated,
-4 degenerate reduction, 5 box too large for the requested T.
+non-prime p, p at or above arith.PRIME_TEST_BOUND, box out of range, a
+path that cannot be opened, a bad set of every level above p =
+factor.MAX_ALL_LEVELS_PRIME), 3 hypothesis violated, 4 degenerate
+reduction, 5 box too large for the requested T.
 sweep parses every --grid entry before it runs any, so a malformed or
 empty grid is a usage error that prints nothing.  It then runs the
 entries in order; each that fails writes one stderr line, such as
@@ -19,13 +20,15 @@ with the code of its first failure's error type (1 for a type outside
 this list).  --workers (exp-a, exp-p, sweep) must be an integer >= 1 and
 changes nothing: the level sweeps use the CPUs that taskset leaves them.
 
-count, visible, zeros, exp-a, exp-p and sweep import numpy inside their
-handlers (count and visible after parsing -f); irred, badset, --help and
-the usage errors of argument parsing and of the prime and box checks run
-without it, and without dataclasses, which loads inspect.  json is imported
-only where JSON is written: by --format json and by the record writers
-(output).  The verdict engine (factor) and the record writers are imported
-by the handlers that use them, so count and visible load neither.
+The record commands write through ``output.render``.  count, visible,
+zeros, exp-a, exp-p and sweep import numpy inside their handlers (count
+and visible after parsing -f), but sweep --from-csv loads none.  irred,
+badset, --help and the usage errors of argument parsing and of the prime
+and box checks run without numpy, and without dataclasses, which loads
+inspect.  json is imported only where JSON is written: by --format json
+and by the record writers (output).  The verdict engine (factor) and the
+record writers are imported by the handlers that use them, so count and
+visible load neither.
 """
 
 from __future__ import annotations
@@ -191,54 +194,6 @@ def _emit_payload(args, payload: dict, table: str) -> None:
         _emit(table, args.out)
 
 
-def _records_table(records) -> str:
-    lines = []
-    for r in records:
-        key = f"p={r.p}" if r.kind == "levels" else f"T={r.T} a={r.a}"
-        lines.append(
-            f"[{r.kind}] f={r.f_text} {key} X={r.X} (floor {int(r.X)}) "
-            f"Y={r.Y} (floor {int(r.Y)})"
-        )
-        lines.append(
-            f"  sum_abs_dev={r.sum_abs_dev!r} bound={r.bound_value!r} "
-            f"ratio={r.ratio!r} nontrivial_box={r.box_nontrivial}"
-        )
-        if r.skipped_primes:
-            lines.append("  skipped primes: " + ", ".join(map(str, r.skipped_primes)))
-    return "\n".join(lines) + "\n"
-
-
-def _zero_sets_table(reports) -> str:
-    return "\n".join(
-        f"{len(r.points)} integer zeros: " + " ".join(f"({u},{v})" for u, v in r.points)
-        for r in reports
-    )
-
-
-def _emit_items(kind: str, items, fmt: str, path: str | None) -> None:
-    """Write discrepancy records or zero sets (``kind`` as
-    ``output.read_csv`` names them) in the format fmt."""
-    from . import output
-
-    writers = {
-        "records": {"csv": output.records_to_csv, "json": output.records_to_json,
-                    "table": _records_table},
-        "zero_sets": {"csv": output.zero_reports_to_csv, "json": output.zero_reports_to_json,
-                      "table": _zero_sets_table},
-    }
-    _emit(writers[kind][fmt](items), path)
-
-
-def _load_experiments():
-    """The experiments module, loaded after factor and output, as when the
-    CLI imported those two at its top: loaded after numpy instead, they
-    raise the peak RSS of exp-a and exp-p by about 1.4 MB."""
-    from . import factor, output  # noqa: F401 - the order of loading only
-    from . import experiments
-
-    return experiments
-
-
 # The benchmark's traced mode rebinds these three names on this module, so
 # the handlers call them here; each loads counting, and numpy, when called.
 def count_level_points(*args, **kwargs):
@@ -335,19 +290,18 @@ def _cmd_badset(args) -> int:
 
 def _cmd_zeros(args) -> int:
     f = parse_poly(args.poly)
-    experiments = _load_experiments()
+    from . import experiments, output
     from .counting import CountBox
 
     report = experiments.integer_zero_set(f, CountBox(args.X, args.Y))
-    _emit_items("zero_sets", [report], args.format, args.out)
+    _emit(output.render("zero_sets", [report], args.format), args.out)
     return 0
 
 
 def _cmd_exp_a(args) -> int:
     if args.delta and args.format == "csv":
         raise UsageError("--delta needs --format json or table; csv prints no fractions")
-    experiments = _load_experiments()
-    from . import output
+    from . import experiments, output
     from .counting import CountBox
 
     box = CountBox(args.X, args.Y)
@@ -355,33 +309,18 @@ def _cmd_exp_a(args) -> int:
     experiments.check_deltas(deltas)
     f = parse_poly(args.poly)
     record = experiments.level_sweep(f, args.p, box)
-    if args.format == "csv":
-        _emit_items("records", [record], "csv", args.out)
-        return 0
-    profiles = experiments.sweep_profiles(record, deltas)
-    if args.format == "json":
-        import json
-
-        doc = json.loads(output.records_to_json([record]))
-        doc["concentration"] = [
-            {"delta": pr.delta, "fraction_within": pr.fraction_within}
-            for pr in profiles
-        ]
-        _emit(json.dumps(doc, indent=2), args.out)
-    else:
-        _emit(_records_table([record]) + "".join(
-            f"  within {pr.delta:>5}: fraction {pr.fraction_within!r}\n" for pr in profiles
-        ), args.out)
+    profiles = () if args.format == "csv" else experiments.sweep_profiles(record, deltas)
+    _emit(output.render("records", [record], args.format, profiles), args.out)
     return 0
 
 
 def _cmd_exp_p(args) -> int:
     f = parse_poly(args.poly)
-    experiments = _load_experiments()
+    from . import experiments, output
     from .counting import CountBox
 
     record = experiments.prime_sweep(f, args.T, CountBox(args.X, args.Y))
-    _emit_items("records", [record], args.format, args.out)
+    _emit(output.render("records", [record], args.format), args.out)
     return 0
 
 
@@ -391,7 +330,7 @@ def _cmd_sweep(args) -> int:
 
         with _open(args.from_csv) as fh:
             kind, items = output.read_csv(fh.read())
-        _emit_items(kind, items, args.format, args.out)
+        _emit(output.render(kind, items, args.format), args.out)
         return 0
     if not (args.poly and args.mode and args.grid):
         raise UsageError("sweep needs either --from-csv or -f/--mode/--grid")
@@ -399,7 +338,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--box-eq-p sets X = Y = p in levels mode; it takes no -X/-Y "
                          "and no --mode primes")
     f = parse_poly(args.poly)
-    experiments = _load_experiments()
+    from . import experiments, output
     from .counting import CountBox
 
     entries = []  # (p, T, X, Y): p for a levels entry, T for a primes entry
@@ -432,7 +371,7 @@ def _cmd_sweep(args) -> int:
             label = f"p={p}" if T is None else f"T={T}"
             sys.stderr.write(f"sweep point {label} failed: {type(exc).__name__}: {exc}\n")
             first_failure = first_failure or exc
-    _emit_items("records", records, args.format, args.out)
+    _emit(output.render("records", records, args.format), args.out)
     if records or first_failure is None:
         return 0
     return next((code for types, _, code in _EXIT_CODES if isinstance(first_failure, types)), 1)

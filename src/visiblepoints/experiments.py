@@ -15,15 +15,21 @@ The envelopes carry unknown constant factors, so harnesses report ratios
 and never threshold them.  Deviation sums are accumulated with
 ``math.fsum``, which rounds correctly in any order, making every reported
 float reproducible bit-for-bit across runs and thread counts.
+
+The records' types and formats live in ``output``.  This module imports
+``factor`` and ``output`` ahead of ``counting``, which loads numpy, and no
+numpy itself: loaded after numpy, those two raised the peak RSS of exp-a
+and exp-p by about 1.4 MB, and numpy loaded ahead of them by about 1 MB.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from .arith import primes_in_range
+from .factor import is_absolutely_irreducible
+from .output import ConcentrationProfile, DiscrepancyRecord, ZeroSetReport
 from .counting import (
     CountBox,
     LevelCurveSpec,
@@ -41,13 +47,7 @@ from .errors import (
     HypothesisViolated,
     NonFiniteParameter,
 )
-from .factor import is_absolutely_irreducible
 from .poly import IntBivariatePoly, reduce_mod
-
-# numpy is loaded by counting: loaded here, ahead of it, it raised the peak
-# RSS of exp-a and exp-p by about 1 MB
-if TYPE_CHECKING:
-    import numpy as np
 
 #: default relative thresholds for concentration profiles
 DEFAULT_DELTAS = (0.1, 0.25, 0.5)
@@ -59,38 +59,6 @@ MAX_SWEEP_PRIMES = 10**7
 
 
 @dataclass(frozen=True)
-class DiscrepancyRecord:
-    """One row of an experiment sweep.
-
-    ``sum_abs_dev`` is the measured sum of |N - (6/pi^2) X Y / p|,
-    ``bound_value`` the evaluated scaling envelope, ``ratio`` their
-    quotient.  ``box_nontrivial`` records whether X*Y >= (p or T)^(3/2),
-    the regime where the averaged statements carry content; it is an
-    annotation, never a pass/fail.  ``per_prime`` keeps the individual
-    (p, N) terms of a prime sweep and ``visible_counts`` the p per-level
-    counts N_a of a level sweep, as one contiguous int64 array; neither is
-    serialized or compared.
-    """
-
-    kind: str  # "levels" or "primes"
-    f_text: str
-    p: int | None
-    T: float | None
-    a: int | None
-    X: float
-    Y: float
-    sum_abs_dev: float
-    bound_value: float
-    ratio: float
-    skipped_primes: tuple[int, ...] = ()
-    box_nontrivial: bool = False
-    per_prime: tuple[tuple[int, int], ...] = field(
-        default=(), compare=False, repr=False
-    )
-    visible_counts: np.ndarray | tuple[()] = field(default=(), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
 class CountDeviation:
     """A single curve's count against the main term X*Y/p."""
 
@@ -98,28 +66,6 @@ class CountDeviation:
     main_term: float
     abs_dev: float
     normalized: float
-
-
-@dataclass(frozen=True)
-class ConcentrationProfile:
-    """Fraction of levels a whose visible count sits within a relative
-    delta of the expected value."""
-
-    p: int
-    X: float
-    Y: float
-    delta: float
-    fraction_within: float
-
-
-@dataclass(frozen=True)
-class ZeroSetReport:
-    """Exact integer zeros of f inside the box."""
-
-    f_text: str
-    X: float
-    Y: float
-    points: tuple[tuple[int, int], ...]
 
 
 def _require_admissible(f: IntBivariatePoly, p: int, a: int | None = None) -> None:

@@ -138,14 +138,30 @@ STRONG_PSEUDOPRIMES = (
     (2047, (23, 89), (2,)),
     (3215031751, (151, 751, 28351), (2, 3, 5, 7)),
     (3825123056546413051, (149491, 747451, 34233211), (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    # psi_12 and psi_13 (Sorenson and Webster, Math. Comp. 86, 2017)
+    (318665857834031151167461, (399165290221, 798330580441),
+     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (3317044064679887385961981, (1287836182261, 2575672364521),
+     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
 
 
 def test_is_prime_refuses_strong_pseudoprimes():
+    # psi_13 fools every base that is_prime tries, so it is refused unjudged
     for n, factors, bases in STRONG_PSEUDOPRIMES:
         assert math.prod(factors) == n
         assert all(_strong_probable_prime(n, a) for a in bases), n
-        assert not is_prime(n), n
+        if n < arith.PRIME_TEST_BOUND:
+            assert not is_prime(n), n
+    assert STRONG_PSEUDOPRIMES[-1][0] == arith.PRIME_TEST_BOUND
+    with pytest.raises(ValueError, match=rf"^{arith.PRIME_TEST_BOUND} is too large to test "
+                                         rf"for primality: .* only below {arith.PRIME_TEST_BOUND}$"):
+        is_prime(arith.PRIME_TEST_BOUND)
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(2**89 - 1)
+    # between psi_12 and psi_13 primes are still decided: 10^24 + 7 is the
+    # least prime above 10^24 (OEIS A033874)
+    assert [k for k in range(30) if is_prime(10**24 + k)] == [7]
 
 
 def test_is_prime_refuses_carmichael_numbers():

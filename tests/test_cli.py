@@ -525,6 +525,13 @@ ADVERSARIAL_ARGV = [
     (["badset", "-f", "U^2*V^2 + U*V + 3", "-p", "2305843009213693951"], 2),
     (["exp-a", "-f", E, "-p", "101", "-X", "10", "-Y", "10", "--workers", "0"], 2),
     (["irred", "-f", E, "-p", "2305843009213693953"], 2),  # 3 divides 2^61 + 1
+    # psi_12, a strong pseudoprime to the bases 2 to 37, was taken for a
+    # prime; the last two rows are the seed-1 findings of tests/fuzz_argv.py
+    (["badset", "-f", "V^3 - U^3 - 1", "-p", "318665857834031151167461"], 2),
+    (["irred", "-f", "V^3 - U^3 - 1", "-p", "318665857834031151167461", "--format", "json"], 2),
+    (["badset", "-f", "V^2 - U^3", "-p", "318665857834031151167461"], 2),
+    # 2^89 - 1 lies above psi_13, below which primality is decided
+    (["badset", "-f", "V^3 - U^3 - 1", "-p", str(2**89 - 1)], 2),
     # the cap leaves room for the benchmark's full level sweep
     (["exp-a", "-f", E, "-p", "4003", "-X", "4003", "-Y", "4003", "--format", "json"], 0),
 ]

@@ -188,3 +188,37 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         visiblepoints.no_such_name
     assert not hasattr(visiblepoints, "no_such_name")
+
+
+#: a CSV as `sweep --mode levels --out` writes it
+LEVELS_CSV = """\
+# schema=1
+# generated=2026-01-01T00:00:00+00:00
+kind,f,p,T,a,X,Y,sum_abs_dev,bound_value,ratio,skipped_primes,box_nontrivial
+levels,-U^3 + V^2 - U - 1,7,,,7.0,7.0,10.744510287021814,58.619802810994955,0.1832914778247349,,true
+"""
+
+
+def test_a_replayed_csv_loads_no_numpy(tmp_path):
+    # output defines the records it reads back, so the replay needs no
+    # experiments and no counting
+    path = tmp_path / "levels.csv"
+    path.write_text(LEVELS_CSV)
+    proc = subprocess.run([sys.executable, "-c", _BUDGET_CHILD, "sweep", "--from-csv",
+                           str(path), "--format", "json"],
+                          capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out, _, tail = proc.stdout.rpartition("\n--modules--\n")
+    code, modules = tail.splitlines()
+    assert code == "0" and json.loads(out)["records"][0]["p"] == 7
+    assert "numpy" not in modules.split()
+    assert "visiblepoints.experiments" not in modules.split()
+
+
+def test_the_record_types_resolve_from_the_package_and_from_experiments():
+    from visiblepoints import experiments, output
+
+    for name in ("ConcentrationProfile", "DiscrepancyRecord", "ZeroSetReport"):
+        assert getattr(visiblepoints, name) is getattr(output, name)
+        assert getattr(experiments, name) is getattr(output, name)
+        assert getattr(output, name).__module__ == "visiblepoints.output"

@@ -1,20 +1,27 @@
+import contextlib
+import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+from visiblepoints.cli import main
 from visiblepoints.counting import CountBox
 from visiblepoints.experiments import integer_zero_set, level_sweep, prime_sweep, sweep_profiles
 from visiblepoints.output import (
+    RECORD_COLUMNS,
     read_csv,
     records_to_csv,
     records_to_json,
+    render,
     zero_reports_to_csv,
     zero_reports_to_json,
 )
 from visiblepoints.poly import parse_poly
 
-ELLIPTIC = parse_poly("V^2 - U^3 - U - 1")
+E = "V^2 - U^3 - U - 1"
+ELLIPTIC = parse_poly(E)
 
 
 def _records():
@@ -45,21 +52,21 @@ def test_read_csv_refuses_text_it_did_not_write():
         ("", "no CSV content found"),
         ("# only a comment\n\n", "no CSV content found"),
         ("kind,f,p\nlevels,U,5\n", "unrecognized CSV header: ['kind', 'f', 'p']"),
+        (",".join(RECORD_COLUMNS) + "\nlevels,U,7\n",
+         "CSV row ['levels', 'U', '7'] has 3 fields, its header 12"),
     ):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             read_csv(text)
 
 
 def test_csv_body_stable_without_timestamp():
+    # the timestamp is confined to the second line, so the bodies after it
+    # of two runs are equal
     records = _records()
-    a = records_to_csv(records, timestamp=False)
-    b = records_to_csv(records, timestamp=False)
-    assert a == b
-    with_stamp = records_to_csv(records)
-    body = [ln for ln in with_stamp.splitlines() if not ln.startswith("#")]
-    body2 = [ln for ln in a.splitlines() if not ln.startswith("#")]
-    assert body == body2
-    assert with_stamp.splitlines()[0] == "# schema=1"
+    a, b = records_to_csv(records).splitlines(), records_to_csv(records).splitlines()
+    assert a[0] == "# schema=1" and a[1].startswith("# generated=")
+    assert a[2:] == b[2:]
+    assert a[2].split(",") == RECORD_COLUMNS and len(a) == 2 + 1 + len(records)
 
 
 def test_json_schema_and_fields():
@@ -89,3 +96,59 @@ def test_zero_report_round_trip():
     doc = json.loads(zero_reports_to_json(reports))
     assert doc["schema"] == 1
     assert doc["zero_sets"][0]["points"][0] == [1, 1]
+
+
+#: (case, argv) of every record command in every format; a name ending in
+#: .csv is a file in the test's directory, written by the two --out cases
+RECORD_ARGV = [
+    *[(f"exp-a {fmt}", ["exp-a", "-f", E, "-p", "13", "-X", "13", "-Y", "13",
+                        "--delta", "0.3", "--format", fmt]) for fmt in ("table", "json")],
+    ("exp-a csv", ["exp-a", "-f", E, "-p", "13", "-X", "13", "-Y", "13", "--format", "csv"]),
+    *[(f"exp-p {fmt}", ["exp-p", "-f", "31*V^2 - U^3 - U - 1", "-T", "60", "-X", "10",
+                        "-Y", "10", "--format", fmt]) for fmt in ("table", "json", "csv")],
+    *[(f"zeros {fmt}", ["zeros", "-f", "V^2 - U^3", "-X", "100", "-Y", "1000",
+                        "--format", fmt]) for fmt in ("table", "json", "csv")],
+    *[(f"sweep {fmt}", ["sweep", "-f", E, "--mode", "levels", "--grid", "7,8,13",
+                        "--box-eq-p", "--format", fmt]) for fmt in ("table", "json", "csv")],
+    ("sweep --out", ["sweep", "-f", E, "--mode", "levels", "--grid", "7,8,13", "--box-eq-p",
+                     "--out", "levels.csv"]),
+    ("zeros --out", ["zeros", "-f", "U*V - 6", "-X", "9", "-Y", "9", "--format", "csv",
+                     "--out", "zeros.csv"]),
+    *[(f"replay {kind} {fmt}", ["sweep", "--from-csv", f"{kind}.csv", "--format", fmt])
+      for kind in ("levels", "zeros") for fmt in ("table", "json", "csv")],
+]
+#: each case's exit code, stdout without its "# generated=" line, and stderr,
+#: as the commands wrote them before the record types and the table writers
+#: moved into output
+RECORD_STDOUT = Path(__file__).with_name("record_stdout.json")
+
+
+def run_record_argv(tmp_path) -> dict:
+    runs = {}
+    for case, argv in RECORD_ARGV:
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        stdout = "".join(ln for ln in out.getvalue().splitlines(keepends=True)
+                         if not ln.startswith("# generated="))
+        runs[case] = [code, stdout, err.getvalue()]
+    return runs
+
+
+def test_every_record_command_writes_the_recorded_bytes(tmp_path):
+    assert run_record_argv(tmp_path) == json.loads(RECORD_STDOUT.read_text())
+
+
+def test_render_refuses_profiles_where_no_format_holds_them():
+    record = level_sweep(ELLIPTIC, 13, CountBox(13, 13))
+    profiles = sweep_profiles(record, (0.3,))
+    assert '"concentration"' in render("records", [record], "json", profiles)
+    assert '"concentration"' not in render("records", [record], "json")
+    assert render("records", [record], "table", profiles).endswith(
+        "  within   0.3: fraction 0.5384615384615384\n")
+    report = integer_zero_set(parse_poly("U*V"), CountBox(3, 3))
+    for kind, items, fmt in (("records", [record], "csv"), ("zero_sets", [report], "json"),
+                             ("zero_sets", [report], "table")):
+        with pytest.raises(ValueError, match=rf"^{kind} in {fmt} hold no concentration"):
+            render(kind, items, fmt, profiles)
