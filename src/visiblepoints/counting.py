@@ -7,17 +7,17 @@ Moebius route sums mu(d) * M(d), where M(d) counts the points of
 f(d*s, d*t) = a on the shrunken box [1, X/d] x [1, Y/d], and never takes a
 gcd.  They must agree exactly on every input; the test suite enforces
 this.  The squarefree d with equal shrunken boxes form runs, about
-2 * sqrt(min(X, Y)) of them, and each run is cut like any other box
-(below): the small boxes of a run are counted together in evaluations of
-shape (d, s, t), and the few large ones (d <= 10 on 2000^2) a tile at a
-time, all in pieces of at most BLOCK_POINTS points.
+2 * sqrt(min(X, Y)) of them.
 
-Every single-level count (a level count, the direct count, each M(d) box)
-takes the grid or the rows by one cost rule, ``_prefers_rows``, fitted to
-timings of both: the grid costs about nx * ny * (1 + w) for f with w
-V-powers, the rows of V-degree k about log p * (R + nx * k^2), times about
-2.5 on the per-row part and log2(nx) rounds on the fixed part when the
-roots must be split apart (ny < p, or the gcd filter).
+Every single-level count is one function, ``_count``, over a run of d with
+a weight each: a level count and the direct count are the run (1), M(d)
+the run (d), and the Moebius sum one run per shrunken box, weighted by
+mu(d).  It takes the grid or the rows for the whole run by one cost rule,
+``_prefers_rows``, fitted to timings of both: the grid costs about
+nx * ny * (1 + w) for f with w V-powers, the rows of V-degree k about
+log p * (R + nx * k^2), times about 2.5 on the per-row part and log2(nx)
+rounds on the fixed part when the roots must be split apart (ny < p, or
+the gcd filter).
 
 The per-level histogram, ``visible_histogram``, has two routes.  The grid
 evaluates f, sieves the coprime mask and bincounts at every point.  When
@@ -37,19 +37,19 @@ Every blocked walk cuts its boxes with one generator, ``_pieces``: a box,
 or a run of equal shrunken boxes of several d with a weight each, becomes
 pieces of at most ``points`` points in d-then-row-major order, whole boxes
 together while they fit and a larger box one d at a time, in tiles of
-whole rows or of a segment of one row.  ``_sweep`` evaluates the pieces of
-one box (d = 1) and yields each reduced result in order, which callers sum
-(counts, histograms) or concatenate (zero sets); the Moebius count
-evaluates the pieces of each run the cost rule gives the grid; the
-separable histogram bincounts sums over its pieces.  So memory stays
-bounded however large the box is, and the results do not depend on the
-thread count.  ``_sweep`` is the one place that makes a thread pool, and
-only the grid histogram asks for one, of a size it picks itself: a thread
-per usable CPU while 2p <= HISTOGRAM_POINTS (p <= 2^17), else one, as each
-thread holds up to two tiles' bincounts of 2p bins.  Its long tiles are
-numpy work outside the GIL; every other walk runs in the calling thread,
-where a second thread only waits for the GIL.  The count walks (the grid
-count, the prime sweep, the zero set, the Moebius count) and the separable
+whole rows or of a segment of one row.  ``_sweep`` is the one walk that
+evaluates f over a box: it evaluates each piece of a run at (d*s, d*t),
+one plane per d, and yields each reduced result in order, which callers
+sum (the grid counts of ``_count``, histograms, the prime sweep) or
+concatenate (zero sets).  The separable histogram bincounts sums over its
+pieces, read from two axis tables.  So memory stays bounded however large
+the box is, and the results do not depend on the thread count.
+``_sweep`` is the one place that makes a thread pool, and only the grid
+histogram asks for one, of a size it picks itself: a thread per usable
+CPU while 2p <= HISTOGRAM_POINTS (p <= 2^17), else one, as each thread
+holds up to two tiles' bincounts of 2p bins.  Its long tiles are numpy
+work outside the GIL; every other walk runs in the calling thread, where a
+second thread only waits for the GIL.  The count walks and the separable
 batches hold BLOCK_POINTS = 2^15 points, 256 KB per int64 array, an
 L2-sized working set; the histogram's tiles hold HISTOGRAM_POINTS = 2^18,
 as each takes a bincount of 2p bins, which would dominate smaller tiles at
@@ -133,6 +133,8 @@ HISTOGRAM_POINTS = 1 << 18
 #: holds at its peak, for rows of V-degree k with k + 1 coefficients: 12 to
 #: 15 by tracemalloc for k = 1 to 8, with and without the root split
 _ROW_WORDS = 15
+#: the run (1) with weight 1, the default of every walk: the box itself
+_ONE = np.ones(1, dtype=np.int64)
 
 # Constants of the cost rule (_prefers_rows), in seconds, fitted to
 # in-process timings of both strategies on one core: the grid per point and
@@ -247,18 +249,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, points: int | None = None):
-    """reduce_tile(xs, ys, evaluate(xs, ys)) for each tile of the grid
-    [1, nx] x [1, ny], yielded in row-major order.  The tiles are the
-    pieces of the box of d = 1 (:func:`_pieces`) of at most ``points``
-    points: BLOCK_POINTS by default, for the count walks, which keep a few
-    tile-sized arrays live; HISTOGRAM_POINTS for the histogram.  xs and ys
-    are int64 ranges, and the evaluator gets them as a column and a row.
+def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1,
+           points: int | None = None, ds=_ONE, weights=_ONE):
+    """The one walk that evaluates f over a box: reduce_tile(weights, s, t,
+    evaluate(d*s, d*t)) for each piece (ds, weights, ...) of the run ``ds`` of
+    equal shrunken boxes [1, nx] x [1, ny] (:func:`_pieces`), yielded in
+    order; the default run (1) is the box itself.  s and t are int64
+    ranges, and the values have shape (len(ds), len(s), len(t)), a plane
+    per d.  Pieces hold at most ``points`` points: BLOCK_POINTS by default,
+    for the count walks; HISTOGRAM_POINTS for the histogram.
 
-    With more than one worker the tiles go to a pool of as many threads as
-    the least of ``workers``, the tile count and :func:`_usable_cpus`, with
-    at most two tiles per thread submitted and not yet yielded.  This is
-    the only place a pool is made, and only :func:`_grid_histogram` asks
+    With more than one worker the pieces go to a pool of as many threads as
+    the least of ``workers``, the piece count and :func:`_usable_cpus`,
+    with at most two pieces per thread submitted and not yet yielded.  This
+    is the only place a pool is made, and only :func:`_grid_histogram` asks
     for one, with a thread count it picks itself: its evaluation, mask and
     bincount are numpy calls on whole tiles of HISTOGRAM_POINTS points,
     which run outside the GIL long enough for threads to pay off.  The
@@ -266,13 +270,13 @@ def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1, points: in
     """
 
     def tile(piece):
-        _, _, x0, x1, y0, y1 = piece
-        xs = np.arange(x0 + 1, x1 + 1, dtype=np.int64)
-        ys = np.arange(y0 + 1, y1 + 1, dtype=np.int64)
-        return reduce_tile(xs, ys, evaluate(xs[:, None], ys[None, :]))
+        ds, weights, s0, s1, t0, t1 = piece
+        xs = np.arange(s0 + 1, s1 + 1, dtype=np.int64)
+        ys = np.arange(t0 + 1, t1 + 1, dtype=np.int64)
+        d = ds[:, None, None]
+        return reduce_tile(weights, xs, ys, evaluate(d * xs[:, None], d * ys[None, :]))
 
-    one = np.ones(1, dtype=np.int64)
-    tiles = _pieces(one, one, nx, ny, points)
+    tiles = _pieces(ds, weights, nx, ny, points)
     workers = min(int(workers), _usable_cpus())
     if workers > 1:  # no more threads than tiles
         first = list(islice(tiles, workers))
@@ -315,16 +319,6 @@ def _coprime_mask(xs: np.ndarray, ys: np.ndarray, primes) -> np.ndarray:
     for step, r, c in zip(q[hit].tolist(), r0[hit].tolist(), c0[hit].tolist()):
         mask[r::step, c::step] = False
     return mask
-
-
-def _count_grid(fmod: ModBivariatePoly, a: int, nx: int, ny: int, coprime_only: bool) -> int:
-    def hits(xs, ys, vals):
-        if not coprime_only:
-            return int(np.count_nonzero(vals == a))
-        i, j = np.divmod(np.flatnonzero(vals == a), len(ys))
-        return int(np.count_nonzero(np.gcd(xs[i], ys[j]) == 1))
-
-    return sum(_sweep(fmod.evaluate, nx, ny, hits))
 
 
 def _row_degrees(A: np.ndarray) -> np.ndarray:
@@ -461,9 +455,8 @@ def _split_rows(S: np.ndarray, deg: np.ndarray, p: int) -> list:
 def _coprimes_up_to(x: int, ny: int) -> int:
     """#{y in [1, ny] : gcd(x, y) = 1}, by np.gcd over the pieces of the
     row [1, ny] (:func:`_pieces`)."""
-    one = np.ones(1, dtype=np.int64)
     return sum(int(np.count_nonzero(np.gcd(x, np.arange(t0 + 1, t1 + 1)) == 1))
-               for *_, t0, t1 in _pieces(one, one, 1, ny))
+               for *_, t0, t1 in _pieces(_ONE, _ONE, 1, ny))
 
 
 def _count_row_tile(level: ModBivariatePoly, xs: np.ndarray, ny: int, coprime_only: bool) -> int:
@@ -597,17 +590,37 @@ def _prefers_rows(level: ModBivariatePoly, nx: int, ny: int, split: bool) -> boo
 
 
 def _count(fmod: ModBivariatePoly, a: int, nx: int, ny: int, coprime_only: bool,
-           strategy: str = "auto") -> int:
-    """Points of fmod = a in [1, nx] x [1, ny], all or only those with
-    gcd(x, y) = 1, by the strategy given or the one :func:`_prefers_rows`
-    picks."""
+           strategy: str = "auto", ds=_ONE, weights=_ONE) -> int:
+    """The one single-level count: the sum over the d of the run ``ds`` of
+    w(d) * #{(s, t) in [1, nx] x [1, ny] : fmod(d*s, d*t) = a}, w(d) in
+    ``weights`` (both int64 arrays), of all points or, for the default run
+    (1) alone, of those with gcd(s, t) = 1.
+
+    The strategy given, or the one :func:`_prefers_rows` picks once for the
+    run, counts every d.  The rows take the roots of f(d*U, d*V) - a
+    (``scale_args``), as the row engine needs a polynomial in V; the grid
+    evaluates f at (d*s, d*t) over the pieces of the run (:func:`_sweep`),
+    the small boxes of several d in one evaluation.  A piece of one d is
+    counted flat, as a count along axes is slower on it.
+    """
     if strategy not in ("auto", "grid", "rows"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy != "grid":
         level = _row_level(fmod, a)
         if strategy == "rows" or _prefers_rows(level, nx, ny, coprime_only or ny < fmod.p):
-            return _count_rows(level, nx, ny, coprime_only)
-    return _count_grid(fmod, a, nx, ny, coprime_only)
+            return sum(w * _count_rows(_row_level(fmod.scale_args(d % fmod.p), a), nx, ny,
+                                       coprime_only)
+                       for d, w in zip(ds.tolist(), weights.tolist()))
+
+    def hits(ws, xs, ys, vals):
+        if coprime_only:
+            i, j = np.divmod(np.flatnonzero(vals == a), len(ys))
+            return int(np.count_nonzero(np.gcd(xs[i], ys[j]) == 1))
+        if len(ws) == 1:
+            return int(ws[0]) * int(np.count_nonzero(vals == a))
+        return int(np.dot(ws, np.count_nonzero(vals == a, axis=(1, 2))))
+
+    return sum(_sweep(fmod.evaluate, nx, ny, hits, ds=ds, weights=weights))
 
 
 def count_level_points(spec: LevelCurveSpec, box: CountBox, strategy: str = "auto") -> int:
@@ -625,7 +638,7 @@ def count_level_points(spec: LevelCurveSpec, box: CountBox, strategy: str = "aut
 def count_divisible(spec: LevelCurveSpec, box: CountBox, d: int) -> int:
     """M(d): points of the level curve in the box whose coordinate gcd is
     divisible by d; equals the level count of f(d*s, d*t) on the shrunken
-    box [1, X/d] x [1, Y/d], by the strategy the cost rule picks.  Zero
+    box [1, X/d] x [1, Y/d], the count of the one-element run (d).  Zero
     whenever d exceeds min(X, Y)."""
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -633,7 +646,7 @@ def count_divisible(spec: LevelCurveSpec, box: CountBox, d: int) -> int:
     nx, ny = box.nx // d, box.ny // d
     if nx <= 0 or ny <= 0:
         return 0
-    return _count(spec.fmod.scale_args(d % spec.p), spec.a, nx, ny, False)
+    return _count(spec.fmod, spec.a, nx, ny, False, ds=np.array([d], dtype=np.int64))
 
 
 def count_visible_direct(spec: LevelCurveSpec, box: CountBox) -> int:
@@ -642,20 +655,6 @@ def count_visible_direct(spec: LevelCurveSpec, box: CountBox) -> int:
     cost rule picks."""
     box.validate_for(spec.p)
     return _count(spec.fmod, spec.a, box.nx, box.ny, True)
-
-
-def _mobius_batch(fmod: ModBivariatePoly, a: int, piece) -> int:
-    """sum of mu(d) * #{(s, t) in piece : f(d*s, d*t) = a} over the d of a
-    piece (ds, mus, s0, s1, t0, t1) of :func:`_pieces`, in one evaluation
-    of shape (len(ds), s1 - s0, t1 - t0); a piece of one d is counted flat,
-    as a count along axes is slower on it."""
-    ds, mus, s0, s1, t0, t1 = piece
-    s, t = np.arange(s0 + 1, s1 + 1, dtype=np.int64), np.arange(t0 + 1, t1 + 1, dtype=np.int64)
-    d = ds[:, None, None]
-    hits = fmod.evaluate(d * s[:, None], d * t[None, :]) == a
-    if len(ds) == 1:
-        return int(mus[0]) * int(np.count_nonzero(hits))
-    return int(np.dot(mus, np.count_nonzero(hits, axis=(1, 2))))
 
 
 def _shrunken_runs(nx: int, ny: int) -> list:
@@ -677,24 +676,16 @@ def count_visible_mobius(spec: LevelCurveSpec, box: CountBox) -> int:
     M(d) vanishes beyond that.  Must equal count_visible_direct on every
     input.
 
-    The d with equal shrunken boxes (X // d, Y // d), a run of consecutive
-    squarefree d (:func:`_shrunken_runs`), share one cost: when the cost
-    rule picks the rows for that box, each d is one :func:`count_divisible`;
-    otherwise the run is cut into pieces (:func:`_pieces`), small boxes of
-    several d together and large ones a tile at a time, and each piece is
-    one evaluation (:func:`_mobius_batch`).  About 2 * sqrt(min(X, Y))
-    boxes exist, so the per-d cost of a small box is one row of a batch.
+    The d with equal shrunken boxes (X // d, Y // d) form a run of
+    consecutive squarefree d (:func:`_shrunken_runs`), about
+    2 * sqrt(min(X, Y)) of them, and each run is one :func:`_count` with
+    the weights mu(d): the rows or the grid for the whole run, the grid
+    counting the small boxes of several d in one evaluation, so the per-d
+    cost of a small box is one plane of a batch.
     """
     box.validate_for(spec.p)
-    level = _row_level(spec.fmod, spec.a)
-    total = 0
-    for n, m, ds, mus in _shrunken_runs(box.nx, box.ny):
-        if _prefers_rows(level, n, m, m < spec.p):
-            total += sum(mu * count_divisible(spec, box, d)
-                         for d, mu in zip(ds.tolist(), mus.tolist()))
-        else:
-            total += sum(_mobius_batch(spec.fmod, spec.a, piece) for piece in _pieces(ds, mus, n, m))
-    return total
+    return sum(_count(spec.fmod, spec.a, n, m, False, ds=ds, weights=mus)
+               for n, m, ds, mus in _shrunken_runs(box.nx, box.ny))
 
 
 def expected_visible(box: CountBox, p: int) -> float:
@@ -734,7 +725,7 @@ def _grid_histogram(fmod: ModBivariatePoly, box: CountBox,
         workers = _usable_cpus() if 2 * p <= HISTOGRAM_POINTS else 1
     primes = _sieve_primes(min(box.nx, box.ny))
 
-    def bincounts(xs, ys, vals):
+    def bincounts(_, xs, ys, vals):
         vals *= 2
         vals += _coprime_mask(xs, ys, primes)
         return np.bincount(vals.ravel(), minlength=2 * p)
@@ -1025,8 +1016,8 @@ def count_visible_by_prime(
     sieve = _sieve_primes(min(box.nx, box.ny))
     tests = [_congruence_test(p, a % p) for p in primes]
 
-    def counts(xs, ys, vals):
-        visible = vals[_coprime_mask(xs, ys, sieve)].view(np.uint64)
+    def counts(_, xs, ys, vals):
+        visible = vals[0][_coprime_mask(xs, ys, sieve)].view(np.uint64)
         del vals
         work = np.empty_like(visible)
         return np.array([np.count_nonzero(_congruent(visible, t, work)) for t in tests],

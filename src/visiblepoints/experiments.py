@@ -133,19 +133,20 @@ def prime_sweep(f: IntBivariatePoly, T: float, box: CountBox) -> DiscrepancyReco
     from one sweep over the box that evaluates f over Z when
     B = sum |c_ij| X^i Y^j < 2^63, and otherwise from one count modulo
     each prime.  Each is the faster exact route on its side of that test.
-    On one core of a 2-core Xeon, the 73 primes of T = 1000 took 0.57 s
-    per prime against 0.66 s for one sweep in Python ints for
-    U^19 + V^2 - 4*U^3 - 1 on 500 x 500 (B >= 2^63), and 0.49 s per prime
-    against 0.02 s for the int64 sweep for V^2 - U^3 - U - 1 on the same
-    box (0.46 s for its 560 primes of T = 10^4 on 1000 x 1000).
+    In process on one core of a 2-core Xeon (Python 3.11, numpy 2.4;
+    medians), the 73 per-prime counts of T = 1000 on 500 x 500 took 0.25 s
+    in all for U^19 + V^2 - 4*U^3 - 1 (B >= 2^63), against 1.03 s for one
+    sweep in Python ints with its 73 congruence counts; for
+    V^2 - U^3 - U - 1 they took 0.22 s in all, against 26 ms for the int64
+    sweep (0.52 s for its 560 primes of T = 10^4 on 1000 x 1000).
 
     Everything runs in the calling thread: the verdicts are pure Python,
     and the int64 sweep and the per-prime counts many short numpy calls,
-    so a second thread only waits for the GIL.  On the same machine the 73
-    verdicts of V^3 - U^3 - 1 took 1.1 to 1.6x longer on two threads, and
-    the int64 sweep of V^2 - U^3 - U - 1 took 19 ms against 26 ms on two
-    threads at T = 1000 on 500 x 500, 0.46 s against 0.73 s at T = 10^4 on
-    1000 x 1000 (medians).
+    so a second thread only waits for the GIL.  In an earlier measurement
+    on the same machine the 73 verdicts of V^3 - U^3 - 1 took 1.1 to 1.6x
+    longer on two threads, and the int64 sweep of V^2 - U^3 - U - 1 took
+    19 ms against 26 ms on two threads at T = 1000 on 500 x 500, 0.46 s
+    against 0.73 s at T = 10^4 on 1000 x 1000 (medians).
     """
     if not math.isfinite(T):
         raise NonFiniteParameter(f"T = {T} is not finite")
@@ -260,7 +261,7 @@ def integer_zero_set(f: IntBivariatePoly, box: CountBox) -> ZeroSetReport:
     if f.is_zero():
         raise ValueError("zero set of the zero polynomial is the whole box")
 
-    def zeros(xs, ys, vals):
+    def zeros(_, xs, ys, vals):
         i, j = divmod((vals == 0).ravel().nonzero()[0], len(ys))
         return zip(xs[i].tolist(), ys[j].tolist())
 

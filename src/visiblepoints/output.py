@@ -1,6 +1,7 @@
 """The experiment records, ``DiscrepancyRecord``, ``ConcentrationProfile``
 and ``ZeroSetReport``, and every format they are written in: table, CSV and
-JSON, all through ``render``.  ``read_csv`` reads the CSV back without numpy.
+JSON, all through ``render``.  ``read_csv`` reads the CSV back without numpy,
+and refuses a row the writers would not emit.
 
 CSV layout (schema 1): two comment lines (`# schema=1`, `# generated=...`)
 followed by a fixed header row and one data row per record.  Floats are
@@ -235,39 +236,68 @@ def zero_reports_to_json(reports: list[ZeroSetReport]) -> str:
     )
 
 
+def _cell(row: dict[str, str], column: str, parse):
+    """parse(row[column]), any ValueError naming the column."""
+    try:
+        return parse(row[column])
+    except ValueError as exc:
+        raise ValueError(f"column {column}: {exc}") from None
+
+
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"{text!r} is neither true nor false")
+    return text == "true"
+
+
+def _point(pair: str) -> tuple[int, int]:
+    try:
+        u, v = pair.split(":")  # a ValueError unless one colon
+        return int(u), int(v)
+    except ValueError:
+        raise ValueError(f"point {pair!r} is not two integers joined by one colon") from None
+
+
 def _parse_record(row: dict[str, str]) -> DiscrepancyRecord:
+    kind = row["kind"]
+    if kind not in ("levels", "primes"):
+        raise ValueError(f"column kind: {kind!r} is neither levels nor primes")
+    need, other = ("p", "T") if kind == "levels" else ("T", "p")
+    if not row[need] or row[other]:
+        column = other if row[need] else need
+        raise ValueError(f"column {column}: a {kind} row needs {need} and no {other}")
     return DiscrepancyRecord(
-        kind=row["kind"],
+        kind=kind,
         f_text=row["f"],
-        p=int(row["p"]) if row["p"] else None,
-        T=float(row["T"]) if row["T"] else None,
-        a=int(row["a"]) if row["a"] else (0 if row["kind"] == "primes" else None),
-        X=float(row["X"]),
-        Y=float(row["Y"]),
-        sum_abs_dev=float(row["sum_abs_dev"]),
-        bound_value=float(row["bound_value"]),
-        ratio=float(row["ratio"]),
-        skipped_primes=tuple(
-            int(p) for p in row["skipped_primes"].split(";") if p
-        ),
-        box_nontrivial=row["box_nontrivial"] == "true",
+        p=_cell(row, "p", int) if row["p"] else None,
+        T=_cell(row, "T", float) if row["T"] else None,
+        a=_cell(row, "a", int) if row["a"] else (0 if kind == "primes" else None),
+        X=_cell(row, "X", float),
+        Y=_cell(row, "Y", float),
+        sum_abs_dev=_cell(row, "sum_abs_dev", float),
+        bound_value=_cell(row, "bound_value", float),
+        ratio=_cell(row, "ratio", float),
+        skipped_primes=_cell(row, "skipped_primes",
+                             lambda text: tuple(int(p) for p in text.split(";") if p)),
+        box_nontrivial=_cell(row, "box_nontrivial", _flag),
     )
 
 
 def _parse_zeroset(row: dict[str, str]) -> ZeroSetReport:
-    points = tuple(
-        tuple(int(c) for c in pair.split(":")) for pair in row["points"].split(";") if pair
-    )
-    return ZeroSetReport(
-        f_text=row["f"], X=float(row["X"]), Y=float(row["Y"]), points=points
-    )
+    points = _cell(row, "points", lambda text: tuple(map(_point, filter(None, text.split(";")))))
+    if _cell(row, "n_points", int) != len(points):
+        raise ValueError(f"column n_points: {row['n_points']}, but the points column holds "
+                         f"{len(points)}")
+    return ZeroSetReport(row["f"], _cell(row, "X", float), _cell(row, "Y", float), points)
 
 
 def read_csv(text: str) -> tuple[str, list]:
     """Parse CSV emitted by this module.
 
     Returns ("records", [...DiscrepancyRecord]) or ("zero_sets",
-    [...ZeroSetReport]) depending on the header row.
+    [...ZeroSetReport]) depending on the header row.  A row this module
+    would not write raises ValueError naming its 1-based data row and the
+    column at fault.
     """
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     if not lines:
@@ -276,9 +306,16 @@ def read_csv(text: str) -> tuple[str, list]:
     for row in rows:
         if len(row) != len(header):
             raise ValueError(f"CSV row {row} has {len(row)} fields, its header {len(header)}")
-    rows = [dict(zip(header, row)) for row in rows]
     if header == RECORD_COLUMNS:
-        return "records", [_parse_record(r) for r in rows]
-    if header == ZEROSET_COLUMNS:
-        return "zero_sets", [_parse_zeroset(r) for r in rows]
-    raise ValueError(f"unrecognized CSV header: {header}")
+        kind, parse = "records", _parse_record
+    elif header == ZEROSET_COLUMNS:
+        kind, parse = "zero_sets", _parse_zeroset
+    else:
+        raise ValueError(f"unrecognized CSV header: {header}")
+    items = []
+    for number, row in enumerate(rows, 1):
+        try:
+            items.append(parse(dict(zip(header, row))))
+        except ValueError as exc:
+            raise ValueError(f"CSV data row {number}, {exc}") from None
+    return kind, items

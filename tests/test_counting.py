@@ -265,6 +265,25 @@ def test_mobius_over_many_one_cell_boxes(monkeypatch, route):
 
 
 @pytest.mark.parametrize("route", ["rows", "grid"])
+def test_m_of_p_on_the_full_box(monkeypatch, route):
+    # at d = p the shrunken box is the one point (1, 1): the grid evaluates
+    # f at (p, p), the rows take f(p*U, p*V), all of whose terms but the
+    # constant vanish; a = f(0, 0) is the level where M(p) = 1.  Tiles of 5
+    # points cut the Moebius runs into several pieces
+    monkeypatch.setattr(counting, "BLOCK_POINTS", 5)
+    monkeypatch.setattr(counting, "_prefers_rows", FORCED[route])
+    for p in (2, 3, 5, 7, 13, 31):
+        box = CountBox(p, p)
+        for f in (ELLIPTIC, parse_poly("U*V^2 + V + U^3"), UV):
+            for a in {0, 1, eval_mod(f.terms, 0, 0, p)}:
+                spec = LevelCurveSpec(f, p, a)
+                assert count_divisible(spec, box, p) == count_divisible_brute(
+                    f.terms, p, a, p, p, p), (f, p, a)
+                want = count_visible_brute(f.terms, p, a, p, p)
+                assert count_visible_mobius(spec, box) == want, (f, p, a)
+
+
+@pytest.mark.parametrize("route", ["rows", "grid"])
 def test_visible_routes_at_primes_above_2_32(monkeypatch, route):
     # the Python-int (object array) paths of rows, grid and the d-batches
     monkeypatch.setattr(counting, "_prefers_rows", FORCED[route])
@@ -633,7 +652,7 @@ def test_sweep_pool_is_capped_by_the_cpus_and_the_tiles(monkeypatch):
 
     def total(nx, ny, workers):  # the sum of x * y, in tiles of 50 points
         tiles = counting._sweep(lambda u, v: u * v, nx, ny,
-                                lambda xs, ys, vals: int(vals.sum()), workers, points=50)
+                                lambda _, xs, ys, vals: int(vals.sum()), workers, points=50)
         return sum(tiles)
 
     assert total(100, 100, 100000) == 5050 * 5050  # 200 tiles

@@ -1,7 +1,8 @@
 """Guards on the package's names, checked with ast and importlib: the public
 names resolve, the benchmark's traced mode finds every name it rebinds, no
-module keeps an import it does not use, and every private function or class
-is used somewhere in the package."""
+module keeps an import it does not use, every private function or class
+is used somewhere in the package, and counting evaluates f over a box in
+one walk only."""
 
 import ast
 import importlib
@@ -79,3 +80,18 @@ def test_no_unreferenced_private_definitions():
     ]
     assert len(private) > 10
     assert [d for d in private if not used[d.rsplit(" ", 1)[1]]] == []
+
+
+def test_counting_evaluates_boxes_only_through_the_sweep():
+    # every box is evaluated through the evaluate argument of _sweep; the one
+    # other caller of an evaluate method is the separable histogram, for its
+    # two axis tables
+    tree = ast.parse((PACKAGE / "counting.py").read_text())
+    callers = [
+        getattr(top, "name", f"line {top.lineno}")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "evaluate"
+    ]
+    assert callers == ["_separable_histogram"] * 2

@@ -11,6 +11,7 @@ from visiblepoints.counting import CountBox
 from visiblepoints.experiments import integer_zero_set, level_sweep, prime_sweep, sweep_profiles
 from visiblepoints.output import (
     RECORD_COLUMNS,
+    ZEROSET_COLUMNS,
     read_csv,
     records_to_csv,
     records_to_json,
@@ -57,6 +58,43 @@ def test_read_csv_refuses_text_it_did_not_write():
     ):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             read_csv(text)
+
+
+LEVELS_ROW = "levels,U,13,,,13.0,13.0,31.5,228.3,0.14,,true"
+PRIMES_ROW = "primes,U,,40.0,0,20.0,20.0,15.4,318.1,0.05,,true"
+#: (header, second data row, the error's text), each second row a written
+#: row with one cell broken
+MALFORMED_CSV = [
+    pytest.param(RECORD_COLUMNS, LEVELS_ROW.replace("levels", "bogus"),
+                 "column kind: 'bogus' is neither levels nor primes", id="kind"),
+    pytest.param(RECORD_COLUMNS, LEVELS_ROW.replace(",13,", ",,"),
+                 "column p: a levels row needs p and no T", id="levels without p"),
+    pytest.param(RECORD_COLUMNS, PRIMES_ROW.replace("true", "maybe"),
+                 "column box_nontrivial: 'maybe' is neither true nor false", id="box_nontrivial"),
+    pytest.param(ZEROSET_COLUMNS, "U*V - 1,9.0,9.0,5,1:1",
+                 "column n_points: 5, but the points column holds 1", id="n_points"),
+    *[pytest.param(ZEROSET_COLUMNS, f"U*V - 2,9.0,9.0,2,1:2;{pair}",
+                   f"column points: point '{pair}' is not two integers joined by one colon",
+                   id=f"point {pair}") for pair in ("1", "1:1:1", "2:x")],
+]
+
+
+@pytest.mark.parametrize("header, row, message", MALFORMED_CSV)
+def test_read_csv_names_the_row_and_column_of_a_malformed_cell(header, row, message):
+    first = LEVELS_ROW if header == RECORD_COLUMNS else "U*V - 1,9.0,9.0,1,1:1"
+    text = "# schema=1\n" + ",".join(header) + f"\n{first}\n{row}\n"
+    with pytest.raises(ValueError, match=rf"^CSV data row 2, {re.escape(message)}$"):
+        read_csv(text)
+
+
+def test_a_malformed_replay_exits_2_without_a_traceback(tmp_path):
+    path = tmp_path / "zeros.csv"
+    path.write_text(",".join(ZEROSET_COLUMNS) + "\nU*V - 1,9.0,9.0,1,1\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--from-csv", str(path)]) == 2
+    assert err.getvalue() == ("usage error: CSV data row 1, column points: point '1' is not "
+                              "two integers joined by one colon\n")
 
 
 def test_csv_body_stable_without_timestamp():
