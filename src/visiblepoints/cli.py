@@ -391,6 +391,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # the package makes no BLAS call (its int64 products and pocketfft use
+    # none), so numpy's import need not start an OpenBLAS thread per CPU
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

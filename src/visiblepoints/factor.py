@@ -57,16 +57,15 @@ none.  Otherwise the candidates come from Ruppert's criterion in Gao's form
 (W. Ruppert, J. Number Theory 77, 1999; S. Gao, Math. Comp. 72, 2003).  For
 F of bidegree (m, n), the F_p-linear map (g, h) -> F*g_V - g*F_V - F*h_U +
 h*F_U on g of bidegree at most (m - 1, n) and h of bidegree at most
-(m, n - 1) has (F_U, F_V) in its kernel, and for p > deg F a reducible F
-gives it a second kernel vector.  Only the constant term of F = f - a
-depends on a, so its matrix is a linear pencil M(a) = M0 - a*N, N the
-matrix of (g, h) -> g_V - h_U.  Where some level has nullity 1, a bad level
-is a root of one (c - 1)-minor of the pencil that is not identically zero,
-c the number of columns.  All p levels get the verdict when p <= deg f or
-no level has nullity 1, and an f free of U or of V of degree >= 2 has every
-level bad, with no verdict; above MAX_ALL_LEVELS_PRIME both are refused.
-For fixed degree the bad set has a size bounded independently of p (Y.
-Stein, Israel J. Math. 68, 1989).
+(m, n - 1) has (F_U, F_V) in its kernel, and at every p an F that is not
+absolutely irreducible gives it a second kernel vector (the proof is in
+``bad_level_values``).  Only the constant term of F = f - a depends on a,
+so its matrix is a linear pencil M(a) = M0 - a*N, N the matrix of
+(g, h) -> g_V - h_U.  Where some level has nullity 1, a bad level is a root
+of one (c - 1)-minor of the pencil that is not identically zero, c the
+number of columns.  All p levels get the verdict when no level has nullity
+1, and an f free of U or of V of degree >= 2 has every level bad, with no
+verdict; above MAX_ALL_LEVELS_PRIME both are refused.
 """
 
 from __future__ import annotations
@@ -590,27 +589,23 @@ def _ruppert_rows(terms: dict, m: int, n: int, p: int) -> dict:
 
 def _candidate_levels(fm: ModBivariatePoly) -> list[int] | None:
     """The levels a at which :func:`bad_level_values` runs the exact verdict
-    on f - a, or None when it runs it at every level (for f free of U or of
-    V, ``bad_level_values`` needs no verdict).
+    on f - a, for f in both U and V, or None when it runs it at every level.
 
     f(0, 0) alone when Gao's certificate accepts the support of f plus a
-    constant term, none when f has degree 1.  Otherwise, for p > deg f and
-    f in both U and V, the candidates are the roots in F_p of
-    D(l) = det M(l)[R, C], M(l) = M0 - l*N the Ruppert matrix of f - l and
-    R, C the pivot rows and columns of the first level a0 of nullity 1, or
-    every level when p <= c, the number of columns; D has degree <= c - 1,
-    so it comes from its values at c levels.  A candidate of nullity 1 is
-    proven good and dropped.  None when no level has nullity 1.
+    constant term, none when f has degree 1.  Otherwise the candidates are
+    the roots in F_p of D(l) = det M(l)[R, C], M(l) = M0 - l*N the Ruppert
+    matrix of f - l and R, C the pivot rows and columns of the first level
+    a0 of nullity 1, less those of nullity 1.  None when no level among the
+    first min(p, c) has nullity 1, c the number of columns.  The proof is
+    in :func:`bad_level_values`.
     """
-    p, d, m, n = fm.p, fm.degree, fm.deg_u, fm.deg_v
+    p, m, n = fm.p, fm.deg_u, fm.deg_v
     if _gao_certificate(set(fm.terms) | {(0, 0)}):
         # the support of f - a, and so the certificate, is the same at every
         # level but a = f(0, 0)
         return [fm.terms.get((0, 0), 0)]
-    if d == 1:
+    if fm.degree == 1:
         return []
-    if p <= d or not m or not n:
-        return None
     M0, N = _ruppert_rows(fm.terms, m, n, p), _ruppert_rows({(0, 0): 1}, m, n, p)
     c = 2 * m * n + m + n
     zero = [0] * c
@@ -627,13 +622,10 @@ def _candidate_levels(fm: ModBivariatePoly) -> list[int] | None:
     else:
         # every (c - 1)-minor, of degree <= c - 1, vanishes at min(p, c) levels
         return None
-    if p <= c:
-        levels = range(p)
-    else:
-        K = PrimeField(p)
-        levels = sorted(univariate_roots(
-            _interpolate(K, [eliminate(a, rows, cols)[0] for a in range(c)]), K))
-    return [a for a in levels if eliminate(a)[1] < c - 1]
+    # D itself for p > c, its values on F_p for p <= c; not zero, as D(a0) != 0
+    K = PrimeField(p)
+    D = _interpolate(K, [eliminate(a, rows, cols)[0] for a in range(min(p, c))])
+    return [a for a in sorted(univariate_roots(D, K)) if eliminate(a)[1] < c - 1]
 
 
 def _every_level(p: int, why: str) -> range:
@@ -652,37 +644,39 @@ def bad_level_values(f: IntBivariatePoly, p: int) -> set[int]:
     a product of linear factors over the algebraic closure.  Otherwise every
     level of :func:`_candidate_levels` gets the exact verdict of
     :func:`is_absolutely_irreducible`, and every level does where that
-    returns None: when p <= deg f or no level has nullity 1.  Above
-    ``MAX_ALL_LEVELS_PRIME``, a bad set that would list every level or give
-    every level the verdict raises ValueError instead.
+    returns None: when no level among the first min(p, c) has nullity 1.
+    Above ``MAX_ALL_LEVELS_PRIME``, a bad set that would list every level or
+    give every level the verdict raises ValueError instead.
 
-    Why the candidates hold every bad level, for p > deg f and f in both U
+    Why the candidates hold every bad level, at every p, for f in both U
     and V.  Let F = f - a, of bidegree (m, n), and M(a) the matrix of
     Ruppert's map (g, h) -> F*g_V - g*F_V - F*h_U + h*F_U, whose kernel is
     the pairs with (g/F)_V = (h/F)_U.  The rank of M(a) is the same over
-    F_p and over its algebraic closure, where a reducible F gives two
-    independent kernel vectors:
+    F_p and over its algebraic closure L, where an F that is not absolutely
+    irreducible gives two independent kernel vectors.  An irreducible P over
+    L has P_U or P_V nonzero: else P is a polynomial in U^p and V^p, so a
+    p-th power, as L is perfect.
 
-    - F = A*B with A and B nonconstant and coprime.  s_A = F*(A_U/A, A_V/A)
-      = (B*A_U, B*A_V) and s_B = (A*B_U, A*B_V) solve it, as
-      (A_U/A)_V = (A_V/A)_U, and fit the degree bounds (deg_U(B*A_U) <= m - 1
-      and deg_V(B*A_V) <= n - 1, also when A is free of U or of V).  If
-      l*s_A + k*s_B = 0, then A divides l*B*A_U and l*B*A_V, so l*A_U and
-      l*A_V, which have lower degree: they vanish.  A_U = A_V = 0 would make
-      A a polynomial in U^p and V^p, impossible for 0 < deg A < p; so l = 0,
-      and k = 0 alike.
-    - F = c*P^e with P irreducible and e >= 2.  (P^(e-1)*P_U, P^(e-1)*P_V)
-      and (P_U, P_V) solve it, as (P_U*P^-e)_V = (P_V*P^-e)_U, and fit the
-      bounds.  l*P^(e-1) + k kills both P_U and P_V, which do not both
-      vanish since 0 < deg P < p, so l = k = 0.
+    - F with r >= 2 distinct irreducible factors P_i over L.  Each
+      s_i = (F/P_i)*(P_i,U, P_i,V) solves it, as (P_U/P)_V = (P_V/P)_U, and
+      fits the degree bounds (deg_U((F/P_i)*P_i,U) <= m - 1, alike in V).
+      If the sum of l_i*s_i is 0, divide it by F/(P_1*...*P_r): P_j divides
+      l_j*P_j,U and l_j*P_j,V times the other, coprime, P_k, so these two of
+      lower degree vanish, and l_j = 0.
+    - F = c*P^e with e >= 2.  (P^(e-1)*P_U, P^(e-1)*P_V) and (P_U, P_V)
+      solve it, as (P_U*P^-e)_V = (P_V*P^-e)_U, and fit the bounds.
+      l*P^(e-1) + k kills the nonzero one of P_U and P_V, so l = k = 0.
 
     So a bad a has nullity >= 2 and rank M(a) <= c - 2, c the number of
-    columns, and every (c - 1)-minor vanishes there: a is a root of D, and
-    nullity 1 proves a good.  If no level has nullity 1 among the first
-    min(p, c), every (c - 1)-minor, a polynomial of degree <= c - 1 in a,
-    vanishes at all p levels or at c of them, so identically: no level has
-    nullity 1.  The bad set has a size bounded independently of p for fixed
-    degree (Y. Stein, Israel J. Math. 68, 1989).
+    columns: every (c - 1)-minor vanishes there, the minor D of
+    :func:`_candidate_levels` among them, and nullity 1 proves a good.  D
+    has degree <= c - 1, so for p > c its values at c levels give it; for
+    p <= c, its values at all p levels give a polynomial of degree < p with
+    the same zeros in F_p.  Neither is zero, as D(a0) != 0.  If no level
+    among the first min(p, c) has nullity 1, every (c - 1)-minor vanishes
+    at all p levels or at c of them, so identically: no level has nullity
+    1.  The bad set has a size bounded independently of p for fixed degree
+    (Y. Stein, Israel J. Math. 68, 1989).
     """
     fm = reduce_mod(f, p)
     if fm.degree > 1 and not (fm.deg_u and fm.deg_v):

@@ -87,6 +87,17 @@ def test_badset_needs_no_loop_over_the_levels_of_a_large_prime(capsys):
         assert capsys.readouterr().out == "bad levels (0): []\n", text
 
 
+@pytest.mark.parametrize("unset, seen", [(True, "1"), (False, "3")])
+def test_main_starts_numpy_with_one_openblas_thread_unless_set(monkeypatch, unset, seen):
+    # the package makes no BLAS call; a value the user has set is kept
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")  # restored after the test
+    if unset:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert main(["count", "-f", "V^2 - U^3 - U - 1", "-p", "101", "-a", "3",
+                 "-X", "5", "-Y", "5"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == seen
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["visible", "-f", "U*V", "-p", "6", "-a", "1", "-X", "5", "-Y", "5"]) == 2
     assert main(["visible", "-f", "3U", "-p", "5", "-a", "1", "-X", "5", "-Y", "5"]) == 2
@@ -532,6 +543,8 @@ ADVERSARIAL_ARGV = [
     (["badset", "-f", "V^2 - U^3", "-p", "318665857834031151167461"], 2),
     # 2^89 - 1 lies above psi_13, below which primality is decided
     (["badset", "-f", "V^3 - U^3 - 1", "-p", str(2**89 - 1)], 2),
+    # p = deg f, where a verdict at every level took seconds each
+    (["badset", "-f", "V^11 + U^10*V + U + 1", "-p", "11"], 0),
     # the cap leaves room for the benchmark's full level sweep
     (["exp-a", "-f", E, "-p", "4003", "-X", "4003", "-Y", "4003", "--format", "json"], 0),
 ]

@@ -318,22 +318,23 @@ def _random_level_fixture(rng):
 
 
 def test_bad_levels_equal_the_loop_on_random_inputs():
-    # p > deg f throughout, so the pencil gives the candidates unless no
-    # level has nullity 1; where p is at most its number of columns, every
-    # level is a candidate
+    # the pencil gives the candidates at every p unless no level has
+    # nullity 1, also at p <= deg f; where p is at most its number of
+    # columns, its minor is interpolated as a function on F_p
     rng = random.Random(1989)
-    filtered = 0
-    for _ in range(24):
-        p = rng.choice((5, 7, 11, 13, 29))
+    filtered = below_degree = 0
+    for k in range(32):
+        p = rng.choice((2, 3) if k % 2 else (5, 7, 11, 13, 29))
         f = _random_level_fixture(rng)
         fm = reduce_mod(f, p)
         cands = factor._candidate_levels(fm)
         loop = _loop_bad_levels(fm)
         if cands is not None:
             filtered += 1
+            below_degree += p <= fm.degree
             assert loop <= set(cands), (f, p)
         assert bad_level_values(f, p) == loop, (f, p)
-    assert filtered >= 8
+    assert filtered >= 8 and below_degree >= 4
 
 
 def _random_linear_in_v(rng):
@@ -367,7 +368,7 @@ def test_candidates_of_curves_linear_in_v():
 FALLBACK_FIXTURES = [
     ("U^3 + U", 17),                        # free of V
     ("V^2 + 3*V", 13),                      # free of U
-    ("V^3 - U^3 + U", 3),                   # p <= deg f
+    ("V^3 - U^3 + U", 3),                   # p = deg f: no level of nullity 1
     ("U^2 + 2*U*V^2 + V^4 + U + V^2", 17),  # (U + V^2)^2 + U + V^2: no level of nullity 1
     ("U^2*V^2 + U*V + 3", 13),              # a polynomial in U*V: no level of nullity 1
 ]
@@ -384,8 +385,8 @@ def test_bad_levels_fall_back_to_the_loop():
 
 
 def test_bad_levels_at_the_degree_and_the_next_prime():
-    # the pencil's proof needs p > deg f: at p = deg f every level gets the
-    # verdict, at the next prime the pencil gives the candidates
+    # at p = deg f no level of these has nullity 1, so every level gets the
+    # verdict; at the next prime the pencil gives the candidates
     for text, p, q in (("U^2 + V^2", 2, 3), ("V^3 - U^3 + U", 3, 5), ("U^5 + V^5 + U*V", 5, 7)):
         fm = _mod(text, p)
         assert fm.degree == p
@@ -486,7 +487,7 @@ def test_bad_levels_recorded_sets():
     for text, p, cands, bad in (
         ("V^3 - U^3", 97, [0], {0}),
         ("V^3 - U^3", 307, [0], {0}),
-        ("V^3 - U^3", 7, [0], {0}),                # p <= c: every level a candidate
+        ("V^3 - U^3", 7, [0], {0}),                # p <= c: D as a function on F_7
         ("V^4 - U^4 + U*V", 101, [24, 77], {24, 77}),
         ("V^2 - U^3 - U - 1", 307, [306], set()),  # certified but at a = f(0, 0)
         ("V^100 + U^3 + U*V", 1000003, [0], set()),
@@ -496,6 +497,12 @@ def test_bad_levels_recorded_sets():
         ("U^3*V^3 + U + V", 2**31 - 1, [], set()),
         ("U^3*V^3 + U + V", 2**61 - 1, [], set()),
         ("U + 3", 10000000019, [], set()),         # degree 1, not certified
+        # p <= deg f: a bad level has nullity >= 2 at every p
+        ("U^2*V + U*V^2 + V", 3, [0], {0}),
+        ("2*U^2*V + U^2 + V^2", 3, [1], {1}),
+        ("U^2*V^2 + U^2 + V^2", 3, [2], {2}),
+        ("2*U^2*V^2 + 2*V^3 + U^2", 3, [1, 2], {1, 2}),
+        ("U^2*V + V^2 + U", 2, [], set()),
     ):
         assert factor._candidate_levels(_mod(text, p)) == cands, (text, p)
         assert bad_level_values(parse_poly(text), p) == bad, (text, p)
@@ -514,6 +521,9 @@ def test_bad_levels_run_the_verdict_only_at_candidates(monkeypatch):
     assert len(calls) <= 2
     calls.clear()  # the other roots of the pencil's minor have nullity 1
     assert bad_level_values(parse_poly("U*V"), 10007) == {0}
+    assert len(calls) == 1
+    calls.clear()  # p < deg f: one verdict, not one per level
+    assert bad_level_values(parse_poly("U^2*V^2 + U^2 + V^2"), 3) == {2}
     assert len(calls) == 1
 
 
@@ -581,5 +591,8 @@ def test_line_oracle_fixtures():
         _assert_verdict_matches_the_line_oracle(parse_poly(text).terms, p)
     f = parse_poly("U^3 - 2*V^3")
     assert bad_levels_lines(f.terms, 7) == bad_level_values(f, 7) == {0}
+    for text, p in (("U^2*V + U*V^2 + V", 3), ("2*U^2*V + U^2 + V^2", 3), ("U^2*V + V^2 + U", 2)):
+        f = parse_poly(text)  # p <= deg f, where the pencil gives the candidates
+        assert bad_levels_lines(f.terms, p) == bad_level_values(f, p), (text, p)
     assert divides_mod({(1, 0): 1, (0, 1): 6}, {(3, 0): 6, (0, 3): 1}, 7)  # V - U | V^3 - U^3
     assert not divides_mod({(1, 0): 1, (0, 1): 1}, {(3, 0): 6, (0, 3): 1}, 7)
