@@ -506,6 +506,9 @@ def test_bad_levels_recorded_sets():
     ):
         assert factor._candidate_levels(_mod(text, p)) == cands, (text, p)
         assert bad_level_values(parse_poly(text), p) == bad, (text, p)
+    for text, p in (("U^2*V + U*V^2 + V", 3), ("2*U^2*V + U^2 + V^2", 3), ("U^2*V + V^2 + U", 2)):
+        f = parse_poly(text)  # the rows at p <= deg f of degree 3
+        assert bad_levels_lines(f.terms, p) == bad_level_values(f, p), (text, p)
 
 
 def test_bad_levels_run_the_verdict_only_at_candidates(monkeypatch):
@@ -591,8 +594,5 @@ def test_line_oracle_fixtures():
         _assert_verdict_matches_the_line_oracle(parse_poly(text).terms, p)
     f = parse_poly("U^3 - 2*V^3")
     assert bad_levels_lines(f.terms, 7) == bad_level_values(f, 7) == {0}
-    for text, p in (("U^2*V + U*V^2 + V", 3), ("2*U^2*V + U^2 + V^2", 3), ("U^2*V + V^2 + U", 2)):
-        f = parse_poly(text)  # p <= deg f, where the pencil gives the candidates
-        assert bad_levels_lines(f.terms, p) == bad_level_values(f, p), (text, p)
     assert divides_mod({(1, 0): 1, (0, 1): 6}, {(3, 0): 6, (0, 3): 1}, 7)  # V - U | V^3 - U^3
     assert not divides_mod({(1, 0): 1, (0, 1): 1}, {(3, 0): 6, (0, 3): 1}, 7)
