@@ -14,6 +14,7 @@ CLI need, load without it.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -30,7 +31,9 @@ PRIME_TEST_BOUND = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Deterministic primality test: trial division below 1e6, Miller-Rabin
     to the 13 prime bases 2..41 up to ``PRIME_TEST_BOUND``, and a
-    ValueError naming the bound at and above it."""
+    ValueError naming the bound at and above it.  n is an integer: a numpy
+    integer is taken as an int, and a float raises TypeError."""
+    n = operator.index(n)
     if n >= PRIME_TEST_BOUND:
         raise ValueError(f"{n} is too large to test for primality: the test is "
                          f"deterministic only below {PRIME_TEST_BOUND}")

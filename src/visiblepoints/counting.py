@@ -28,7 +28,7 @@ one kernel evaluation of f per axis, by FFT for the few large boxes and
 by a bincount of the sums g + h for the rest, and the visible counts are
 their Moebius sum.  A cost rule of the same kind, ``_separable_plan``,
 picks the route and returns its work as two lists, the d to convolve by
-FFT with their Moebius bands and the batches of differences, which
+FFT with their Moebius bands and the runs of the other d, which
 ``_separable_histogram`` adds into one (3, p) accumulator, one row per
 band.  The two routes share neither the coprime sieve nor the bivariate
 evaluation, so each checks the other.
@@ -41,16 +41,16 @@ whole rows or of a segment of one row.  ``_sweep`` is the one walk that
 evaluates f over a box: it evaluates each piece of a run at (d*s, d*t),
 one plane per d, and yields each reduced result in order, which callers
 sum (the grid counts of ``_count``, histograms, the prime sweep) or
-concatenate (zero sets).  The separable histogram bincounts sums over its
-pieces, read from two axis tables.  So memory stays bounded however large
-the box is, and the results do not depend on the thread count.
+concatenate (zero sets).  The separable histogram streams its pieces
+through one buffer of sums.  So memory stays bounded however large the
+box is, and the results do not depend on the thread count.
 ``_sweep`` is the one place that makes a thread pool, and only the grid
 histogram asks for one, of a size it picks itself: a thread per usable
 CPU while 2p <= HISTOGRAM_POINTS (p <= 2^17), else one, as each thread
 holds up to two tiles' bincounts of 2p bins.  Its long tiles are numpy
 work outside the GIL; every other walk runs in the calling thread, where a
 second thread only waits for the GIL.  The count walks and the separable
-batches hold BLOCK_POINTS = 2^15 points, 256 KB per int64 array, an
+buffer hold BLOCK_POINTS = 2^15 points, 256 KB per int64 array, an
 L2-sized working set; the histogram's tiles hold HISTOGRAM_POINTS = 2^18,
 as each takes a bincount of 2p bins, which would dominate smaller tiles at
 large p.  The row route alone keeps its own x-tiles (``_rows_per_tile``):
@@ -98,6 +98,7 @@ integer coordinates, never the residues.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -194,8 +195,8 @@ class LevelCurveSpec:
     def __init__(self, f: IntBivariatePoly, p: int, a: int):
         fmod = reduce_mod(f, p)  # may raise ValueError or DegenerateReduction
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "a", a % p)
+        object.__setattr__(self, "p", fmod.p)
+        object.__setattr__(self, "a", operator.index(a) % fmod.p)
         object.__setattr__(self, "fmod", fmod)
 
     def __setattr__(self, *_):
@@ -640,6 +641,7 @@ def count_divisible(spec: LevelCurveSpec, box: CountBox, d: int) -> int:
     divisible by d; equals the level count of f(d*s, d*t) on the shrunken
     box [1, X/d] x [1, Y/d], the count of the one-element run (d).  Zero
     whenever d exceeds min(X, Y)."""
+    d = operator.index(d)
     if d < 1:
         raise ValueError("d must be >= 1")
     box.validate_for(spec.p)
@@ -781,23 +783,6 @@ def _fft_error_bound(norms2: int, L: int) -> float:
     return math.sqrt(norms2) * math.expm1(log)
 
 
-def _pack(pieces) -> list:
-    """The pieces of :func:`_pieces`, in order, packed greedily into lists
-    of at most BLOCK_POINTS points: one batch of differences of the
-    separable route each, which holds one array of sums and one bincount of
-    6p bins."""
-    batches, size = [], BLOCK_POINTS
-    for piece in pieces:
-        ds, _, s0, s1, t0, t1 = piece
-        points = len(ds) * (s1 - s0) * (t1 - t0)
-        if size + points > BLOCK_POINTS:
-            batches.append([])
-            size = 0
-        batches[-1].append(piece)
-        size += points
-    return batches
-
-
 def _grid_histogram_seconds(fmod: ModBivariatePoly, nx: int, ny: int) -> float:
     """Estimated time of :func:`_grid_histogram` on [1, nx] x [1, ny]: per
     point and V-power of f, as in :func:`_prefers_rows`, and per tile, with
@@ -810,42 +795,41 @@ def _grid_histogram_seconds(fmod: ModBivariatePoly, nx: int, ny: int) -> float:
 
 def _separable_plan(fmod: ModBivariatePoly, nx: int, ny: int):
     """The work of :func:`_separable_histogram` on [1, nx] x [1, ny], as two
-    lists (ffts, batches), when fmod has no term in both U and V and the
+    lists (ffts, runs), when fmod has no term in both U and V and the
     route's estimated time is below the grid's; None otherwise.
 
     Each squarefree d up to min(nx, ny) has a band: 0 for d = 1 (the level
     counts), 1 for mu(d) = 1 and 2 for mu(d) = -1.  A d whose shrunken box
     n x m has many points for the FFT length L, _DIFF_S * n * m >
     _PIECE_S + _FFT_S * L * log2(L), is convolved by FFT: ffts lists these
-    as pairs (d, band).  The runs of the other d (:func:`_shrunken_runs`)
-    are cut into pieces (:func:`_pieces`), and batches lists them packed
-    into lists of at most BLOCK_POINTS points (:func:`_pack`).  The
-    estimate sums these costs, as :func:`_grid_histogram_seconds` does the
-    grid's.  Fitted to in-process timings of both routes on 156 cases (4
-    separable f, p = 31 to 200003, boxes 3 x 3 to 2000^2 and 1 x p), the
-    rule picks the slower route in 9, each a box of one row or column
-    taking under 2 ms, by at most 1.3x.
+    as pairs (d, band), and runs the runs (n, m, ds, bands) of the other d
+    (:func:`_shrunken_runs`), in order, whose differences cost per point,
+    per piece (:func:`_pieces`) and per bincount of 6p bins, one per
+    BLOCK_POINTS points.  The estimate sums these costs, as
+    :func:`_grid_histogram_seconds` does the grid's.  Fitted to in-process
+    timings of both routes on 156 cases (4 separable f, p = 31 to 200003,
+    boxes 3 x 3 to 2000^2 and 1 x p), the rule picks the slower route in 9,
+    each a box of one row or column taking under 2 ms, by at most 1.3x.
     """
     p = fmod.p
     if any(i and j for i, j in fmod.terms):
         return None
     L = _fft_length(p)
     fft_s = _PIECE_S + _FFT_S * L * (L.bit_length() - 1)
-    ffts, pieces, seconds = [], [], 0.0
+    ffts, runs, seconds, points = [], [], 0.0, 0
     for n, m, ds, mus in _shrunken_runs(nx, ny):
         bands = np.where(ds == 1, 0, np.where(mus > 0, 1, 2))
         if fft_s < _DIFF_S * n * m:
             ffts += zip(ds.tolist(), bands.tolist())
             seconds += fft_s * len(ds)
             continue
-        run = list(_pieces(ds, bands, n, m))
-        pieces += run
-        seconds += _DIFF_S * n * m * len(ds) + _PIECE_S * len(run)
-    batches = _pack(pieces)
-    seconds += _BIN_S * 6 * p * len(batches)
+        runs.append((n, m, ds, bands))
+        points += n * m * len(ds)
+        seconds += _PIECE_S * sum(1 for _ in _pieces(ds, bands, n, m))
+    seconds += _DIFF_S * points + _BIN_S * 6 * p * -(-points // BLOCK_POINTS)
     if seconds >= _grid_histogram_seconds(fmod, nx, ny):
         return None
-    return ffts, batches
+    return ffts, runs
 
 
 def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, plan: tuple) -> VisibleHistogram:
@@ -856,26 +840,25 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, plan: tuple) -> 
     two histograms, N_a(d) = #{s <= nx/d, t <= ny/d : f(ds, dt) = a} =
     sum over c of G_d[c] * H_d[a - c], with G_d the histogram of g(d*s) and
     H_d that of h(d*t).  The level counts are N(1) and the visible counts
-    sum of mu(d) * N(d).  ``plan`` is the pair (ffts, batches) of
-    :func:`_separable_plan`, and both add into one (3, p) int64
-    accumulator, one row per band.  Each (d, band) of ffts computes N(d) by
-    one rfft/irfft of length L (:func:`_fft_length`), rounded and folded to
-    length p, when :func:`_fft_error_bound` of the exact norms proves the
-    rounding exact; its counts must then sum to the n * m >= 1 points of
-    the box, and a d that fails either check is cut into batches of
-    differences instead.  Each batch forms g(d*s) + h(d*t) + 2p * band over
-    its pieces and bincounts it over 6p bins, which folds to the three
-    bands' counts.  Both read g and h from two axis tables, each one kernel
-    call: g(s) = f(s, 0) for s <= nx and h(t) = f(0, t) - f(0, 0) for
-    t <= ny, reduced mod p, so g(d*s) and h(d*t) are gathers at d*s and d*t
-    (a strided slice for a whole shrunken box).
-    The work runs in the calling thread, so one batch is live at a time:
-    it is many small numpy calls, which a second thread would only slow
-    down by waiting for the GIL.
+    sum of mu(d) * N(d), added into one (3, p) int64 accumulator, one row
+    per band.  Each (d, band) of the plan's ffts (:func:`_separable_plan`)
+    computes N(d) by one rfft/irfft of length L (:func:`_fft_length`),
+    rounded and folded to length p, when :func:`_fft_error_bound` of the
+    exact norms proves the rounding exact; its counts must then sum to the
+    n * m >= 1 points of the box, or the d joins the plan's runs as the run
+    (d).  The pieces of the runs (:func:`_pieces`) stream in order into one
+    buffer of BLOCK_POINTS sums g(d*s) + h(d*t) + 2p * band, bincounted
+    over 6p bins, which fold to the bands, when the next piece would not
+    fit and once at the end.  g and h are read from two axis tables, each
+    one kernel call: g(s) = f(s, 0) for s <= nx and h(t) = f(0, t) - f(0, 0)
+    for t <= ny, reduced mod p, so g(d*s) and h(d*t) are gathers at d*s and
+    d*t (a strided slice for a whole box).  The work runs in the calling
+    thread, with one buffer live: it is many small numpy calls, which a
+    second thread would only slow down by waiting for the GIL.
     """
     from numpy import fft  # loaded by this route alone
 
-    ffts, batches = plan
+    ffts, runs = plan[0], list(plan[1])  # a copy, which the rejected d join
     p, nx, ny = fmod.p, box.nx, box.ny
     L = _fft_length(p)
     G = fmod.evaluate(np.arange(nx + 1), 0)
@@ -883,7 +866,6 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, plan: tuple) -> 
     H = (H - H[0]) % p
     bands = np.zeros((3, p), dtype=np.int64)
 
-    fallback = []
     for d, band in ffts:
         gd = np.bincount(G[d::d], minlength=p)
         hd = np.bincount(H[d::d], minlength=p)
@@ -895,22 +877,25 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, plan: tuple) -> 
             if int(folded.sum()) == (nx // d) * (ny // d):
                 bands[band] += folded
                 continue
-        fallback += _pack(_pieces(np.array([d]), np.array([band]), nx // d, ny // d))
+        runs.append((nx // d, ny // d, np.array([d]), np.array([band])))
 
-    # One array of sums serves every batch, as one runs at a time: a fresh
-    # one per batch is faulted in anew whenever the allocator has handed
-    # its pages back, which made the route for E at p = 4003 take 2000
-    # minor faults and up to twice the time.
-    sums = np.empty(BLOCK_POINTS, dtype=np.int64)
-    for pieces in chain(batches, fallback):
-        at = 0
-        for ds, bs, s0, s1, t0, t1 in pieces:
-            u = G[ds[:, None] * np.arange(s0 + 1, s1 + 1)]
-            v = H[ds[:, None] * np.arange(t0 + 1, t1 + 1)] + 2 * p * bs[:, None]
-            size = u.size * v.shape[1]
+    # One array of sums serves every bincount of the stream: a fresh one
+    # per bincount is faulted in anew whenever the allocator has handed its
+    # pages back, which made the route for E at p = 4003 take 2000 minor
+    # faults and up to twice the time.
+    sums, at = np.empty(BLOCK_POINTS, dtype=np.int64), 0
+    for n, m, ds, bs in runs:
+        for dk, bk, s0, s1, t0, t1 in _pieces(ds, bs, n, m):
+            size = len(dk) * (s1 - s0) * (t1 - t0)
+            if at + size > BLOCK_POINTS:
+                bands += np.bincount(sums[:at], minlength=6 * p).reshape(3, 2, p).sum(axis=1)
+                at = 0
+            u = G[dk[:, None] * np.arange(s0 + 1, s1 + 1)]
+            v = H[dk[:, None] * np.arange(t0 + 1, t1 + 1)] + 2 * p * bk[:, None]
             np.add(u[:, :, None], v[:, None, :],
-                   out=sums[at : at + size].reshape(len(ds), u.shape[1], v.shape[1]))
+                   out=sums[at : at + size].reshape(len(dk), s1 - s0, t1 - t0))
             at += size
+    if at:
         bands += np.bincount(sums[:at], minlength=6 * p).reshape(3, 2, p).sum(axis=1)
     return VisibleHistogram(p=p, box=box, level_counts=bands[0],
                             visible_counts=bands[0] + bands[1] - bands[2])
@@ -932,7 +917,7 @@ def visible_histogram(
     picks for None.  The counts never depend on their number, and a
     ``workers`` below 1 raises ValueError on either route.
     """
-    if workers is not None and workers < 1:
+    if workers is not None and operator.index(workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     fmod = reduce_mod(f, p)  # propagates DegenerateReduction
     box.validate_for(p)
@@ -1008,6 +993,7 @@ def count_visible_by_prime(
     """
     if not _fits_int64(f.terms, box.nx, box.ny):
         raise GridOverflow(f"sum of |c_ij| X^i Y^j >= 2^63: {f.text()} overflows int64 on the box")
+    primes, a = [operator.index(p) for p in primes], operator.index(a)
     if not primes:
         return []
     if max(primes) >= 1 << 63:

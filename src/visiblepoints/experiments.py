@@ -25,6 +25,7 @@ and exp-p by about 1.4 MB, and numpy loaded ahead of them by about 1 MB.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .arith import primes_in_range
@@ -96,6 +97,7 @@ def level_sweep(f: IntBivariatePoly, p: int, box: CountBox) -> DiscrepancyRecord
     convolutions of one-variable histograms.  The deviations reach
     ``math.fsum`` 2^16 at a time, so no list of p floats is built.
     """
+    p = operator.index(p)  # an int in the record, whatever integer type p has
     _require_admissible(f, p)
     counts = visible_histogram(f, p, box).visible_counts.astype("int64")
     main = expected_visible(box, p)

@@ -320,8 +320,6 @@ def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
     char = K.characteristic
     terms = {ij: K.from_int(c) for ij, c in f_terms.items()}
     n = max(i + j for i, j in terms)
-    if n == 1:
-        return False, None, False
     deg_u = max(i for i, _ in terms)
     deg_v = max(j for _, j in terms)
 
@@ -340,7 +338,6 @@ def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
         if all(i % char == 0 for i, _ in terms):
             return True, None, False  # a perfect char-th power
         terms = {(j, i): c for (i, j), c in terms.items()}
-        deg_u, deg_v = deg_v, deg_u
         swapped = True
 
     R = _UPolys(K)

@@ -11,6 +11,7 @@ Examples: ``U*V``, ``V^2 - U^3 - U - 1``, ``3*U^2*V - 7``.
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 from .arith import is_prime
@@ -96,6 +97,7 @@ class _BivariatePoly:
     __slots__ = ("p", "terms", "degree")
 
     def __init__(self, p: int | None, terms: dict[tuple[int, int], int]):
+        p = None if p is None else operator.index(p)
         clean = {}
         for (i, j), c in terms.items():
             if i < 0 or j < 0:

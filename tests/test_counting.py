@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from visiblepoints import counting
+from visiblepoints.arith import is_prime
 from visiblepoints.counting import (
     BLOCK_POINTS,
     HISTOGRAM_POINTS,
@@ -26,7 +27,10 @@ from visiblepoints.counting import (
     visible_histogram,
 )
 from visiblepoints.errors import DegenerateReduction, NonFiniteParameter
+from visiblepoints.experiments import level_sweep
+from visiblepoints.factor import bad_level_values
 from visiblepoints.fields import PrimeField, univariate_roots
+from visiblepoints.output import records_to_json
 from visiblepoints.poly import IntBivariatePoly, parse_poly, reduce_mod
 
 from oracles import (
@@ -753,8 +757,8 @@ def _separable_route(f, p, box, fft="rule"):
             mp.setattr(counting, "_FFT_S", 1e9)
         fmod = reduce_mod(f, p)
         plan = counting._separable_plan(fmod, box.nx, box.ny)
-    ffts, batches = plan
-    kinds = {kind for kind, work in (("fft", ffts), ("diff", batches)) if work}
+    ffts, runs = plan
+    kinds = {kind for kind, work in (("fft", ffts), ("diff", runs)) if work}
     assert kinds == {"all": {"fft"}, "none": {"diff"}}.get(fft, kinds), (fft, kinds)
     return counting._separable_histogram(fmod, box, plan)
 
@@ -843,19 +847,38 @@ def test_fft_error_bound():
     assert counting._fft_error_bound(p * p * (2 * p), counting._fft_length(p)) > 0.5
 
 
+def _bincounts_of(monkeypatch, bins):
+    """The list that collects one entry per np.bincount call over ``bins``
+    bins from here on."""
+    calls, bincount = [], np.bincount
+
+    def counted(x, weights=None, minlength=0):
+        if minlength == bins:
+            calls.append(len(x))
+        return bincount(x, weights, minlength)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    return calls
+
+
 def test_separable_route_counts_a_d_by_differences_when_a_check_fails(monkeypatch):
     p, box = 101, CountBox(101, 77)
     level, visible = histogram_brute(ELLIPTIC.terms, p, box.X, box.Y)
-    # the a-priori bound rejects every d
+    # the a-priori bound rejects every d; the 48 rejected d stream their
+    # differences through one buffer, which one bincount of 6p bins takes
     with monkeypatch.context() as mp:
         mp.setattr(counting, "_fft_error_bound", lambda norms2, L: 1.0)
+        calls = _bincounts_of(mp, 6 * p)
         h = _separable_route(ELLIPTIC, p, box, "all")
     assert h.level_counts.tolist() == level and h.visible_counts.tolist() == visible
+    assert len(calls) == 1
     # the sums after rounding are off by one for every d
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + (np.arange(n) == 0))
+    calls = _bincounts_of(monkeypatch, 6 * p)
     h = _separable_route(ELLIPTIC, p, box, "all")
     assert h.level_counts.tolist() == level and h.visible_counts.tolist() == visible
+    assert len(calls) == 1
 
 
 def _peak(call):
@@ -871,15 +894,18 @@ def _histogram_peak(p):
     return _peak(lambda: visible_histogram(ELLIPTIC, p, CountBox(p, p), workers=1))
 
 
-def test_separable_histogram_keeps_one_small_batch_live():
+def test_separable_histogram_keeps_one_small_batch_live(monkeypatch):
     # the levels workload: E on the full box at p = 4003 by the separable
     # route, one batch of at most BLOCK_POINTS values per array at a time,
-    # whatever the worker count
+    # whatever the worker count, and 36 bincounts of 6p bins in all
     p, box = 4003, CountBox(4003, 4003)
     assert counting._separable_plan(reduce_mod(ELLIPTIC, p), p, p) is not None
     visible_histogram(ELLIPTIC, p, box, workers=2)  # lazy imports first
     peak = _peak(lambda: visible_histogram(ELLIPTIC, p, box, workers=2))
     assert peak <= 1.25 * 2**20, peak
+    calls = _bincounts_of(monkeypatch, 6 * p)
+    visible_histogram(ELLIPTIC, p, box, workers=2)
+    assert len(calls) == 36
 
 
 def test_histogram_memory_does_not_grow_with_the_box():
@@ -1059,6 +1085,41 @@ def test_spec_construction_contracts():
             setattr(spec, name, 1)
     assert spec.a == 2
     assert repr(spec) == "LevelCurveSpec(f='U*V', p=5, a=2)"
+
+
+def _spec(p, a):
+    spec = LevelCurveSpec(ELLIPTIC, p, a)
+    return type(spec.p), type(spec.a), repr(spec)
+
+
+#: (name, call of one integer argument, an int to give it): the moduli,
+#: levels, divisors and worker counts of the API
+INTEGER_ARGUMENTS = (
+    ("is_prime", is_prime, 101),
+    ("bad_level_values p", lambda p: sorted(bad_level_values(ELLIPTIC, p)), 7),
+    ("reduce_mod p", lambda p: (type(reduce_mod(ELLIPTIC, p).p), reduce_mod(ELLIPTIC, p)), 13),
+    ("LevelCurveSpec p", lambda p: _spec(p, 2), 101),
+    ("LevelCurveSpec a", lambda a: _spec(101, a), 2),
+    ("count_divisible d",
+     lambda d: count_divisible(LevelCurveSpec(ELLIPTIC, 101, 2), CountBox(50, 50), d), 2),
+    ("count_visible_by_prime p",
+     lambda p: count_visible_by_prime(ELLIPTIC, [p, 103], CountBox(50, 50), a=2), 101),
+    ("count_visible_by_prime a",
+     lambda a: count_visible_by_prime(ELLIPTIC, [101, 103], CountBox(50, 50), a=a), 2),
+    ("visible_histogram workers",
+     lambda w: visible_histogram(ELLIPTIC, 101, CountBox(50, 50), w).visible_counts.tolist(), 2),
+    ("level_sweep p", lambda p: records_to_json([level_sweep(ELLIPTIC, p, CountBox(50, 50))]), 101),
+)
+
+
+@pytest.mark.parametrize("call, n", [row[1:] for row in INTEGER_ARGUMENTS],
+                         ids=[row[0] for row in INTEGER_ARGUMENTS])
+def test_integer_arguments_refuse_floats_and_take_numpy_integers(call, n):
+    with pytest.raises(TypeError):
+        call(n + 0.5)
+    with pytest.raises(TypeError):
+        call(float(n))
+    assert call(np.int64(n)) == call(n)
 
 
 def test_real_valued_boxes_floor():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -68,6 +69,17 @@ def test_verdict_examples():
 def test_degree_one_trivially_absolutely_irreducible():
     v = is_absolutely_irreducible(_mod("U + V", 5))
     assert v.absolutely_irreducible
+    # every f = a*U + b*V + c of degree 1 at p <= 5, in one variable or in
+    # both, is irreducible over F_p, F_{p^2} and F_{p^3}
+    for p in (2, 3, 5):
+        fields = [PrimeField(p), ExtensionField(p, 2), ExtensionField(p, 3)]
+        for a, b, c in itertools.product(range(p), repeat=3):
+            if a or b:
+                fm = ModBivariatePoly(p, {(1, 0): a, (0, 1): b, (0, 0): c})
+                assert is_absolutely_irreducible(fm) == (True, True, None), fm
+                for K in fields:
+                    assert _reducible_over(K, fm.terms)[0] is False, (fm, K)
+                    assert is_irreducible_bivariate(fm, K), (fm, K)
 
 
 def test_sum_of_squares_classification():
