@@ -29,12 +29,12 @@ nonconstant polynomials over a given finite field K.  Strategy, in order:
    B = (2m - 1)*deg_U + 1 for V-degree m, as each is a root of the
    discriminant;
 6. when K has too few elements to hold such a point, the verdict is that
-   over L = F_{|K|^k} for the least k >= 2 with gcd(k, n) = 1 and
-   |K|^k > B, n the total degree.  An f irreducible over K with e | n
-   conjugate absolute factors has gcd(e, k) = 1 factor over L, and a
-   reducible f stays reducible, so the verdicts agree; B depends only on
-   the degrees, so L always has the point.  A factor over L need not lie
-   in K[U, V], so none is reported.
+   over L = F_{|K|^k} for the least k >= 2 coprime to the vertex gcd g of
+   f's Newton polygon (``_vertex_gcd``) with |K|^k > B.  An f irreducible
+   over K stays irreducible over L, as its r conjugate absolute factors
+   have r | g, and a reducible f stays reducible, so the verdicts agree;
+   B depends only on the degrees, so L always has the point.  A factor
+   over L need not lie in K[U, V], so none is reported.
 
 A polynomial in U and V is held as the list of its V-coefficients, each a
 U-polynomial over K.  The univariate helpers ``fields.u_*`` run on it with
@@ -44,10 +44,8 @@ only by polynomials monic in V.  The subset products of step 5 are formed
 in K[U]/(U^kappa), the precision of the lift.
 
 Absolute irreducibility reduces to irreducibility over F_p and over
-F_{p^l} for every prime l dividing the total degree n: a base-irreducible
-polynomial that splits over the algebraic closure does so into e > 1
-conjugate factors of equal degree with e | n, and grouping conjugates
-yields a factorization over F_{p^l} for any prime l | e.
+F_{p^l} for every prime l dividing the vertex gcd g of the Newton polygon
+(``_vertex_gcd`` has the proof); where g = 1 no extension field is built.
 
 The bad levels of f, the a for which f - a is not absolutely irreducible,
 get that verdict only at candidate levels (``bad_level_values``).  The
@@ -117,11 +115,12 @@ class _UPolys:
     polynomial monic in V.
     """
 
-    __slots__ = ("K", "kappa")
+    __slots__ = ("K", "kappa", "characteristic")
 
     def __init__(self, K, kappa: int | None = None):
         self.K = K
         self.kappa = kappa
+        self.characteristic = K.characteristic
 
     @property
     def zero(self) -> list:
@@ -130,10 +129,6 @@ class _UPolys:
     @property
     def one(self) -> list:
         return [self.K.one]
-
-    @property
-    def characteristic(self) -> int:
-        return self.K.characteristic
 
     def add(self, a: list, b: list) -> list:
         return u_add(self.K, a, b)
@@ -380,9 +375,9 @@ def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
         if K.size > bound:
             raise AssertionError("squarefree polynomial with no squarefree fiber")
         # K is too small to hold a fiber: decide over L = F_{|K|^k} instead,
-        # with k coprime to n, where f is reducible exactly when it is over K
-        k = 2
-        while math.gcd(k, n) != 1 or K.size**k <= bound:
+        # with k coprime to g, where f is reducible exactly when it is over K
+        g, k = _vertex_gcd(f_terms), 2
+        while math.gcd(k, g) != 1 or K.size**k <= bound:
             k += 1
         L = _extension_field(char, getattr(K, "k", 1) * k)
         return _reducible_over(L, f_terms)[0], None, False
@@ -439,9 +434,13 @@ def _factor_text(K, bp: list, swap: bool) -> str:
 
 def is_irreducible_bivariate(fmod: ModBivariatePoly, field) -> bool:
     """True iff f admits no factorization into two nonconstant polynomials
-    over the given (prime or extension) field."""
+    over the given (prime or extension) field, which must have f's
+    characteristic p (else ValueError)."""
     if fmod.is_constant():
         raise ConstantPolynomial("irreducibility of a constant polynomial")
+    if field.characteristic != fmod.p:
+        raise ValueError(f"a polynomial mod {fmod.p} over a field of characteristic "
+                         f"{field.characteristic}")
     red, _, _ = _reducible_over(field, fmod.terms)
     return not red
 
@@ -487,6 +486,23 @@ def _gao_certificate(terms) -> bool:
     return math.gcd(c - a, d - b, e - a, g - b) == 1
 
 
+def _vertex_gcd(terms) -> int:
+    """g, the gcd of the coordinates of the Newton polygon's vertices; for
+    nonconstant f, g divides deg_U f, deg_V f and deg f, each taken at a
+    vertex.
+
+    An f irreducible over K = F_q is, over the algebraic closure, c times r
+    distinct Frobenius conjugates of one P (K is perfect), all with P's
+    Newton polygon.  The polygon of a product is the Minkowski sum of the
+    factors' polygons (Ostrowski; Gao, J. Algebra 237, 2001), so Newt(f) =
+    r*Newt(P) and r | g.  Over F_{q^k} the conjugates fall into gcd(k, r)
+    Frobenius orbits, the factors of f there.  So f stays irreducible over
+    F_{q^k} for gcd(k, g) = 1, and the least prime l | g over which it is
+    reducible is the least prime factor of r.
+    """
+    return math.gcd(*(c for vertex in _hull_vertices(terms) for c in vertex))
+
+
 @lru_cache(maxsize=128)
 def _extension_field(p: int, ell: int) -> ExtensionField:
     return ExtensionField(p, ell)
@@ -497,9 +513,8 @@ def is_absolutely_irreducible(fmod: ModBivariatePoly) -> IrreducibilityVerdict:
 
     Gao's Newton-polygon certificate runs first and settles f at once when
     it applies.  Otherwise the exact engine tests irreducibility over F_p
-    and over F_{p^l} for every prime l dividing the total degree; that set
-    of extensions is decisive because conjugate absolutely irreducible
-    factors come in groups of size dividing the degree.
+    and over F_{p^l} for every prime l dividing :func:`_vertex_gcd`, which
+    is decisive, and the first l that splits f is the witness.
     """
     if fmod.is_constant():
         raise ConstantPolynomial("verdict on a constant polynomial")
@@ -511,7 +526,7 @@ def is_absolutely_irreducible(fmod: ModBivariatePoly) -> IrreducibilityVerdict:
     if red:
         witness = _factor_text(base, fac, swapped) if fac else None
         return IrreducibilityVerdict(False, False, witness)
-    for ell in sorted({q for q, _ in factorize(fmod.degree)}):
+    for ell, _ in factorize(_vertex_gcd(fmod.terms)):
         red, _, _ = _reducible_over(_extension_field(p, ell), fmod.terms)
         if red:
             return IrreducibilityVerdict(True, False, ell)

@@ -4,9 +4,11 @@ arithmetic over either.
 Field elements are plain values: ints for F_p, length-k tuples of ints
 (coefficients of 1, x, ..., x^(k-1)) for F_{p^k}.  Univariate polynomials
 are lists of field elements, ascending by exponent, with no trailing zeros
-(the zero polynomial is the empty list).  Searches scan elements in the
-fixed order given by ``element_at`` so results are reproducible across
-runs and platforms.
+(the zero polynomial is the empty list).  A field's constants ``size``,
+``characteristic``, ``zero`` and ``one`` are plain attributes, read by
+the helpers in their inner loops.  Searches scan elements in the fixed
+order given by ``element_at`` so results are reproducible across runs and
+platforms.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import IdenticallyZero
 class PrimeField:
     """F_p with elements represented as ints in [0, p-1]."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "size", "characteristic")
 
     zero = 0
     one = 1
@@ -28,15 +30,7 @@ class PrimeField:
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.p = p
-
-    @property
-    def size(self) -> int:
-        return self.p
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
+        self.p = self.size = self.characteristic = p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -265,47 +259,19 @@ class ExtensionField:
     is reproducible.
     """
 
-    __slots__ = ("p", "k", "modulus", "base", "_red")
+    __slots__ = ("p", "k", "modulus", "base", "size", "characteristic", "zero", "one")
 
     def __init__(self, p: int, k: int):
         base = PrimeField(p)
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        mod = find_irreducible_over(base, k)
-        self.p = p
+        self.p = self.characteristic = p
         self.k = k
         self.base = base
-        self.modulus = tuple(mod)
-        # reductions of x^k .. x^(2k-2) as coefficient tuples
-        red = []
-        if k > 1:
-            cur = [(-c) % p for c in mod[:-1]]
-            red.append(tuple(cur))
-            for _ in range(k - 2):
-                nxt = [0] + cur[:-1]
-                top = cur[-1]
-                if top:
-                    for i in range(k):
-                        nxt[i] = (nxt[i] + top * red[0][i]) % p
-                cur = nxt
-                red.append(tuple(cur))
-        self._red = red
-
-    @property
-    def size(self) -> int:
-        return self.p**self.k
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
-    @property
-    def zero(self):
-        return (0,) * self.k
-
-    @property
-    def one(self):
-        return (1,) + (0,) * (self.k - 1)
+        self.modulus = tuple(find_irreducible_over(base, k))
+        self.size = p**k
+        self.zero = (0,) * k
+        self.one = (1,) + (0,) * (k - 1)
 
     def add(self, a, b):
         p = self.p
@@ -320,22 +286,20 @@ class ExtensionField:
         return tuple(-x % p for x in a)
 
     def mul(self, a, b):
-        p, k = self.p, self.k
-        if k == 1:
-            return (a[0] * b[0] % p,)
+        """a*b: the convolution of the coefficients, reduced from the top by
+        the monic modulus, then mod p."""
+        p, k, mod = self.p, self.k, self.modulus
         conv = [0] * (2 * k - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     conv[i + j] += x * y
-        out = conv[:k]
-        for t in range(k, 2 * k - 1):
+        for t in range(2 * k - 2, k - 1, -1):
             c = conv[t]
             if c:
-                row = self._red[t - k]
                 for i in range(k):
-                    out[i] += c * row[i]
-        return tuple(v % p for v in out)
+                    conv[t - k + i] -= c * mod[i]
+        return tuple(v % p for v in conv[:k])
 
     def inv(self, a):
         if not any(a):

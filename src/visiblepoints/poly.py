@@ -100,11 +100,12 @@ class _BivariatePoly:
         p = None if p is None else operator.index(p)
         clean = {}
         for (i, j), c in terms.items():
+            i, j, c = operator.index(i), operator.index(j), operator.index(c)
             if i < 0 or j < 0:
                 raise ValueError("exponents must be nonnegative")
-            c = int(c) if p is None else int(c) % p
+            c = c if p is None else c % p
             if c:
-                clean[(int(i), int(j))] = c
+                clean[(i, j)] = c
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "degree", max((i + j for i, j in clean), default=-1))

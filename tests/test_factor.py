@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -48,6 +49,16 @@ def test_constant_input_rejected():
     ):
         with pytest.raises(ConstantPolynomial, match=f"^{message}$"):
             verdict(constant)
+
+
+def test_a_field_of_another_characteristic_is_refused():
+    # V^2 + 4*U^2 mod 5 is (V - U)*(V + U); read mod 7 it would be irreducible
+    fm = _mod("V^2 + 4*U^2", 5)
+    assert not is_irreducible_bivariate(fm, PrimeField(5))
+    for K in (PrimeField(7), ExtensionField(7, 2), ExtensionField(2, 2)):
+        with pytest.raises(ValueError, match=f"^a polynomial mod 5 over a field of "
+                                             f"characteristic {K.characteristic}$"):
+            is_irreducible_bivariate(fm, K)
 
 
 def test_verdict_examples():
@@ -186,10 +197,40 @@ def test_univariate_in_one_variable_inputs():
     assert v.witness == 2
 
 
+def _verdict_by_degree(fm, fields: dict) -> tuple:
+    """The verdict by irreducibility over F_p, then over F_{p^l} for every
+    prime l dividing deg f, the rule that the vertex gcd refines: (base,
+    absolute, witness), or (False, False) when f splits over F_p."""
+    p = fm.p
+    if not is_irreducible_bivariate(fm, PrimeField(p)):
+        return False, False
+    for ell, _ in factorize(fm.degree):
+        if (p, ell) not in fields:
+            fields[p, ell] = ExtensionField(p, ell)
+        if not is_irreducible_bivariate(fm, fields[p, ell]):
+            return True, False, ell
+    return True, True, None
+
+
+def _norm_forms(p: int):
+    """U^k - c*V^k and (U + 1)^k - c*V^k for k <= 4, and U^2 + U - c*V^(2j)
+    for j <= 2, at every c != 0 mod p: many split only over an extension."""
+    for c in range(1, p):
+        for k in (2, 3, 4):
+            yield ModBivariatePoly(p, {(k, 0): 1, (0, k): -c})
+            yield ModBivariatePoly(p, {(i, 0): math.comb(k, i) for i in range(k + 1)}
+                                   | {(0, k): -c})
+        for j in (1, 2):
+            yield ModBivariatePoly(p, {(2, 0): 1, (1, 0): 1, (0, 2 * j): -c})
+
+
 def test_gao_certificate_is_confirmed_by_the_exact_engine():
-    # whatever the certificate accepts is irreducible over F_p and over
-    # F_{p^l} for each prime l dividing the degree
+    # whatever Gao's certificate accepts is irreducible over F_p and over
+    # F_{p^l} for each prime l dividing the degree; every other input gets
+    # the verdict and witness of that rule, though only the primes dividing
+    # the vertex gcd are asked
     rng = random.Random(2001)
+    fields: dict = {}
     accepted = 0
     for _ in range(1500):
         p = rng.choice((2, 3, 5, 7, 11, 13))
@@ -197,14 +238,33 @@ def test_gao_certificate_is_confirmed_by_the_exact_engine():
         monomials = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
         support = rng.sample(monomials, rng.randint(2, 5))
         fm = ModBivariatePoly(p, {m: rng.randrange(1, p) for m in support})
-        if fm.degree < 2 or not _gao_certificate(fm.terms):
+        if fm.degree < 2:
             continue
-        accepted += 1
-        fields = [PrimeField(p)] + [ExtensionField(p, ell) for ell, _ in factorize(fm.degree)]
-        for K in fields:
-            red, _, _ = _reducible_over(K, fm.terms)
-            assert not red, (fm, K)
+        expected = _verdict_by_degree(fm, fields)
+        assert tuple(is_absolutely_irreducible(fm))[: len(expected)] == expected, fm
+        if _gao_certificate(fm.terms):
+            accepted += 1
+            assert expected == (True, True, None), fm
     assert accepted >= 300
+    witnessed = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for fm in _norm_forms(p):
+            expected = _verdict_by_degree(fm, fields)
+            assert tuple(is_absolutely_irreducible(fm))[: len(expected)] == expected, fm
+            witnessed += isinstance(expected[-1], int)
+    assert witnessed >= 100
+
+
+def test_a_vertex_gcd_of_one_builds_no_extension_field(monkeypatch):
+    # the hull (0, 0), (1, 0), (2, 2), (0, 3) has vertex gcd 1, so the F_p
+    # verdict is the absolute one; the rule by the degree, 4, built F_{p^2}
+    built = []
+    monkeypatch.setattr(factor, "ExtensionField",
+                        lambda p, k: built.append((p, k)) or ExtensionField(p, k))
+    factor._extension_field.cache_clear()
+    primes = primes_brute(500, 1000)
+    verdicts = {is_absolutely_irreducible(_mod("U^2*V^2 + V^3 + U + 1", p)) for p in primes}
+    assert len(primes) == 73 and verdicts == {(True, True, None)} and built == []
 
 
 def test_gao_certificate_refusals_fall_through():
@@ -247,7 +307,8 @@ def test_certified_verdict_equals_the_exact_verdict(monkeypatch):
 
 
 # Inputs with no squarefree fiber over F_p, so the engine decides them over an
-# extension F_{p^k} with k coprime to the degree.  The verdicts were recorded
+# extension F_{p^k} with k coprime to the vertex gcd of the Newton polygon
+# (a divisor of the degree).  The verdicts were recorded
 # with the exhaustive factor search that route replaced; the witness factors
 # it found are no longer reported, since a factor over F_{p^k} need not lie
 # in F_p[U, V], except a multiple of V, which is caught before the fiber

@@ -120,6 +120,26 @@ def test_extension_field_basics():
     assert F49.from_int(10) == (3, 0)
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 5), (3, 6), (7, 2), (101, 3), (10007, 2)])
+def test_extension_mul_is_the_product_modulo_the_modulus(p, k):
+    K = ExtensionField(p, k)
+    assert (K.size, K.characteristic, K.zero, K.one) == (p**k, p, (0,) * k, (1,) + (0,) * (k - 1))
+    base, modulus = K.base, list(K.modulus)
+    rng = random.Random(p * 100 + k)
+    for _ in range(60):
+        a, b = (K.element_at(rng.randrange(K.size)) for _ in range(2))
+        rem = u_divmod(base, u_mul(base, _coefficients(a), _coefficients(b)), modulus)[1]
+        assert K.mul(a, b) == tuple(rem) + (0,) * (k - len(rem)), (a, b)
+
+
+def _coefficients(a: tuple) -> list:
+    """A field element as its trimmed coefficient list over F_p."""
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
 def test_extension_roots_and_square_roots_of_minus_one():
     F49 = ExtensionField(7, 2)
     roots = univariate_roots([F49.one, F49.zero, F49.one], F49)  # V^2 + 1

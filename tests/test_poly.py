@@ -347,9 +347,22 @@ def test_both_polynomial_classes_keep_their_semantics():
         for name in ("terms", "degree", "p", "other"):
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
-    for make in (IntBivariatePoly, lambda terms: ModBivariatePoly(5, terms)):
-        for terms in ({(-1, 0): 1}, {(2, 1): 3, (0, -2): 1}):
-            with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+    # exponents and coefficients are integers: floats are refused, not
+    # truncated, and numpy integers are taken as ints
+    not_int = "'float' object cannot be interpreted as an integer"
+    for make, ten in ((IntBivariatePoly, 10), (lambda terms: ModBivariatePoly(7, terms), 3)):
+        for terms, kind, message in (
+            ({(-1, 0): 1}, ValueError, "exponents must be nonnegative"),
+            ({(2, 1): 3, (0, -2): 1}, ValueError, "exponents must be nonnegative"),
+            ({(2, 0.9): 3.7}, TypeError, not_int),
+            ({(1.5, 0): 2.5, (0, 2): 1}, TypeError, not_int),
+            ({(1, 0): 2.0}, TypeError, not_int),
+        ):
+            with pytest.raises(kind, match=f"^{message}$"):
                 make(terms)
+        terms = make({(np.int64(2), np.uint8(0)): np.int32(10)}).terms
+        assert terms == {(2, 0): ten}
+        ((i, j), c), = terms.items()
+        assert (type(i), type(j), type(c)) == (int, int, int)
     assert repr(E) == "IntBivariatePoly('-U^3 + V^2 - U - 1')"
     assert repr(reduce_mod(E, 7)) == "ModBivariatePoly(p=7, '6*U^3 + V^2 + 6*U + 6')"
