@@ -20,8 +20,8 @@ class DegenerateReduction(VisiblePointsError, ValueError):
 class IdenticallyZero(VisiblePointsError, ValueError):
     """A univariate root search was asked about the zero polynomial.
 
-    Callers decide what this means; for row counting it means every
-    residue in the row satisfies the congruence.
+    Callers rule that case out before they ask: the row count tests its
+    polynomial first, and the bad-level minor is nonzero by construction.
     """
 
 

@@ -5,9 +5,9 @@ nonconstant polynomials over a given finite field K.  Strategy, in order:
 
 0. (absolute verdict only) Gao's Newton-polygon certificate: when f is
    divisible by neither U nor V and the convex hull of its exponents is a
-   triangle whose edge vectors have coprime coordinates, that triangle is
-   integrally indecomposable, so f is absolutely irreducible over every
-   field (S. Gao, Absolute irreducibility of polynomials via Newton
+   segment or a triangle whose edge vectors have coprime coordinates, that
+   hull is integrally indecomposable, so f is absolutely irreducible over
+   every field (S. Gao, Absolute irreducibility of polynomials via Newton
    polytopes, J. Algebra 237, 2001).  The certificate only ever says yes;
    every other input goes to the exact engine below;
 1. degree-1 and single-variable inputs are settled directly;
@@ -48,22 +48,23 @@ F_{p^l} for every prime l dividing the vertex gcd g of the Newton polygon
 (``_vertex_gcd`` has the proof); where g = 1 no extension field is built.
 
 The bad levels of f, the a for which f - a is not absolutely irreducible,
-get that verdict only at candidate levels (``bad_level_values``).  The
-support of f - a is the same at every level but a = f(0, 0), so when Gao's
-certificate accepts it, f(0, 0) is the one candidate; a degree-1 f has
-none.  Otherwise the candidates come from Ruppert's criterion in Gao's form
-(W. Ruppert, J. Number Theory 77, 1999; S. Gao, Math. Comp. 72, 2003).  For
-F of bidegree (m, n), the F_p-linear map (g, h) -> F*g_V - g*F_V - F*h_U +
-h*F_U on g of bidegree at most (m - 1, n) and h of bidegree at most
-(m, n - 1) has (F_U, F_V) in its kernel, and at every p an F that is not
-absolutely irreducible gives it a second kernel vector (the proof is in
-``bad_level_values``).  Only the constant term of F = f - a depends on a,
-so its matrix is a linear pencil M(a) = M0 - a*N, N the matrix of
-(g, h) -> g_V - h_U.  Where some level has nullity 1, a bad level is a root
-of one (c - 1)-minor of the pencil that is not identically zero, c the
-number of columns.  All p levels get the verdict when no level has nullity
-1, and an f free of U or of V of degree >= 2 has every level bad, with no
-verdict; above MAX_ALL_LEVELS_PRIME both are refused.
+come from Ruppert's criterion in Gao's form (W. Ruppert, J. Number Theory
+77, 1999; S. Gao, Math. Comp. 72, 2003).  For F of bidegree (m, n), the
+F_p-linear map (g, h) -> F*g_V - g*F_V - F*h_U + h*F_U on g of bidegree at
+most (m - 1, n) and h of bidegree at most (m, n - 1) has (F_U, F_V) in its
+kernel.  At every p a bad level has nullity >= 2, and above the bound
+B = max((2m - 1)*n, (2n - 1)*m) every level of nullity >= 2 is bad (the
+proofs are in ``bad_level_values``).  Only the constant term of F = f - a
+depends on a, so its matrix is a linear pencil M(a) = M0 - a*N, N the
+matrix of (g, h) -> g_V - h_U.  Where some level has nullity 1, the levels
+of nullity >= 2 are roots of one (c - 1)-minor of the pencil that is not
+identically zero, c the number of columns; where none has, such as for an
+f free of U or of V, whose map is zero, every level has nullity >= 2.  For
+p > B these levels are the bad set, with no verdict; for p <= B each gets
+the exact verdict.  The support of f - a is the same at every level but
+a = f(0, 0), so when Gao's certificate accepts it, f(0, 0) alone gets the
+verdict, at every p; a degree-1 f has no bad level.  A bad set of every
+level is refused above MAX_ALL_LEVELS_PRIME.
 """
 
 from __future__ import annotations
@@ -96,9 +97,8 @@ from .fields import (
 )
 from .poly import IntBivariatePoly, ModBivariatePoly, reduce_mod
 
-#: the largest p at which bad_level_values lists every level, or gives every
-#: level the verdict, rather than raise ValueError: p levels take p lines of
-#: output, and p verdicts take minutes near this bound
+#: the largest p at which bad_level_values lists every level rather than
+#: raise ValueError: p levels take p lines of output
 MAX_ALL_LEVELS_PRIME = 10**5
 
 # ---------------------------------------------------------------------------
@@ -471,8 +471,8 @@ def _gao_certificate(terms) -> bool:
     """True when Gao's criterion proves the polynomial with these exponents
     absolutely irreducible; False means undecided, not reducible.
 
-    A Newton-polygon triangle with vertices v0, v1, v2 and
-    gcd(v1 - v0, v2 - v0) = 1 is integrally indecomposable, so any
+    A Newton-polygon segment or triangle with vertices v0, v1 (, v2) and
+    gcd(v1 - v0 (, v2 - v0)) = 1 is integrally indecomposable, so any
     factorization has a monomial factor; a term free of U and a term free
     of V rule that out (``U*V^2 + U^4 + U`` has such a triangle but the
     factor U).
@@ -480,10 +480,9 @@ def _gao_certificate(terms) -> bool:
     if all(i for i, _ in terms) or all(j for _, j in terms):
         return False
     hull = _hull_vertices(terms)
-    if len(hull) != 3:
+    if len(hull) not in (2, 3):
         return False
-    (a, b), (c, d), (e, g) = hull
-    return math.gcd(c - a, d - b, e - a, g - b) == 1
+    return math.gcd(*(c - c0 for vertex in hull[1:] for c, c0 in zip(vertex, hull[0]))) == 1
 
 
 def _vertex_gcd(terms) -> int:
@@ -600,24 +599,22 @@ def _ruppert_rows(terms: dict, m: int, n: int, p: int) -> dict:
 
 
 def _candidate_levels(fm: ModBivariatePoly) -> list[int] | None:
-    """The levels a at which :func:`bad_level_values` runs the exact verdict
-    on f - a, for f in both U and V, or None when it runs it at every level.
+    """The levels a at which the Ruppert matrix of f - a has nullity >= 2,
+    or None when every level has.
 
-    f(0, 0) alone when Gao's certificate accepts the support of f plus a
-    constant term, none when f has degree 1.  Otherwise the candidates are
-    the roots in F_p of D(l) = det M(l)[R, C], M(l) = M0 - l*N the Ruppert
-    matrix of f - l and R, C the pivot rows and columns of the first level
-    a0 of nullity 1, less those of nullity 1.  None when no level among the
-    first min(p, c) has nullity 1, c the number of columns.  The proof is
-    in :func:`bad_level_values`.
+    No level when f has degree 1.  None for f free of U or of V, whose
+    map is zero, without building the pencil.  Otherwise the roots in F_p of
+    D(l) = det M(l)[R, C], M(l) = M0 - l*N the Ruppert matrix of f - l and
+    R, C the pivot rows and columns of the first level a0 of nullity 1, less
+    those of nullity 1; None when no level among the first min(p, c) has
+    nullity 1, c the number of columns.  The proof is in
+    :func:`bad_level_values`.
     """
     p, m, n = fm.p, fm.deg_u, fm.deg_v
-    if _gao_certificate(set(fm.terms) | {(0, 0)}):
-        # the support of f - a, and so the certificate, is the same at every
-        # level but a = f(0, 0)
-        return [fm.terms.get((0, 0), 0)]
     if fm.degree == 1:
         return []
+    if not (m and n):
+        return None
     M0, N = _ruppert_rows(fm.terms, m, n, p), _ruppert_rows({(0, 0): 1}, m, n, p)
     c = 2 * m * n + m + n
     zero = [0] * c
@@ -640,34 +637,26 @@ def _candidate_levels(fm: ModBivariatePoly) -> list[int] | None:
     return [a for a in sorted(univariate_roots(D, K)) if eliminate(a)[1] < c - 1]
 
 
-def _every_level(p: int, why: str) -> range:
-    """All p levels; above MAX_ALL_LEVELS_PRIME, a ValueError that names p,
-    the bound and why."""
-    if p > MAX_ALL_LEVELS_PRIME:
-        raise ValueError(f"p = {p}: {why} above p = {MAX_ALL_LEVELS_PRIME}")
-    return range(p)
-
-
 def bad_level_values(f: IntBivariatePoly, p: int) -> set[int]:
     """The residues a for which f - a is not absolutely irreducible mod p.
 
-    When f reduced mod p has degree >= 2 and is free of U or of V, every
-    level is bad: f - a is a polynomial of degree >= 2 in one variable, so
-    a product of linear factors over the algebraic closure.  Otherwise every
-    level of :func:`_candidate_levels` gets the exact verdict of
-    :func:`is_absolutely_irreducible`, and every level does where that
-    returns None: when no level among the first min(p, c) has nullity 1.
-    Above ``MAX_ALL_LEVELS_PRIME``, a bad set that would list every level or
-    give every level the verdict raises ValueError instead.
+    When Gao's certificate accepts the support of f plus a constant term,
+    only a = f(0, 0) gets the exact verdict of
+    :func:`is_absolutely_irreducible`.  Otherwise the bad set is the set of
+    levels of nullity >= 2 of :func:`_candidate_levels`, taken as it is for
+    p > B = max((2m - 1)*n, (2n - 1)*m), (m, n) the bidegree of f mod p, and
+    given the verdict level by level for p <= B.  Above
+    ``MAX_ALL_LEVELS_PRIME``, a bad set that would hold every level raises
+    ValueError instead.
 
-    Why the candidates hold every bad level, at every p, for f in both U
-    and V.  Let F = f - a, of bidegree (m, n), and M(a) the matrix of
-    Ruppert's map (g, h) -> F*g_V - g*F_V - F*h_U + h*F_U, whose kernel is
-    the pairs with (g/F)_V = (h/F)_U.  The rank of M(a) is the same over
-    F_p and over its algebraic closure L, where an F that is not absolutely
-    irreducible gives two independent kernel vectors.  An irreducible P over
-    L has P_U or P_V nonzero: else P is a polynomial in U^p and V^p, so a
-    p-th power, as L is perfect.
+    Why a bad level has nullity >= 2, at every p.  Let F = f - a, of
+    bidegree (m, n), and M(a) the matrix of Ruppert's map
+    (g, h) -> F*g_V - g*F_V - F*h_U + h*F_U, whose kernel is the pairs with
+    (g/F)_V = (h/F)_U.  The rank of M(a) is the same over F_p and over its
+    algebraic closure L, where an F that is not absolutely irreducible
+    gives two independent kernel vectors.  An irreducible P over L has P_U
+    or P_V nonzero: else P is a polynomial in U^p and V^p, so a p-th power,
+    as L is perfect.
 
     - F with r >= 2 distinct irreducible factors P_i over L.  Each
       s_i = (F/P_i)*(P_i,U, P_i,V) solves it, as (P_U/P)_V = (P_V/P)_U, and
@@ -679,24 +668,49 @@ def bad_level_values(f: IntBivariatePoly, p: int) -> set[int]:
       solve it, as (P_U*P^-e)_V = (P_V*P^-e)_U, and fit the bounds.
       l*P^(e-1) + k kills the nonzero one of P_U and P_V, so l = k = 0.
 
-    So a bad a has nullity >= 2 and rank M(a) <= c - 2, c the number of
-    columns: every (c - 1)-minor vanishes there, the minor D of
-    :func:`_candidate_levels` among them, and nullity 1 proves a good.  D
-    has degree <= c - 1, so for p > c its values at c levels give it; for
-    p <= c, its values at all p levels give a polynomial of degree < p with
-    the same zeros in F_p.  Neither is zero, as D(a0) != 0.  If no level
-    among the first min(p, c) has nullity 1, every (c - 1)-minor vanishes
-    at all p levels or at c of them, so identically: no level has nullity
-    1.  The bad set has a size bounded independently of p for fixed degree
+    So a bad a has rank M(a) <= c - 2, c the number of columns: every
+    (c - 1)-minor vanishes there, the minor D of :func:`_candidate_levels`
+    among them.  D has degree <= c - 1, so for p > c its values at c levels
+    give it; for p <= c, its values at all p levels give a polynomial of
+    degree < p with the same zeros in F_p.  Neither is zero, as D(a0) != 0.
+    If no level among the first min(p, c) has nullity 1, every
+    (c - 1)-minor vanishes at all p levels or at c of them, so identically:
+    no level has nullity 1.
+
+    Why a level of nullity >= 2 is bad for p > B.  Gao's converse (Math.
+    Comp. 72, 2003): if p > (2m - 1)*n and gcd(F, F_U) = 1, the nullity is
+    the number r of absolutely irreducible factors of F.  Exchanging U and V
+    together with g and h maps the Ruppert system of F, with its degree
+    bounds, to that of F(V, U), so the same holds for p > (2n - 1)*m and
+    gcd(F, F_V) = 1; B covers both orientations of the statement.
+    - m, n >= 1.  Then B >= max(m, n), so both are below p.  A gcd(F, F_U)
+      that is a proper factor of F makes F reducible, and F dividing F_U,
+      of lower U-degree, makes F_U = 0, impossible for 1 <= m < p; alike
+      for F_V.  So F is bad, or gcd(F, F_U) = gcd(F, F_V) = 1 and the
+      nullity is r, which is >= 2 exactly when F is bad.
+    - m = 0 (alike n = 0).  Then B <= 0 < p.  The map is zero, as g has no
+      coefficients and h_U = F_U = 0, so the nullity is c = n, and for
+      n >= 2 every F is a polynomial in V of degree n, a product of linear
+      factors over L.  A degree-1 f has no bad level.
+
+    The bad set has a size bounded independently of p for fixed degree
     (Y. Stein, Israel J. Math. 68, 1989).
     """
     fm = reduce_mod(f, p)
-    if fm.degree > 1 and not (fm.deg_u and fm.deg_v):
-        return set(_every_level(p, f"every level of {f.text()} is bad, too many to list"))
-    levels = _candidate_levels(fm)
-    if levels is None:
-        levels = _every_level(p, f"the bad set of {f.text()} needs a verdict at every "
-                                 "level, too many to run")
+    if fm.degree > 1 and _gao_certificate(set(fm.terms) | {(0, 0)}):
+        # the support of f - a, and so the certificate, is the same at every
+        # level but a = f(0, 0)
+        levels = [fm.terms.get((0, 0), 0)]
+    else:
+        levels = _candidate_levels(fm)
+        if levels is None and p > MAX_ALL_LEVELS_PRIME:
+            # every level is bad, as p > B: a pencil of c > B >= p columns
+            # is too large to build
+            raise ValueError(f"p = {p}: every level of {f.text()} is bad, too many to list "
+                             f"above p = {MAX_ALL_LEVELS_PRIME}")
+        levels = range(p) if levels is None else levels
+        if p > max((2 * fm.deg_u - 1) * fm.deg_v, (2 * fm.deg_v - 1) * fm.deg_u):
+            return set(levels)
     return {
         a for a in levels
         if not is_absolutely_irreducible(fm.subtract_const(a)).absolutely_irreducible

@@ -375,8 +375,8 @@ def univariate_roots(g: list, field) -> set:
     distinct linear factors of g, gcd(x^q - x, g), is split into them by
     :func:`factor_squarefree`.
 
-    Raises IdenticallyZero for the zero polynomial; row-by-row callers
-    treat that case as 'every value satisfies the congruence'.
+    Raises IdenticallyZero for the zero polynomial; callers rule that case
+    out before they ask.
     """
     K = field
     g = u_trim(K, list(g))

@@ -545,6 +545,14 @@ ADVERSARIAL_ARGV = [
     (["badset", "-f", "V^3 - U^3 - 1", "-p", str(2**89 - 1)], 2),
     # p = deg f, where a verdict at every level took seconds each
     (["badset", "-f", "V^11 + U^10*V + U + 1", "-p", "11"], 0),
+    # no level of nullity 1 above Gao's bound: every level is bad, with no
+    # verdict, where a verdict at every level took 49 s
+    (["badset", "-f", "U^2*V^2 + U*V + 3", "-p", "10007"], 0),
+    # Newton polygons that are segments of coprime direction, certified
+    # absolutely irreducible; the engine ran out of memory on them
+    (["irred", "-f", "U*V^100000000 + 1", "-p", "101"], 0),
+    (["badset", "-f", "V^100000000 + U", "-p", "101"], 0),
+    (["badset", "-f", "U*V^3000 + 1", "-p", "101"], 0),
     # the cap leaves room for the benchmark's full level sweep
     (["exp-a", "-f", E, "-p", "4003", "-X", "4003", "-Y", "4003", "--format", "json"], 0),
 ]

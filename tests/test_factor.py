@@ -376,17 +376,22 @@ def _loop_bad_levels(fm):
             if not is_absolutely_irreducible(fm.subtract_const(a)).absolutely_irreducible}
 
 
+def _times(g, h):
+    out: dict = {}
+    for (i1, j1), c1 in g.items():
+        for (i2, j2), c2 in h.items():
+            out[(i1 + i2, j1 + j2)] = out.get((i1 + i2, j1 + j2), 0) + c1 * c2
+    return out
+
+
 def _random_level_fixture(rng):
     def dense(deg):
         return {(i, j): rng.randint(-5, 5) for i in range(deg + 1) for j in range(deg + 1 - i)}
 
     if rng.random() < 0.5:
         return IntBivariatePoly(dense(rng.randint(2, 4)))
-    g, h = dense(rng.randint(1, 2)), dense(rng.randint(1, 2))
-    prod = {(0, 0): rng.randint(-5, 5)}
-    for (i1, j1), c1 in g.items():
-        for (i2, j2), c2 in h.items():
-            prod[(i1 + i2, j1 + j2)] = prod.get((i1 + i2, j1 + j2), 0) + c1 * c2
+    prod = _times(dense(rng.randint(1, 2)), dense(rng.randint(1, 2)))
+    prod[(0, 0)] = prod.get((0, 0), 0) + rng.randint(-5, 5)
     return IntBivariatePoly(prod)
 
 
@@ -437,7 +442,7 @@ def test_candidates_of_curves_linear_in_v():
         assert bad_level_values(f, p) == loop, (f, p)
 
 
-# one input for each reason every level gets the exact verdict
+# one input for each reason every level has nullity >= 2
 FALLBACK_FIXTURES = [
     ("U^3 + U", 17),                        # free of V
     ("V^2 + 3*V", 13),                      # free of U
@@ -528,9 +533,9 @@ def test_bad_levels_of_one_variable_take_no_verdict(monkeypatch):
 
 
 @pytest.mark.parametrize("text", [
-    "U^2",                  # every level bad: the closed form lists them
+    "U^2",                  # free of V: the map is zero, every level is bad
     "V^3 + 1",
-    "U^2*V^2 + U*V + 3",    # no level of nullity 1: a verdict at every level
+    "U^2*V^2 + U*V + 3",    # no level of nullity 1, above Gao's bound
 ])
 def test_bad_sets_of_every_level_are_refused_above_the_bound(monkeypatch, text):
     monkeypatch.setattr(factor, "MAX_ALL_LEVELS_PRIME", 13)
@@ -562,14 +567,15 @@ def test_bad_levels_recorded_sets():
         ("V^3 - U^3", 307, [0], {0}),
         ("V^3 - U^3", 7, [0], {0}),                # p <= c: D as a function on F_7
         ("V^4 - U^4 + U*V", 101, [24, 77], {24, 77}),
-        ("V^2 - U^3 - U - 1", 307, [306], set()),  # certified but at a = f(0, 0)
-        ("V^100 + U^3 + U*V", 1000003, [0], set()),
+        # certified but at a = f(0, 0), the one level that gets the verdict
+        ("V^2 - U^3 - U - 1", 307, "certified", set()),
+        ("V^100 + U^3 + U*V", 1000003, "certified", set()),
         # level 1 is reducible with no affine singular point, at infinity
         ("2*U^2*V^2 - 3*U*V - 2*V^2", 17, [0, 1], {0, 1}),
         ("U^3*V^3 + U + V", 1009, [], set()),      # singular at infinity
         ("U^3*V^3 + U + V", 2**31 - 1, [], set()),
         ("U^3*V^3 + U + V", 2**61 - 1, [], set()),
-        ("U + 3", 10000000019, [], set()),         # degree 1, not certified
+        ("U + 3", 10000000019, [], set()),         # degree 1: no level, no verdict
         # p <= deg f: a bad level has nullity >= 2 at every p
         ("U^2*V + U*V^2 + V", 3, [0], {0}),
         ("2*U^2*V + U^2 + V^2", 3, [1], {1}),
@@ -577,8 +583,14 @@ def test_bad_levels_recorded_sets():
         ("2*U^2*V^2 + 2*V^3 + U^2", 3, [1, 2], {1, 2}),
         ("U^2*V + V^2 + U", 2, [], set()),
     ):
-        assert factor._candidate_levels(_mod(text, p)) == cands, (text, p)
+        fm = _mod(text, p)
+        if cands == "certified":
+            assert _gao_certificate(set(fm.terms) | {(0, 0)}), (text, p)
+        else:
+            assert factor._candidate_levels(fm) == cands, (text, p)
         assert bad_level_values(parse_poly(text), p) == bad, (text, p)
+    # above Gao's bound the pencil alone gives E's bad set too
+    assert factor._candidate_levels(_mod("V^2 - U^3 - U - 1", 307)) == []
     for text, p in (("U^2*V + U*V^2 + V", 3), ("2*U^2*V + U^2 + V^2", 3), ("U^2*V + V^2 + U", 2)):
         f = parse_poly(text)  # the rows at p <= deg f of degree 3
         assert bad_levels_lines(f.terms, p) == bad_level_values(f, p), (text, p)
@@ -593,14 +605,97 @@ def test_bad_levels_run_the_verdict_only_at_candidates(monkeypatch):
         return verdict(fm)
 
     monkeypatch.setattr(factor, "is_absolutely_irreducible", counted)
-    assert bad_level_values(parse_poly("V^3 - U^3"), 97) == {0}
-    assert len(calls) <= 2
-    calls.clear()  # the other roots of the pencil's minor have nullity 1
+    # above Gao's bound B the levels of nullity >= 2 are the bad set
+    assert bad_level_values(parse_poly("V^3 - U^3"), 97) == {0}  # B = 15
+    assert bad_level_values(parse_poly("U^2*V^2 + U*V + 3"), 10007) == set(range(10007))
+    assert calls == []
+    # a certified support: a = f(0, 0) alone gets the verdict, at every p
     assert bad_level_values(parse_poly("U*V"), 10007) == {0}
     assert len(calls) == 1
-    calls.clear()  # p < deg f: one verdict, not one per level
+    calls.clear()  # p <= B = 6: a verdict per level of nullity >= 2, not per level
     assert bad_level_values(parse_poly("U^2*V^2 + U^2 + V^2"), 3) == {2}
     assert len(calls) == 1
+
+
+def _compose(coefficients, h):
+    """g(h) as a term dict, g the univariate polynomial with these
+    coefficients (constant first)."""
+    out: dict = {}
+    power = {(0, 0): 1}
+    for c in coefficients:
+        for ij, t in power.items():
+            out[ij] = out.get(ij, 0) + c * t
+        power = _times(power, h)
+    return {ij: c for ij, c in out.items() if c}
+
+
+def _gao_bound(fm):
+    m, n = fm.deg_u, fm.deg_v
+    return max((2 * m - 1) * n, (2 * n - 1) * m)
+
+
+def test_bad_levels_equal_the_loop_on_both_sides_of_gaos_bound(monkeypatch):
+    # compositions g(h), whose levels are all bad, and random f, at primes
+    # p <= B and B < p <= B + 20: above B the levels of nullity >= 2 are the
+    # bad set and only a certified level gets the verdict
+    calls = []
+    verdict = factor.is_absolutely_irreducible
+    monkeypatch.setattr(factor, "is_absolutely_irreducible",
+                        lambda fm: calls.append(fm) or verdict(fm))
+    rng = random.Random(2003)
+    sides = {False: 0, True: 0}
+    nonempty = 0
+    for k in range(360):
+        if k % 5 < 2:
+            h = {ij: rng.randint(-3, 3) for ij in ((0, 0), (1, 0), (0, 1), (1, 1))}
+            f = IntBivariatePoly(_compose([rng.randint(-3, 3) for _ in range(rng.randint(2, 3))]
+                                          + [rng.choice((1, -2, 3))], h))
+        else:
+            f = IntBivariatePoly({(i, j): rng.randint(-4, 4) for i in range(3)
+                                  for j in range(rng.randint(3, 4) - i) if rng.random() < 0.7}
+                                 or {(1, 1): 1})
+        if f.degree < 2:
+            continue
+        above = k % 2 == 0
+        bound = _gao_bound(f)
+        primes = primes_brute(bound + 1, bound + 20) if above else primes_brute(2, bound)
+        if not primes:
+            continue
+        p = rng.choice(primes)
+        try:
+            fm = reduce_mod(f, p)
+        except DegenerateReduction:
+            continue
+        calls.clear()
+        bad = bad_level_values(f, p)
+        assert bad == _loop_bad_levels(fm), (f, p)
+        above = p > _gao_bound(fm)
+        if above and not _gao_certificate(set(fm.terms) | {(0, 0)}):
+            assert calls == [], (f, p)
+        sides[above] += 1
+        nonempty += bool(bad)
+    assert sum(sides.values()) >= 300, sides
+    assert sides[False] >= 100 and sides[True] >= 100 and nonempty >= 150, (sides, nonempty)
+
+
+def test_bad_levels_of_line_compositions_equal_the_line_oracle():
+    # g(U + c*V) - a splits into lines over the closure for deg g >= 2, so
+    # every level is bad; at p = 7 a quadratic g lies above B = 6
+    rng = random.Random(1999)
+    checked = above = 0
+    for p in (2, 3, 5, 7):
+        for _ in range(12):
+            g = [rng.randrange(p) for _ in range(rng.randint(2, 3))] + [rng.randrange(1, p)]
+            terms = _compose(g, {(1, 0): 1, (0, 1): rng.randrange(p)})
+            f = IntBivariatePoly(terms)
+            fm = reduce_mod(f, p)
+            if fm.degree < 2:
+                continue
+            bad = bad_level_values(f, p)
+            assert bad == bad_levels_lines(fm.terms, p) == set(range(p)), (f, p)
+            checked += 1
+            above += p > _gao_bound(fm)
+    assert checked >= 40 and above >= 5, (checked, above)
 
 
 def _random_terms(rng, p, d):
