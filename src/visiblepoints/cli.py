@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: count, visible, irred, badset, zeros, exp-a, exp-p, sweep.
+Subcommands: count, visible, irred, badset, zeros, exp-a, exp-p, sweep;
+the table ``_COMMANDS`` lists each once, for ``build_parser`` and ``main``.
 Polynomials are given with -f in the c*U^i*V^j grammar; X and Y may be
 real.  Output formats: table (default), json, and - for the record-emitting
 commands zeros/exp-a/exp-p/sweep - csv.
@@ -63,8 +64,9 @@ _EXIT_CODES = (
     (ValueError, "usage error", EXIT_USAGE),
 )
 
-#: formats of the record-emitting commands; the others print table or json
+#: formats of the record-emitting commands, and of the others
 _RECORD_FORMATS = ("table", "csv", "json")
+_PAYLOAD_FORMATS = ("table", "json")
 #: help of --workers on the sweeping commands
 _WORKERS_HELP = ("accepted and ignored: the grid histogram takes a thread per CPU this "
                  "process may run on (taskset restricts them) while p <= 2^17")
@@ -84,78 +86,6 @@ def _worker_count(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return n
-
-
-def _add_common(sub, formats=("table", "json")):
-    sub.add_argument("-f", "--poly", required=True, help="polynomial, e.g. \"V^2 - U^3 - U - 1\"")
-    sub.add_argument("--format", choices=formats, default="table")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-
-
-def build_parser() -> _Parser:
-    ap = _Parser(prog="visiblepoints", description=__doc__.splitlines()[0])
-    sp = ap.add_subparsers(dest="command", required=True)
-
-    c = sp.add_parser("count", help="level-curve point count in a box")
-    _add_common(c)
-    c.add_argument("-p", type=int, required=True)
-    c.add_argument("-a", type=int, required=True)
-    c.add_argument("-X", type=float, required=True)
-    c.add_argument("-Y", type=float, required=True)
-    c.add_argument("--strategy", choices=("auto", "grid", "rows"), default="auto",
-                   help="grid: evaluate f at every point; rows: find the roots in V of "
-                        "each row f(x, V) - a; auto (default): whichever a cost rule "
-                        "fitted to timings of both expects to be cheaper")
-
-    v = sp.add_parser("visible", help="visible-point count by both routes")
-    _add_common(v)
-    v.add_argument("-p", type=int, required=True)
-    v.add_argument("-a", type=int, required=True)
-    v.add_argument("-X", type=float, required=True)
-    v.add_argument("-Y", type=float, required=True)
-
-    i = sp.add_parser("irred", help="irreducibility verdict modulo p")
-    _add_common(i)
-    i.add_argument("-p", type=int, required=True)
-
-    b = sp.add_parser("badset", help="levels a where f - a loses absolute irreducibility")
-    _add_common(b)
-    b.add_argument("-p", type=int, required=True)
-
-    z = sp.add_parser("zeros", help="exact integer zeros of f in the box")
-    _add_common(z, _RECORD_FORMATS)
-    z.add_argument("-X", type=float, required=True)
-    z.add_argument("-Y", type=float, required=True)
-
-    ea = sp.add_parser("exp-a", help="discrepancy summed over all levels a for one prime")
-    _add_common(ea, _RECORD_FORMATS)
-    ea.add_argument("-p", type=int, required=True)
-    ea.add_argument("-X", type=float, required=True)
-    ea.add_argument("-Y", type=float, required=True)
-    ea.add_argument("--delta", type=float, action="append", default=None,
-                    help="also report concentration fractions (repeatable)")
-
-    ep = sp.add_parser("exp-p", help="discrepancy summed over primes in [T/2, T] at level 0")
-    _add_common(ep, _RECORD_FORMATS)
-    ep.add_argument("-T", type=float, required=True)
-    ep.add_argument("-X", type=float, required=True)
-    ep.add_argument("-Y", type=float, required=True)
-
-    sw = sp.add_parser("sweep", help="run a series of sweeps, or replay a CSV")
-    sw.add_argument("-f", "--poly", required=False, default=None)
-    sw.add_argument("--format", choices=_RECORD_FORMATS, default="csv")
-    sw.add_argument("--out", default=None)
-    sw.add_argument("--mode", choices=("levels", "primes"), default=None)
-    sw.add_argument("--grid", default=None,
-                    help="comma-separated p values (levels) or T values (primes)")
-    sw.add_argument("-X", type=float, default=None)
-    sw.add_argument("-Y", type=float, default=None)
-    sw.add_argument("--box-eq-p", action="store_true",
-                    help="levels mode, without -X/-Y: use X = Y = p for each grid entry")
-    sw.add_argument("--from-csv", default=None, help="re-emit records parsed from a CSV file")
-    for sub in (ea, ep, sw):
-        sub.add_argument("--workers", type=_worker_count, help=_WORKERS_HELP)
-    return ap
 
 
 def _check_prime(args) -> None:
@@ -377,17 +307,64 @@ def _cmd_sweep(args) -> int:
     return next((code for types, _, code in _EXIT_CODES if isinstance(first_failure, types)), 1)
 
 
-#: subcommand -> (handler, checks that main runs on the arguments first)
-_HANDLERS = {
-    "count": (_cmd_count, _check_prime, _check_box),
-    "visible": (_cmd_visible, _check_prime, _check_box),
-    "irred": (_cmd_irred, _check_prime),
-    "badset": (_cmd_badset, _check_prime),
-    "zeros": (_cmd_zeros,),
-    "exp-a": (_cmd_exp_a, _check_prime, _check_box),
-    "exp-p": (_cmd_exp_p,),
-    "sweep": (_cmd_sweep,),
+#: the one list of subcommands: name -> (help; formats of its -f/--format/--out
+#: block, None for sweep, which declares its own; letters of its required
+#: numeric arguments; handler; checks that main runs on the arguments first)
+_COMMANDS = {
+    "count": ("level-curve point count in a box",
+              _PAYLOAD_FORMATS, "paXY", _cmd_count, (_check_prime, _check_box)),
+    "visible": ("visible-point count by both routes",
+                _PAYLOAD_FORMATS, "paXY", _cmd_visible, (_check_prime, _check_box)),
+    "irred": ("irreducibility verdict modulo p",
+              _PAYLOAD_FORMATS, "p", _cmd_irred, (_check_prime,)),
+    "badset": ("levels a where f - a loses absolute irreducibility",
+               _PAYLOAD_FORMATS, "p", _cmd_badset, (_check_prime,)),
+    "zeros": ("exact integer zeros of f in the box", _RECORD_FORMATS, "XY", _cmd_zeros, ()),
+    "exp-a": ("discrepancy summed over all levels a for one prime",
+              _RECORD_FORMATS, "pXY", _cmd_exp_a, (_check_prime, _check_box)),
+    "exp-p": ("discrepancy summed over primes in [T/2, T] at level 0",
+              _RECORD_FORMATS, "TXY", _cmd_exp_p, ()),
+    "sweep": ("run a series of sweeps, or replay a CSV", None, "", _cmd_sweep, ()),
 }
+#: the type of each numeric argument, by its letter
+_NUMBER_TYPES = {"p": int, "a": int, "T": float, "X": float, "Y": float}
+
+
+def build_parser() -> _Parser:
+    ap = _Parser(prog="visiblepoints", description=__doc__.splitlines()[0])
+    sp = ap.add_subparsers(dest="command", required=True)
+    subs = {}
+    for name, (help_text, formats, letters, _, _) in _COMMANDS.items():
+        sub = subs[name] = sp.add_parser(name, help=help_text)
+        if formats:
+            sub.add_argument("-f", "--poly", required=True,
+                             help="polynomial, e.g. \"V^2 - U^3 - U - 1\"")
+            sub.add_argument("--format", choices=formats, default="table")
+            sub.add_argument("--out", default=None, help="output path (default stdout)")
+        for letter in letters:
+            sub.add_argument(f"-{letter}", type=_NUMBER_TYPES[letter], required=True)
+    subs["count"].add_argument(
+        "--strategy", choices=("auto", "grid", "rows"), default="auto",
+        help="grid: evaluate f at every point; rows: find the roots in V of each row "
+             "f(x, V) - a; auto (default): whichever a cost rule fitted to timings of "
+             "both expects to be cheaper")
+    subs["exp-a"].add_argument("--delta", type=float, action="append", default=None,
+                               help="also report concentration fractions (repeatable)")
+    sw = subs["sweep"]
+    sw.add_argument("-f", "--poly", required=False, default=None)
+    sw.add_argument("--format", choices=_RECORD_FORMATS, default="csv")
+    sw.add_argument("--out", default=None)
+    sw.add_argument("--mode", choices=("levels", "primes"), default=None)
+    sw.add_argument("--grid", default=None,
+                    help="comma-separated p values (levels) or T values (primes)")
+    for letter in "XY":
+        sw.add_argument(f"-{letter}", type=_NUMBER_TYPES[letter], default=None)
+    sw.add_argument("--box-eq-p", action="store_true",
+                    help="levels mode, without -X/-Y: use X = Y = p for each grid entry")
+    sw.add_argument("--from-csv", default=None, help="re-emit records parsed from a CSV file")
+    for name in ("exp-a", "exp-p", "sweep"):
+        subs[name].add_argument("--workers", type=_worker_count, help=_WORKERS_HELP)
+    return ap
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -397,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        handler, *checks = _HANDLERS[args.command]
+        *_, handler, checks = _COMMANDS[args.command]
         for check in checks:
             check(args)
         code = handler(args)

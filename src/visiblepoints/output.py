@@ -1,7 +1,8 @@
 """The experiment records, ``DiscrepancyRecord``, ``ConcentrationProfile``
 and ``ZeroSetReport``, and every format they are written in: table, CSV and
 JSON, all through ``render``.  ``read_csv`` reads the CSV back without numpy,
-and refuses a row the writers would not emit.
+however long its fields, and refuses a row the writers would not emit, such
+as one with a non-finite float.
 
 CSV layout (schema 1): two comment lines (`# schema=1`, `# generated=...`)
 followed by a fixed header row and one data row per record.  Floats are
@@ -22,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
@@ -244,6 +246,13 @@ def _cell(row: dict[str, str], column: str, parse):
         raise ValueError(f"column {column}: {exc}") from None
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _flag(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"{text!r} is neither true nor false")
@@ -270,13 +279,13 @@ def _parse_record(row: dict[str, str]) -> DiscrepancyRecord:
         kind=kind,
         f_text=row["f"],
         p=_cell(row, "p", int) if row["p"] else None,
-        T=_cell(row, "T", float) if row["T"] else None,
+        T=_cell(row, "T", _finite) if row["T"] else None,
         a=_cell(row, "a", int) if row["a"] else (0 if kind == "primes" else None),
-        X=_cell(row, "X", float),
-        Y=_cell(row, "Y", float),
-        sum_abs_dev=_cell(row, "sum_abs_dev", float),
-        bound_value=_cell(row, "bound_value", float),
-        ratio=_cell(row, "ratio", float),
+        X=_cell(row, "X", _finite),
+        Y=_cell(row, "Y", _finite),
+        sum_abs_dev=_cell(row, "sum_abs_dev", _finite),
+        bound_value=_cell(row, "bound_value", _finite),
+        ratio=_cell(row, "ratio", _finite),
         skipped_primes=_cell(row, "skipped_primes",
                              lambda text: tuple(int(p) for p in text.split(";") if p)),
         box_nontrivial=_cell(row, "box_nontrivial", _flag),
@@ -288,7 +297,7 @@ def _parse_zeroset(row: dict[str, str]) -> ZeroSetReport:
     if _cell(row, "n_points", int) != len(points):
         raise ValueError(f"column n_points: {row['n_points']}, but the points column holds "
                          f"{len(points)}")
-    return ZeroSetReport(row["f"], _cell(row, "X", float), _cell(row, "Y", float), points)
+    return ZeroSetReport(row["f"], _cell(row, "X", _finite), _cell(row, "Y", _finite), points)
 
 
 def read_csv(text: str) -> tuple[str, list]:
@@ -299,6 +308,8 @@ def read_csv(text: str) -> tuple[str, list]:
     would not write raises ValueError naming its 1-based data row and the
     column at fault.
     """
+    # csv.reader refuses a field longer than its limit, the writers none
+    csv.field_size_limit(max(csv.field_size_limit(), len(text)))
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("no CSV content found")

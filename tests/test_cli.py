@@ -444,6 +444,21 @@ def test_unopenable_paths_are_usage_errors(tmp_path, capsys):
         assert "No such file or directory" in captured.err, argv
 
 
+#: command line -> the help it prints at 80 columns, recorded under Python
+#: 3.11 before the subcommands moved into one table (argparse's layout
+#: changes across versions: 3.13 prints "-f, --poly POLY")
+CLI_HELP = json.loads(Path(__file__).with_name("cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("line", CLI_HELP)
+def test_help_prints_the_recorded_text(line, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    with pytest.raises(SystemExit) as stop:
+        main(line.split()[1:])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == CLI_HELP[line]
+
+
 def test_counting_goes_through_the_rebindable_cli_names(monkeypatch, capsys):
     # the benchmark's traced mode counts these calls by rebinding the names
     # on the cli module; a handler that looked them up elsewhere would

@@ -12,6 +12,7 @@ from visiblepoints.experiments import integer_zero_set, level_sweep, prime_sweep
 from visiblepoints.output import (
     RECORD_COLUMNS,
     ZEROSET_COLUMNS,
+    ZeroSetReport,
     read_csv,
     records_to_csv,
     records_to_json,
@@ -76,6 +77,14 @@ MALFORMED_CSV = [
     *[pytest.param(ZEROSET_COLUMNS, f"U*V - 2,9.0,9.0,2,1:2;{pair}",
                    f"column points: point '{pair}' is not two integers joined by one colon",
                    id=f"point {pair}") for pair in ("1", "1:1:1", "2:x")],
+    # the writers write no non-finite float, and JSON has no place for one
+    *[pytest.param(RECORD_COLUMNS, LEVELS_ROW.replace(",13.0,13.0,", f",{x},13.0,"),
+                   f"column X: '{x}' is not a finite number", id=f"X {x}")
+      for x in ("1e400", "nan")],
+    pytest.param(RECORD_COLUMNS, LEVELS_ROW.replace(",31.5,", ",inf,"),
+                 "column sum_abs_dev: 'inf' is not a finite number", id="sum_abs_dev inf"),
+    pytest.param(RECORD_COLUMNS, PRIMES_ROW.replace(",40.0,", ",-inf,"),
+                 "column T: '-inf' is not a finite number", id="T -inf"),
 ]
 
 
@@ -95,6 +104,19 @@ def test_a_malformed_replay_exits_2_without_a_traceback(tmp_path):
         assert main(["sweep", "--from-csv", str(path)]) == 2
     assert err.getvalue() == ("usage error: CSV data row 1, column points: point '1' is not "
                               "two integers joined by one colon\n")
+
+
+def test_a_points_field_past_the_csv_field_limit_replays(tmp_path, capsys):
+    # csv.reader's default limit is 131072 characters a field; the writers
+    # have none, and this field is about 149000
+    report = ZeroSetReport("U - 1", 1.0, 20000.0, tuple((1, v) for v in range(1, 20001)))
+    text = zero_reports_to_csv([report])
+    assert len(text.splitlines()[-1].split(",")[-1]) > 131072
+    assert read_csv(text) == ("zero_sets", [report])
+    path = tmp_path / "zeros.csv"
+    path.write_text(text)
+    assert main(["sweep", "--from-csv", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == text.splitlines()[2:]
 
 
 def test_csv_body_stable_without_timestamp():
