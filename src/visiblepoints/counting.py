@@ -38,23 +38,18 @@ or a run of equal shrunken boxes of several d with a weight each, becomes
 pieces of at most ``points`` points in d-then-row-major order, whole boxes
 together while they fit and a larger box one d at a time, in tiles of
 whole rows or of a segment of one row.  ``_sweep`` is the one walk that
-evaluates f over a box: it evaluates each piece of a run at (d*s, d*t),
-one plane per d, and yields each reduced result in order, which callers
-sum (the grid counts of ``_count``, histograms, the prime sweep) or
-concatenate (zero sets).  The separable histogram streams its pieces
-through one buffer of sums.  So memory stays bounded however large the
-box is, and the results do not depend on the thread count.
-``_sweep`` is the one place that makes a thread pool, and only the grid
-histogram asks for one, of a size it picks itself: a thread per usable
-CPU while 2p <= HISTOGRAM_POINTS (p <= 2^17), else one, as each thread
-holds up to two tiles' bincounts of 2p bins.  Its long tiles are numpy
-work outside the GIL; every other walk runs in the calling thread, where a
-second thread only waits for the GIL.  The count walks and the separable
-buffer hold BLOCK_POINTS = 2^15 points, 256 KB per int64 array, an
-L2-sized working set; the histogram's tiles hold HISTOGRAM_POINTS = 2^18,
-as each takes a bincount of 2p bins, which would dominate smaller tiles at
-large p.  The row route alone keeps its own x-tiles (``_rows_per_tile``):
-their budget is counted in words per row and coefficient, not in points.
+evaluates f over a box: it evaluates each piece its caller cut at
+(d*s, d*t), one plane per d, and yields each reduced result in order,
+which callers sum (the grid counts of ``_count``, histograms, the prime
+sweep) or concatenate (zero sets).  The separable histogram streams its
+pieces through one buffer of sums.  So memory stays bounded however large
+the box is.  Only ``_grid_histogram`` spreads its tiles over threads; it
+says when and why.  The count walks and the separable buffer hold
+BLOCK_POINTS = 2^15 points, 256 KB per int64 array, an L2-sized working
+set; the histogram's tiles hold HISTOGRAM_POINTS = 2^18, as each takes a
+bincount of 2p bins, which would dominate smaller tiles at large p.  The
+row route alone keeps its own x-tiles (``_rows_per_tile``): their budget
+is counted in words per row and coefficient, not in points.
 
 Evaluation is the one kernel of poly, f(x, y) = sum of c_j(x) * y^j: the
 row coefficients c_j by Horner in U, the powers y^j from one table per
@@ -100,9 +95,8 @@ from __future__ import annotations
 import math
 import operator
 import os
-from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -218,11 +212,12 @@ def _tile_shape(ny: int, points: int) -> tuple[int, int]:
     return max(1, points // ny), min(ny, points)
 
 
-def _pieces(ds, weights, n: int, m: int, points: int | None = None):
+def _pieces(n: int, m: int, ds=_ONE, weights=_ONE, points: int | None = None):
     """The one cut of every blocked walk: the boxes [1, n] x [1, m] of the d
     in ds, each d with its weight, cut lazily into pieces (ds, weights, s0,
     s1, t0, t1) of at most ``points`` points (BLOCK_POINTS by default),
-    whose d share the s in (s0, s1] and the t in (t0, t1].
+    whose d share the s in (s0, s1] and the t in (t0, t1].  The default run
+    (1) with weight 1 is the box itself.
 
     Whole boxes go together while they fit; a larger box is cut, one d at a
     time, into tiles of whole rows or of a segment of one row
@@ -250,50 +245,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep(evaluate, nx: int, ny: int, reduce_tile, workers: int = 1,
-           points: int | None = None, ds=_ONE, weights=_ONE):
+def _sweep(evaluate, pieces, reduce_tile):
     """The one walk that evaluates f over a box: reduce_tile(weights, s, t,
-    evaluate(d*s, d*t)) for each piece (ds, weights, ...) of the run ``ds`` of
-    equal shrunken boxes [1, nx] x [1, ny] (:func:`_pieces`), yielded in
-    order; the default run (1) is the box itself.  s and t are int64
-    ranges, and the values have shape (len(ds), len(s), len(t)), a plane
-    per d.  Pieces hold at most ``points`` points: BLOCK_POINTS by default,
-    for the count walks; HISTOGRAM_POINTS for the histogram.
-
-    With more than one worker the pieces go to a pool of as many threads as
-    the least of ``workers``, the piece count and :func:`_usable_cpus`,
-    with at most two pieces per thread submitted and not yet yielded.  This
-    is the only place a pool is made, and only :func:`_grid_histogram` asks
-    for one, with a thread count it picks itself: its evaluation, mask and
-    bincount are numpy calls on whole tiles of HISTOGRAM_POINTS points,
-    which run outside the GIL long enough for threads to pay off.  The
-    count walks take the default of one worker.
+    evaluate(d*s, d*t)) for each piece (ds, weights, s0, s1, t0, t1) that
+    the caller cut with :func:`_pieces`, yielded in order.  s and t are the
+    int64 ranges (s0, s1] and (t0, t1], and the values have shape
+    (len(ds), len(s), len(t)), a plane per d.
     """
-
-    def tile(piece):
-        ds, weights, s0, s1, t0, t1 = piece
+    for ds, weights, s0, s1, t0, t1 in pieces:
         xs = np.arange(s0 + 1, s1 + 1, dtype=np.int64)
         ys = np.arange(t0 + 1, t1 + 1, dtype=np.int64)
         d = ds[:, None, None]
-        return reduce_tile(weights, xs, ys, evaluate(d * xs[:, None], d * ys[None, :]))
-
-    tiles = _pieces(ds, weights, nx, ny, points)
-    workers = min(int(workers), _usable_cpus())
-    if workers > 1:  # no more threads than tiles
-        first = list(islice(tiles, workers))
-        workers, tiles = len(first), chain(first, tiles)
-    if workers <= 1:
-        yield from map(tile, tiles)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # loaded only for a pool
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for piece in tiles:
-            pending.append(pool.submit(tile, piece))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        yield from (future.result() for future in pending)
+        yield reduce_tile(weights, xs, ys, evaluate(d * xs[:, None], d * ys[None, :]))
 
 
 def _sieve_primes(limit: int) -> np.ndarray:
@@ -457,7 +420,7 @@ def _coprimes_up_to(x: int, ny: int) -> int:
     """#{y in [1, ny] : gcd(x, y) = 1}, by np.gcd over the pieces of the
     row [1, ny] (:func:`_pieces`)."""
     return sum(int(np.count_nonzero(np.gcd(x, np.arange(t0 + 1, t1 + 1)) == 1))
-               for *_, t0, t1 in _pieces(_ONE, _ONE, 1, ny))
+               for *_, t0, t1 in _pieces(1, ny))
 
 
 def _count_row_tile(level: ModBivariatePoly, xs: np.ndarray, ny: int, coprime_only: bool) -> int:
@@ -621,7 +584,7 @@ def _count(fmod: ModBivariatePoly, a: int, nx: int, ny: int, coprime_only: bool,
             return int(ws[0]) * int(np.count_nonzero(vals == a))
         return int(np.dot(ws, np.count_nonzero(vals == a, axis=(1, 2))))
 
-    return sum(_sweep(fmod.evaluate, nx, ny, hits, ds=ds, weights=weights))
+    return sum(_sweep(fmod.evaluate, _pieces(nx, ny, ds, weights), hits))
 
 
 def count_level_points(spec: LevelCurveSpec, box: CountBox, strategy: str = "auto") -> int:
@@ -711,20 +674,38 @@ class VisibleHistogram:
         return int(self.visible_counts.sum())
 
 
+def _histogram_tiles(nx: int, ny: int) -> int:
+    """The tiles of HISTOGRAM_POINTS points that cut [1, nx] x [1, ny]."""
+    rows, cols = _tile_shape(ny, HISTOGRAM_POINTS)
+    return -(-nx // rows) * -(-ny // cols)
+
+
 def _grid_histogram(fmod: ModBivariatePoly, box: CountBox,
                     workers: int | None = None) -> VisibleHistogram:
-    """Both per-level counts by one sweep over the grid.
+    """Both per-level counts by one sweep over the grid, the one walk of
+    the package that makes a thread pool.
 
     Each tile takes one bincount of 2 * f(x, y) + [gcd(x, y) = 1] over 2p
     bins, formed in place in the tile's values: the odd bins are the
-    visible counts, and the even plus the odd ones the level counts.  They
-    are summed in tile order, so the result is the same on any number of
-    threads, with at most 2 * workers held at once: by default one thread
-    per usable CPU while 2p <= HISTOGRAM_POINTS (p <= 2^17), else one.
+    visible counts, and the even plus the odd ones the level counts.  The
+    tiles of HISTOGRAM_POINTS points go to W threads, the least of
+    ``workers``, :func:`_usable_cpus` and the tile count: thread k sums
+    the bincounts of tiles k, k + W, k + 2W, ... in order, and the W sums
+    are added.  The sums are integers, so the counts do not depend on W,
+    and memory holds W sums and W tiles.  By default ``workers`` is the
+    usable CPUs while 2p <= HISTOGRAM_POINTS (p <= 2^17), else 1, as each
+    thread holds a sum and a tile's bincount of 2p bins.
+
+    The tiles' evaluation, mask and bincount are numpy calls long enough
+    to run outside the GIL.  Every other walk runs in the calling thread:
+    the count walks, the prime sweep and the separable histogram are many
+    short numpy calls, which a second thread would only slow down by
+    waiting for the GIL.
     """
     p = fmod.p
     if workers is None:
         workers = _usable_cpus() if 2 * p <= HISTOGRAM_POINTS else 1
+    threads = min(operator.index(workers), _usable_cpus(), _histogram_tiles(box.nx, box.ny))
     primes = _sieve_primes(min(box.nx, box.ny))
 
     def bincounts(_, xs, ys, vals):
@@ -732,8 +713,17 @@ def _grid_histogram(fmod: ModBivariatePoly, box: CountBox,
         vals += _coprime_mask(xs, ys, primes)
         return np.bincount(vals.ravel(), minlength=2 * p)
 
-    counts = sum(_sweep(fmod.evaluate, box.nx, box.ny, bincounts, workers,
-                        points=HISTOGRAM_POINTS))
+    def share(k):
+        pieces = _pieces(box.nx, box.ny, points=HISTOGRAM_POINTS)
+        return sum(_sweep(fmod.evaluate, islice(pieces, k, None, threads), bincounts))
+
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only for a pool
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            counts = sum(pool.map(share, range(threads)))
+    else:
+        counts = share(0)
     visible = counts[1::2]
     return VisibleHistogram(
         p=p, box=box, level_counts=counts[::2] + visible, visible_counts=visible
@@ -788,8 +778,7 @@ def _grid_histogram_seconds(fmod: ModBivariatePoly, nx: int, ny: int) -> float:
     point and V-power of f, as in :func:`_prefers_rows`, and per tile, with
     its bincount of 2p bins."""
     w = len({j for _, j in fmod.terms if j})
-    rows, cols = _tile_shape(ny, HISTOGRAM_POINTS)
-    tiles = -(-nx // rows) * -(-ny // cols)
+    tiles = _histogram_tiles(nx, ny)
     return _HIST_S * nx * ny * (1 + w) + (_PIECE_S + _BIN_S * 2 * fmod.p) * tiles
 
 
@@ -825,7 +814,7 @@ def _separable_plan(fmod: ModBivariatePoly, nx: int, ny: int):
             continue
         runs.append((n, m, ds, bands))
         points += n * m * len(ds)
-        seconds += _PIECE_S * sum(1 for _ in _pieces(ds, bands, n, m))
+        seconds += _PIECE_S * sum(1 for _ in _pieces(n, m, ds, bands))
     seconds += _DIFF_S * points + _BIN_S * 6 * p * -(-points // BLOCK_POINTS)
     if seconds >= _grid_histogram_seconds(fmod, nx, ny):
         return None
@@ -852,9 +841,7 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, plan: tuple) -> 
     fit and once at the end.  g and h are read from two axis tables, each
     one kernel call: g(s) = f(s, 0) for s <= nx and h(t) = f(0, t) - f(0, 0)
     for t <= ny, reduced mod p, so g(d*s) and h(d*t) are gathers at d*s and
-    d*t (a strided slice for a whole box).  The work runs in the calling
-    thread, with one buffer live: it is many small numpy calls, which a
-    second thread would only slow down by waiting for the GIL.
+    d*t (a strided slice for a whole box), with one buffer live.
     """
     from numpy import fft  # loaded by this route alone
 
@@ -885,7 +872,7 @@ def _separable_histogram(fmod: ModBivariatePoly, box: CountBox, plan: tuple) -> 
     # faults and up to twice the time.
     sums, at = np.empty(BLOCK_POINTS, dtype=np.int64), 0
     for n, m, ds, bs in runs:
-        for dk, bk, s0, s1, t0, t1 in _pieces(ds, bs, n, m):
+        for dk, bk, s0, s1, t0, t1 in _pieces(n, m, ds, bs):
             size = len(dk) * (s1 - s0) * (t1 - t0)
             if at + size > BLOCK_POINTS:
                 bands += np.bincount(sums[:at], minlength=6 * p).reshape(3, 2, p).sum(axis=1)
@@ -912,10 +899,9 @@ def visible_histogram(
     the Moebius sum of convolutions of one-variable histograms instead,
     and :func:`_separable_plan` picks it when its estimated time is below
     the grid's.  The two routes share neither the coprime sieve nor the
-    bivariate evaluation, and agree exactly.  Only the grid spreads its
-    tiles over threads: ``workers``, or as many as :func:`_grid_histogram`
-    picks for None.  The counts never depend on their number, and a
-    ``workers`` below 1 raises ValueError on either route.
+    bivariate evaluation, and agree exactly.  ``workers`` goes to the grid
+    (:func:`_grid_histogram`), None for its default; a ``workers`` below 1
+    raises ValueError on either route.
     """
     if workers is not None and operator.index(workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -984,9 +970,7 @@ def count_visible_by_prime(
     [0, w].  p = 2 tests the low bit; any other even modulus is refused
     (ValueError).  A tile's values are dropped once masked, and each
     prime's products go into one buffer reused for every prime, so a tile
-    holds at most two 8-byte arrays of its BLOCK_POINTS points.  The sweep
-    runs in the calling thread: each prime's pass is a few numpy calls on
-    one tile, too short to gain from releasing the GIL.  Raises
+    holds at most two 8-byte arrays of its BLOCK_POINTS points.  Raises
     GridOverflow unless ``_fits_int64`` holds on the box, as the test needs
     int64 values.  No admissibility check is made: f may degenerate modulo
     some p.
@@ -1009,4 +993,4 @@ def count_visible_by_prime(
         return np.array([np.count_nonzero(_congruent(visible, t, work)) for t in tests],
                         dtype=np.int64)
 
-    return sum(_sweep(f.evaluate, box.nx, box.ny, counts)).tolist()
+    return sum(_sweep(f.evaluate, _pieces(box.nx, box.ny), counts)).tolist()

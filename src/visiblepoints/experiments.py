@@ -34,6 +34,7 @@ from .output import ConcentrationProfile, DiscrepancyRecord, ZeroSetReport
 from .counting import (
     CountBox,
     LevelCurveSpec,
+    _pieces,
     _sweep,
     count_level_points,
     count_visible_by_prime,
@@ -92,10 +93,10 @@ def level_sweep(f: IntBivariatePoly, p: int, box: CountBox) -> DiscrepancyRecord
     """Sum over every level a of |N_a - (6/pi^2) X Y / p| for one prime.
 
     Requires f itself absolutely irreducible of degree > 1 mod p; one
-    ``visible_histogram`` call supplies all p visible counts, by the grid,
-    on as many threads as it picks, or, for f = g(U) + h(V), by
-    convolutions of one-variable histograms.  The deviations reach
-    ``math.fsum`` 2^16 at a time, so no list of p floats is built.
+    ``visible_histogram`` call supplies all p visible counts, by the grid
+    or, for f = g(U) + h(V), by convolutions of one-variable histograms.
+    The deviations reach ``math.fsum`` 2^16 at a time, so no list of p
+    floats is built.
     """
     p = operator.index(p)  # an int in the record, whatever integer type p has
     _require_admissible(f, p)
@@ -267,7 +268,7 @@ def integer_zero_set(f: IntBivariatePoly, box: CountBox) -> ZeroSetReport:
         i, j = divmod((vals == 0).ravel().nonzero()[0], len(ys))
         return zip(xs[i].tolist(), ys[j].tolist())
 
-    tiles = _sweep(f.evaluate, box.nx, box.ny, zeros)
+    tiles = _sweep(f.evaluate, _pieces(box.nx, box.ny), zeros)
     return ZeroSetReport(
         f_text=f.text(), X=float(box.X), Y=float(box.Y),
         points=tuple(pt for tile in tiles for pt in tile),

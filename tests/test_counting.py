@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import os
 import random
+import threading
 import time
 import tracemalloc
 
@@ -437,15 +438,17 @@ def test_histogram_invariants():
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_histogram_bins_match_the_oracle_on_many_tiles(monkeypatch, block):
     # one bincount per tile holds both counts, 2 * value + coprime; tiles
-    # of one point, of a row segment and of several rows all occur
+    # of one point, of a row segment and of several rows all occur, and
+    # threads that share them unevenly (101 x 2 is 4 tiles of 64 points)
     monkeypatch.setattr(counting, "HISTOGRAM_POINTS", block)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 3)
     cubic = parse_poly("U^2*V^3 + 5*U*V - 7")
     for p, boxes in ((2, [(2, 2), (1, 2)]), (3, [(3, 3), (2, 1)]),
                      (101, [(101, 23), (9, 101), (101, 2)])):
         for f in (ELLIPTIC, cubic):
             for X, Y in boxes:
                 level, visible = histogram_brute(f.terms, p, X, Y)
-                for workers in (1, 2):
+                for workers in (1, 2, 3):
                     h = visible_histogram(f, p, CountBox(X, Y), workers=workers)
                     assert h.level_counts.tolist() == level, (p, f, X, Y, workers)
                     assert h.visible_counts.tolist() == visible, (p, f, X, Y, workers)
@@ -558,12 +561,11 @@ def test_pieces_cover_every_point_once_in_order_within_the_budget():
             weights = np.array([rng.choice((-1, 1, 0, 7)) for _ in ds], dtype=np.int64)
             want = [(d, w, s, t) for d, w in zip(ds.tolist(), weights.tolist())
                     for s in range(1, n + 1) for t in range(1, m + 1)]
-            got = list(_piece_cells(_pieces(ds, weights, n, m, budget), budget))
+            got = list(_piece_cells(_pieces(n, m, ds, weights, budget), budget))
             assert got == want, (budget, n, m, len(ds))
     # the default budget is BLOCK_POINTS, read when the pieces are made
-    one = np.ones(1, dtype=np.int64)
-    assert len(list(_pieces(one, one, 2, BLOCK_POINTS // 2))) == 1
-    assert len(list(_pieces(one, one, 2, BLOCK_POINTS // 2 + 1))) == 2
+    assert len(list(_pieces(2, BLOCK_POINTS // 2))) == 1
+    assert len(list(_pieces(2, BLOCK_POINTS // 2 + 1))) == 2
 
 
 def test_full_box_histogram_matches_brute_force():
@@ -574,14 +576,16 @@ def test_full_box_histogram_matches_brute_force():
         assert h.visible_counts.tolist() == visible
 
 
-def test_grid_histogram_matches_the_oracle():
+def test_grid_histogram_matches_the_oracle(monkeypatch):
     # the grid route itself, whichever route the cost rule gives
     # visible_histogram here: the full box, a sweep of three row blocks of
-    # 374, 374 and 261 rows, and one worker against four
+    # 374, 374 and 261 rows, which two threads share unevenly, and one
+    # worker against four
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 3)
     for p, X, Y in ((127, 127, 127), (257, 257, 257), (1009, 1009, 700)):
         box = CountBox(X, Y)
         level, visible = histogram_brute(ELLIPTIC.terms, p, X, Y)
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             h = counting._grid_histogram(reduce_mod(ELLIPTIC, p), box, workers)
             assert h.level_counts.tolist() == level, (p, X, Y, workers)
             assert h.visible_counts.tolist() == visible, (p, X, Y, workers)
@@ -599,8 +603,9 @@ class _RaisingPool:
 
 
 class _RecordingPool:
-    """A stand-in for ThreadPoolExecutor that runs each task at once, in the
-    calling thread, and records the max_workers it was made with."""
+    """A stand-in for ThreadPoolExecutor that runs every task of ``map`` at
+    once, in the calling thread, and records the max_workers it was made
+    with."""
 
     sizes: list = []
 
@@ -613,10 +618,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, *iterables):
+        return [fn(*args) for args in zip(*iterables)]
 
 
 def test_only_the_grid_sweeps_make_a_pool(monkeypatch):
@@ -646,26 +649,54 @@ def test_only_the_grid_sweeps_make_a_pool(monkeypatch):
         (q, count_visible_direct(LevelCurveSpec(ELLIPTIC, q, 0), small)) for q, _ in rec.per_prime)
 
 
-def test_sweep_pool_is_capped_by_the_cpus_and_the_tiles(monkeypatch):
-    # a grid sweep of about 76k tiles at 100000 workers never asks for a
-    # pool of that many threads (and never starts one here: the stand-in
-    # runs every tile in this thread)
+def test_grid_histogram_pool_is_capped_by_the_cpus_and_the_tiles(monkeypatch):
+    # a grid histogram in tiles of 50 points at 100000 workers never asks
+    # for a pool of that many threads (and never starts one here: the
+    # stand-in runs every share in this thread)
+    f = parse_poly("V^2 + U*V - U^3 - 1")
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(counting, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(counting, "HISTOGRAM_POINTS", 50)
 
-    def total(nx, ny, workers):  # the sum of x * y, in tiles of 50 points
-        tiles = counting._sweep(lambda u, v: u * v, nx, ny,
-                                lambda _, xs, ys, vals: int(vals.sum()), workers, points=50)
-        return sum(tiles)
+    def counts(nx, ny, workers):
+        h = counting._grid_histogram(reduce_mod(f, 101), CountBox(nx, ny), workers)
+        assert (h.level_counts.tolist(), h.visible_counts.tolist()) == histogram_brute(
+            f.terms, 101, nx, ny), (nx, ny, workers)
 
-    assert total(100, 100, 100000) == 5050 * 5050  # 200 tiles
-    assert total(100, 100, 2) == 5050 * 5050
-    assert total(1, 100, 100000) == 5050  # 2 tiles
+    counts(100, 100, 100000)  # 200 tiles
+    counts(100, 100, 2)
+    counts(1, 100, 100000)  # 2 tiles
     assert _RecordingPool.sizes == [3, 2, 2]
     monkeypatch.setattr(counting, "_usable_cpus", lambda: 1)  # one CPU: no pool
-    assert total(100, 100, 100000) == 5050 * 5050
+    counts(100, 100, 100000)
     assert _RecordingPool.sizes == [3, 2, 2]
+
+
+class _TileFailure(Exception):
+    """The error of one tile of a grid histogram."""
+
+
+def test_an_error_in_a_tile_leaves_the_histogram_and_its_threads(monkeypatch):
+    # tile 21 fails, in the calling thread (one worker) and in the second
+    # share of a pool of two: the error keeps its type and no thread
+    # outlives it
+    f = parse_poly("V^2 + U*V - U^3 - 1")
+    monkeypatch.setattr(counting, "HISTOGRAM_POINTS", 256)  # 51 tiles of 2 rows
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
+    mask = counting._coprime_mask
+
+    def failing_mask(xs, ys, primes):
+        if xs[0] == 43:  # tile 21
+            raise _TileFailure
+        return mask(xs, ys, primes)
+
+    monkeypatch.setattr(counting, "_coprime_mask", failing_mask)
+    before = threading.active_count()
+    for workers in (1, 2):
+        with pytest.raises(_TileFailure):
+            visible_histogram(f, 101, CountBox(101, 101), workers)
+        assert threading.active_count() == before, workers
 
 
 def test_grid_histogram_takes_a_thread_per_cpu_while_2p_bins_fit_a_tile(monkeypatch):

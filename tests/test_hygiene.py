@@ -1,8 +1,8 @@
 """Guards on the package's names, checked with ast and importlib: the public
 names resolve, the benchmark's traced mode finds every name it rebinds, no
 module keeps an import it does not use, every private function or class
-is used somewhere in the package, and counting evaluates f over a box in
-one walk only."""
+is used somewhere in the package, counting evaluates f over a box in one
+walk only, and one function alone makes a thread pool."""
 
 import ast
 import importlib
@@ -95,3 +95,17 @@ def test_counting_evaluates_boxes_only_through_the_sweep():
         and node.func.attr == "evaluate"
     ]
     assert callers == ["_separable_histogram"] * 2
+
+
+def test_one_function_names_the_thread_pool():
+    # the grid histogram is the one walk that spreads its tiles over
+    # threads; every other walk runs in the calling thread
+    namers = {
+        f"{path.stem}.{getattr(top, 'name', f'line {top.lineno}')}"
+        for path in PACKAGE.glob("*.py")
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if "ThreadPoolExecutor" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                    getattr(node, "name", None))
+    }
+    assert namers == {"counting._grid_histogram"}
