@@ -10,14 +10,19 @@ nonconstant polynomials over a given finite field K.  Strategy, in order:
    every field (S. Gao, Absolute irreducibility of polynomials via Newton
    polytopes, J. Algebra 237, 2001).  The certificate only ever says yes;
    every other input goes to the exact engine below;
-1. degree-1 and single-variable inputs are settled directly;
+1. a perfect p-th power is reducible, and an input whose V-exponents are
+   all divisible by p has U and V exchanged.  A degree-1 input then has
+   V-degree 1 and is irreducible, as is any of V-degree 1 that step 2
+   finds no factor of.  An input in U alone or V alone is not special:
+   it takes steps 2-5 as any other does;
 2. a nonconstant gcd of the V-coefficients (the content in K[U]) is a
    factor;
 3. the polynomial is made monic in V (multiplying by a power of its
    V-leading coefficient and rescaling V, an irreducibility-preserving
    change over the rational function field K(U));
 4. a nontrivial gcd with the V-derivative (computed by a fraction-free
-   pseudo-remainder sequence) exhibits a repeated factor, and a zero
+   pseudo-remainder sequence) exhibits a repeated factor, reported with
+   leading coefficient 1 when f is in one variable, and a zero
    V^0-coefficient the factor V;
 5. otherwise the squarefree monic polynomial is specialized at a point
    u0 with squarefree image, its univariate image is factored by
@@ -86,7 +91,6 @@ from .fields import (
     u_ext_gcd,
     u_eval,
     u_gcd,
-    u_is_irreducible,
     u_monic,
     u_mul,
     u_scale,
@@ -266,7 +270,11 @@ def _layers_to_bp(K, layers: list) -> list:
 
 def _hensel_factors(K, F: list, phis: list, kappa: int) -> list:
     """Lift the pairwise-coprime monic factors of F(0, V) to U-adic
-    precision kappa."""
+    precision kappa.  At kappa = 1 (F free of U) each lift is its factor
+    itself, so the factors are returned as they are, without the Bezout
+    cofactors of the lift."""
+    if kappa == 1:
+        return [[u_trim(K, [c]) for c in phi] for phi in phis]
     out = []
     cur = F
     for i in range(len(phis) - 1):
@@ -283,19 +291,6 @@ def _hensel_factors(K, F: list, phis: list, kappa: int) -> list:
 # the reducibility engine
 
 
-def _univariate_factor_any(K, g: list) -> list | None:
-    """Some nontrivial monic factor of a univariate g with deg >= 2 known
-    reducible, or None when only inseparable structure is present."""
-    g = u_monic(K, g)
-    d = u_deriv(K, g)
-    if not d:
-        return None
-    c = u_gcd(K, g, d)
-    if 0 < u_deg(c) < u_deg(g):
-        return c
-    return factor_squarefree(K, g)[0]
-
-
 def _unmonicize(K, g: list, lam: list | None) -> list:
     """Map a monic-in-V factor of the monicized polynomial back to a factor
     of the original via V -> lam(U)*V and a primitive part."""
@@ -304,34 +299,19 @@ def _unmonicize(K, g: list, lam: list | None) -> list:
     return _b_primitive_part(K, [u_mul(K, e, _u_pow(K, lam, j)) for j, e in enumerate(g)])
 
 
-def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
+def _reducible_over(K, f_terms: dict) -> tuple[bool, dict | None]:
     """Decide reducibility over K of the polynomial whose terms have F_p
     coefficients given as ints, p the characteristic of K.
 
-    Returns (reducible, factor-or-None, swapped); the factor, when present,
-    is a genuine nonconstant proper factor in the engine's U/V orientation,
-    with swapped=True meaning the variables were exchanged first.
+    Returns (reducible, factor-or-None); the factor, when present, is a
+    genuine nonconstant proper factor as {(i, j): c} in f's own U and V.
     """
     char = K.characteristic
     terms = {ij: K.from_int(c) for ij, c in f_terms.items()}
-    n = max(i + j for i, j in terms)
-    deg_u = max(i for i, _ in terms)
-    deg_v = max(j for _, j in terms)
-
-    if deg_v == 0 or deg_u == 0:
-        # one variable: the factor is found as a polynomial in U, and
-        # swapped=True reports it in V when V is the variable
-        swapped = deg_u == 0
-        up = [terms.get((0, i) if swapped else (i, 0), K.zero) for i in range(n + 1)]
-        if u_is_irreducible(K, up):
-            return False, None, swapped
-        fac = _univariate_factor_any(K, up)
-        return True, ([fac] if fac else None), swapped
-
     swapped = False
     if all(j % char == 0 for _, j in terms):
         if all(i % char == 0 for i, _ in terms):
-            return True, None, False  # a perfect char-th power
+            return True, None  # a perfect char-th power
         terms = {(j, i): c for (i, j), c in terms.items()}
         swapped = True
 
@@ -339,10 +319,10 @@ def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
     bp = _from_terms(K, terms)
     cont = _b_content_u(K, bp)
     if u_deg(cont) >= 1:
-        return True, [cont], swapped
+        return True, _b_to_terms([cont], K, swapped)
     m = u_deg(bp)
     if m == 1:
-        return False, None, swapped
+        return False, None
 
     lead = bp[m]
     if u_deg(lead) == 0:
@@ -355,11 +335,13 @@ def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
 
     g = _gcd_v_primitive(R, F, u_deriv(R, F))
     if u_deg(g) >= 1:
-        return True, _unmonicize(K, g, lam), swapped
+        if not _b_degu(bp):
+            g = u_monic(R, g)  # f in one variable: the gcd, up to a unit, made monic
+        return True, _b_to_terms(_unmonicize(K, g, lam), K, swapped)
     if not bp[0]:
         # V divides f and m >= 2: the factor, scaled as the subset search
         # below finds it first, is reported also when K has no fiber for it
-        return True, _unmonicize(K, [[], [K.one]], lam), swapped
+        return True, _b_to_terms(_unmonicize(K, [[], [K.one]], lam), K, swapped)
 
     # find u0 with a squarefree specialization; at most (2m-1)*deg_U(F)
     # points can fail, so scanning one more settles it for large fields
@@ -380,14 +362,14 @@ def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
         while math.gcd(k, g) != 1 or K.size**k <= bound:
             k += 1
         L = _extension_field(char, getattr(K, "k", 1) * k)
-        return _reducible_over(L, f_terms)[0], None, False
+        return _reducible_over(L, f_terms)[0], None
 
     ft = _b_shift_u(K, F, u0)
     f0 = _b_layer(K, ft, 0)
     phis = factor_squarefree(K, f0)
     s = len(phis)
     if s == 1:
-        return False, None, swapped
+        return False, None
     kappa = _b_degu(ft) + 1
     lifted = _hensel_factors(K, ft, phis, kappa)
     degs = [u_deg(phi) for phi in phis]
@@ -404,8 +386,8 @@ def _reducible_over(K, f_terms: dict) -> tuple[bool, list | None, bool]:
                 cand = u_mul(truncated, cand, lifted[i])
         if not u_divmod(R, ft, cand)[1]:
             back = _b_shift_u(K, cand, K.neg(u0))
-            return True, _unmonicize(K, back, lam), swapped
-    return False, None, swapped
+            return True, _b_to_terms(_unmonicize(K, back, lam), K, swapped)
+    return False, None
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +408,6 @@ class IrreducibilityVerdict(NamedTuple):
     witness: int | str | None = None
 
 
-def _factor_text(K, bp: list, swap: bool) -> str:
-    # only used with a prime base field, where elements are plain ints
-    terms = _b_to_terms(bp, K, swap)
-    return IntBivariatePoly(terms).text()
-
-
 def is_irreducible_bivariate(fmod: ModBivariatePoly, field) -> bool:
     """True iff f admits no factorization into two nonconstant polynomials
     over the given (prime or extension) field, which must have f's
@@ -441,8 +417,7 @@ def is_irreducible_bivariate(fmod: ModBivariatePoly, field) -> bool:
     if field.characteristic != fmod.p:
         raise ValueError(f"a polynomial mod {fmod.p} over a field of characteristic "
                          f"{field.characteristic}")
-    red, _, _ = _reducible_over(field, fmod.terms)
-    return not red
+    return not _reducible_over(field, fmod.terms)[0]
 
 
 def _cross(o, a, b) -> int:
@@ -520,14 +495,12 @@ def is_absolutely_irreducible(fmod: ModBivariatePoly) -> IrreducibilityVerdict:
     if fmod.degree == 1 or _gao_certificate(fmod.terms):
         return IrreducibilityVerdict(True, True)
     p = fmod.p
-    base = PrimeField(p)
-    red, fac, swapped = _reducible_over(base, fmod.terms)
+    red, fac = _reducible_over(PrimeField(p), fmod.terms)
     if red:
-        witness = _factor_text(base, fac, swapped) if fac else None
-        return IrreducibilityVerdict(False, False, witness)
+        # over F_p the factor's coefficients are plain ints
+        return IrreducibilityVerdict(False, False, IntBivariatePoly(fac).text() if fac else None)
     for ell, _ in factorize(_vertex_gcd(fmod.terms)):
-        red, _, _ = _reducible_over(_extension_field(p, ell), fmod.terms)
-        if red:
+        if _reducible_over(_extension_field(p, ell), fmod.terms)[0]:
             return IrreducibilityVerdict(True, False, ell)
     return IrreducibilityVerdict(True, True)
 

@@ -195,6 +195,13 @@ def test_univariate_in_one_variable_inputs():
     v = is_absolutely_irreducible(_mod("U^2 + 1", 7))
     assert v.irreducible_over_base and not v.absolutely_irreducible
     assert v.witness == 2
+    # the same engine runs over extension fields on one-variable inputs
+    for text, p, k, irreducible in (("V^2 + 1", 7, 1, True), ("V^2 + 1", 7, 2, False),
+                                    ("U^2 + U + 1", 2, 1, True), ("U^2 + U + 1", 2, 2, False),
+                                    ("U^3 + U + 1", 2, 2, True), ("V^3 - 2", 7, 2, True),
+                                    ("V^3 - 2", 7, 3, False)):
+        K = PrimeField(p) if k == 1 else ExtensionField(p, k)
+        assert is_irreducible_bivariate(_mod(text, p), K) is irreducible, (text, p, k)
 
 
 def _verdict_by_degree(fm, fields: dict) -> tuple:
@@ -361,6 +368,15 @@ WITNESS_ROUTES = [
     ("U^2 + 1", 5, "U + 2"),                        # U alone
     ("U^2", 5, "U"),                                # U alone, inseparable part
     ("V^3", 7, "V^2"),                              # V alone, inseparable part
+    ("V^2 + 2*V + 1", 7, "V + 1"),                  # V alone, repeated factor, lead 1
+    ("3*U^2 + 6*U + 3", 7, "U + 1"),                # U alone, repeated factor, lead 1
+    ("U^2 + 3*U + 2", 7, "U + 1"),                  # U alone, Hensel search
+    ("V^4 + 1", 3, "V^2 + V + 2"),                  # V alone, two quadratics
+    ("V^101 - V", 101, "V"),                        # V alone, the factor V
+    ("V^2 + V", 2, "V"),                            # V alone, the factor V
+    ("U^2 - V^6", 3, "V^3 + U"),                    # V-exponents 0 mod p: swapped
+    ("U^3 + 1", 3, None),                           # U alone, a p-th power
+    ("U^4 + U^2", 2, None),                         # U alone, a p-th power
 ]
 
 
@@ -690,14 +706,19 @@ def _random_terms(rng, p, d):
 def _assert_verdict_matches_the_line_oracle(terms, p):
     """The engine's verdict against :func:`verdict_lines`; its witness is
     the extension degree d where f splits only over F_{p^d}, and a factor
-    that divides f where it names one over F_p."""
+    that divides f where it names one over F_p, with leading coefficient 1
+    when f is in one variable."""
     f = IntBivariatePoly(terms)
-    v = is_absolutely_irreducible(reduce_mod(f, p))
+    fm = reduce_mod(f, p)
+    v = is_absolutely_irreducible(fm)
     assert (v.irreducible_over_base, v.absolutely_irreducible) == verdict_lines(terms, p), (f, p)
     if v.irreducible_over_base and not v.absolutely_irreducible:
-        assert v.witness == reduce_mod(f, p).degree, (f, p, v)
+        assert v.witness == fm.degree, (f, p, v)
     if isinstance(v.witness, str):
-        assert divides_mod(parse_poly(v.witness).terms, terms, p), (f, p, v)
+        w = parse_poly(v.witness).terms
+        assert divides_mod(w, terms, p), (f, p, v)
+        if not (fm.deg_u and fm.deg_v):
+            assert w[max(w)] == 1, (f, p, v)
     return v
 
 
@@ -711,6 +732,16 @@ def test_verdicts_equal_the_line_oracle():
     # every kind of verdict occurs: a named factor over F_p, a split only
     # over an extension, and absolute irreducibility
     assert {(False, False, str), (True, False, int), (True, True, type(None))} <= seen
+    # one-variable inputs of degree 2 and 3, in U and in V: a named factor,
+    # a split only over an extension, and a p-th power with no factor named
+    seen = set()
+    for p in (2, 3, 5, 7):
+        for k in range(40):
+            coeffs = [rng.randrange(p) for _ in range(2 + k % 2)] + [rng.randrange(1, p)]
+            terms = {((0, i) if k % 4 >= 2 else (i, 0)): c for i, c in enumerate(coeffs) if c}
+            v = _assert_verdict_matches_the_line_oracle(terms, p)
+            seen.add((v.irreducible_over_base, v.absolutely_irreducible, type(v.witness)))
+    assert seen == {(False, False, str), (True, False, int), (False, False, type(None))}
 
 
 def test_bad_levels_equal_the_line_oracle():
