@@ -50,7 +50,9 @@ in K[U]/(U^kappa), the precision of the lift.
 
 Absolute irreducibility reduces to irreducibility over F_p and over
 F_{p^l} for every prime l dividing the vertex gcd g of the Newton polygon
-(``_vertex_gcd`` has the proof); where g = 1 no extension field is built.
+(``_vertex_gcd`` has the proof); where g = 1 no extension field is built,
+nor for an f in U alone or V alone irreducible over F_p: its deg f roots
+are Frobenius conjugates, so l is the least prime factor of deg f.
 
 The bad levels of f, the a for which f - a is not absolutely irreducible,
 come from Ruppert's criterion in Gao's form (W. Ruppert, J. Number Theory
@@ -486,9 +488,10 @@ def is_absolutely_irreducible(fmod: ModBivariatePoly) -> IrreducibilityVerdict:
     """Exact absolute-irreducibility verdict for f over F_p.
 
     Gao's Newton-polygon certificate runs first and settles f at once when
-    it applies.  Otherwise the exact engine tests irreducibility over F_p
-    and over F_{p^l} for every prime l dividing :func:`_vertex_gcd`, which
-    is decisive, and the first l that splits f is the witness.
+    it applies.  Otherwise the exact engine tests irreducibility over F_p,
+    then over F_{p^l} for every prime l dividing :func:`_vertex_gcd`, which
+    is decisive, and the first l that splits f is the witness; for an f in
+    one variable that l is the least prime factor of deg f, with no test.
     """
     if fmod.is_constant():
         raise ConstantPolynomial("verdict on a constant polynomial")
@@ -499,6 +502,8 @@ def is_absolutely_irreducible(fmod: ModBivariatePoly) -> IrreducibilityVerdict:
     if red:
         # over F_p the factor's coefficients are plain ints
         return IrreducibilityVerdict(False, False, IntBivariatePoly(fac).text() if fac else None)
+    if not any(i for i, _ in fmod.terms) or not any(j for _, j in fmod.terms):
+        return IrreducibilityVerdict(True, False, factorize(fmod.degree)[0][0])
     for ell, _ in factorize(_vertex_gcd(fmod.terms)):
         if _reducible_over(_extension_field(p, ell), fmod.terms)[0]:
             return IrreducibilityVerdict(True, False, ell)

@@ -8,7 +8,9 @@ are lists of field elements, ascending by exponent, with no trailing zeros
 ``characteristic``, ``zero`` and ``one`` are plain attributes, read by
 the helpers in their inner loops.  Searches scan elements in the fixed
 order given by ``element_at`` so results are reproducible across runs and
-platforms.
+platforms.  One distinct-degree loop, ``_distinct_degree_parts``, answers
+every univariate question: ``u_is_irreducible`` (so the modulus search of
+``ExtensionField``), ``univariate_roots`` and ``factor_squarefree``.
 """
 
 from __future__ import annotations
@@ -205,20 +207,11 @@ def u_shift(K, a: list, c) -> list:
 
 
 def u_is_irreducible(K, g: list) -> bool:
-    """Rabin irreducibility test over K."""
+    """Whether the least degree of an irreducible factor of g is deg g, as
+    :func:`_distinct_degree_parts` finds it: a reducible g has one of
+    degree at most deg g / 2."""
     d = u_deg(g)
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    q = K.size
-    x = [K.zero, K.one]
-    for ell in {p for p, _ in factorize(d)}:
-        h = u_sub(K, u_pow_mod(K, x, q ** (d // ell), g), x)
-        if u_deg(u_gcd(K, h, g)) != 0:
-            return False
-    h = u_sub(K, u_pow_mod(K, x, q**d, g), x)
-    return not u_mod(K, h, g)
+    return d > 0 and next(e for e, t in _distinct_degree_parts(K, g) if u_deg(t) > 0) == d
 
 
 def _monic_polys(K, deg: int, start: int = 0):
@@ -236,8 +229,8 @@ def find_irreducible_over(K, k: int) -> list:
     are the binomials x^k + c.  A binomial can be irreducible over F_q only
     if every prime r | k divides q - 1, and q = 1 (mod 4) when 4 | k
     (Lidl-Niederreiter, Thm 3.75).  When that fails the whole block is
-    skipped without a Rabin test, which returns the same polynomial: at
-    p = 2 (mod 3), k = 3, it saves about p tests.
+    skipped untested, which returns the same polynomial: at p = 2 (mod 3),
+    k = 3, it saves about p irreducibility tests.
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
@@ -370,10 +363,31 @@ def _equal_degree_split(K, g: list, e: int, rng: random.Random, out: list) -> No
             return
 
 
+def _distinct_degree_parts(K, g: list):
+    """Lazily yield (e, g_e) for e = 1, 2, ...: g_e = gcd(x^(q^e) - x, r),
+    q = |K|, r the rest of monic g once g_1, ..., g_(e-1) are divided out.
+    For squarefree g, g_e is the product of g's irreducible factors of
+    degree e, and once 2e > deg r the rest is irreducible: the last pair is
+    (deg r, r).  For any g, the first e with g_e nontrivial is the least
+    degree of an irreducible factor."""
+    x = [K.zero, K.one]
+    h, rem, e = x, u_monic(K, g), 0
+    while u_deg(rem) > 0:
+        e += 1
+        if 2 * e > u_deg(rem):
+            yield u_deg(rem), rem
+            return
+        h = u_pow_mod(K, h, K.size, rem)
+        t = u_gcd(K, u_sub(K, h, x), rem)
+        yield e, t
+        if u_deg(t) > 0:
+            rem = u_divmod(K, rem, t)[0]
+            h = u_mod(K, h, rem)
+
+
 def univariate_roots(g: list, field) -> set:
-    """All roots of g in the field, each listed once: the product of the
-    distinct linear factors of g, gcd(x^q - x, g), is split into them by
-    :func:`factor_squarefree`.
+    """All roots of g in the field, each listed once: the linear factors of
+    the first part of :func:`_distinct_degree_parts`, gcd(x^q - x, g).
 
     Raises IdenticallyZero for the zero polynomial; callers rule that case
     out before they ask.
@@ -382,9 +396,11 @@ def univariate_roots(g: list, field) -> set:
     g = u_trim(K, list(g))
     if not g:
         raise IdenticallyZero("root search on the zero polynomial")
-    x = [K.zero, K.one]
-    s = u_gcd(K, u_sub(K, u_pow_mod(K, x, K.size, g), x), g)
-    return {K.neg(h[0]) for h in factor_squarefree(K, s)}
+    linear: list = []
+    s = next(_distinct_degree_parts(K, g), (1, []))[1]
+    if u_deg(s) > 0:
+        _equal_degree_split(K, s, 1, random.Random(0xC0FFEE + 1), linear)
+    return {K.neg(h[0]) for h in linear}
 
 
 def _elt_key(c):
@@ -393,27 +409,11 @@ def _elt_key(c):
 
 def factor_squarefree(K, g: list) -> list[list]:
     """Factor a monic squarefree univariate polynomial into monic
-    irreducibles, in a deterministic order: distinct-degree factoring, then
-    :func:`_equal_degree_split` with seeded random candidates."""
-    g = u_monic(K, g)
-    if u_deg(g) <= 1:
-        return [g] if u_deg(g) == 1 else []
+    irreducibles, in a deterministic order: each part of
+    :func:`_distinct_degree_parts` is split by :func:`_equal_degree_split`
+    with seeded random candidates."""
     factors: list = []
-    q = K.size
-    x = [K.zero, K.one]
-    h = list(x)
-    rem = g
-    e = 0
-    while u_deg(rem) > 0:
-        e += 1
-        if 2 * e > u_deg(rem):
-            factors.append(rem)
-            break
-        h = u_pow_mod(K, h, q, rem)
-        t = u_gcd(K, u_sub(K, h, x), rem)
+    for e, t in _distinct_degree_parts(K, g):
         if u_deg(t) > 0:
             _equal_degree_split(K, t, e, random.Random(0xC0FFEE + e), factors)
-            rem = u_divmod(K, rem, t)[0]
-            if u_deg(rem) > 0:
-                h = u_mod(K, h, rem)
     return sorted(factors, key=lambda f: (len(f), [_elt_key(c) for c in f]))

@@ -169,6 +169,35 @@ def _gf_tables(p, k):
     return add, mul
 
 
+def irreducible_brute(coeffs, p, k=1):
+    """Whether g, coefficients ascending (over GF(p^k), k <= 3, each the
+    integer of :func:`_gf_tables`), is irreducible: it has a degree d >= 1
+    and no monic divisor of degree 1 to d/2, by trial division by every
+    monic polynomial of those degrees, in F_p or with the tables."""
+    table = _gf_tables(p, k)[1] if k > 1 else None
+
+    def times(a, b):
+        return table[a][b] if table else a * b % p
+
+    def minus(a, b):  # digit by digit, as addition in GF(p^k) is
+        return sum((a // p**i - b // p**i) % p * p**i for i in range(k))
+
+    g = list(coeffs)
+    while g and not g[-1]:
+        g.pop()
+    d = len(g) - 1
+    for e in range(1, d // 2 + 1):
+        for tail in itertools.product(range(p**k), repeat=e):
+            rest = list(g)
+            for top in range(d, e - 1, -1):
+                c = rest[top]
+                for j, m in enumerate((*tail, 1)):
+                    rest[top - e + j] = minus(rest[top - e + j], times(c, m))
+            if not any(rest[:e]):
+                return False
+    return d >= 1
+
+
 def _has_line_factor(terms, p, k, over_base):
     """Whether a line U = g or V = a*U + g with coefficients in GF(p^k)
     (in F_p when ``over_base``) divides f, of total degree d, k >= 2: f

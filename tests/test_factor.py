@@ -188,7 +188,7 @@ def test_inseparable_exponent_structure():
     assert not v.irreducible_over_base
 
 
-def test_univariate_in_one_variable_inputs():
+def test_univariate_in_one_variable_inputs(monkeypatch):
     # U^2 + 1 touches no V: irreducible over F_7 (as -1 is a nonresidue)
     assert is_irreducible_bivariate(_mod("U^2 + 1", 7), PrimeField(7))
     assert not is_irreducible_bivariate(_mod("U^2 + 1", 5), PrimeField(5))
@@ -202,6 +202,11 @@ def test_univariate_in_one_variable_inputs():
                                     ("V^3 - 2", 7, 3, False)):
         K = PrimeField(p) if k == 1 else ExtensionField(p, k)
         assert is_irreducible_bivariate(_mod(text, p), K) is irreducible, (text, p, k)
+    # an f in one variable irreducible over F_p is witnessed by the least
+    # prime factor of its degree, with no extension field built
+    monkeypatch.setattr(factor, "_extension_field", lambda p, ell: pytest.fail(f"F_{p}^{ell}"))
+    for text, p, witness in (("U^30 + U + 2", 3, 2), ("U^15 + U + 1", 2, 3), ("V^2 + 1", 10007, 2)):
+        assert is_absolutely_irreducible(_mod(text, p)) == (True, False, witness), (text, p)
 
 
 def _verdict_by_degree(fm, fields: dict) -> tuple:

@@ -19,7 +19,7 @@ from visiblepoints.fields import (
     univariate_roots,
 )
 
-from oracles import first_rootless_monic, primes_brute
+from oracles import first_rootless_monic, irreducible_brute, primes_brute
 
 
 def test_find_irreducible_examples():
@@ -45,6 +45,14 @@ def test_find_irreducible_matches_the_naive_scan():
     for p in primes_brute(2, 599):
         for k in (2, 3):
             assert find_irreducible_over(PrimeField(p), k) == first_rootless_monic(p, k), (p, k)
+    # above degree 3 the scan asks the brute-force oracle; the x^k + c block
+    # is skipped for k = 4 at p = 2, 3, 7, for k = 5 at every p and for
+    # k = 6 at p = 2, 3, 5, and holds the answer at (5, 4) and (7, 6)
+    for p in (2, 3, 5, 7):
+        for k in (4, 5, 6):
+            monics = ([n // p**i % p for i in range(k)] + [1] for n in range(p**k))
+            expected = next(g for g in monics if irreducible_brute(g, p))
+            assert find_irreducible_over(PrimeField(p), k) == expected, (p, k)
 
 
 def test_find_irreducible_in_huge_fields():
@@ -171,6 +179,21 @@ def test_divmod_identity_random():
             assert u_deg(r) < u_deg(b) or not r
 
 
+def _is_irreducible(K, g):
+    """Whether g is irreducible over K, by ``irreducible_brute``, which
+    shares no code with the library's distinct-degree loop, wherever the
+    oracle's own tables cover K (their modulus is the library's in degree
+    2 and 3); elements of F_{p^k} become the integers of their digits."""
+    k = getattr(K, "k", 1)
+    if k > 3:
+        # the oracle builds no GF(p^k) above k = 3, so ExtensionField(2, 4)
+        # keeps the library predicate
+        return u_is_irreducible(K, g)
+    assert k == 1 or list(K.modulus) == first_rootless_monic(K.p, k)
+    digits = [c if k == 1 else sum(d * K.p**i for i, d in enumerate(c)) for c in g]
+    return irreducible_brute(digits, K.characteristic, k)
+
+
 def _irreducible_pool(K, max_deg):
     """All monic irreducibles over K of degree <= max_deg (tiny fields) or a
     random-but-verified sample (large fields)."""
@@ -179,13 +202,13 @@ def _irreducible_pool(K, max_deg):
         from visiblepoints.fields import _monic_polys
 
         for d in range(1, max_deg + 1):
-            pool.extend(c for c in _monic_polys(K, d) if u_is_irreducible(K, c))
+            pool.extend(c for c in _monic_polys(K, d) if _is_irreducible(K, c))
     else:
         rng = random.Random(K.size)
         while len(pool) < 12:
             d = rng.randint(1, max_deg)
             cand = [K.element_at(rng.randrange(K.size)) for _ in range(d)] + [K.one]
-            if u_is_irreducible(K, cand) and cand not in pool:
+            if _is_irreducible(K, cand) and cand not in pool:
                 pool.append(cand)
     return pool
 
@@ -203,7 +226,7 @@ def test_factor_squarefree_reconstructs_product():
             assert len(factors) == len(parts)
             recon = [K.one]
             for fac in factors:
-                assert u_is_irreducible(K, fac)
+                assert _is_irreducible(K, fac)
                 recon = u_mul(K, recon, fac)
             assert recon == g
 
